@@ -16,6 +16,7 @@ from typing import Optional
 from .exactnum import (
     ContractError,
     GaussRat,
+    I_UNIT,
     Matrix,
     ONE,
     ZERO,
@@ -117,19 +118,6 @@ def _poly_strip(p):
 
 def _poly_deg(p):
     return len(p) - 1
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return _poly_strip(out)
 
 
 def _poly_divmod(p, q):
@@ -491,17 +479,16 @@ def classify_real8(s, j, e_plus):
     v1, v2 = _adapted_j_basis(e_plus, j)
     bq = BinaryQuartic.from_symtensor(s, [v1, v2])
     op = quartic_to_matrix(bq).operator()
-    i_u = GaussRat(0, 1)
     # columns: r1 = u1 + u3, r2 = i u1 - i u3, r3 = i u2
     b_cols = Matrix([
-        [ONE, i_u, ZERO],
-        [ZERO, ZERO, i_u],
-        [ONE, -i_u, ZERO],
+        [ONE, I_UNIT, ZERO],
+        [ZERO, ZERO, I_UNIT],
+        [ONE, -I_UNIT, ZERO],
     ])
     op_r = inverse(b_cols) @ op @ b_cols
     for row in op_r.data:
         for e in row:
-            if e.im:
+            if not e.is_real:
                 raise ContractError("operator does not restrict to the real slice "
                                     "(quartic not tau-fixed for this j?)")
     q0, p1, c2 = _char_poly_3(op_r)

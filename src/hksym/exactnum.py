@@ -1,13 +1,16 @@
 """Exact arithmetic over the Gaussian rationals Q(i) and exact dense linear algebra.
 
-Everything in this package computes over Q(i): numbers are pairs of
-arbitrary-precision rationals, matrices are row-major tables of them, and all
-eliminations use the canonical first-nonzero pivot so results are reproducible
-byte for byte.  There is no floating point anywhere.
+Everything in this package computes over Q(i).  A number (a + b*i)/d is
+stored as three arbitrary-precision ints in canonical form, d > 0 and
+gcd(a, b, d) == 1, so equality compares three ints and each field operation
+costs a few integer products and one gcd.  Matrices are row-major tables of
+numbers, and all eliminations use the canonical first-nonzero pivot so
+results are reproducible byte for byte.  There is no floating point anywhere.
 """
 
 import re as _re
 from fractions import Fraction
+from math import gcd
 
 
 class ScalarError(Exception):
@@ -20,6 +23,7 @@ class ContractError(Exception):
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_new = object.__new__
 
 
 def _frac(x):
@@ -30,17 +34,63 @@ def _frac(x):
     raise ScalarError("rational component must be int or Fraction, got %r" % (x,))
 
 
-class GaussRat:
-    """An exact element a + b*i of Q(i), components stored as reduced Fractions."""
+def _canonical(a, b, d):
+    """The GaussRat (a + b*i)/d for ints a, b and d > 0, reduced by gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(GaussRat)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
 
-    __slots__ = ("re", "im")
+
+class GaussRat:
+    """An exact element (a + b*i)/d of Q(i), stored as three ints.
+
+    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so two elements are
+    equal exactly when their triples are.  The triple is private; .re and .im
+    give the components as reduced Fractions, and real_part()/imag_part()
+    give them as GaussRat without building a Fraction.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        if type(re) is int and type(im) is int:
+            self._a = re
+            self._b = im
+            self._d = 1
+            return
+        re = _frac(re)
+        im = _frac(im)
+        q = re.denominator
+        s = im.denominator
+        # the lcm of two reduced denominators leaves nothing to cancel
+        d = q // gcd(q, s) * s
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
+
+    def real_part(self):
+        """Re(z) as a GaussRat."""
+        return _canonical(self._a, 0, self._d)
+
+    def imag_part(self):
+        """Im(z) as a GaussRat."""
+        return _canonical(self._b, 0, self._d)
 
     # -- parsing / formatting -------------------------------------------------
 
@@ -82,18 +132,19 @@ class GaussRat:
         def rat(f):
             return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
 
-        if not self.im:
-            return rat(self.re)
-        if self.im == 1:
+        re, im = self.re, self.im
+        if not im:
+            return rat(re)
+        if im == 1:
             imag = "i"
-        elif self.im == -1:
+        elif im == -1:
             imag = "-i"
         else:
-            imag = rat(self.im) + "i"
-        if not self.re:
+            imag = rat(im) + "i"
+        if not re:
             return imag
-        sign = "+" if self.im > 0 and not imag.startswith("+") else ""
-        return rat(self.re) + sign + imag
+        sign = "+" if im > 0 else ""
+        return rat(re) + sign + imag
 
     def __repr__(self):
         return "GaussRat(%s)" % self
@@ -101,53 +152,76 @@ class GaussRat:
     # -- field operations -----------------------------------------------------
 
     def __add__(self, other):
-        return GaussRat(self.re + other.re, self.im + other.im)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _canonical(a + c, b + e, d)
+        return _canonical(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other):
-        return GaussRat(self.re - other.re, self.im - other.im)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _canonical(a - c, b - e, d)
+        return _canonical(a * f - c * d, b * f - e * d, d * f)
 
     def __mul__(self, other):
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b = self._a, self._b
+        c, e = other._a, other._b
+        return _canonical(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __truediv__(self, other):
-        n = other.re * other.re + other.im * other.im
+        c, e = other._a, other._b
+        n = c * c + e * e
         if not n:
             raise ScalarError("division by zero in Q(i)")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        a, b, f = self._a, self._b, other._d
+        return _canonical((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        z = _new(GaussRat)
+        z._a = -self._a
+        z._b = -self._b
+        z._d = self._d
+        return z
 
     def conjugate(self):
-        return GaussRat(self.re, -self.im)
+        z = _new(GaussRat)
+        z._a = self._a
+        z._b = -self._b
+        z._d = self._d
+        return z
 
     def inverse(self):
-        return ONE / self
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
+        if not n:
+            raise ScalarError("division by zero in Q(i)")
+        return _canonical(a * d, -b * d, n)
 
     def __eq__(self, other):
-        return isinstance(other, GaussRat) and self.re == other.re and self.im == other.im
+        return (
+            isinstance(other, GaussRat)
+            and self._a == other._a
+            and self._b == other._b
+            and self._d == other._d
+        )
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     @property
     def is_real(self):
-        return not self.im
+        return self._b == 0
 
     def real_sign(self):
         """Sign (-1, 0, 1) of a real element; error on a non-real one."""
-        if self.im:
+        if self._b:
             raise ContractError("real_sign of a non-real scalar %s" % self)
-        return (self.re > 0) - (self.re < 0)
+        return (self._a > 0) - (self._a < 0)
 
 
 ZERO = GaussRat(0)
@@ -163,6 +237,15 @@ def gr(re, im=0):
     if isinstance(im, str):
         im = Fraction(im)
     return GaussRat(re, im)
+
+
+def from_parts(re, im):
+    """Re(re) + i*Re(im) as one GaussRat: two real coordinates rejoined."""
+    a, d = re._a, re._d
+    c, f = im._a, im._d
+    if d == f:
+        return _canonical(a, c, d)
+    return _canonical(a * f, c * d, d * f)
 
 
 def field_ops(a, b, which):
@@ -301,18 +384,6 @@ def mat_vec(m, v):
     return tuple(out)
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * a for a in v)
-
-
 def vec_conj(v):
     return tuple(a.conjugate() for a in v)
 
@@ -361,13 +432,6 @@ def _rref(rows):
         if r == nrows:
             break
     return pivots
-
-
-def rref(m):
-    """Reduced row echelon form of a Matrix; returns (Matrix, pivot_columns)."""
-    rows = m.rows_list()
-    pivots = _rref(rows)
-    return Matrix(rows), pivots
 
 
 def rank_kernel(m):
@@ -467,15 +531,15 @@ def hermitian_inertia(h):
             if off is None:
                 break  # remaining block is zero: all null
             i, j = off
-            if rows[i][j].re:
+            if rows[i][j].real_part():
                 congruence_mix(i, j, ONE)
             else:
                 congruence_mix(i, j, I_UNIT)
             continue
         d = rows[pivot][pivot]
-        if d.im:
+        if not d.is_real:
             raise ContractError("Hermitian matrix with non-real diagonal")
-        if d.re > 0:
+        if d.real_sign() > 0:
             pos += 1
         else:
             neg += 1

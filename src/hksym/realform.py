@@ -12,12 +12,13 @@ from typing import Optional
 
 from .exactnum import (
     ContractError,
-    GaussRat,
+    I_UNIT,
     Matrix,
     ONE,
     SpanSolver,
     ZERO,
     echelon_basis,
+    from_parts,
 )
 from .symplectic import RealStructureRho
 from .hkalgebra import (
@@ -33,9 +34,6 @@ from .symtensor import tau
 
 class RealityError(Exception):
     """The quartic fails the reality condition for the given j."""
-
-
-I_UNIT = GaussRat(0, 1)
 
 
 @dataclass
@@ -83,8 +81,8 @@ def _realify_matrix(m):
     im_part = []
     for row in m.data:
         for e in row:
-            re_part.append(GaussRat(e.re))
-            im_part.append(GaussRat(e.im))
+            re_part.append(e.real_part())
+            im_part.append(e.imag_part())
     return tuple(re_part + im_part)
 
 
@@ -95,7 +93,7 @@ def _unrealify_matrix(v, n):
         row = []
         for jj in range(n):
             k = i * n + jj
-            row.append(GaussRat(v[k].re, v[half + k].re))
+            row.append(from_parts(v[k], v[half + k]))
         rows.append(row)
     return Matrix(rows)
 
@@ -164,11 +162,11 @@ def symmetrize_real(t, j):
 
 def _realify_tensor_coords(coords, dim):
     """H(x)E coordinate dict {(a,k): z} -> real row of length 2*2*dim."""
-    out = [GaussRat(0)] * (4 * dim)
+    out = [ZERO] * (4 * dim)
     for (a, k), z in coords.items():
         idx = a * dim + k
-        out[idx] = GaussRat(z.re)
-        out[2 * dim + idx] = GaussRat(z.im)
+        out[idx] = z.real_part()
+        out[2 * dim + idx] = z.imag_part()
     return tuple(out)
 
 
@@ -197,7 +195,7 @@ def build_real_algebra(s, j_e):
         if c is None:
             raise TheoremViolationError("real bracket escaped the real holonomy span")
         for x in c:
-            if x.im:
+            if not x.is_real:
                 raise TheoremViolationError("non-real structure constant (bug signal)")
         return {i: v for i, v in enumerate(c) if v}
 
@@ -225,7 +223,7 @@ def build_real_algebra(s, j_e):
         if c is None:
             raise TheoremViolationError("h does not preserve the real form (bug signal)")
         for x in c:
-            if x.im:
+            if not x.is_real:
                 raise TheoremViolationError("non-real structure constant (bug signal)")
         return {i: v for i, v in enumerate(c) if v}
 
@@ -296,7 +294,7 @@ def build_real_algebra(s, j_e):
                     we = sp.omega.entry(k, l)
                     if wh and we:
                         g = g + cx * cy * wh * we
-            if g.im:
+            if not g.is_real:
                 raise TheoremViolationError("metric restriction is not real (bug signal)")
             row.append(g)
         metric_rows.append(row)

@@ -5,12 +5,15 @@ evaluates polynomials at covector sums with inclusion-exclusion (no iterated
 contraction), the automorphism oracle builds the gl(E_+) action matrix by raw
 monomial calculus (no sp-embedding, no contraction machinery), and the root
 pattern oracle uses the derivative gcd chain instead of Yun's algorithm.
+RefGaussRat is the original Fraction-pair scalar, the slow reference for the
+integer-triple GaussRat.
 """
 
+import re as _re
 from fractions import Fraction
 from itertools import combinations
 
-from hksym.exactnum import GaussRat, Matrix, ZERO, mat_vec, rank_kernel
+from hksym.exactnum import ContractError, GaussRat, Matrix, ScalarError, ZERO, mat_vec, rank_kernel
 
 
 def evaluate_at_covector(t, xi):
@@ -196,3 +199,139 @@ def ricci_by_adjoint_matrices(model):
             row.append(-trace)
         rows.append(row)
     return Matrix(rows)
+
+
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
+
+def _frac(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise ScalarError("rational component must be int or Fraction, got %r" % (x,))
+
+
+class RefGaussRat:
+    """The original Fraction-pair scalar: a + b*i with a, b reduced Fractions.
+
+    Slow reference for the integer-triple GaussRat; test_exactnum compares
+    the two on random operands.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", _frac(re))
+        object.__setattr__(self, "im", _frac(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RefGaussRat is immutable")
+
+    # -- parsing / formatting -------------------------------------------------
+
+    _RAT = r"\d+(?:/\d+)?"
+    _RE_BOTH = _re.compile(r"^(?P<re>[+-]?%s)(?P<im>[+-](?:%s)?)i$" % (_RAT, _RAT))
+    _RE_IMAG = _re.compile(r"^(?P<im>[+-]?(?:%s)?)i$" % _RAT)
+    _RE_REAL = _re.compile(r"^(?P<re>[+-]?%s)$" % _RAT)
+
+    @classmethod
+    def parse(cls, text):
+        """Parse "a/b" with optional "+c/d i" imaginary part, e.g. "-3/4+1/2i".
+
+        Whitespace-insensitive; accepts the unicode minus sign.  Zero
+        denominators and non-rational syntax raise ScalarError.
+        """
+        if not isinstance(text, str):
+            raise ScalarError("rational literal must be a string, got %r" % (text,))
+        s = "".join(text.split()).replace("−", "-")
+        m = cls._RE_BOTH.match(s) or cls._RE_IMAG.match(s) or cls._RE_REAL.match(s)
+        if m is None:
+            raise ScalarError("cannot parse rational literal %r" % text)
+        groups = m.groupdict()
+        try:
+            re_part = Fraction(groups["re"]) if groups.get("re") else _F0
+            im_text = groups.get("im")
+            if im_text is None:
+                im_part = _F0
+            elif im_text in ("", "+"):
+                im_part = _F1
+            elif im_text == "-":
+                im_part = -_F1
+            else:
+                im_part = Fraction(im_text)
+        except ZeroDivisionError:
+            raise ScalarError("zero denominator in %r" % text)
+        return cls(re_part, im_part)
+
+    def __str__(self):
+        def rat(f):
+            return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
+
+        if not self.im:
+            return rat(self.re)
+        if self.im == 1:
+            imag = "i"
+        elif self.im == -1:
+            imag = "-i"
+        else:
+            imag = rat(self.im) + "i"
+        if not self.re:
+            return imag
+        sign = "+" if self.im > 0 and not imag.startswith("+") else ""
+        return rat(self.re) + sign + imag
+
+    def __repr__(self):
+        return "RefGaussRat(%s)" % self
+
+    # -- field operations -----------------------------------------------------
+
+    def __add__(self, other):
+        return RefGaussRat(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return RefGaussRat(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return RefGaussRat(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __truediv__(self, other):
+        n = other.re * other.re + other.im * other.im
+        if not n:
+            raise ScalarError("division by zero in Q(i)")
+        return RefGaussRat(
+            (self.re * other.re + self.im * other.im) / n,
+            (self.im * other.re - self.re * other.im) / n,
+        )
+
+    def __neg__(self):
+        return RefGaussRat(-self.re, -self.im)
+
+    def conjugate(self):
+        return RefGaussRat(self.re, -self.im)
+
+    def inverse(self):
+        return RefGaussRat(1) / self
+
+    def __eq__(self, other):
+        return isinstance(other, RefGaussRat) and self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    @property
+    def is_real(self):
+        return not self.im
+
+    def real_sign(self):
+        """Sign (-1, 0, 1) of a real element; error on a non-real one."""
+        if self.im:
+            raise ContractError("real_sign of a non-real scalar %s" % self)
+        return (self.re > 0) - (self.re < 0)

@@ -143,6 +143,21 @@ class TestAnalyze:
         })
         assert run_cli(capsys, "analyze", path)[0] == 1
 
+    @pytest.mark.parametrize("record", [
+        # int() used to truncate these to [4, 0] and n = 1 and analyze the wrong quartic
+        {"n": 1, "degree": 4, "coeffs": [{"monomial": [4.5, -0.5], "value": "1"}]},
+        {"n": 1.7, "degree": 4, "coeffs": [{"monomial": [4, 0], "value": "1"}]},
+        # used to end in a TypeError traceback
+        {"n": 1, "degree": 4, "coeffs": {"monomial": [4, 0], "value": "1"}},
+    ], ids=["fractional-exponent", "fractional-n", "coeffs-object"])
+    def test_malformed_record_exits_1_with_one_line_error(self, capsys, tmp_path, record):
+        path = write_quartic(tmp_path, "bad.json", record)
+        code, out, err = run_cli(capsys, "analyze", path, "--json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: malformed quartic record: ")
+        assert err.count("\n") == 1
+
     def test_dimension_mismatch_exits_1(self, capsys, tmp_path):
         path = write_quartic(tmp_path, "dim.json", {
             "n": 2, "degree": 4,

@@ -15,6 +15,7 @@ from hksym.exactnum import (
     ZERO,
     echelon_basis,
     field_ops,
+    from_parts,
     gr,
     hermitian_inertia,
     inverse,
@@ -23,6 +24,8 @@ from hksym.exactnum import (
     solve_linear,
     vec_is_zero,
 )
+
+from oracles import RefGaussRat
 
 
 def rand_gauss(rng):
@@ -231,3 +234,94 @@ def test_matrix_inverse(rng):
         n = rng.randint(1, 4)
         m = rand_invertible(rng, n)
         assert m @ inverse(m) == Matrix.identity(n)
+
+
+def _ref_component(rng):
+    """A Fraction of random height (0-300 bits), sometimes zero, given with
+    a denominator of either sign."""
+    if rng.random() < 0.15:
+        return Fraction(0)
+    bits = rng.randint(0, 300)
+    num = rng.getrandbits(bits) * rng.choice((1, -1))
+    den = (rng.getrandbits(bits) + 1) * rng.choice((1, -1))
+    return Fraction(num, den)
+
+
+def _ref_operand(rng):
+    """The same random element as (GaussRat, RefGaussRat); about one in five
+    is real and one in five pure imaginary."""
+    re_, im_ = _ref_component(rng), _ref_component(rng)
+    shape = rng.random()
+    if shape < 0.2:
+        im_ = Fraction(0)
+    elif shape < 0.4:
+        re_ = Fraction(0)
+    if rng.random() < 0.3 and re_.denominator == 1 and im_.denominator == 1:
+        re_, im_ = int(re_), int(im_)  # the constructor's int fast path
+    return GaussRat(re_, im_), RefGaussRat(re_, im_)
+
+
+def _assert_same(x, ref, text=False):
+    """x and ref hold the same value; with text, also the same literal, and
+    that literal parses back to x."""
+    assert type(x) is GaussRat
+    re_, im_ = x.re, x.im
+    assert type(re_) is Fraction and type(im_) is Fraction
+    assert re_ == ref.re and im_ == ref.im
+    assert bool(x) is bool(ref) and x.is_real == ref.is_real
+    if text:
+        literal = str(x)
+        assert literal == str(ref)
+        assert GaussRat.parse(literal) == x
+        assert hash(x) == hash(ref)
+
+
+class TestAgainstReferenceScalar:
+    """The integer-triple GaussRat against the Fraction-pair RefGaussRat."""
+
+    PAIRS = 5000
+
+    def test_random_pairs(self):
+        rng = random.Random(7189)
+        for _ in range(self.PAIRS):
+            (x, rx), (y, ry) = _ref_operand(rng), _ref_operand(rng)
+            _assert_same(x, rx, text=True)
+            _assert_same(x + y, rx + ry)
+            _assert_same(x - y, rx - ry)
+            _assert_same(x * y, rx * ry, text=True)
+            _assert_same(-x, -rx)
+            _assert_same(x.conjugate(), rx.conjugate())
+            assert (x == y) == (rx == ry)
+            assert x.real_part() == GaussRat(rx.re) and x.imag_part() == GaussRat(rx.im)
+            assert from_parts(x, y) == GaussRat(rx.re, ry.re)
+            # equal values built along different paths share one triple and hash
+            back = (x + y) - y
+            assert back == x and hash(back) == hash(x)
+            if ry:
+                _assert_same(x / y, rx / ry, text=True)
+                assert (x / y) * y == x
+            else:
+                with pytest.raises(ScalarError):
+                    x / y
+                with pytest.raises(ScalarError):
+                    rx / ry
+            if rx:
+                _assert_same(x.inverse(), rx.inverse())
+            else:
+                with pytest.raises(ScalarError):
+                    x.inverse()
+                with pytest.raises(ScalarError):
+                    rx.inverse()
+            if rx.is_real:
+                assert x.real_sign() == rx.real_sign()
+
+    def test_equal_only_to_gauss_rat(self):
+        assert GaussRat(1) != 1 and GaussRat(1) != Fraction(1)
+        assert GaussRat(Fraction(2, 4), 3) == GaussRat(Fraction(1, 2), Fraction(6, 2))
+
+    def test_rejects_non_rational_component(self):
+        for bad in (0.5, "1", None):
+            with pytest.raises(ScalarError):
+                GaussRat(bad)
+            with pytest.raises(ScalarError):
+                RefGaussRat(bad)
