@@ -14,11 +14,13 @@ from .symplectic import (
     omega_pair,
     span,
     standard_quaternionic,
+    standard_split_j,
 )
 from .symtensor import (
     SymTensor,
     contract,
     double_contraction_endo,
+    double_contractions,
     endo_of_quadratic,
     eval_on_vectors,
     sp_action,
@@ -28,11 +30,13 @@ from .symtensor import (
 from .hkalgebra import (
     AnalysisReport,
     HolonomyData,
+    InvariantQuartic,
     LieAlgebraModel,
     NotHyperKahlerError,
     TheoremViolationError,
     analyze_quartic,
     build_complex_algebra,
+    certify_invariance,
     check_invariance,
     compute_aut,
     curvature_ricci,

@@ -13,20 +13,20 @@ import sys
 
 from . import __version__
 from .exactnum import ContractError, ScalarError
-from .symplectic import quaternionic_from_json
-from .symtensor import quartic_from_dict, quartic_to_dict, support, tau
+from .symplectic import quaternionic_from_json, standard_split_j
+from .symtensor import double_contractions, quartic_from_dict, quartic_to_dict
 from .hkalgebra import (
     NotHyperKahlerError,
     TheoremViolationError,
     analyze_quartic,
     build_complex_algebra,
-    check_invariance,
+    certify_invariance,
     find_lagrangian,
-    verify_jacobi,
+    holonomy,
 )
 from .realform import RealityError, check_reality
 from .dim8 import classify_complex8, classify_real8
-from .generators import make_generator, standard_split_j
+from .generators import make_generator
 
 GENERATOR_KINDS = (
     "dim4",
@@ -45,20 +45,11 @@ def _read_quartic(path):
     return s, digest
 
 
-def _default_j(sp):
-    if sp.dim % 4 != 0:
-        raise ContractError(
-            "no compatible default quaternionic structure: dim E = %d is not "
-            "divisible by 4 (supply --j)" % sp.dim
-        )
-    return standard_split_j(sp)
-
-
 def _load_j(args, sp):
     if getattr(args, "j", None):
         with open(args.j, "r", encoding="utf-8") as fh:
             return quaternionic_from_json(json.load(fh), ambient=sp)
-    return _default_j(sp)
+    return standard_split_j(sp)
 
 
 def _emit(args, payload, human_lines):
@@ -109,28 +100,33 @@ def cmd_analyze(args):
 
 def cmd_verify(args):
     s, digest = _read_quartic(args.file)
+    q = witness = None
+    if args.invariance or args.jacobi:
+        try:
+            q = certify_invariance(s)
+        except NotHyperKahlerError as exc:
+            witness = exc.witness
     checks = {}
     lines = []
-    failed = False
+    invariant = q is not None
+    witness_field = list(witness) if witness else None
     if args.invariance:
-        ok, witness = check_invariance(s)
-        checks["invariance"] = {"ok": ok, "witness": list(witness) if witness else None}
+        checks["invariance"] = {"ok": invariant, "witness": witness_field}
         lines.append(
-            "invariance: %s" % ("pass" if ok else "FAIL (witness basis pair %s)" % (witness,))
+            "invariance: %s" % ("pass" if invariant else "FAIL (witness basis pair %s)" % (witness,))
         )
-        failed = failed or not ok
     if args.jacobi:
-        try:
-            model = build_complex_algebra(s)
-            ok, witness = verify_jacobi(model)
-        except NotHyperKahlerError as exc:
-            ok, witness = False, exc.witness
-        checks["jacobi"] = {"ok": ok, "witness": list(witness) if witness else None}
-        lines.append("jacobi: %s" % ("pass" if ok else "FAIL (witness %s)" % (witness,)))
-        failed = failed or not ok
+        # invariance <=> Jacobi: the algebra is built only for an invariant
+        # quartic, and verify_model certifies its Jacobi identity or raises
+        if invariant:
+            build_complex_algebra(q, holonomy(q))
+        checks["jacobi"] = {"ok": invariant, "witness": witness_field}
+        lines.append("jacobi: %s" % ("pass" if invariant else "FAIL (witness %s)" % (witness,)))
+    failed = (args.invariance or args.jacobi) and not invariant
     if args.reality:
         j = _load_j(args, s.space)
-        rep = check_reality(s, j)
+        table = q.table if invariant else dict(double_contractions(s))
+        rep = check_reality(s, j, table)
         ok = rep.commutator_condition_ok and rep.tau_fixed
         checks["reality"] = {
             "ok": ok,
@@ -148,8 +144,8 @@ def cmd_classify8(args):
     s, digest = _read_quartic(args.file)
     if s.space.n != 2:
         raise ContractError("classify8 needs a quartic on dim E = 4 (n = 2)")
-    e_plus = find_lagrangian(s)
-    cls = classify_complex8(s, e_plus)
+    q = certify_invariance(s)
+    cls = classify_complex8(s, find_lagrangian(q))
     payload = {"tool_version": __version__, "input_sha256": digest}
     payload.update(cls.to_dict())
     payload["mode"] = "real" if args.real else "complex"
@@ -159,15 +155,7 @@ def cmd_classify8(args):
         shown = "at infinity" if not first else str(second)
         lines.append("invariant (I^3 : J^2): %s" % shown)
     if args.real:
-        j = _load_j(args, s.space)
-        if tau(s, j) != s:
-            raise ContractError("real classification needs a tau-fixed quartic")
-        if s.is_zero():
-            from .dim8 import RealOrbitClass
-
-            rc = RealOrbitClass(kind="zero")
-        else:
-            rc = classify_real8(s, j, support(s))
+        rc = classify_real8(s, _load_j(args, s.space), q.support)
         payload["real_class"] = rc.to_dict()
         lines.append("real class: %s" % rc.to_dict())
     _emit(args, payload, lines)

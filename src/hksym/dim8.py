@@ -22,8 +22,8 @@ from .exactnum import (
     ZERO,
     inverse,
 )
-from .symtensor import SymTensor, restrict_to_basis, support, tensor_in_subspace_power, tau
-from .hkalgebra import find_lagrangian
+from .symtensor import SymTensor, restrict_to_basis, tensor_in_subspace_power, tau
+from .hkalgebra import certify_invariance, find_lagrangian
 
 
 _HALF = GaussRat(Fraction(1, 2))
@@ -469,7 +469,7 @@ def classify_real8(s, j, e_plus):
     if s.space.dim != 4:
         raise ContractError("real dim-8 classification needs dim E = 4")
     if tau(s, j) != s:
-        raise ContractError("quartic is not tau-fixed")
+        raise ContractError("real classification needs a tau-fixed quartic")
     if s.is_zero():
         return RealOrbitClass(kind="zero")
     if e_plus.dim != 2:
@@ -508,19 +508,13 @@ def isomorphic8(s1, s2, mode="complex", j=None):
     """
     if mode not in ("complex", "real"):
         raise ContractError("mode must be 'complex' or 'real'")
+    if mode == "real" and j is None:
+        raise ContractError("real mode needs a quaternionic structure")
     records = []
     for s in (s1, s2):
-        e_plus = find_lagrangian(s)
-        if mode == "complex":
-            records.append(classify_complex8(s, e_plus))
-        else:
-            if j is None:
-                raise ContractError("real mode needs a quaternionic structure")
-            if s.is_zero():
-                records.append((classify_complex8(s, e_plus), RealOrbitClass(kind="zero")))
-            else:
-                sigma = support(s)
-                records.append(
-                    (classify_complex8(s, e_plus), classify_real8(s, j, sigma))
-                )
+        q = certify_invariance(s)
+        record = classify_complex8(s, find_lagrangian(q))
+        if mode == "real":
+            record = (record, classify_real8(s, j, q.support))
+        records.append(record)
     return records[0] == records[1]

@@ -248,23 +248,6 @@ def from_parts(re, im):
     return _canonical(a * f, c * d, d * f)
 
 
-def field_ops(a, b, which):
-    """Dispatch a single named field operation (add/sub/mul/div/conj/neg)."""
-    if which == "add":
-        return a + b
-    if which == "sub":
-        return a - b
-    if which == "mul":
-        return a * b
-    if which == "div":
-        return a / b
-    if which == "conj":
-        return a.conjugate()
-    if which == "neg":
-        return -a
-    raise ScalarError("unknown field operation %r" % which)
-
-
 # ---------------------------------------------------------------------------
 # Matrices and vectors.  Vectors are plain tuples of GaussRat.
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .exactnum import GaussRat, Matrix, rank_kernel
-from .symplectic import SymplecticSpace, omega_pair, span, standard_quaternionic
+from .symplectic import SymplecticSpace, omega_pair, standard_split_j
 from .symtensor import SymTensor
 from .realform import symmetrize_real
 
@@ -91,14 +91,6 @@ def random_symplectic(sp, rng, steps=6):
         out = out @ symplectic_transvection(sp, v, c)
         made += 1
     return out
-
-
-def standard_split_j(sp):
-    """The default quaternionic structure with the split E_+ = span(p), E_- = span(q)."""
-    half = sp.n
-    e_plus = span(sp, [sp.basis_vector(k) for k in range(half)])
-    e_minus = span(sp, [sp.basis_vector(half + k) for k in range(half)])
-    return standard_quaternionic(sp, (e_plus, e_minus))
 
 
 def random_tau_fixed(m, rng):

@@ -2,11 +2,22 @@
 attached to an invariant quartic, with holonomy, curvature, support-based flat
 splitting and the automorphism algebra.
 
+Every object here comes from one table of double contractions S_{e_k,e_l}.
+certify_invariance(s) computes it once, checking S_{e_k,e_l} . S = 0 entry
+by entry, and returns an InvariantQuartic: the quartic, the table and its
+support.  The stages take that certificate (or what they consume of it)
+explicitly: holonomy(q) spans the table, find_lagrangian(q) extends the
+support, flat_decomposition(q, e_plus) splits off the flat factor, and
+build_complex_algebra(q, hol) reads the [m, m] brackets off the table.
+
 The bracket data is the one the quartic dictates:
   [A, B]           = matrix commutator               (h with h),
   [A, h(x)e]       = h (x) Ae                        (h with m),
   [h(x)e, h'(x)e'] = omega_H(h, h') S_{e,e'}         (m with m),
-and the metric on m is the Gram matrix of omega_H (x) omega_E.
+and the metric on m is the Gram matrix of omega_H (x) omega_E.  One builder,
+_build_model, assembles them for both the complex algebra and its real form
+(realform.build_real_algebra); the callers differ only in the bases of h and
+m and in the coordinate functions they pass.
 """
 
 from dataclasses import dataclass
@@ -14,6 +25,7 @@ from typing import Optional
 
 from .exactnum import (
     ContractError,
+    MINUS_ONE,
     Matrix,
     ONE,
     SpanSolver,
@@ -30,12 +42,14 @@ from .symplectic import (
     lagrangian_complement,
     omega_pair,
     span,
+    standard_split_j,
 )
 from .symtensor import (
-    double_contraction_endo,
+    column_span,
+    double_contractions,
     is_in_sp,
     sp_action,
-    support,
+    table_entry,
     tensor_in_subspace_power,
 )
 
@@ -74,21 +88,48 @@ class HolonomyData:
     derived_series_lengths: tuple
 
 
+@dataclass(frozen=True, eq=False)
+class InvariantQuartic:
+    """Certificate that the quartic s is invariant: S_{e,e'} . S = 0.
+
+    table maps (k, l), k <= l, to S_{e_k,e_l} in lexicographic order and
+    support is the column span of those entries, i.e. support(s).  Built only
+    by certify_invariance; every later stage reads it instead of contracting
+    S again.
+    """
+
+    s: object
+    table: dict
+    support: Subspace
+
+
+def certify_invariance(s):
+    """The InvariantQuartic of s, or NotHyperKahlerError with the first witness.
+
+    Each entry S_{e_k,e_l} is checked as soon as it is computed, in
+    lexicographic order (sufficient by bilinearity), so a rejection stops at
+    its witness without building the rest of the table.
+    """
+    if s.degree != 4:
+        raise ContractError("invariance check needs a quartic")
+    table = {}
+    for pair, endo in double_contractions(s):
+        if not sp_action(endo, s).is_zero():
+            raise NotHyperKahlerError(pair)
+        table[pair] = endo
+    return InvariantQuartic(s, table, column_span(s.space, table.values()))
+
+
 def check_invariance(s):
-    """Whether S_{e,e'} . S = 0 for all basis pairs (sufficient by bilinearity).
+    """Whether S_{e,e'} . S = 0 for all basis pairs.
 
     Returns (True, None) or (False, witness) with the first violating pair of
     basis indices in lexicographic order.
     """
-    if s.degree != 4:
-        raise ContractError("invariance check needs a quartic")
-    sp = s.space
-    basis = [sp.basis_vector(k) for k in range(sp.dim)]
-    for a in range(sp.dim):
-        for b in range(a, sp.dim):
-            endo = double_contraction_endo(s, basis[a], basis[b])
-            if not sp_action(endo, s).is_zero():
-                return False, (a, b)
+    try:
+        certify_invariance(s)
+    except NotHyperKahlerError as exc:
+        return False, exc.witness
     return True, None
 
 
@@ -115,34 +156,25 @@ def _derived_series(basis_mats):
     return tuple(dims)
 
 
-def holonomy(s):
-    """Holonomy data: the span of all double contractions S_{e,e'} in sp(E)."""
-    if s.degree != 4:
-        raise ContractError("holonomy needs a quartic")
-    sp = s.space
-    basis = [sp.basis_vector(k) for k in range(sp.dim)]
-    flats = []
-    for a in range(sp.dim):
-        for b in range(a, sp.dim):
-            endo = double_contraction_endo(s, basis[a], basis[b])
-            if not endo.is_zero():
-                flats.append(_flatten(endo))
-    ech = echelon_basis(flats)
-    mats = tuple(_unflatten(v, sp.dim) for v in ech)
-    abelian = all(
-        commutator(mats[i], mats[j]).is_zero()
-        for i in range(len(mats))
-        for j in range(i + 1, len(mats))
-    )
+def _span_data(endos, dim):
+    """HolonomyData of the span of the given dim x dim matrices, in order."""
+    ech = echelon_basis([_flatten(m) for m in endos if not m.is_zero()])
+    mats = tuple(_unflatten(v, dim) for v in ech)
     series = _derived_series(mats)
     solvable = series[-1] == 0 if series else True
     return HolonomyData(
         basis=mats,
         dimension=len(mats),
-        is_abelian=abelian,
+        # series[1] is dim [h, h]
+        is_abelian=len(series) < 2 or series[1] == 0,
         is_solvable=solvable,
         derived_series_lengths=series,
     )
+
+
+def holonomy(q):
+    """Holonomy data: the span of the double contractions S_{e,e'} in sp(E)."""
+    return _span_data(q.table.values(), q.s.space.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +229,17 @@ def _dict_neg(d):
     return {k: -v for k, v in d.items()}
 
 
+def _add_into(acc, v, f=ONE):
+    """acc += f * v on coordinate dicts, in place, dropping zeros; returns acc."""
+    for k, c in v.items():
+        val = acc.get(k, ZERO) + f * c
+        if val:
+            acc[k] = val
+        elif k in acc:
+            del acc[k]
+    return acc
+
+
 def verify_antisymmetry(model):
     for a in range(model.dim):
         for b in range(a, model.dim):
@@ -230,19 +273,9 @@ def verify_jacobi(model):
             ab = model.brackets[a][b]
             for c in range(b + 1, dim):
                 uc = {c: ONE}
-                acc = dict(model.bracket_vectors(ua, model.brackets[b][c]))
-                for k, v in model.bracket_vectors(ub, _dict_neg(model.brackets[a][c])).items():
-                    val = acc.get(k, ZERO) + v
-                    if val:
-                        acc[k] = val
-                    elif k in acc:
-                        del acc[k]
-                for k, v in model.bracket_vectors(uc, ab).items():
-                    val = acc.get(k, ZERO) + v
-                    if val:
-                        acc[k] = val
-                    elif k in acc:
-                        del acc[k]
+                acc = model.bracket_vectors(ua, model.brackets[b][c])
+                _add_into(acc, model.bracket_vectors(ub, model.brackets[a][c]), MINUS_ONE)
+                _add_into(acc, model.bracket_vectors(uc, ab))
                 if acc:
                     return False, (
                         model.basis_labels[a],
@@ -292,18 +325,71 @@ def verify_model(model):
     return True
 
 
-def build_complex_algebra(s, _invariance_known=False, _holonomy=None):
-    """The complex symmetric decomposition g = h + H(x)E for an invariant quartic."""
-    if not _invariance_known:
-        ok, witness = check_invariance(s)
-        if not ok:
-            raise NotHyperKahlerError(witness)
-    sp = s.space
+def _build_model(labels, h_basis, h_coords, m_basis, m_coords, q):
+    """The bracket/metric skeleton of g = h + m with m inside H(x)E; verified.
+
+    h_basis are matrices on E and h_coords(A) the coordinate dict of A in
+    them; m_basis are coordinate dicts {(a, k): c} over H(x)E (a the H-slot,
+    k the E-index) and m_coords(v) the coordinate dict of such a v in them.
+    The [m, m] brackets are read off the table of the InvariantQuartic q.
+    """
+    sp = q.s.space
+    dim_h, dim_m = len(h_basis), len(m_basis)
+    dim = dim_h + dim_m
+    brackets = [[{} for _ in range(dim)] for _ in range(dim)]
+
+    def put(a, b, coords):
+        brackets[a][b] = coords
+        brackets[b][a] = _dict_neg(coords)
+
+    # [h, h]: matrix commutators
+    for i in range(dim_h):
+        for i2 in range(i + 1, dim_h):
+            put(i, i2, h_coords(commutator(h_basis[i], h_basis[i2])))
+    # [h, m]: A . (h_a (x) e_k) = h_a (x) A e_k
+    for i, a_mat in enumerate(h_basis):
+        for x, w in enumerate(m_basis):
+            image = {}
+            for (a, k), c in w.items():
+                _add_into(image, {(a, l): alk for l, alk in enumerate(a_mat.col(k)) if alk}, c)
+            put(i, dim_h + x, {dim_h + t: c for t, c in m_coords(image).items()})
+    # [m, m]: omega_H(h_a, h_b) S_{e_k, e_l}, bilinearly
+    for x in range(dim_m):
+        for y in range(x + 1, dim_m):
+            acc = None
+            for (a, k), cx in m_basis[x].items():
+                for (b, l), cy in m_basis[y].items():
+                    f = omega_pair_h(a, b) * cx * cy
+                    if f:
+                        term = table_entry(q.table, k, l).scale(f)
+                        acc = term if acc is None else acc + term
+            put(dim_h + x, dim_h + y, {} if acc is None or acc.is_zero() else h_coords(acc))
+    # metric: omega_H (x) omega_E restricted to m
+    metric_rows = []
+    for x in range(dim_m):
+        row = []
+        for y in range(dim_m):
+            g = ZERO
+            for (a, k), cx in m_basis[x].items():
+                for (b, l), cy in m_basis[y].items():
+                    wh = omega_pair_h(a, b)
+                    we = sp.omega.entry(k, l)
+                    if wh and we:
+                        g = g + cx * cy * wh * we
+            row.append(g)
+        metric_rows.append(row)
+
+    model = LieAlgebraModel(labels, dim_h, dim_m, brackets, Matrix(metric_rows))
+    verify_model(model)
+    return model
+
+
+def build_complex_algebra(q, hol):
+    """The complex symmetric decomposition g = h + H(x)E of an InvariantQuartic,
+    with hol = holonomy(q) as h and the basis tensors h_a (x) e_k as m."""
+    sp = q.s.space
     dim_e = sp.dim
-    hol = _holonomy if _holonomy is not None else holonomy(s)
-    dim_h = hol.dimension
-    dim_m = 2 * dim_e
-    labels = ["k%d" % (i + 1) for i in range(dim_h)]
+    labels = ["k%d" % (i + 1) for i in range(hol.dimension)]
     for a in (1, 2):
         labels += ["h%d*%s" % (a, sp.basis_labels[k]) for k in range(dim_e)]
     solver = SpanSolver([_flatten(m) for m in hol.basis])
@@ -314,56 +400,11 @@ def build_complex_algebra(s, _invariance_known=False, _holonomy=None):
             raise TheoremViolationError("bracket value escaped the holonomy span")
         return {i: v for i, v in enumerate(c) if v}
 
-    dim = dim_h + dim_m
-    brackets = [[{} for _ in range(dim)] for _ in range(dim)]
+    def m_coords(coords):
+        return {a * dim_e + k: c for (a, k), c in coords.items()}
 
-    def put(a, b, coords):
-        brackets[a][b] = coords
-        brackets[b][a] = _dict_neg(coords)
-
-    # [h, h]: matrix commutators
-    for i in range(dim_h):
-        for j in range(i + 1, dim_h):
-            put(i, j, h_coords(commutator(hol.basis[i], hol.basis[j])))
-    # [h, m]: A . (h_a (x) e_k) = h_a (x) A e_k
-    for i in range(dim_h):
-        for a in range(2):
-            for k in range(dim_e):
-                col = hol.basis[i].col(k)
-                coords = {
-                    dim_h + a * dim_e + l: c for l, c in enumerate(col) if c
-                }
-                put(i, dim_h + a * dim_e + k, coords)
-    # [m, m]: omega_H(h_a, h_b) S_{e_k, e_l}
-    endo_table = {}
-    basis = [sp.basis_vector(k) for k in range(dim_e)]
-    for k in range(dim_e):
-        for l in range(k, dim_e):
-            endo_table[(k, l)] = double_contraction_endo(s, basis[k], basis[l])
-    for k in range(dim_e):
-        for l in range(dim_e):
-            endo = endo_table[(k, l) if k <= l else (l, k)]
-            coords = h_coords(endo) if not endo.is_zero() else {}
-            # omega_H(h1, h2) = 1
-            idx1 = dim_h + 0 * dim_e + k
-            idx2 = dim_h + 1 * dim_e + l
-            put(idx1, idx2, coords)
-    # m-m brackets with equal H-slot are zero (omega_H(h_a, h_a) = 0): already {}
-
-    metric_rows = []
-    for a in range(2):
-        for k in range(dim_e):
-            row = []
-            for b in range(2):
-                wh = omega_pair_h(a, b)
-                for l in range(dim_e):
-                    row.append(wh * sp.omega.entry(k, l) if wh else ZERO)
-            metric_rows.append(row)
-    metric = Matrix(metric_rows)
-
-    model = LieAlgebraModel(labels, dim_h, dim_m, brackets, metric)
-    verify_model(model)
-    return model
+    m_basis = [{(a, k): ONE} for a in range(2) for k in range(dim_e)]
+    return _build_model(labels, hol.basis, h_coords, m_basis, m_coords, q)
 
 
 def omega_pair_h(a, b):
@@ -373,14 +414,12 @@ def omega_pair_h(a, b):
     return ONE if (a, b) == (0, 1) else -ONE
 
 
-def curvature_ricci(s, model=None):
+def curvature_ricci(model):
     """Exact Ricci trace-form on m and the metric-invariance verdict.
 
     Ric(x, y) = trace(z -> R(z, x) y) with R(x, y) z = -[[x, y], z]; the
     bracket is the curvature, so everything reads off structure constants.
     """
-    if model is None:
-        model = build_complex_algebra(s)
     dh, dm = model.dim_h, model.dim_m
     ric = []
     for x in range(dm):
@@ -401,37 +440,33 @@ def curvature_ricci(s, model=None):
     return Matrix(ric), ok
 
 
-def find_lagrangian(s, _invariance_known=False):
-    """A Lagrangian E_+ with S in S^4 E_+, from the support of S.
+def find_lagrangian(q):
+    """A Lagrangian E_+ with S in S^4 E_+, from the support of an InvariantQuartic.
 
-    Requires invariance; raises TheoremViolationError when the support is not
-    isotropic or the membership certificate fails (which the structure theorem
-    for invariant quartics rules out).
+    Raises TheoremViolationError when the support is not isotropic or the
+    membership certificate fails (which the structure theorem for invariant
+    quartics rules out).
     """
-    if not _invariance_known:
-        ok, witness = check_invariance(s)
-        if not ok:
-            raise NotHyperKahlerError(witness)
-    sigma = support(s)
+    sigma = q.support
     if not is_isotropic(sigma):
         raise TheoremViolationError("support of an invariant quartic is not isotropic")
     e_plus = extend_to_lagrangian(sigma)
-    if not tensor_in_subspace_power(s, e_plus):
+    if not tensor_in_subspace_power(q.s, e_plus):
         raise TheoremViolationError("S is not contained in S^4 of the found Lagrangian")
     return e_plus
 
 
-def flat_decomposition(s, _invariance_known=False):
+def flat_decomposition(q, e_plus):
     """Split E = E^1 (+) E^0 with the flat directions in E^0.
 
-    E^1_+ is the support, E^0_+ a deterministic complement of it inside E_+,
-    and the minus-halves are cut out of the dual Lagrangian complement by the
-    annihilator conditions.  Returns (e1, e0, flat_complex_dim) where the flat
-    complex dimension counts the H (x) E^0 block, i.e. 2 dim E^0.
+    e_plus is the Lagrangian find_lagrangian(q).  E^1_+ is the support, E^0_+
+    a deterministic complement of it inside E_+, and the minus-halves are cut
+    out of the dual Lagrangian complement by the annihilator conditions.
+    Returns (e1, e0, flat_complex_dim) where the flat complex dimension counts
+    the H (x) E^0 block, i.e. 2 dim E^0.
     """
-    e_plus = find_lagrangian(s, _invariance_known=_invariance_known)
+    s, sigma = q.s, q.support
     sp = s.space
-    sigma = support(s)
     # adapted basis of E_+: support first, then the deterministic completion
     adapted = list(sigma.echelon())
     for v in e_plus.echelon():
@@ -592,40 +627,33 @@ def analyze_quartic(s, j=None, real=False):
     Lagrangian -> flat splitting -> algebra (Jacobi) -> Ricci -> optionally
     reality, real algebra, signature -> dim-8 classification when n = 2.
     """
-    ok, witness = check_invariance(s)
-    if not ok:
-        return AnalysisReport(invariance_ok=False, invariance_witness=witness)
-    hol = holonomy(s)
-    sigma = support(s)
-    e_plus = find_lagrangian(s, _invariance_known=True)
-    _, _, flat_dim = flat_decomposition(s, _invariance_known=True)
-    model = build_complex_algebra(s, _invariance_known=True, _holonomy=hol)
-    jacobi_ok, _ = verify_jacobi(model)
-    ricci, metric_ok = curvature_ricci(s, model=model)
+    try:
+        q = certify_invariance(s)
+    except NotHyperKahlerError as exc:
+        return AnalysisReport(invariance_ok=False, invariance_witness=exc.witness)
+    hol = holonomy(q)
+    e_plus = find_lagrangian(q)
+    _, _, flat_dim = flat_decomposition(q, e_plus)
+    # verify_model certifies Jacobi (or raises) while the algebra is built,
+    # so jacobi_ok reduces to the metric verdict
+    model = build_complex_algebra(q, hol)
+    ricci, metric_ok = curvature_ricci(model)
     report = AnalysisReport(
         invariance_ok=True,
         holonomy=hol,
-        support_dim=sigma.dim,
-        support_isotropic=is_isotropic(sigma),
+        support_dim=q.support.dim,
+        support_isotropic=is_isotropic(q.support),
         lagrangian_found=e_plus,
         flat_complex_dim=flat_dim,
-        jacobi_ok=jacobi_ok and metric_ok,
+        jacobi_ok=metric_ok,
         ricci_zero=ricci.is_zero(),
     )
     if real:
         from . import realform
-        from .symplectic import standard_quaternionic
 
         if j is None:
-            if s.space.dim % 4 != 0:
-                raise ContractError(
-                    "no default quaternionic structure: dim E not divisible by 4; supply one"
-                )
-            half = s.space.n
-            e_std_plus = span(s.space, [s.space.basis_vector(k) for k in range(half)])
-            e_std_minus = span(s.space, [s.space.basis_vector(half + k) for k in range(half)])
-            j = standard_quaternionic(s.space, (e_std_plus, e_std_minus))
-        rep = realform.check_reality(s, j)
+            j = standard_split_j(s.space)
+        rep = realform.check_reality(s, j, q.table)
         report.reality = {
             "commutator_condition_ok": rep.commutator_condition_ok,
             "tau_fixed": rep.tau_fixed,
@@ -634,7 +662,7 @@ def analyze_quartic(s, j=None, real=False):
             "signature_on_m": list(rep.signature_on_m) if rep.signature_on_m else None,
         }
         if rep.commutator_condition_ok:
-            real_model = realform.build_real_algebra(s, j)
+            real_model = realform.build_real_algebra(q, rep)
             p, n, z = hermitian_inertia(real_model.metric_on_m)
             if z:
                 raise TheoremViolationError("degenerate real metric")

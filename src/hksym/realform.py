@@ -5,9 +5,17 @@ m = (H(x)E)^rho, all over the rational field by realification.
 split into real and imaginary coordinate blocks and eliminated over Q, so
 every verdict (the commutator condition, tau-fixedness, closure of the real
 structure constants, the metric signature) is exact.
+
+Everything is read off the quartic's table of double contractions
+S_{e_k,e_l}: by bilinearity S_{je_k,e_l} = sum_m (je_k)_m S_{e_m,e_l}, so
+check_reality builds J[k][l] = S_{je_k,e_l} once from the table and reads
+both the commutator condition and the real holonomy off J.  Its report
+carries the j it was computed for and the real holonomy basis, and
+build_real_algebra consumes that report together with the InvariantQuartic,
+through the same builder as the complex algebra.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .exactnum import (
@@ -21,15 +29,8 @@ from .exactnum import (
     from_parts,
 )
 from .symplectic import RealStructureRho
-from .hkalgebra import (
-    LieAlgebraModel,
-    TheoremViolationError,
-    _dict_neg,
-    double_contraction_endo,
-    omega_pair_h,
-    verify_model,
-)
-from .symtensor import tau
+from .hkalgebra import TheoremViolationError, _add_into, _build_model
+from .symtensor import table_entry, tau
 
 
 class RealityError(Exception):
@@ -43,6 +44,10 @@ class RealityReport:
     equivalent: bool
     real_holonomy_dim: Optional[int] = None
     signature_on_m: Optional[tuple] = None
+    # the j the report was computed for, and the echelonized real holonomy
+    # basis when the condition holds; not part of any serialized report
+    j: Optional[object] = field(default=None, repr=False)
+    real_holonomy_basis: Optional[list] = field(default=None, repr=False)
 
 
 def _commutes_with_j(a, j):
@@ -50,29 +55,21 @@ def _commutes_with_j(a, j):
     return (a @ j.c_matrix - j.c_matrix @ a.conj()).is_zero()
 
 
-def _real_generators(s, j):
-    """Spanning set of the real holonomy: S_{je,e'} - S_{e,je'} over basis
-    pairs together with the i-scaled companions i(S_{je,e'} + S_{e,je'}).
-
-    Real-bilinear expansion over arbitrary e, e' reduces to exactly these
-    generators: replacing e by ie turns the difference generator into the sum
-    generator (times a real factor), and (ie, ie') reproduces (e, e').
-    """
-    sp = s.space
-    basis = [sp.basis_vector(k) for k in range(sp.dim)]
-    j_basis = [j.apply(b) for b in basis]
-    gens = []
+def _j_table(j, table):
+    """J[k][l] = S_{je_k,e_l} = sum_m (je_k)_m S_{e_m,e_l}, from the table."""
+    sp = j.ambient
+    rows = []
     for k in range(sp.dim):
-        for l in range(k, sp.dim):
-            a = double_contraction_endo(s, j_basis[k], basis[l])
-            b = double_contraction_endo(s, basis[k], j_basis[l])
-            diff = a - b
-            if not diff.is_zero():
-                gens.append(diff)
-            tot = (a + b).scale(I_UNIT)
-            if not tot.is_zero():
-                gens.append(tot)
-    return gens
+        jk = j.apply(sp.basis_vector(k))
+        row = []
+        for l in range(sp.dim):
+            acc = Matrix.zeros(sp.dim, sp.dim)
+            for m, c in enumerate(jk):
+                if c:
+                    acc = acc + table_entry(table, m, l).scale(c)
+            row.append(acc)
+        rows.append(row)
+    return rows
 
 
 def _realify_matrix(m):
@@ -98,28 +95,25 @@ def _unrealify_matrix(v, n):
     return Matrix(rows)
 
 
-def check_reality(s, j):
+def check_reality(s, j, table):
     """Evaluate the commutator condition and tau-fixedness; they must agree.
 
-    The commutator condition is [S_{je,e'} - S_{e,je'}, j] = 0 over all basis
-    pairs; tau-fixedness is tau(S) = S.  Their equivalence is a theorem, so
-    disagreement raises instead of being reported as data.
+    table holds S_{e_k,e_l} for k <= l: an InvariantQuartic's table, or
+    dict(double_contractions(s)) for any quartic.  The commutator condition
+    is [S_{je,e'} - S_{e,je'}, j] = 0 over all basis pairs, where
+    S_{e_k,je_l} = J[l][k]; the difference is antisymmetric in (k, l), so
+    the pairs k < l decide it.  tau-fixedness is tau(S) = S.  Their
+    equivalence is a theorem, so disagreement raises instead of being
+    reported as data.  The report carries j and, when the condition holds,
+    the real holonomy basis.
     """
     if s.degree != 4:
         raise ContractError("reality check needs a quartic")
-    sp = s.space
-    basis = [sp.basis_vector(k) for k in range(sp.dim)]
-    j_basis = [j.apply(b) for b in basis]
-    commutator_ok = True
-    for k in range(sp.dim):
-        for l in range(sp.dim):
-            a = double_contraction_endo(s, j_basis[k], basis[l])
-            b = double_contraction_endo(s, basis[k], j_basis[l])
-            if not _commutes_with_j(a - b, j):
-                commutator_ok = False
-                break
-        if not commutator_ok:
-            break
+    jt = _j_table(j, table)
+    dim = s.space.dim
+    commutator_ok = all(
+        _commutes_with_j(jt[k][l] - jt[l][k], j) for k in range(dim) for l in range(k + 1, dim)
+    )
     tau_fixed = tau(s, j) == s
     if commutator_ok != tau_fixed:
         raise TheoremViolationError(
@@ -129,24 +123,38 @@ def check_reality(s, j):
         commutator_condition_ok=commutator_ok,
         tau_fixed=tau_fixed,
         equivalent=True,
+        j=j,
     )
     if commutator_ok:
-        report.real_holonomy_dim = len(real_holonomy(s, j))
+        report.real_holonomy_basis = real_holonomy(jt, j)
+        report.real_holonomy_dim = len(report.real_holonomy_basis)
     return report
 
 
-def real_holonomy(s, j):
+def real_holonomy(jt, j):
     """Echelonized basis (over Q, by realification) of the real holonomy span.
+
+    jt is the table J[k][l] = S_{je_k,e_l}.  The span is generated by
+    S_{je,e'} - S_{e,je'} over basis pairs together with the i-scaled
+    companions i(S_{je,e'} + S_{e,je'}): real-bilinear expansion over
+    arbitrary e, e' reduces to exactly these, because replacing e by ie turns
+    the difference generator into the sum generator (times a real factor),
+    and (ie, ie') reproduces (e, e').
 
     Every returned matrix is certified to commute with j in the antilinear
     sense; the span sits inside the commutant of j in the complex holonomy.
     """
-    sp = s.space
-    gens = _real_generators(s, j)
-    rows = [_realify_matrix(g) for g in gens]
+    dim = len(jt)
+    rows = []
+    for k in range(dim):
+        for l in range(k, dim):
+            a, b = jt[k][l], jt[l][k]
+            for g in (a - b, (a + b).scale(I_UNIT)):
+                if not g.is_zero():
+                    rows.append(_realify_matrix(g))
     basis = []
     for v in echelon_basis(rows):
-        a = _unrealify_matrix(v, sp.dim)
+        a = _unrealify_matrix(v, dim)
         if not _commutes_with_j(a, j):
             raise RealityError("real holonomy element does not commute with j")
         basis.append(a)
@@ -170,34 +178,30 @@ def _realify_tensor_coords(coords, dim):
     return tuple(out)
 
 
-def build_real_algebra(s, j_e):
+def build_real_algebra(q, rep):
     """The real symmetric decomposition g = h + m, m = (H(x)E)^rho.
 
-    The m basis is the deterministic sweep {v + rho v, i(v - rho v)} over the
-    complex basis tensors, echelon-reduced to real dimension 4n; structure
-    constants are computed from the complex bracket and certified real; the
-    metric is the restriction of omega_H (x) omega_E, certified real
-    symmetric.  All model invariants are re-verified before returning.
+    q is the InvariantQuartic and rep = check_reality(q.s, j, q.table); a
+    failed report raises RealityError.  j is read off the report and h is
+    its real holonomy basis.  The m basis is the deterministic sweep {v + rho v, i(v - rho v)}
+    over the complex basis tensors, echelon-reduced to real dimension 4n.
+    The builder's coordinate functions certify that every structure constant
+    is real and that h preserves the real form; the metric, the restriction
+    of omega_H (x) omega_E, is certified real afterwards.
     """
-    rep = check_reality(s, j_e)
     if not rep.commutator_condition_ok:
         raise RealityError("quartic fails the reality condition for this j")
-    sp = s.space
-    dim_e = sp.dim
-    rho = RealStructureRho(j_e)
+    dim_e = q.s.space.dim
+    rho = RealStructureRho(rep.j)
 
-    h_basis = real_holonomy(s, j_e)
-    dim_h = len(h_basis)
+    h_basis = rep.real_holonomy_basis
     h_solver = SpanSolver([_realify_matrix(a) for a in h_basis])
 
     def h_coords(mat):
         c = h_solver.coords(_realify_matrix(mat))
         if c is None:
             raise TheoremViolationError("real bracket escaped the real holonomy span")
-        for x in c:
-            if not x.is_real:
-                raise TheoremViolationError("non-real structure constant (bug signal)")
-        return {i: v for i, v in enumerate(c) if v}
+        return _real_coords(c)
 
     # real basis of m: candidates v + rho v and i(v - rho v), kept when they
     # increase the realified rank, until real dimension 4n is reached
@@ -205,9 +209,8 @@ def build_real_algebra(s, j_e):
     m_rows = []
     for a in range(2):
         for k in range(dim_e):
-            v = {(a, k): ONE}
-            rv = rho.apply(v)
-            for cand in (_coord_add(v, rv), _coord_scale(I_UNIT, _coord_sub(v, rv))):
+            rv = rho.apply({(a, k): ONE})
+            for cand in (_add_into({(a, k): ONE}, rv), _add_into({(a, k): I_UNIT}, rv, -I_UNIT)):
                 if not cand:
                     continue
                 row = _realify_tensor_coords(cand, dim_e)
@@ -222,103 +225,21 @@ def build_real_algebra(s, j_e):
         c = m_change.coords(_realify_tensor_coords(coords, dim_e))
         if c is None:
             raise TheoremViolationError("h does not preserve the real form (bug signal)")
-        for x in c:
-            if not x.is_real:
-                raise TheoremViolationError("non-real structure constant (bug signal)")
-        return {i: v for i, v in enumerate(c) if v}
+        return _real_coords(c)
 
-    dim_m = 2 * dim_e
-    dim = dim_h + dim_m
-    labels = ["K%d" % (i + 1) for i in range(dim_h)] + ["M%d" % (i + 1) for i in range(dim_m)]
-    brackets = [[{} for _ in range(dim)] for _ in range(dim)]
-
-    def put(a, b, coords):
-        brackets[a][b] = coords
-        brackets[b][a] = _dict_neg(coords)
-
-    endo_table = {}
-    basis_vecs = [sp.basis_vector(k) for k in range(dim_e)]
-    for k in range(dim_e):
-        for l in range(k, dim_e):
-            endo_table[(k, l)] = double_contraction_endo(s, basis_vecs[k], basis_vecs[l])
-
-    def s_endo(k, l):
-        return endo_table[(k, l) if k <= l else (l, k)]
-
-    # [h, h]
-    for i in range(dim_h):
-        for jj in range(i + 1, dim_h):
-            put(i, jj, h_coords(h_basis[i] @ h_basis[jj] - h_basis[jj] @ h_basis[i]))
-    # [h, m]
-    for i in range(dim_h):
-        a_mat = h_basis[i]
-        for x, w in enumerate(m_basis):
-            image = {}
-            for (a, k), c in w.items():
-                col = a_mat.col(k)
-                for l, alk in enumerate(col):
-                    if not alk or not c:
-                        continue
-                    key = (a, l)
-                    val = image.get(key, ZERO) + c * alk
-                    if val:
-                        image[key] = val
-                    elif key in image:
-                        del image[key]
-            coords = {dim_h + t: c for t, c in m_coords(image).items()}
-            put(i, dim_h + x, coords)
-    # [m, m]
-    for x in range(dim_m):
-        for y in range(x + 1, dim_m):
-            acc = Matrix.zeros(dim_e, dim_e)
-            for (a, k), cx in m_basis[x].items():
-                for (b, l), cy in m_basis[y].items():
-                    wh = omega_pair_h(a, b)
-                    if not wh:
-                        continue
-                    f = wh * cx * cy
-                    if f:
-                        acc = acc + s_endo(k, l).scale(f)
-            coords = h_coords(acc) if not acc.is_zero() else {}
-            put(dim_h + x, dim_h + y, coords)
-
-    # metric: restriction of omega_H (x) omega_E; certified real symmetric
-    metric_rows = []
-    for x in range(dim_m):
-        row = []
-        for y in range(dim_m):
-            g = ZERO
-            for (a, k), cx in m_basis[x].items():
-                for (b, l), cy in m_basis[y].items():
-                    wh = omega_pair_h(a, b)
-                    we = sp.omega.entry(k, l)
-                    if wh and we:
-                        g = g + cx * cy * wh * we
+    labels = ["K%d" % (i + 1) for i in range(len(h_basis))]
+    labels += ["M%d" % (i + 1) for i in range(len(m_basis))]
+    model = _build_model(labels, h_basis, h_coords, m_basis, m_coords, q)
+    for row in model.metric_on_m.data:
+        for g in row:
             if not g.is_real:
                 raise TheoremViolationError("metric restriction is not real (bug signal)")
-            row.append(g)
-        metric_rows.append(row)
-    metric = Matrix(metric_rows)
-
-    model = LieAlgebraModel(labels, dim_h, dim_m, brackets, metric)
-    verify_model(model)
     return model
 
 
-def _coord_add(u, v):
-    out = dict(u)
-    for k, c in v.items():
-        val = out.get(k, ZERO) + c
-        if val:
-            out[k] = val
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _coord_sub(u, v):
-    return _coord_add(u, {k: -c for k, c in v.items()})
-
-
-def _coord_scale(f, u):
-    return {k: f * c for k, c in u.items() if f * c}
+def _real_coords(c):
+    """Coordinate dict of a solved coordinate tuple that must be real."""
+    for x in c:
+        if not x.is_real:
+            raise TheoremViolationError("non-real structure constant (bug signal)")
+    return {i: v for i, v in enumerate(c) if v}

@@ -330,6 +330,19 @@ def standard_quaternionic(sp, lagrangian_split=None):
     return QuaternionicStructure(sp, c)
 
 
+def standard_split_j(sp):
+    """The default quaternionic structure: the split E_+ = span(p), E_- = span(q)."""
+    if sp.dim % 4 != 0:
+        raise ContractError(
+            "no compatible default quaternionic structure: dim E = %d is not "
+            "divisible by 4 (supply --j)" % sp.dim
+        )
+    half = sp.n
+    e_plus = span(sp, [sp.basis_vector(k) for k in range(half)])
+    e_minus = span(sp, [sp.basis_vector(half + k) for k in range(half)])
+    return standard_quaternionic(sp, (e_plus, e_minus))
+
+
 def gamma_gram(j):
     """Gram matrix of gamma(x, y) = omega(x, j y); always Hermitian for valid j."""
     return j.ambient.omega @ j.c_matrix

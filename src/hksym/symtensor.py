@@ -248,27 +248,59 @@ def double_contraction_endo(s, e, f):
     return endo_of_quadratic(contract(contract(s, e), f))
 
 
+def double_contractions(s):
+    """Yield ((k, l), S_{e_k,e_l}) for k <= l in lexicographic order.
+
+    This is the one place that contracts a quartic against two basis vectors:
+    every table of double contractions is read off this sequence, and a
+    consumer that stops early never pays for the rest of it.
+    """
+    if s.degree != 4:
+        raise ContractError("double contractions need a quartic")
+    sp = s.space
+    basis = [sp.basis_vector(k) for k in range(sp.dim)]
+    for k in range(sp.dim):
+        for l in range(k, sp.dim):
+            yield (k, l), double_contraction_endo(s, basis[k], basis[l])
+
+
+def table_entry(table, k, l):
+    """S_{e_k,e_l} from a table keyed by (k, l) with k <= l; the entry is symmetric."""
+    return table[(k, l) if k <= l else (l, k)]
+
+
+def column_span(space, endos):
+    """Span of the nonzero columns of the given endomorphisms, taken in order."""
+    vectors = []
+    for endo in endos:
+        for k in range(space.dim):
+            col = endo.col(k)
+            if not vec_is_zero(col):
+                vectors.append(col)
+    return span(space, vectors)
+
+
 def support(t):
     """The support: span of all (d-1)-fold contractions read as vectors in E.
 
     Standard-basis tuples suffice by multilinearity; the result comes back
-    with an echelonized basis so it is deterministic.
+    with an echelonized basis so it is deterministic.  For a quartic this is
+    the column span of its double contractions in lexicographic order, which
+    is how an InvariantQuartic carries it.
     """
     if t.degree < 2:
         raise ContractError("support needs degree >= 2")
     sp = t.space
-    vectors = []
     basis = [sp.basis_vector(k) for k in range(sp.dim)]
-    for combo in combinations_with_replacement(range(sp.dim), t.degree - 2):
-        cur = t
-        for k in combo:
-            cur = contract(cur, basis[k])
-        endo = endo_of_quadratic(cur)
-        for k in range(sp.dim):
-            col = endo.col(k)
-            if not vec_is_zero(col):
-                vectors.append(col)
-    return span(sp, vectors)
+
+    def endos():
+        for combo in combinations_with_replacement(range(sp.dim), t.degree - 2):
+            cur = t
+            for k in combo:
+                cur = contract(cur, basis[k])
+            yield endo_of_quadratic(cur)
+
+    return column_span(sp, endos())
 
 
 def tau(t, j):

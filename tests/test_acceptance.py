@@ -15,6 +15,7 @@ from hksym.symplectic import SymplecticSpace, is_isotropic, span
 from hksym.symtensor import (
     SymTensor,
     contract,
+    double_contractions,
     endo_of_quadratic,
     eval_on_vectors,
     sp_action,
@@ -26,6 +27,7 @@ from hksym.hkalgebra import (
     NotHyperKahlerError,
     analyze_quartic,
     build_complex_algebra,
+    certify_invariance,
     check_invariance,
     compute_aut,
     curvature_ricci,
@@ -121,13 +123,14 @@ def test_criterion_3_example1_property_suite():
         for s in corpus(n):
             ok, _ = check_invariance(s)
             assert ok
-            hol = holonomy(s)
+            q = certify_invariance(s)
+            hol = holonomy(q)
             assert hol.is_abelian and hol.is_solvable
-            model = build_complex_algebra(s, _invariance_known=True, _holonomy=hol)
+            model = build_complex_algebra(q, hol)
             assert model.dim == model.dim_h + 4 * n
             assert model.dim_m == 4 * n
             assert verify_jacobi(model) == (True, None)
-            ricci, metric_ok = curvature_ricci(s, model=model)
+            ricci, metric_ok = curvature_ricci(model)
             assert ricci.is_zero() and metric_ok
             sigma = support(s)
             assert is_isotropic(sigma)
@@ -145,7 +148,7 @@ def test_criterion_4_lagrangian_recovery():
     total = 0
     for n in (1, 2, 3):
         for s in corpus(n):
-            e_plus = find_lagrangian(s)
+            e_plus = find_lagrangian(certify_invariance(s))
             assert e_plus.dim == n and is_isotropic(e_plus)
             assert tensor_in_subspace_power(s, e_plus)
             total += 1
@@ -157,7 +160,7 @@ def test_criterion_4_lagrangian_recovery():
         for k, s in enumerate(corpus(n)[:take]):
             t = random_symplectic(sp, random.Random("c4-%d-%d" % (n, k)))
             scrambled = transform(s, t)
-            e_plus = find_lagrangian(scrambled)
+            e_plus = find_lagrangian(certify_invariance(scrambled))
             assert e_plus.dim == n and is_isotropic(e_plus)
             assert tensor_in_subspace_power(scrambled, e_plus)
             moved += 1
@@ -166,7 +169,7 @@ def test_criterion_4_lagrangian_recovery():
     sp1 = SymplecticSpace(1)
     bad = (lin(sp1, 0) ** 3) * lin(sp1, 1)
     with pytest.raises(NotHyperKahlerError) as err:
-        find_lagrangian(bad)
+        certify_invariance(bad)
     assert err.value.witness == (0, 1)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
@@ -185,7 +188,7 @@ def test_criterion_5_reality_equivalence():
         rng = random.Random("c5-%d" % k)
         t = random_quartic_full(sp, rng)
         s = symmetrize_real(t, j) if k < 25 else t
-        rep = check_reality(s, j)
+        rep = check_reality(s, j, dict(double_contractions(s)))
         assert rep.commutator_condition_ok == rep.tau_fixed
         assert rep.equivalent
         agreements += 1
@@ -214,7 +217,8 @@ def test_criterion_6_signature_theorem():
     started = time.monotonic()
     for m, count, want in ((1, 10, (4, 4, 0)), (2, 3, (8, 8, 0))):
         for s, j in _tau_fixed_full_support(m, count, "c6-m%d" % m):
-            model = build_real_algebra(s, j)
+            q = certify_invariance(s)
+            model = build_real_algebra(q, check_reality(s, j, q.table))
             assert model.dim_m == 8 * m
             assert hermitian_inertia(model.metric_on_m) == want
             assert verify_jacobi(model) == (True, None)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,9 +248,22 @@ class TestClassify8:
     def test_wrong_dimension_exits_1(self, capsys, dim4_file):
         assert run_cli(capsys, "classify8", dim4_file)[0] == 1
 
+    def test_real_mode_rejects_non_tau_fixed(self, capsys):
+        # an invariant quartic that is not tau-fixed for the default j
+        path = str(Path(__file__).resolve().parent / "golden" / "lagrangian_2.json")
+        code, out, err = run_cli(capsys, "classify8", path, "--real", "--json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 def test_console_script_installed():
+    # runs from a clean checkout too: the package is found in ./src
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-m", "hksym.cli", "--version"],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "hksym" in out.stdout

@@ -1,9 +1,12 @@
-"""Golden-report gate: the CLI's stdout on a small fixed corpus must stay
-byte-identical to the committed files in tests/golden/.
+"""Golden-report gate: the CLI's stdout and exit code on a small fixed corpus
+must stay identical to the committed files in tests/golden/.
 
-Each case is an input quartic written by `hksym generate` and the exact stdout
-of one command on it.  To regenerate after a deliberate report change, run
-`python tests/test_golden.py` from the repository root and review the diff.
+Each case is an input quartic and the exact stdout of one command on it.
+Most inputs are written by `hksym generate`; inputs that no generator kind
+produces are committed as fixed JSON files.  To regenerate after a
+deliberate report change, run `python tests/test_golden.py` from the
+repository root and review the diff: it rewrites every generated input and
+every report, and leaves the fixed inputs as they are.
 """
 
 import sys
@@ -15,13 +18,23 @@ from hksym.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# (input stem, generator kind, seed, command, extra flags)
+# (input stem, (generator kind, seed) or None for a fixed input, command,
+#  extra flags, expected exit code)
 CASES = (
-    [("petrov_%s" % t, "petrov:%s" % t, 0, "analyze", ()) for t in ("I", "II", "D", "III", "N", "O")]
-    + [("lagrangian_%d" % n, "random-lagrangian:%d" % n, 7, "analyze", ()) for n in (1, 2, 3)]
+    [("petrov_%s" % t, ("petrov:%s" % t, 0), "analyze", (), 0) for t in ("I", "II", "D", "III", "N", "O")]
+    + [("lagrangian_%d" % n, ("random-lagrangian:%d" % n, 7), "analyze", (), 0) for n in (1, 2, 3)]
     + [
-        ("real_1", "real-random:1", 3, "analyze", ("--real",)),
-        ("petrov_D", "petrov:D", 0, "classify8", ("--real",)),
+        ("real_1", ("real-random:1", 3), "analyze", ("--real",), 0),
+        ("petrov_D", ("petrov:D", 0), "classify8", ("--real",), 0),
+        ("real_1", ("real-random:1", 3), "classify8", ("--real",), 0),
+        ("real_1", ("real-random:1", 3), "verify", ("--invariance", "--jacobi", "--reality"), 0),
+        # not tau-fixed for the default j: the real pipeline rejects it
+        ("lagrangian_2", ("random-lagrangian:2", 7), "analyze", ("--real",), 2),
+        # p^3 q on dim E = 2: S_{p,q} . S != 0, first witness (0, 1)
+        ("p3q", None, "analyze", (), 2),
+        # symmetrize_real of random_quartic_full(SymplecticSpace(2), Random(11))
+        # under the standard split j: tau-fixed but not invariant
+        ("tau_fixed_full_2", None, "verify", ("--reality",), 0),
     ]
 )
 
@@ -35,27 +48,30 @@ def _argv(stem, command, flags):
 
 
 @pytest.mark.parametrize(
-    "stem,command,flags",
-    [(stem, command, flags) for stem, _, _, command, flags in CASES],
-    ids=[_out_name(stem, command, flags) for stem, _, _, command, flags in CASES],
+    "stem,command,flags,exit_code",
+    [(stem, command, flags, exit_code) for stem, _, command, flags, exit_code in CASES],
+    ids=[_out_name(stem, command, flags) for stem, _, command, flags, _ in CASES],
 )
-def test_report_matches_golden(capsys, stem, command, flags):
+def test_report_matches_golden(capsys, stem, command, flags, exit_code):
     code = main(_argv(stem, command, flags))
     out = capsys.readouterr().out
-    assert code == 0
+    assert code == exit_code
     assert out == (GOLDEN / _out_name(stem, command, flags)).read_text(encoding="utf-8")
 
 
 def regenerate():
-    """Rewrite every golden input and report from the current code."""
+    """Rewrite every generated golden input and every report from the current code."""
     import contextlib
     import io
 
-    for stem, kind, seed, command, flags in CASES:
-        assert main(["generate", kind, "--seed", str(seed), "-o", str(GOLDEN / ("%s.json" % stem))]) == 0
+    for stem, source, command, flags, exit_code in CASES:
+        if source is not None:
+            kind, seed = source
+            path = str(GOLDEN / ("%s.json" % stem))
+            assert main(["generate", kind, "--seed", str(seed), "-o", path]) == 0
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            assert main(_argv(stem, command, flags)) == 0
+            assert main(_argv(stem, command, flags)) == exit_code
         (GOLDEN / _out_name(stem, command, flags)).write_text(buf.getvalue(), encoding="utf-8")
 
 

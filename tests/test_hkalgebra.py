@@ -2,11 +2,20 @@ import pytest
 
 from hksym.exactnum import ContractError, GaussRat, Matrix, ONE, ZERO, mat_vec
 from hksym.symplectic import SymplecticSpace, is_isotropic, span
-from hksym.symtensor import SymTensor, double_contraction_endo, endo_of_quadratic, support, transform
+from hksym.symtensor import (
+    SymTensor,
+    double_contraction_endo,
+    double_contractions,
+    endo_of_quadratic,
+    support,
+    transform,
+)
 from hksym.hkalgebra import (
     NotHyperKahlerError,
+    _span_data,
     analyze_quartic,
     build_complex_algebra,
+    certify_invariance,
     check_invariance,
     compute_aut,
     curvature_ricci,
@@ -32,6 +41,21 @@ def lin(sp, k):
     return SymTensor.linear(sp, sp.basis_vector(k))
 
 
+def complex_model(s):
+    q = certify_invariance(s)
+    return build_complex_algebra(q, holonomy(q))
+
+
+def flat_split(s):
+    q = certify_invariance(s)
+    return flat_decomposition(q, find_lagrangian(q))
+
+
+def span_of_double_contractions(s):
+    """HolonomyData of span{S_{e,e'}} for any quartic, invariant or not."""
+    return _span_data(dict(double_contractions(s)).values(), s.space.dim)
+
+
 @pytest.fixture
 def p4():
     sp = SymplecticSpace(1)
@@ -52,6 +76,24 @@ class TestInvariance:
         assert not ok
         assert witness == (0, 1)
 
+    def test_certificate_holds_table_and_support(self, rng):
+        # one entry per pair k <= l, in lexicographic order, equal to the
+        # direct double contraction; the support is support(s)
+        for s in (lin(SymplecticSpace(1), 0) ** 4, random_quartic_lagrangian(2, rng)):
+            sp = s.space
+            q = certify_invariance(s)
+            pairs = [(k, l) for k in range(sp.dim) for l in range(k, sp.dim)]
+            assert list(q.table) == pairs
+            for k, l in pairs:
+                assert q.table[(k, l)] == double_contraction_endo(
+                    s, sp.basis_vector(k), sp.basis_vector(l))
+            assert q.support == support(s)
+            assert q.s is s
+
+    def test_certify_rejects_non_quartic(self):
+        with pytest.raises(ContractError):
+            certify_invariance(lin(SymplecticSpace(1), 0) ** 2)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_lagrangian_quartics_invariant(self, n, rng):
         for _ in range(5):
@@ -62,7 +104,7 @@ class TestInvariance:
 
 class TestHolonomy:
     def test_p4(self, p4):
-        hol = holonomy(p4)
+        hol = holonomy(certify_invariance(p4))
         assert hol.dimension == 1
         assert hol.is_abelian and hol.is_solvable
         assert hol.derived_series_lengths == (1, 0)
@@ -80,14 +122,14 @@ class TestHolonomy:
 
     def test_zero_quartic(self):
         sp = SymplecticSpace(2)
-        hol = holonomy(SymTensor.zero(sp, 4))
+        hol = holonomy(certify_invariance(SymTensor.zero(sp, 4)))
         assert hol.dimension == 0
         assert hol.is_abelian and hol.is_solvable
 
     def test_lagrangian_quartics_abelian(self, rng):
         for n in (2, 3):
             s = random_quartic_lagrangian(n, rng)
-            hol = holonomy(s)
+            hol = holonomy(certify_invariance(s))
             assert hol.is_abelian and hol.is_solvable
 
     def test_non_solvable_span_detected(self):
@@ -96,7 +138,7 @@ class TestHolonomy:
         # invariant, which is the point of the solvability argument)
         sp = SymplecticSpace(1)
         s = (lin(sp, 0) ** 2) * (lin(sp, 1) ** 2)
-        hol = holonomy(s)
+        hol = span_of_double_contractions(s)
         assert hol.dimension == 3
         assert not hol.is_abelian
         assert not hol.is_solvable
@@ -107,7 +149,7 @@ class TestHolonomy:
         # p^3 q: holonomy span{p^2, pq} is a 2-step solvable Borel-type algebra
         sp = SymplecticSpace(1)
         s = (lin(sp, 0) ** 3) * lin(sp, 1)
-        hol = holonomy(s)
+        hol = span_of_double_contractions(s)
         assert hol.dimension == 2
         assert not hol.is_abelian
         assert hol.is_solvable
@@ -161,52 +203,53 @@ class TestHolonomy:
 
 class TestBuildAlgebra:
     def test_p4_dimensions(self, p4):
-        model = build_complex_algebra(p4)
+        model = complex_model(p4)
         assert model.dim_h == 1
         assert model.dim_m == 4
         assert model.dim == 5
 
     def test_zero_quartic_abelian(self):
         sp = SymplecticSpace(1)
-        model = build_complex_algebra(SymTensor.zero(sp, 4))
+        model = complex_model(SymTensor.zero(sp, 4))
         assert model.dim_h == 0
         assert all(not model.brackets[a][b] for a in range(model.dim) for b in range(model.dim))
 
     def test_x4_in_n2(self):
         sp = SymplecticSpace(2)
-        model = build_complex_algebra(lin(sp, 0) ** 4)
+        model = complex_model(lin(sp, 0) ** 4)
         assert model.dim_h == 1
         assert model.dim_m == 8
 
     def test_rejects_non_invariant(self):
         sp = SymplecticSpace(1)
         s = (lin(sp, 0) ** 3) * lin(sp, 1)
+        # the algebra is built from a certificate, which p^3 q never gets
         with pytest.raises(NotHyperKahlerError) as err:
-            build_complex_algebra(s)
+            certify_invariance(s)
         assert err.value.witness == (0, 1)
 
     def test_grading_and_metric(self, rng):
-        model = build_complex_algebra(random_quartic_lagrangian(2, rng))
+        model = complex_model(random_quartic_lagrangian(2, rng))
         assert verify_grading(model) == (True, None)
         assert verify_metric(model) == (True, None)
 
     def test_n4_pipeline(self, rng):
         # generic quartic on dim E = 8: holonomy fills S^2 E_+ (dimension 10)
         s = random_quartic_lagrangian(4, rng)
-        model = build_complex_algebra(s)
+        model = complex_model(s)
         assert model.dim_h == 10
         assert model.dim_m == 16
-        ric, metric_ok = curvature_ricci(s, model=model)
+        ric, metric_ok = curvature_ricci(model)
         assert ric.is_zero() and metric_ok
 
 
 class TestJacobi:
     def test_p4_model(self, p4):
-        model = build_complex_algebra(p4)
+        model = complex_model(p4)
         assert verify_jacobi(model) == (True, None)
 
     def test_corrupted_structure_constant_detected(self, p4):
-        model = build_complex_algebra(p4)
+        model = complex_model(p4)
         # corrupt [m1, m2] by injecting a spurious h-component
         a, b = model.dim_h + 0, model.dim_h + 1
         model.brackets[a][b] = dict(model.brackets[a][b])
@@ -217,25 +260,25 @@ class TestJacobi:
 
     def test_abelian_model(self):
         sp = SymplecticSpace(1)
-        model = build_complex_algebra(SymTensor.zero(sp, 4))
+        model = complex_model(SymTensor.zero(sp, 4))
         assert verify_jacobi(model) == (True, None)
 
 
 class TestRicci:
     def test_p4_ricci_zero(self, p4):
-        ric, metric_ok = curvature_ricci(p4)
+        ric, metric_ok = curvature_ricci(complex_model(p4))
         assert ric.is_zero()
         assert metric_ok
 
     def test_zero_quartic(self):
         sp = SymplecticSpace(1)
-        ric, _ = curvature_ricci(SymTensor.zero(sp, 4))
+        ric, _ = curvature_ricci(complex_model(SymTensor.zero(sp, 4)))
         assert ric.is_zero()
 
     def test_random_lagrangian_n2_with_adjoint_oracle(self, rng):
         s = random_quartic_lagrangian(2, rng)
-        model = build_complex_algebra(s)
-        ric, metric_ok = curvature_ricci(s, model=model)
+        model = complex_model(s)
+        ric, metric_ok = curvature_ricci(model)
         assert ric.is_zero()
         assert metric_ok
         assert ricci_by_adjoint_matrices(model) == ric
@@ -244,17 +287,17 @@ class TestRicci:
 class TestFindLagrangian:
     def test_p4(self, p4):
         sp = p4.space
-        assert find_lagrangian(p4) == span(sp, [sp.basis_vector(0)])
+        assert find_lagrangian(certify_invariance(p4)) == span(sp, [sp.basis_vector(0)])
 
     def test_zero_quartic_greedy_default(self):
         sp = SymplecticSpace(2)
-        out = find_lagrangian(SymTensor.zero(sp, 4))
+        out = find_lagrangian(certify_invariance(SymTensor.zero(sp, 4)))
         assert out == span(sp, [sp.basis_vector(0), sp.basis_vector(1)])
 
     def test_x4_plus_y4(self, rng):
         sp = SymplecticSpace(2)
         s = lin(sp, 0) ** 4 + lin(sp, 1) ** 4
-        out = find_lagrangian(s)
+        out = find_lagrangian(certify_invariance(s))
         assert out == span(sp, [sp.basis_vector(0), sp.basis_vector(1)])
 
     def test_after_symplectic_scramble(self, rng):
@@ -264,31 +307,33 @@ class TestFindLagrangian:
         s = random_quartic_lagrangian(2, rng)
         t = random_symplectic(sp, rng)
         scrambled = transform(s, t)
-        out = find_lagrangian(scrambled)
+        out = find_lagrangian(certify_invariance(scrambled))
         assert out.dim == sp.n and is_isotropic(out)
         assert tensor_in_subspace_power(scrambled, out)
 
     def test_rejects_non_invariant(self):
         sp = SymplecticSpace(1)
-        with pytest.raises(NotHyperKahlerError):
-            find_lagrangian((lin(sp, 0) ** 3) * lin(sp, 1))
+        # the Lagrangian is found from a certificate, which p^3 q never gets
+        with pytest.raises(NotHyperKahlerError) as err:
+            certify_invariance((lin(sp, 0) ** 3) * lin(sp, 1))
+        assert err.value.witness == (0, 1)
 
 
 class TestFlatDecomposition:
     def test_p4_has_no_flat_factor(self, p4):
-        e1, e0, flat = flat_decomposition(p4)
+        e1, e0, flat = flat_split(p4)
         assert flat == 0
         assert e1.dim == 2 and e0.dim == 0
 
     def test_zero_quartic_fully_flat(self):
         sp = SymplecticSpace(1)
-        e1, e0, flat = flat_decomposition(SymTensor.zero(sp, 4))
+        e1, e0, flat = flat_split(SymTensor.zero(sp, 4))
         assert flat == 4
         assert e0.dim == 2 and e1.dim == 0
 
     def test_x4_in_n2(self):
         sp = SymplecticSpace(2)
-        e1, e0, flat = flat_decomposition(lin(sp, 0) ** 4)
+        e1, e0, flat = flat_split(lin(sp, 0) ** 4)
         assert flat == 4
         assert e1.dim == 2 and e0.dim == 2
         assert e1.contains(sp.basis_vector(0))
@@ -298,7 +343,7 @@ class TestFlatDecomposition:
 
         sp = SymplecticSpace(2)
         s = lin(sp, 0) ** 4
-        e1, e0, _ = flat_decomposition(s)
+        e1, e0, _ = flat_split(s)
         for u in e1.basis:
             for v in e0.basis:
                 assert omega_pair(sp, u, v) == ZERO
@@ -361,9 +406,9 @@ class TestGLEquivariance:
             t_small = random_invertible(2, rng)
             big = embed_gl_group(e_plus, t_small)
             moved = transform(s, big)
-            assert holonomy(moved).dimension == holonomy(s).dimension
+            assert holonomy(certify_invariance(moved)).dimension == holonomy(certify_invariance(s)).dimension
             assert support(moved).dim == support(s).dim
-            assert flat_decomposition(moved)[2] == flat_decomposition(s)[2]
+            assert flat_split(moved)[2] == flat_split(s)[2]
             assert len(compute_aut(moved, e_plus)) == len(compute_aut(s, e_plus))
 
 
@@ -377,6 +422,9 @@ class TestAnalyze:
         assert report.jacobi_ok and report.ricci_zero
         d = report.to_dict()
         assert d["holonomy"]["is_abelian"] is True
+        # dim E = 2 has no default quaternionic structure
+        with pytest.raises(ContractError, match="not divisible by 4"):
+            analyze_quartic(p4, real=True)
 
     def test_rejected_report(self):
         sp = SymplecticSpace(1)

@@ -2,10 +2,11 @@ import pytest
 
 from hksym.exactnum import I_UNIT, echelon_basis, hermitian_inertia
 from hksym.symplectic import SymplecticSpace, span
-from hksym.symtensor import SymTensor, support, tau
-from hksym.hkalgebra import verify_grading, verify_jacobi, verify_metric
+from hksym.symtensor import SymTensor, double_contraction_endo, double_contractions, support, tau
+from hksym.hkalgebra import certify_invariance, verify_grading, verify_jacobi, verify_metric
 from hksym.realform import (
     _commutes_with_j,
+    _j_table,
     _realify_matrix,
     build_real_algebra,
     check_reality,
@@ -20,6 +21,35 @@ from hksym.generators import (
 from hksym.hkalgebra import holonomy
 
 
+def reality(s, j):
+    """check_reality on any quartic, from its plain table of double contractions."""
+    return check_reality(s, j, dict(double_contractions(s)))
+
+
+def real_holonomy_of(s, j):
+    return reality(s, j).real_holonomy_basis
+
+
+def real_model(s, j):
+    q = certify_invariance(s)
+    return build_real_algebra(q, check_reality(s, j, q.table))
+
+
+def complex_holonomy(s):
+    return holonomy(certify_invariance(s))
+
+
+def non_coordinate_split(sp, rng):
+    """A Lagrangian split moved off the coordinate axes, and its symplectic map."""
+    from hksym.exactnum import mat_vec
+    from hksym.generators import random_symplectic
+
+    t_mat = random_symplectic(sp, rng)
+    e_plus = span(sp, [mat_vec(t_mat, sp.basis_vector(0)), mat_vec(t_mat, sp.basis_vector(1))])
+    e_minus = span(sp, [mat_vec(t_mat, sp.basis_vector(2)), mat_vec(t_mat, sp.basis_vector(3))])
+    return (e_plus, e_minus), t_mat
+
+
 @pytest.fixture
 def dim4():
     sp = SymplecticSpace(2)
@@ -32,7 +62,7 @@ class TestCheckReality:
         for _ in range(5):
             t = random_quartic_full(sp, rng)
             s = symmetrize_real(t, j)
-            rep = check_reality(s, j)
+            rep = reality(s, j)
             assert rep.commutator_condition_ok and rep.tau_fixed and rep.equivalent
 
     def test_i_times_fixed_fails_both(self, dim4, rng):
@@ -40,12 +70,12 @@ class TestCheckReality:
         t = random_quartic_full(sp, rng)
         s = symmetrize_real(t, j)
         assert not s.is_zero()
-        rep = check_reality(s.scale(I_UNIT), j)
+        rep = reality(s.scale(I_UNIT), j)
         assert not rep.commutator_condition_ok and not rep.tau_fixed
 
     def test_zero_passes(self, dim4):
         sp, j = dim4
-        rep = check_reality(SymTensor.zero(sp, 4), j)
+        rep = reality(SymTensor.zero(sp, 4), j)
         assert rep.commutator_condition_ok and rep.tau_fixed
 
     def test_equivalence_on_mixed_corpus(self, dim4, rng):
@@ -56,10 +86,38 @@ class TestCheckReality:
         for k in range(20):
             t = random_quartic_full(sp, rng)
             s = symmetrize_real(t, j) if k % 2 == 0 else t
-            rep = check_reality(s, j)
+            rep = reality(s, j)
             assert rep.commutator_condition_ok == rep.tau_fixed
             fixed_count += rep.tau_fixed
         assert fixed_count >= 10  # the symmetrized half always passes
+
+    def test_j_table_matches_direct_contractions(self, dim4, rng):
+        # J[k][l] = S_{je_k,e_l} read off the table by bilinearity equals the
+        # direct double contraction, for the split j, the definite j and a
+        # j whose invariant Lagrangians are not coordinate subspaces
+        from hksym.symplectic import standard_quaternionic
+
+        sp, split_j = dim4
+        split, _ = non_coordinate_split(sp, rng)
+        for j in (split_j, standard_quaternionic(sp), standard_quaternionic(sp, split)):
+            s = random_quartic_full(sp, rng)
+            jt = _j_table(j, dict(double_contractions(s)))
+            for k in range(sp.dim):
+                jk = j.apply(sp.basis_vector(k))
+                for l in range(sp.dim):
+                    assert jt[k][l] == double_contraction_endo(s, jk, sp.basis_vector(l))
+
+    def test_report_carries_real_holonomy(self, dim4, rng):
+        sp, j = dim4
+        s, _ = random_tau_fixed(1, rng)
+        table = dict(double_contractions(s))
+        rep = check_reality(s, j, table)
+        assert rep.real_holonomy_basis == real_holonomy(_j_table(j, table), j)
+        assert rep.real_holonomy_dim == len(rep.real_holonomy_basis)
+        assert rep.j is j
+        failed = reality(s.scale(I_UNIT), j)
+        assert failed.real_holonomy_basis is None
+        assert failed.j is j
 
     def test_equivalence_for_definite_j(self, rng):
         # the equivalence is a statement about any compatible j, including the
@@ -72,26 +130,26 @@ class TestCheckReality:
             for k in range(6):
                 t = random_quartic_full(sp, rng)
                 s = symmetrize_real(t, j) if k % 2 == 0 else t
-                rep = check_reality(s, j)
+                rep = reality(s, j)
                 assert rep.commutator_condition_ok == rep.tau_fixed
 
 
 class TestRealHolonomy:
     def test_zero_quartic_empty(self, dim4):
         sp, j = dim4
-        assert real_holonomy(SymTensor.zero(sp, 4), j) == []
+        assert real_holonomy_of(SymTensor.zero(sp, 4), j) == []
 
     def test_elements_commute_with_j(self, dim4, rng):
         sp, j = dim4
         s, _ = random_tau_fixed(1, rng)
-        for a in real_holonomy(s, j):
+        for a in real_holonomy_of(s, j):
             assert _commutes_with_j(a, j)
 
     def test_dimension_bound(self, dim4, rng):
         sp, j = dim4
         s, _ = random_tau_fixed(1, rng)
-        real_dim = len(real_holonomy(s, j))
-        assert real_dim <= 2 * holonomy(s).dimension
+        real_dim = len(real_holonomy_of(s, j))
+        assert real_dim <= 2 * complex_holonomy(s).dimension
 
     def test_real_form_dimension_for_full_support(self, dim4, rng):
         # tau-fixed S with full support: the real span is a real form, so its
@@ -101,7 +159,7 @@ class TestRealHolonomy:
             s, _ = random_tau_fixed(1, rng)
             if support(s).dim != 2:
                 continue
-            assert len(real_holonomy(s, j)) == holonomy(s).dimension
+            assert len(real_holonomy_of(s, j)) == complex_holonomy(s).dimension
 
     def test_span_equals_commutant_of_j(self, dim4, rng):
         # reported property: the real span coincides with
@@ -115,7 +173,7 @@ class TestRealHolonomy:
         samples = [random_tau_fixed(1, rng)[0] for _ in range(4)]
         samples.append(symmetrize_real(x4, j))
         for s in samples:
-            hol = holonomy(s)
+            hol = complex_holonomy(s)
             # realified span of h^C: complex basis + i * basis
             rows = []
             for m in hol.basis:
@@ -132,12 +190,12 @@ class TestRealHolonomy:
                 commutant_dim = len(kernel)
             else:
                 commutant_dim = 0
-            assert len(real_holonomy(s, j)) == commutant_dim
+            assert len(real_holonomy_of(s, j)) == commutant_dim
 
     def test_pairwise_commuting_for_lagrangian_support(self, dim4, rng):
         sp, j = dim4
         s, _ = random_tau_fixed(1, rng)
-        basis = real_holonomy(s, j)
+        basis = real_holonomy_of(s, j)
         for i in range(len(basis)):
             for k in range(i + 1, len(basis)):
                 assert (basis[i] @ basis[k] - basis[k] @ basis[i]).is_zero()
@@ -164,7 +222,7 @@ class TestSymmetrize:
 class TestBuildRealAlgebra:
     def test_zero_quartic_dim4(self, dim4):
         sp, j = dim4
-        model = build_real_algebra(SymTensor.zero(sp, 4), j)
+        model = real_model(SymTensor.zero(sp, 4), j)
         assert model.dim_h == 0
         assert model.dim_m == 8
         assert all(not model.brackets[a][b] for a in range(model.dim) for b in range(model.dim))
@@ -174,7 +232,7 @@ class TestBuildRealAlgebra:
         sp, j = dim4
         s, _ = random_tau_fixed(1, rng)
         assert support(s).dim == 2
-        model = build_real_algebra(s, j)
+        model = real_model(s, j)
         assert model.dim_m == 8
         assert hermitian_inertia(model.metric_on_m) == (4, 4, 0)
         assert verify_jacobi(model) == (True, None)
@@ -184,7 +242,7 @@ class TestBuildRealAlgebra:
     def test_structure_constants_real(self, dim4, rng):
         sp, j = dim4
         s, _ = random_tau_fixed(1, rng)
-        model = build_real_algebra(s, j)
+        model = real_model(s, j)
         for a in range(model.dim):
             for b in range(model.dim):
                 for c in model.brackets[a][b].values():
@@ -194,19 +252,22 @@ class TestBuildRealAlgebra:
                 assert e.is_real
 
     def test_rejects_non_real_quartic(self, dim4, rng):
+        # i S is invariant but never tau-fixed; the failed report is refused
         sp, j = dim4
         from hksym.realform import RealityError
 
-        t = random_quartic_full(sp, rng)
-        s = symmetrize_real(t, j).scale(I_UNIT)
+        s = random_tau_fixed(1, rng)[0].scale(I_UNIT)
         assert not s.is_zero()
+        q = certify_invariance(s)
+        rep = check_reality(s, j, q.table)
+        assert not rep.commutator_condition_ok
         with pytest.raises(RealityError):
-            build_real_algebra(s, j)
+            build_real_algebra(q, rep)
 
     def test_m_dimension_is_4n(self, rng):
         # real form of H (x) E always has real dimension 4n
         s, j = random_tau_fixed(2, rng)
-        model = build_real_algebra(s, j)
+        model = real_model(s, j)
         assert model.dim_m == 16
 
     def test_non_coordinate_j_end_to_end(self):
@@ -215,24 +276,21 @@ class TestBuildRealAlgebra:
         # the rho sweep and the realified solves must all stay exact
         import random
 
-        from hksym.exactnum import mat_vec
-        from hksym.symplectic import SymplecticSpace, gamma_signature, span, standard_quaternionic
+        from hksym.symplectic import SymplecticSpace, gamma_signature, standard_quaternionic
         from hksym.symtensor import support as supp
         from hksym.symtensor import tensor_in_subspace_power, transform
-        from hksym.generators import random_quartic_lagrangian, random_symplectic
+        from hksym.generators import random_quartic_lagrangian
 
         sp = SymplecticSpace(2)
         rng = random.Random(31)
-        t_mat = random_symplectic(sp, rng)
-        e_plus = span(sp, [mat_vec(t_mat, sp.basis_vector(0)), mat_vec(t_mat, sp.basis_vector(1))])
-        e_minus = span(sp, [mat_vec(t_mat, sp.basis_vector(2)), mat_vec(t_mat, sp.basis_vector(3))])
+        (e_plus, e_minus), t_mat = non_coordinate_split(sp, rng)
         j = standard_quaternionic(sp, (e_plus, e_minus))
         assert gamma_signature(j) == (2, 2, 0)
         s = symmetrize_real(transform(random_quartic_lagrangian(2, rng), t_mat), j)
         assert tensor_in_subspace_power(s, e_plus)
-        rep = check_reality(s, j)
+        rep = reality(s, j)
         assert rep.commutator_condition_ok and rep.tau_fixed
-        model = build_real_algebra(s, j)
+        model = real_model(s, j)
         assert hermitian_inertia(model.metric_on_m) == (4, 4, 0)
         assert verify_jacobi(model) == (True, None)
         sigma = supp(s)
@@ -255,7 +313,7 @@ class TestBuildRealAlgebra:
         p1 = ST.linear(sp, sp.basis_vector(0))
         s = symmetrize_real(p1 ** 4, j)  # p1^4 + p2^4, support dim 2 of 4
         assert support(s).dim == 2
-        model = build_real_algebra(s, j)
+        model = real_model(s, j)
         assert model.dim_m == 16
         assert hermitian_inertia(model.metric_on_m) == (8, 8, 0)
         assert verify_jacobi(model) == (True, None)

@@ -19,10 +19,11 @@ from hksym.symplectic import (
     quaternionic_to_json,
     span,
     standard_quaternionic,
+    standard_split_j,
     subspace_from_json,
     subspace_to_json,
 )
-from hksym.generators import random_symplectic, random_vector, standard_split_j
+from hksym.generators import random_symplectic, random_vector
 
 
 def basis(sp):
@@ -194,6 +195,8 @@ class TestQuaternionic:
         e_minus = span(sp, [sp.basis_vector(1)])
         with pytest.raises(ContractError):
             standard_quaternionic(sp, (e_plus, e_minus))
+        with pytest.raises(ContractError, match="not divisible by 4"):
+            standard_split_j(sp)
 
     def test_split_on_scrambled_lagrangians(self, rng):
         # the construction must work for non-coordinate Lagrangian pairs
