@@ -3,7 +3,8 @@ classify dim-8 cases and generate example quartics.
 
 Exit codes: 0 all requested checks pass; 2 the quartic is mathematically
 rejected (fails invariance, or reality in --real mode); 1 operational failure
-(I/O, malformed input, bad flags).
+(I/O, malformed input, bad flags); 3 internal error (a certified guarantee
+failed, TheoremViolationError: a bug in hksym, not a property of the input).
 """
 
 import argparse
@@ -227,18 +228,16 @@ def main(argv=None):
         return 0 if not exc.code else 1
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, ScalarError, ContractError) as exc:
+        # ValueError covers json.JSONDecodeError
         sys.stderr.write("error: %s\n" % exc)
         return 1
-    except (ScalarError, ContractError, ValueError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    except NotHyperKahlerError as exc:
+    except (NotHyperKahlerError, RealityError) as exc:
         sys.stderr.write("rejected: %s\n" % exc)
         return 2
-    except (RealityError, TheoremViolationError) as exc:
-        sys.stderr.write("rejected: %s\n" % exc)
-        return 2
+    except TheoremViolationError as exc:
+        sys.stderr.write("internal error: %s\n" % exc)
+        return 3
 
 
 if __name__ == "__main__":

@@ -155,6 +155,11 @@ def _poly_diff(p):
     return _poly_strip([GaussRat(k) * c for k, c in enumerate(p)][1:])
 
 
+def _poly_sub(p, q):
+    n = max(len(p), len(q))
+    return _poly_strip([a - b for a, b in zip(p + [ZERO] * (n - len(p)), q + [ZERO] * (n - len(q)))])
+
+
 def _yun_squarefree(p):
     """Yun's square-free decomposition; returns [(multiplicity, degree), ...]."""
     out = []
@@ -165,9 +170,7 @@ def _yun_squarefree(p):
         return out
     w, _ = _poly_divmod(p, g)
     y, _ = _poly_divmod(_poly_diff(p), g)
-    z = _poly_strip([a - b for a, b in
-                     zip(y + [ZERO] * max(0, len(_poly_diff(w)) - len(y)),
-                         _poly_diff(w) + [ZERO] * max(0, len(y) - len(_poly_diff(w))))])
+    z = _poly_sub(y, _poly_diff(w))
     i = 1
     while _poly_deg(w) > 0:
         gi = _poly_gcd(w, z)
@@ -175,10 +178,7 @@ def _yun_squarefree(p):
             out.append((i, _poly_deg(gi)))
         w, _ = _poly_divmod(w, gi)
         y, _ = _poly_divmod(z, gi)
-        dw = _poly_diff(w)
-        z = _poly_strip([a - b for a, b in
-                         zip(y + [ZERO] * max(0, len(dw) - len(y)),
-                             dw + [ZERO] * max(0, len(y) - len(dw)))])
+        z = _poly_sub(y, _poly_diff(w))
         i += 1
     return out
 
@@ -432,13 +432,13 @@ def real_orbit_class_from_char(p, q):
     return RealOrbitClass(kind="nonzero", sign_p=sign_p, sign_q=sign_q, ratio=ratio)
 
 
-def real_class_of_symmetric(a_real, gram=None):
-    """RealOrbitClass of a real symmetric 3x3 Gram matrix (Euclidean by default)."""
-    g = gram if gram is not None else Matrix.identity(3)
-    op = inverse(g) @ a_real
+def real_class_of_symmetric(op):
+    """RealOrbitClass of a real traceless 3x3 operator, symmetric for the
+    Euclidean or another positive definite form, hence diagonalizable: only
+    the zero operator has p = q = 0."""
     q0, p1, c2 = _char_poly_3(op)
     if c2:
-        raise ContractError("operator is not traceless")
+        raise ContractError("real operator is not traceless")
     cls = real_orbit_class_from_char(p1, q0)
     if cls.kind == "zero" and not op.is_zero():
         raise ContractError("real symmetric operator nilpotent but nonzero")
@@ -491,13 +491,7 @@ def classify_real8(s, j, e_plus):
             if not e.is_real:
                 raise ContractError("operator does not restrict to the real slice "
                                     "(quartic not tau-fixed for this j?)")
-    q0, p1, c2 = _char_poly_3(op_r)
-    if c2:
-        raise ContractError("real operator is not traceless")
-    cls = real_orbit_class_from_char(p1, q0)
-    if cls.kind == "zero" and not op_r.is_zero():
-        raise ContractError("self-adjoint operator nilpotent but nonzero (bug signal)")
-    return cls
+    return real_class_of_symmetric(op_r)
 
 
 def isomorphic8(s1, s2, mode="complex", j=None):

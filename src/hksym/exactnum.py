@@ -541,56 +541,35 @@ def hermitian_inertia(h):
 
 
 class SpanSolver:
-    """Express vectors exactly in a fixed independent spanning set.
+    """Coordinates of vectors in a canonical RREF basis, read off its pivots.
 
-    Built once from basis rows B; coords(t) returns c with t = sum c_i B_i,
-    or None when t lies outside the span.  Internally keeps the RREF of B
-    together with the transform T with R = T B.
+    The basis rows must be in reduced row echelon form, as echelon_basis
+    returns them: each row leads with a 1, the pivot columns increase, and
+    every other row is zero in each pivot column.  Then t = sum c_i B_i
+    forces c_i = t[pivot_i], so coords(t) reads those entries and only
+    checks that the remainder vanishes.  No elimination is done.
     """
 
     def __init__(self, basis_rows):
         self.basis = [tuple(r) for r in basis_rows]
         self.dim = len(self.basis)
-        if self.dim == 0:
-            self.width = None
-            return
-        self.width = len(self.basis[0])
-        aug = [list(r) + [ONE if i == j else ZERO for j in range(self.dim)]
-               for i, r in enumerate(self.basis)]
-        pivots = _rref(aug)
-        real_pivots = [p for p in pivots if p < self.width]
-        if len(real_pivots) != self.dim:
-            raise ContractError("SpanSolver needs independent rows")
-        self.pivots = real_pivots
-        self.rref_rows = [tuple(row[: self.width]) for row in aug]
-        self.transform = [tuple(row[self.width:]) for row in aug]
+        self.pivots = [next((c for c, e in enumerate(row) if e), None) for row in self.basis]
+        for i, (row, p) in enumerate(zip(self.basis, self.pivots)):
+            if (p is None or row[p] != ONE or len(row) != len(self.basis[0])
+                    or (i and p <= self.pivots[i - 1])
+                    or any(other[p] for k, other in enumerate(self.basis) if k != i)):
+                raise ContractError("SpanSolver needs reduced row echelon rows")
 
     def coords(self, t):
-        """Coordinates of t in the original basis, or None if outside the span."""
-        if self.dim == 0:
-            return () if vec_is_zero(t) else None
-        t = list(t)
-        d = [ZERO] * self.dim
-        for i, p in enumerate(self.pivots):
-            f = t[p]
-            if not f:
-                continue
-            d[i] = f
-            row = self.rref_rows[i]
-            for l in range(self.width):
-                if row[l]:
-                    t[l] = t[l] - f * row[l]
-        if not vec_is_zero(t):
-            return None
-        # t = d . R = d . (T B)  =>  coords = d . T
-        out = []
-        for j in range(self.dim):
-            s = ZERO
-            for i in range(self.dim):
-                if d[i] and self.transform[i][j]:
-                    s = s + d[i] * self.transform[i][j]
-            out.append(s)
-        return tuple(out)
+        """Coordinates of t in the basis, or None if t is outside the span."""
+        c = tuple(t[p] for p in self.pivots)
+        rest = list(t)
+        for f, row in zip(c, self.basis):
+            if f:
+                for l, e in enumerate(row):
+                    if e:
+                        rest[l] = rest[l] - f * e
+        return c if vec_is_zero(rest) else None
 
     def contains(self, t):
         return self.coords(t) is not None

@@ -20,7 +20,7 @@ _build_model, assembles them for both the complex algebra and its real form
 m and in the coordinate functions they pass.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .exactnum import (
@@ -86,6 +86,9 @@ class HolonomyData:
     is_abelian: bool
     is_solvable: bool
     derived_series_lengths: tuple
+    # _commutators(basis), shared by the derived series and the algebra
+    # builder; not part of any serialized report
+    commutators: dict = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +136,22 @@ def check_invariance(s):
     return True, None
 
 
-def _derived_series(basis_mats):
-    """Dimensions of the derived series of the span of the given matrices."""
+def _commutators(mats):
+    """{(i, j): [A_i, A_j]} for i < j in lexicographic order, zeros left out."""
+    out = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            c = commutator(mats[i], mats[j])
+            if not c.is_zero():
+                out[(i, j)] = c
+    return out
+
+
+def _derived_series(basis_mats, brackets):
+    """Dimensions of the derived series of the span of the given matrices.
+
+    brackets is _commutators(basis_mats), the first derived step.
+    """
     dims = []
     current = list(basis_mats)
     while True:
@@ -142,17 +159,12 @@ def _derived_series(basis_mats):
         if not current:
             break
         n = current[0].nrows
-        commutators = []
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                c = commutator(current[i], current[j])
-                if not c.is_zero():
-                    commutators.append(_flatten(c))
-        nxt = [_unflatten(v, n) for v in echelon_basis(commutators)]
+        nxt = [_unflatten(v, n) for v in echelon_basis([_flatten(c) for c in brackets.values()])]
         if len(nxt) == len(current):
             dims.append(len(nxt))
             break
         current = nxt
+        brackets = _commutators(current)
     return tuple(dims)
 
 
@@ -160,7 +172,8 @@ def _span_data(endos, dim):
     """HolonomyData of the span of the given dim x dim matrices, in order."""
     ech = echelon_basis([_flatten(m) for m in endos if not m.is_zero()])
     mats = tuple(_unflatten(v, dim) for v in ech)
-    series = _derived_series(mats)
+    brackets = _commutators(mats)
+    series = _derived_series(mats, brackets)
     solvable = series[-1] == 0 if series else True
     return HolonomyData(
         basis=mats,
@@ -169,6 +182,7 @@ def _span_data(endos, dim):
         is_abelian=len(series) < 2 or series[1] == 0,
         is_solvable=solvable,
         derived_series_lengths=series,
+        commutators=brackets,
     )
 
 
@@ -325,12 +339,13 @@ def verify_model(model):
     return True
 
 
-def _build_model(labels, h_basis, h_coords, m_basis, m_coords, q):
+def _build_model(labels, h_basis, h_coords, h_brackets, m_basis, m_coords, q):
     """The bracket/metric skeleton of g = h + m with m inside H(x)E; verified.
 
-    h_basis are matrices on E and h_coords(A) the coordinate dict of A in
-    them; m_basis are coordinate dicts {(a, k): c} over H(x)E (a the H-slot,
-    k the E-index) and m_coords(v) the coordinate dict of such a v in them.
+    h_basis are matrices on E, h_coords(A) the coordinate dict of A in them
+    and h_brackets = _commutators(h_basis); m_basis are coordinate dicts
+    {(a, k): c} over H(x)E (a the H-slot, k the E-index) and m_coords(v) the
+    coordinate dict of such a v in them.
     The [m, m] brackets are read off the table of the InvariantQuartic q.
     """
     sp = q.s.space
@@ -342,10 +357,9 @@ def _build_model(labels, h_basis, h_coords, m_basis, m_coords, q):
         brackets[a][b] = coords
         brackets[b][a] = _dict_neg(coords)
 
-    # [h, h]: matrix commutators
-    for i in range(dim_h):
-        for i2 in range(i + 1, dim_h):
-            put(i, i2, h_coords(commutator(h_basis[i], h_basis[i2])))
+    # [h, h]: the nonzero matrix commutators
+    for (i, i2), c in h_brackets.items():
+        put(i, i2, h_coords(c))
     # [h, m]: A . (h_a (x) e_k) = h_a (x) A e_k
     for i, a_mat in enumerate(h_basis):
         for x, w in enumerate(m_basis):
@@ -404,7 +418,7 @@ def build_complex_algebra(q, hol):
         return {a * dim_e + k: c for (a, k), c in coords.items()}
 
     m_basis = [{(a, k): ONE} for a in range(2) for k in range(dim_e)]
-    return _build_model(labels, hol.basis, h_coords, m_basis, m_coords, q)
+    return _build_model(labels, hol.basis, h_coords, hol.commutators, m_basis, m_coords, q)
 
 
 def omega_pair_h(a, b):
@@ -467,11 +481,11 @@ def flat_decomposition(q, e_plus):
     """
     s, sigma = q.s, q.support
     sp = s.space
-    # adapted basis of E_+: support first, then the deterministic completion
-    adapted = list(sigma.echelon())
-    for v in e_plus.echelon():
-        if len(echelon_basis(adapted + [v])) == len(adapted) + 1:
-            adapted.append(v)
+    # adapted basis of E_+: the support, then the greedy completion, i.e. the
+    # pivot columns of the candidates laid side by side
+    candidates = list(sigma.echelon()) + list(e_plus.echelon())
+    _, _, pivots = rank_kernel(Matrix(candidates).transpose())
+    adapted = [candidates[p] for p in pivots]
     e_plus_adapted = Subspace(sp, adapted)
     _, g = lagrangian_complement(e_plus_adapted)
     r = sigma.dim
@@ -495,6 +509,17 @@ def flat_decomposition(q, e_plus):
     return e1, e0, 2 * e0.dim
 
 
+def _embed_dual_adapted(e_plus, top, bottom):
+    """The endomorphism blockdiag(top, bottom) of E in the basis of e_plus
+    followed by its deterministic omega-dual Lagrangian complement."""
+    n = e_plus.dim
+    _, g = lagrangian_complement(e_plus)
+    basis_mat = Matrix([list(v) for v in e_plus.basis] + [list(v) for v in g]).transpose()
+    block = [list(row) + [ZERO] * n for row in top.data]
+    block += [[ZERO] * n + list(row) for row in bottom.data]
+    return basis_mat @ Matrix(block) @ inverse(basis_mat)
+
+
 def embed_gl_eplus(e_plus, a_small):
     """Canonical embedding gl(E_+) -> sp(E): A on E_+, -A^t on the dual complement.
 
@@ -502,21 +527,11 @@ def embed_gl_eplus(e_plus, a_small):
     delta_ij); in those bases the extension is blockdiag(A, -A^t), which is
     verified to preserve omega before returning.
     """
-    sp = e_plus.ambient
     n = e_plus.dim
     if a_small.nrows != n or a_small.ncols != n:
         raise ContractError("gl(E_+) matrix has wrong size")
-    _, g = lagrangian_complement(e_plus)
-    cols = [list(v) for v in e_plus.basis] + [list(v) for v in g]
-    basis_mat = Matrix(cols).transpose()
-    neg_at = -a_small.transpose()
-    block = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            block[i][j] = a_small.entry(i, j)
-            block[n + i][n + j] = neg_at.entry(i, j)
-    embedded = basis_mat @ Matrix(block) @ inverse(basis_mat)
-    if not is_in_sp(sp, embedded):
+    embedded = _embed_dual_adapted(e_plus, a_small, -a_small.transpose())
+    if not is_in_sp(e_plus.ambient, embedded):
         raise TheoremViolationError("gl(E_+) embedding failed to preserve omega")
     return embedded
 
@@ -524,21 +539,12 @@ def embed_gl_eplus(e_plus, a_small):
 def embed_gl_group(e_plus, t_small):
     """Extension of an invertible T in GL(E_+) to Sp(E): blockdiag(T, (T^t)^-1)
     in the omega-dual-adapted bases.  Symplectic by construction; verified."""
-    sp = e_plus.ambient
+    omega = e_plus.ambient.omega
     n = e_plus.dim
     if t_small.nrows != n or t_small.ncols != n:
         raise ContractError("GL(E_+) matrix has wrong size")
-    _, g = lagrangian_complement(e_plus)
-    cols = [list(v) for v in e_plus.basis] + [list(v) for v in g]
-    basis_mat = Matrix(cols).transpose()
-    dual_block = inverse(t_small.transpose())
-    block = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            block[i][j] = t_small.entry(i, j)
-            block[n + i][n + j] = dual_block.entry(i, j)
-    embedded = basis_mat @ Matrix(block) @ inverse(basis_mat)
-    if embedded.transpose() @ sp.omega @ embedded != sp.omega:
+    embedded = _embed_dual_adapted(e_plus, t_small, inverse(t_small.transpose()))
+    if embedded.transpose() @ omega @ embedded != omega:
         raise TheoremViolationError("GL(E_+) group embedding is not symplectic")
     return embedded
 

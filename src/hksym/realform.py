@@ -29,7 +29,7 @@ from .exactnum import (
     from_parts,
 )
 from .symplectic import RealStructureRho
-from .hkalgebra import TheoremViolationError, _add_into, _build_model
+from .hkalgebra import TheoremViolationError, _add_into, _build_model, _commutators
 from .symtensor import table_entry, tau
 
 
@@ -178,13 +178,21 @@ def _realify_tensor_coords(coords, dim):
     return tuple(out)
 
 
+def _unrealify_tensor_coords(row, dim):
+    """Inverse of _realify_tensor_coords: a real row back to a coordinate dict."""
+    coords = {(a, k): from_parts(row[a * dim + k], row[(2 + a) * dim + k])
+              for a in range(2) for k in range(dim)}
+    return {key: z for key, z in coords.items() if z}
+
+
 def build_real_algebra(q, rep):
     """The real symmetric decomposition g = h + m, m = (H(x)E)^rho.
 
     q is the InvariantQuartic and rep = check_reality(q.s, j, q.table); a
     failed report raises RealityError.  j is read off the report and h is
-    its real holonomy basis.  The m basis is the deterministic sweep {v + rho v, i(v - rho v)}
-    over the complex basis tensors, echelon-reduced to real dimension 4n.
+    its real holonomy basis.  The m basis is the canonical echelon basis,
+    over the reals, of the sweep {v + rho v, i(v - rho v)} over the complex
+    basis tensors; it has real dimension 4n.
     The builder's coordinate functions certify that every structure constant
     is real and that h preserves the real form; the metric, the restriction
     of omega_H (x) omega_E, is certified real afterwards.
@@ -203,22 +211,18 @@ def build_real_algebra(q, rep):
             raise TheoremViolationError("real bracket escaped the real holonomy span")
         return _real_coords(c)
 
-    # real basis of m: candidates v + rho v and i(v - rho v), kept when they
-    # increase the realified rank, until real dimension 4n is reached
-    m_basis = []          # complex coordinate dicts {(a, k): GaussRat}
-    m_rows = []
+    # real basis of m: the RREF of the realified candidates v + rho v and
+    # i(v - rho v) over the complex basis tensors, of real dimension 4n
+    candidates = []
     for a in range(2):
         for k in range(dim_e):
             rv = rho.apply({(a, k): ONE})
-            for cand in (_add_into({(a, k): ONE}, rv), _add_into({(a, k): I_UNIT}, rv, -I_UNIT)):
-                if not cand:
-                    continue
-                row = _realify_tensor_coords(cand, dim_e)
-                if len(echelon_basis(m_rows + [row])) == len(m_rows) + 1:
-                    m_basis.append(cand)
-                    m_rows.append(row)
-    if len(m_basis) != 2 * dim_e:
+            candidates.append(_add_into({(a, k): ONE}, rv))
+            candidates.append(_add_into({(a, k): I_UNIT}, rv, -I_UNIT))
+    m_rows = echelon_basis([_realify_tensor_coords(c, dim_e) for c in candidates])
+    if len(m_rows) != 2 * dim_e:
         raise TheoremViolationError("real form of H(x)E has wrong dimension")
+    m_basis = [_unrealify_tensor_coords(row, dim_e) for row in m_rows]
     m_change = SpanSolver(m_rows)
 
     def m_coords(coords):
@@ -229,7 +233,7 @@ def build_real_algebra(q, rep):
 
     labels = ["K%d" % (i + 1) for i in range(len(h_basis))]
     labels += ["M%d" % (i + 1) for i in range(len(m_basis))]
-    model = _build_model(labels, h_basis, h_coords, m_basis, m_coords, q)
+    model = _build_model(labels, h_basis, h_coords, _commutators(h_basis), m_basis, m_coords, q)
     for row in model.metric_on_m.data:
         for g in row:
             if not g.is_real:

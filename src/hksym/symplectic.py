@@ -94,7 +94,7 @@ def omega_pair(sp, x, y):
 class Subspace:
     """A subspace of E given by an explicit exactly-independent basis."""
 
-    __slots__ = ("ambient", "basis", "_echelon", "_solver")
+    __slots__ = ("ambient", "basis", "_echelon")
 
     def __init__(self, ambient, basis):
         basis = tuple(tuple(v) for v in basis)
@@ -107,7 +107,6 @@ class Subspace:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_echelon", tuple(ech))
-        object.__setattr__(self, "_solver", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -123,13 +122,8 @@ class Subspace:
     def echelon(self):
         return self._echelon
 
-    def _get_solver(self):
-        if self._solver is None:
-            object.__setattr__(self, "_solver", SpanSolver(self._echelon))
-        return self._solver
-
     def contains(self, v):
-        return self._get_solver().contains(tuple(v))
+        return SpanSolver(self._echelon).contains(tuple(v))
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis)
@@ -364,9 +358,6 @@ def gamma_signature(j):
 H_SPACE = SymplecticSpace(1, label_pair=("h", "h'"))
 J_H = standard_quaternionic(H_SPACE)
 
-# j_H h1 = h2, j_H h2 = -h1 encoded on coordinates (used by rho on H tensor E)
-_JH_IMAGE = (mat_vec(J_H.c_matrix, unit_vec(2, 0)), mat_vec(J_H.c_matrix, unit_vec(2, 1)))
-
 
 class RealStructureRho:
     """rho(h tensor e) = j_H h tensor j_E e on H tensor E; an antilinear involution.
@@ -375,10 +366,9 @@ class RealStructureRho:
     h-index and k the E-index.
     """
 
-    __slots__ = ("j_h", "j_e")
+    __slots__ = ("j_e",)
 
-    def __init__(self, j_e, j_h=None):
-        object.__setattr__(self, "j_h", j_h if j_h is not None else J_H)
+    def __init__(self, j_e):
         object.__setattr__(self, "j_e", j_e)
 
     def __setattr__(self, name, value):
@@ -386,7 +376,7 @@ class RealStructureRho:
 
     def apply(self, coords):
         dim = self.j_e.ambient.dim
-        ch = self.j_h.c_matrix
+        ch = J_H.c_matrix
         ce = self.j_e.c_matrix
         out = {}
         for (a, k), c in coords.items():
@@ -410,14 +400,52 @@ class RealStructureRho:
         return out
 
 
+# JSON records: a malformed record is refused with one ContractError naming
+# the record kind and the field, never coerced.
+
+
+def record_fields(data, record, keys):
+    """The values of the required keys of a JSON object, in order."""
+    if not isinstance(data, dict):
+        raise ContractError("malformed %s record: expected an object" % record)
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ContractError("malformed %s record: missing %s" % (record, ", ".join(missing)))
+    return [data[key] for key in keys]
+
+
+def record_int(value, record, what):
+    """A JSON integer field; floats, strings and booleans are refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ContractError("malformed %s record: %s must be an integer, got %r"
+                            % (record, what, value))
+    return value
+
+
+def record_rows(value, record, what):
+    """A JSON list of lists: matrix rows or basis vectors of literals."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ContractError("malformed %s record: %s must be a list of lists" % (record, what))
+    return value
+
+
+def _record_space(data, record, ambient):
+    """ambient if given, else the space of the record's dim_ambient_half."""
+    if ambient is not None:
+        return ambient
+    (half,) = record_fields(data, record, ("dim_ambient_half",))
+    return SymplecticSpace(record_int(half, record, "dim_ambient_half"))
+
+
 def subspace_to_json(sub):
     return {"dim_ambient_half": sub.ambient.n, "basis": sub.to_strings()}
 
 
 def subspace_from_json(data, ambient=None):
-    sp = ambient if ambient is not None else SymplecticSpace(int(data["dim_ambient_half"]))
-    basis = [tuple(GaussRat.parse(c) for c in row) for row in data["basis"]]
-    return Subspace(sp, basis)
+    (basis,) = record_fields(data, "subspace", ("basis",))
+    sp = _record_space(data, "subspace", ambient)
+    rows = record_rows(basis, "subspace", "basis")
+    return Subspace(sp, [tuple(GaussRat.parse(c) for c in row) for row in rows])
 
 
 def quaternionic_to_json(j):
@@ -425,5 +453,7 @@ def quaternionic_to_json(j):
 
 
 def quaternionic_from_json(data, ambient=None):
-    sp = ambient if ambient is not None else SymplecticSpace(int(data["dim_ambient_half"]))
-    return QuaternionicStructure(sp, Matrix.from_strings(data["c_matrix"]))
+    (c_matrix,) = record_fields(data, "quaternionic structure", ("c_matrix",))
+    sp = _record_space(data, "quaternionic structure", ambient)
+    rows = record_rows(c_matrix, "quaternionic structure", "c_matrix")
+    return QuaternionicStructure(sp, Matrix.from_strings(rows))

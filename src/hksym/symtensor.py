@@ -26,7 +26,7 @@ from .exactnum import (
     mat_vec,
     vec_is_zero,
 )
-from .symplectic import omega_perp, span
+from .symplectic import SymplecticSpace, omega_perp, record_fields, record_int, span
 
 
 class SymTensor:
@@ -447,38 +447,22 @@ def quartic_to_dict(t):
     return {"n": t.space.n, "degree": 4, "coeffs": coeffs}
 
 
-def _record_int(value, what):
-    """A JSON integer field; floats, strings and booleans are refused, not coerced."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ContractError("malformed quartic record: %s must be an integer, got %r" % (what, value))
-    return value
-
-
-def quartic_from_dict(data, space=None):
-    from .symplectic import SymplecticSpace
-
-    if not isinstance(data, dict):
-        raise ContractError("malformed quartic record: expected an object")
-    missing = [key for key in ("n", "degree", "coeffs") if key not in data]
-    if missing:
-        raise ContractError("malformed quartic record: missing %s" % ", ".join(missing))
-    n = _record_int(data["n"], "n")
-    degree = _record_int(data["degree"], "degree")
-    raw = data["coeffs"]
+def quartic_from_dict(data):
+    n, degree, raw = record_fields(data, "quartic", ("n", "degree", "coeffs"))
+    n = record_int(n, "quartic", "n")
+    degree = record_int(degree, "quartic", "degree")
     if not isinstance(raw, list):
         raise ContractError("malformed quartic record: coeffs must be a list")
     if degree != 4:
         raise ContractError("quartic file must have degree 4")
-    sp = space if space is not None else SymplecticSpace(n)
-    if sp.n != n:
-        raise ContractError("quartic file dimension does not match the space")
+    sp = SymplecticSpace(n)
     coeffs = {}
     for k, item in enumerate(raw):
         if not (isinstance(item, dict) and isinstance(item.get("monomial"), list)
                 and isinstance(item.get("value"), str)):
             raise ContractError("malformed quartic record: coeffs[%d] must be an object with "
                                 "a list 'monomial' and a string 'value'" % k)
-        alpha = tuple(_record_int(a, "monomial exponent") for a in item["monomial"])
+        alpha = tuple(record_int(a, "quartic", "monomial exponent") for a in item["monomial"])
         if len(alpha) != sp.dim or any(a < 0 for a in alpha) or sum(alpha) != 4:
             raise ContractError("bad monomial %r" % (alpha,))
         value = GaussRat.parse(item["value"])

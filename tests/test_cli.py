@@ -160,6 +160,35 @@ class TestAnalyze:
         assert err.startswith("error: malformed quartic record: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("j_record", [
+        # each used to end in a KeyError or TypeError traceback
+        {},
+        {"c_matrix": 5},
+        [1, 2],
+    ], ids=["empty-object", "c_matrix-int", "list"])
+    def test_malformed_j_exits_1_with_one_line_error(self, capsys, tmp_path, j_record):
+        real = str(tmp_path / "real.json")
+        run_cli(capsys, "generate", "real-random:1", "--seed", "2", "-o", real)
+        j_path = write_quartic(tmp_path, "j.json", j_record)
+        code, out, err = run_cli(capsys, "analyze", real, "--real", "--j", j_path, "--json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: malformed quaternionic structure record: ")
+        assert err.count("\n") == 1
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch, dim4_file):
+        import hksym.cli
+        from hksym.hkalgebra import TheoremViolationError
+
+        def broken(*args, **kwargs):
+            raise TheoremViolationError("jacobi failed: (k1, k2, k3)")
+
+        monkeypatch.setattr(hksym.cli, "analyze_quartic", broken)
+        code, out, err = run_cli(capsys, "analyze", dim4_file)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: jacobi failed: (k1, k2, k3)\n"
+
     def test_dimension_mismatch_exits_1(self, capsys, tmp_path):
         path = write_quartic(tmp_path, "dim.json", {
             "n": 2, "degree": 4,

@@ -227,6 +227,24 @@ class TestSpanSolver:
         solver = SpanSolver([(ONE, ZERO)])
         assert solver.coords((ZERO, ONE)) is None
 
+    def test_empty_basis_spans_zero(self):
+        solver = SpanSolver([])
+        assert solver.coords((ZERO, ZERO)) == ()
+        assert solver.coords((ZERO, ONE)) is None
+
+    @pytest.mark.parametrize("rows", [
+        [(gr(2), ZERO)],                    # leading entry not 1
+        [(ZERO, ZERO)],                     # zero row
+        [(ZERO, ONE), (ONE, ZERO)],         # pivots not increasing
+        [(ONE, ZERO), (ONE, ZERO)],         # repeated pivot
+        [(ONE, ONE), (ZERO, ONE)],          # nonzero above a pivot
+        [(ONE, ZERO, ZERO), (ZERO, ONE)],   # ragged
+    ], ids=["not-normalized", "zero-row", "unordered", "repeated", "not-reduced", "ragged"])
+    def test_rejects_rows_not_in_rref(self, rows):
+        # coordinates are read off the pivots, so only RREF rows are accepted
+        with pytest.raises(ContractError, match="reduced row echelon"):
+            SpanSolver(rows)
+
 
 def test_matrix_inverse(rng):
     for _ in range(10):

@@ -1,9 +1,12 @@
-"""Each analysis computes its table of double contractions S_{e_k,e_l} once.
+"""Each analysis computes its table of double contractions S_{e_k,e_l} and
+the holonomy commutators [A_i, A_j] once.
 
 Every S_{e_k,e_l} ends in one symtensor.endo_of_quadratic call, so counting
 those calls counts the table entries computed: an accepted analysis on
 dim E = d computes the d(d+1)/2 entries once, and a rejection stops at its
-witness.
+witness.  Likewise every bracket of holonomy matrices is one
+hkalgebra.commutator call: the derived series and the algebra builder share
+the d(d-1)/2 commutators of a holonomy basis of dimension d.
 """
 
 import random
@@ -11,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import hksym.hkalgebra as hkalgebra
 import hksym.symtensor as symtensor
 from hksym.cli import main
 from hksym.generators import make_generator, random_quartic_full
@@ -30,6 +34,19 @@ def endo_calls(monkeypatch):
         return original(b)
 
     monkeypatch.setattr(symtensor, "endo_of_quadratic", counted)
+    return calls
+
+
+@pytest.fixture
+def commutator_calls(monkeypatch):
+    calls = []
+    original = hkalgebra.commutator
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(hkalgebra, "commutator", counted)
     return calls
 
 
@@ -62,3 +79,21 @@ def test_reality_of_a_non_invariant_quartic_computes_the_table_once(endo_calls, 
     assert main(["verify", str(GOLDEN / "tau_fixed_full_2.json"), "--reality"]) == 0
     assert capsys.readouterr().out == "reality: pass\n"
     assert len(endo_calls) == 10
+
+
+def pairs(d):
+    return d * (d - 1) // 2
+
+
+def test_complex_analysis_computes_each_commutator_once(commutator_calls):
+    report = analyze_quartic(make_generator("random-lagrangian:3", 7))
+    assert report.holonomy.derived_series_lengths == (6, 0)
+    assert len(commutator_calls) == pairs(6) == 15
+
+
+def test_real_analysis_computes_each_commutator_once(commutator_calls):
+    report = analyze_quartic(make_generator("real-random:1", 3), real=True)
+    # the complex holonomy, then the real one for the real algebra
+    d, r = report.holonomy.dimension, report.reality["real_holonomy_dim"]
+    assert report.holonomy.derived_series_lengths == (d, 0)
+    assert len(commutator_calls) == pairs(d) + pairs(r)

@@ -236,6 +236,20 @@ class TestQuaternionic:
         sub2 = subspace_from_json(subspace_to_json(sub))
         assert sub2 == sub
 
+    @pytest.mark.parametrize("record", [
+        {"dim_ambient_half": 1.5, "c_matrix": [["0", "-1"], ["1", "0"]]},
+        {"dim_ambient_half": True, "c_matrix": [["0", "-1"], ["1", "0"]]},
+        {"c_matrix": [["0", "-1"], ["1", "0"]]},
+        {"dim_ambient_half": 1, "c_matrix": ["0", "-1"]},
+    ], ids=["fractional-dim", "bool-dim", "no-dim", "flat-matrix"])
+    def test_malformed_records_are_refused(self, record):
+        # int() used to truncate dim_ambient_half instead of refusing it
+        with pytest.raises(ContractError, match="malformed quaternionic structure record: "):
+            quaternionic_from_json(record)
+        sub_record = {("basis" if k == "c_matrix" else k): v for k, v in record.items()}
+        with pytest.raises(ContractError, match="malformed subspace record: "):
+            subspace_from_json(sub_record)
+
 
 def test_h_space_constants():
     assert H_SPACE.n == 1
