@@ -35,6 +35,13 @@ CASES = (
         # symmetrize_real of random_quartic_full(SymplecticSpace(2), Random(11))
         # under the standard split j: tau-fixed but not invariant
         ("tau_fixed_full_2", None, "verify", ("--reality",), 0),
+        # off the coordinate axes: transform(p1**4, random_symplectic(
+        # SymplecticSpace(2), Random(1), steps=3)); its support has dim 1, so
+        # extend_to_lagrangian completes it through omega_perp (type N)
+        ("scrambled_p4", None, "analyze", (), 0),
+        # transform(random_quartic_lagrangian(2, Random(2)),
+        # random_symplectic(SymplecticSpace(2), Random(3), steps=3)) (type I)
+        ("scrambled_lagrangian_2", None, "analyze", (), 0),
     ]
 )
 
