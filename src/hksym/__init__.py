@@ -11,7 +11,9 @@ from .symplectic import (
     extend_to_lagrangian,
     gamma_signature,
     is_isotropic,
+    omega_flat,
     omega_pair,
+    omega_sharp,
     span,
     standard_quaternionic,
     standard_split_j,

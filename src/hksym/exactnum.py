@@ -540,25 +540,38 @@ def hermitian_inertia(h):
     return pos, neg, h.nrows - pos - neg
 
 
+def _pivots(rows):
+    return [next((c for c, e in enumerate(row) if e), None) for row in rows]
+
+
+def is_rref(rows):
+    """True iff the rows are in reduced row echelon form, as echelon_basis
+    returns them: equal lengths, each row leads with a 1, the pivot columns
+    increase, and every other row is zero in each pivot column."""
+    if any(len(row) != len(rows[0]) for row in rows):
+        return False
+    pivots = _pivots(rows)
+    for i, (row, p) in enumerate(zip(rows, pivots)):
+        if (p is None or row[p] != ONE or (i and p <= pivots[i - 1])
+                or any(other[p] for k, other in enumerate(rows) if k != i)):
+            return False
+    return True
+
+
 class SpanSolver:
     """Coordinates of vectors in a canonical RREF basis, read off its pivots.
 
-    The basis rows must be in reduced row echelon form, as echelon_basis
-    returns them: each row leads with a 1, the pivot columns increase, and
-    every other row is zero in each pivot column.  Then t = sum c_i B_i
-    forces c_i = t[pivot_i], so coords(t) reads those entries and only
-    checks that the remainder vanishes.  No elimination is done.
+    The basis rows must satisfy is_rref.  Then t = sum c_i B_i forces
+    c_i = t[pivot_i], so coords(t) reads those entries and only checks that
+    the remainder vanishes.  No elimination is done.
     """
 
     def __init__(self, basis_rows):
         self.basis = [tuple(r) for r in basis_rows]
         self.dim = len(self.basis)
-        self.pivots = [next((c for c, e in enumerate(row) if e), None) for row in self.basis]
-        for i, (row, p) in enumerate(zip(self.basis, self.pivots)):
-            if (p is None or row[p] != ONE or len(row) != len(self.basis[0])
-                    or (i and p <= self.pivots[i - 1])
-                    or any(other[p] for k, other in enumerate(self.basis) if k != i)):
-                raise ContractError("SpanSolver needs reduced row echelon rows")
+        if not is_rref(self.basis):
+            raise ContractError("SpanSolver needs reduced row echelon rows")
+        self.pivots = _pivots(self.basis)
 
     def coords(self, t):
         """Coordinates of t in the basis, or None if t is outside the span."""

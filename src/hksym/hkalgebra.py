@@ -36,6 +36,7 @@ from .exactnum import (
     rank_kernel,
 )
 from .symplectic import (
+    H_SPACE,
     Subspace,
     extend_to_lagrangian,
     is_isotropic,
@@ -348,7 +349,7 @@ def _build_model(labels, h_basis, h_coords, h_brackets, m_basis, m_coords, q):
     coordinate dict of such a v in them.
     The [m, m] brackets are read off the table of the InvariantQuartic q.
     """
-    sp = q.s.space
+    omega_h, omega_e = H_SPACE.omega, q.s.space.omega
     dim_h, dim_m = len(h_basis), len(m_basis)
     dim = dim_h + dim_m
     brackets = [[{} for _ in range(dim)] for _ in range(dim)]
@@ -373,7 +374,7 @@ def _build_model(labels, h_basis, h_coords, h_brackets, m_basis, m_coords, q):
             acc = None
             for (a, k), cx in m_basis[x].items():
                 for (b, l), cy in m_basis[y].items():
-                    f = omega_pair_h(a, b) * cx * cy
+                    f = omega_h.entry(a, b) * cx * cy
                     if f:
                         term = table_entry(q.table, k, l).scale(f)
                         acc = term if acc is None else acc + term
@@ -386,8 +387,8 @@ def _build_model(labels, h_basis, h_coords, h_brackets, m_basis, m_coords, q):
             g = ZERO
             for (a, k), cx in m_basis[x].items():
                 for (b, l), cy in m_basis[y].items():
-                    wh = omega_pair_h(a, b)
-                    we = sp.omega.entry(k, l)
+                    wh = omega_h.entry(a, b)
+                    we = omega_e.entry(k, l)
                     if wh and we:
                         g = g + cx * cy * wh * we
             row.append(g)
@@ -421,18 +422,13 @@ def build_complex_algebra(q, hol):
     return _build_model(labels, hol.basis, h_coords, hol.commutators, m_basis, m_coords, q)
 
 
-def omega_pair_h(a, b):
-    """omega_H on the fixed basis (h1, h2)."""
-    if a == b:
-        return ZERO
-    return ONE if (a, b) == (0, 1) else -ONE
-
-
 def curvature_ricci(model):
-    """Exact Ricci trace-form on m and the metric-invariance verdict.
+    """Exact Ricci trace-form on m, as a matrix.
 
     Ric(x, y) = trace(z -> R(z, x) y) with R(x, y) z = -[[x, y], z]; the
     bracket is the curvature, so everything reads off structure constants.
+    The metric is not checked here: verify_model certified it when the
+    model was built.
     """
     dh, dm = model.dim_h, model.dim_m
     ric = []
@@ -450,8 +446,7 @@ def curvature_ricci(model):
                     trace = trace - c
             row.append(trace)
         ric.append(row)
-    ok, _ = verify_metric(model)
-    return Matrix(ric), ok
+    return Matrix(ric)
 
 
 def find_lagrangian(q):
@@ -640,10 +635,10 @@ def analyze_quartic(s, j=None, real=False):
     hol = holonomy(q)
     e_plus = find_lagrangian(q)
     _, _, flat_dim = flat_decomposition(q, e_plus)
-    # verify_model certifies Jacobi (or raises) while the algebra is built,
-    # so jacobi_ok reduces to the metric verdict
+    # verify_model certifies Jacobi and the metric (or raises) while the
+    # algebra is built, so jacobi_ok holds once the model exists
     model = build_complex_algebra(q, hol)
-    ricci, metric_ok = curvature_ricci(model)
+    ricci = curvature_ricci(model)
     report = AnalysisReport(
         invariance_ok=True,
         holonomy=hol,
@@ -651,7 +646,7 @@ def analyze_quartic(s, j=None, real=False):
         support_isotropic=is_isotropic(q.support),
         lagrangian_found=e_plus,
         flat_complex_dim=flat_dim,
-        jacobi_ok=metric_ok,
+        jacobi_ok=True,
         ricci_zero=ricci.is_zero(),
     )
     if real:

@@ -29,7 +29,14 @@ from .exactnum import (
     from_parts,
 )
 from .symplectic import RealStructureRho
-from .hkalgebra import TheoremViolationError, _add_into, _build_model, _commutators
+from .hkalgebra import (
+    TheoremViolationError,
+    _add_into,
+    _build_model,
+    _commutators,
+    _flatten,
+    _unflatten,
+)
 from .symtensor import table_entry, tau
 
 
@@ -72,27 +79,19 @@ def _j_table(j, table):
     return rows
 
 
-def _realify_matrix(m):
-    """Flatten a complex matrix into one real row: [Re entries | Im entries]."""
-    re_part = []
-    im_part = []
-    for row in m.data:
-        for e in row:
-            re_part.append(e.real_part())
-            im_part.append(e.imag_part())
-    return tuple(re_part + im_part)
+def _realify(v):
+    """A complex tuple as one real row [Re v | Im v]; zeros cost nothing."""
+    re_part = tuple(z.real_part() if z else ZERO for z in v)
+    im_part = tuple(ZERO if z.is_real else z.imag_part() for z in v)
+    return re_part + im_part
 
 
-def _unrealify_matrix(v, n):
-    half = n * n
-    rows = []
-    for i in range(n):
-        row = []
-        for jj in range(n):
-            k = i * n + jj
-            row.append(from_parts(v[k], v[half + k]))
-        rows.append(row)
-    return Matrix(rows)
+def _unrealify(row):
+    """Inverse of _realify: the complex tuple whose real row is row."""
+    half = len(row) // 2
+    return tuple(
+        from_parts(x, y) if x or y else ZERO for x, y in zip(row[:half], row[half:])
+    )
 
 
 def check_reality(s, j, table):
@@ -151,10 +150,10 @@ def real_holonomy(jt, j):
             a, b = jt[k][l], jt[l][k]
             for g in (a - b, (a + b).scale(I_UNIT)):
                 if not g.is_zero():
-                    rows.append(_realify_matrix(g))
+                    rows.append(_realify(_flatten(g)))
     basis = []
     for v in echelon_basis(rows):
-        a = _unrealify_matrix(v, dim)
+        a = _unflatten(_unrealify(v), dim)
         if not _commutes_with_j(a, j):
             raise RealityError("real holonomy element does not commute with j")
         basis.append(a)
@@ -166,23 +165,6 @@ def symmetrize_real(t, j):
     if t.degree != 4:
         raise ContractError("symmetrize_real needs a quartic")
     return t + tau(t, j)
-
-
-def _realify_tensor_coords(coords, dim):
-    """H(x)E coordinate dict {(a,k): z} -> real row of length 2*2*dim."""
-    out = [ZERO] * (4 * dim)
-    for (a, k), z in coords.items():
-        idx = a * dim + k
-        out[idx] = z.real_part()
-        out[2 * dim + idx] = z.imag_part()
-    return tuple(out)
-
-
-def _unrealify_tensor_coords(row, dim):
-    """Inverse of _realify_tensor_coords: a real row back to a coordinate dict."""
-    coords = {(a, k): from_parts(row[a * dim + k], row[(2 + a) * dim + k])
-              for a in range(2) for k in range(dim)}
-    return {key: z for key, z in coords.items() if z}
 
 
 def build_real_algebra(q, rep):
@@ -203,13 +185,17 @@ def build_real_algebra(q, rep):
     rho = RealStructureRho(rep.j)
 
     h_basis = rep.real_holonomy_basis
-    h_solver = SpanSolver([_realify_matrix(a) for a in h_basis])
+    h_solver = SpanSolver([_realify(_flatten(a)) for a in h_basis])
 
     def h_coords(mat):
-        c = h_solver.coords(_realify_matrix(mat))
+        c = h_solver.coords(_realify(_flatten(mat)))
         if c is None:
             raise TheoremViolationError("real bracket escaped the real holonomy span")
         return _real_coords(c)
+
+    def realify_coords(coords):
+        # H(x)E coordinate (a, k) sits at index a * dim E + k
+        return _realify([coords.get(divmod(i, dim_e), ZERO) for i in range(2 * dim_e)])
 
     # real basis of m: the RREF of the realified candidates v + rho v and
     # i(v - rho v) over the complex basis tensors, of real dimension 4n
@@ -219,14 +205,14 @@ def build_real_algebra(q, rep):
             rv = rho.apply({(a, k): ONE})
             candidates.append(_add_into({(a, k): ONE}, rv))
             candidates.append(_add_into({(a, k): I_UNIT}, rv, -I_UNIT))
-    m_rows = echelon_basis([_realify_tensor_coords(c, dim_e) for c in candidates])
+    m_rows = echelon_basis([realify_coords(c) for c in candidates])
     if len(m_rows) != 2 * dim_e:
         raise TheoremViolationError("real form of H(x)E has wrong dimension")
-    m_basis = [_unrealify_tensor_coords(row, dim_e) for row in m_rows]
+    m_basis = [{divmod(i, dim_e): z for i, z in enumerate(_unrealify(row)) if z} for row in m_rows]
     m_change = SpanSolver(m_rows)
 
     def m_coords(coords):
-        c = m_change.coords(_realify_tensor_coords(coords, dim_e))
+        c = m_change.coords(realify_coords(coords))
         if c is None:
             raise TheoremViolationError("h does not preserve the real form (bug signal)")
         return _real_coords(c)

@@ -5,6 +5,10 @@ Conventions fixed here and inherited by everything downstream:
 
 * (E, omega) is always in standard form: basis p_1..p_n, q_1..q_n with
   omega(p_a, q_b) = delta_ab and omega vanishing on p's and q's separately.
+  So omega(x, .) is the covector (-x_q, x_p), and omega is applied only
+  through omega_flat(x) = omega(x, .) and its inverse omega_sharp; the
+  dense matrix Omega (row k is omega_flat(e_k)) is kept for matrix
+  identities such as C^t Omega C = conj(Omega) and the Gram matrix of gamma.
 * The pairing <v, omega x> := omega(x, v), so that the coordinate p paired
   against q gives p_q = omega(q, p) = -1.
 * A quaternionic structure j is the antilinear map v -> C . conj(v) with
@@ -22,6 +26,7 @@ from .exactnum import (
     echelon_basis,
     hermitian_inertia,
     inverse,
+    is_rref,
     mat_vec,
     rank_kernel,
     solve_linear,
@@ -31,29 +36,34 @@ from .exactnum import (
 )
 
 
+def omega_flat(x):
+    """The covector omega(x, .) = (-x_q, x_p) of a vector x = (x_p, x_q)."""
+    n = len(x) // 2
+    return tuple(-c for c in x[n:]) + tuple(x[:n])
+
+
+def omega_sharp(xi):
+    """The vector u with omega(u, .) = xi, i.e. u = (xi_q, -xi_p)."""
+    n = len(xi) // 2
+    return tuple(xi[n:]) + tuple(-c for c in xi[:n])
+
+
 class SymplecticSpace:
     """E = C^(2n) with the standard symplectic form and basis p_1..p_n, q_1..q_n."""
 
-    __slots__ = ("n", "dim", "omega", "basis_labels", "_dual_cache")
+    __slots__ = ("n", "dim", "omega", "basis_labels")
 
     def __init__(self, n, label_pair=("p", "q")):
         if n < 1:
             raise ContractError("need n >= 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", 2 * n)
-        rows = []
-        for i in range(2 * n):
-            row = [ZERO] * (2 * n)
-            if i < n:
-                row[n + i] = ONE
-            else:
-                row[i - n] = -ONE
-            rows.append(row)
-        object.__setattr__(self, "omega", Matrix(rows))
+        # omega(x, y) = x^t Omega y: row k of Omega is omega(e_k, .)
+        omega = Matrix([omega_flat(unit_vec(2 * n, k)) for k in range(2 * n)])
+        object.__setattr__(self, "omega", omega)
         a, b = label_pair
         labels = ["%s%d" % (a, i + 1) for i in range(n)] + ["%s%d" % (b, i + 1) for i in range(n)]
         object.__setattr__(self, "basis_labels", tuple(labels))
-        object.__setattr__(self, "_dual_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SymplecticSpace is immutable")
@@ -67,28 +77,12 @@ class SymplecticSpace:
     def basis_vector(self, k):
         return unit_vec(self.dim, k)
 
-    def dual_vector(self, k):
-        """The vector u_k with omega(u_k, .) equal to the k-th coordinate functional."""
-        if k not in self._dual_cache:
-            omega_t = self.omega.transpose()
-            u = solve_linear(omega_t, unit_vec(self.dim, k))
-            assert u is not None
-            self._dual_cache[k] = u
-        return self._dual_cache[k]
-
 
 def omega_pair(sp, x, y):
-    """omega(x, y) = x^t Omega y."""
+    """omega(x, y), the covector omega_flat(x) applied to y."""
     if len(x) != sp.dim or len(y) != sp.dim:
         raise ContractError("vector length does not match dim E = %d" % sp.dim)
-    s = ZERO
-    for a, row in zip(x, sp.omega.data):
-        if not a:
-            continue
-        for b, w in zip(y, row):
-            if b and w:
-                s = s + a * w * b
-    return s
+    return sum((a * b for a, b in zip(omega_flat(x), y) if a and b), ZERO)
 
 
 class Subspace:
@@ -101,7 +95,8 @@ class Subspace:
         for v in basis:
             if len(v) != ambient.dim:
                 raise ContractError("basis vector length does not match ambient")
-        ech = echelon_basis(basis)
+        # a basis in reduced row echelon form is its own canonical echelon basis
+        ech = basis if is_rref(basis) else echelon_basis(basis)
         if len(ech) != len(basis):
             raise ContractError("subspace basis is not linearly independent")
         object.__setattr__(self, "ambient", ambient)
@@ -163,8 +158,8 @@ def omega_perp(sub):
     sp = sub.ambient
     if sub.dim == 0:
         return span(sp, [sp.basis_vector(k) for k in range(sp.dim)])
-    # omega(x, v) = x^t Omega v ; constraints are rows v^t Omega^t = (Omega v)^t
-    rows = [mat_vec(sp.omega, v) for v in sub.basis]
+    # omega(x, v) = -omega(v, x): one constraint row omega_flat(v) per v
+    rows = [omega_flat(v) for v in sub.basis]
     _, kernel, _ = rank_kernel(Matrix(rows))
     return span(sp, kernel)
 
@@ -219,13 +214,11 @@ def lagrangian_complement(lag):
         raise ContractError("lagrangian_complement needs a Lagrangian input")
     f = list(lag.basis)
     g = []
+    f_rows = [omega_flat(fi) for fi in f]
     for k in range(n):
-        rows = [mat_vec(sp.omega.transpose(), fi) for fi in f]
-        rhs = [ONE if i == k else ZERO for i in range(n)]
-        for gj in g:
-            rows.append(mat_vec(sp.omega.transpose(), gj))
-            rhs.append(ZERO)
-        # row v^t of constraints: omega(v, x) = (Omega^t v)^t x
+        # one constraint omega(v, x) = omega_flat(v) . x per v in f, then g
+        rows = f_rows + [omega_flat(gj) for gj in g]
+        rhs = [ONE if i == k else ZERO for i in range(n)] + [ZERO] * len(g)
         sol = solve_linear(Matrix(rows), tuple(rhs))
         if sol is None:
             raise ContractError("symplectic completion failed (corrupt input)")
@@ -274,16 +267,8 @@ def standard_quaternionic(sp, lagrangian_split=None):
     """
     dim = sp.dim
     if lagrangian_split is None:
-        # columns of C are j(basis): j p_k = q_k, j q_k = -p_k
-        rows = []
-        for i in range(dim):
-            row = [ZERO] * dim
-            if i < sp.n:
-                row[sp.n + i] = -ONE
-            else:
-                row[i - sp.n] = ONE
-            rows.append(row)
-        return QuaternionicStructure(sp, Matrix(rows))
+        # j v = omega_flat(conj v), so C = Omega^t: j p_k = q_k, j q_k = -p_k
+        return QuaternionicStructure(sp, sp.omega.transpose())
 
     e_plus, e_minus = lagrangian_split
     if dim % 4 != 0:

@@ -16,6 +16,7 @@ The three pinned conventions everything else hangs on:
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial, prod
 
 from .exactnum import (
     ContractError,
@@ -23,10 +24,20 @@ from .exactnum import (
     Matrix,
     ONE,
     ZERO,
-    mat_vec,
+    unit_vec,
     vec_is_zero,
 )
-from .symplectic import SymplecticSpace, omega_perp, record_fields, record_int, span
+from .symplectic import (
+    SymplecticSpace,
+    omega_flat,
+    omega_perp,
+    omega_sharp,
+    record_fields,
+    record_int,
+    span,
+)
+
+_HALF = GaussRat(Fraction(1, 2))
 
 
 class SymTensor:
@@ -154,8 +165,10 @@ def contract(t, x):
     if t.degree < 1:
         raise ContractError("cannot contract a degree-0 tensor")
     sp = t.space
-    # d_{omega x} e_k = omega(x, e_k) = (x^t Omega)_k
-    w = mat_vec(sp.omega.transpose(), tuple(x))
+    if len(x) != sp.dim:
+        raise ContractError("vector length does not match dim E = %d" % sp.dim)
+    # d_{omega x} e_k = omega(x, e_k)
+    w = omega_flat(tuple(x))
     inv_d = GaussRat(Fraction(1, t.degree))
     out = {}
     for alpha, c in t.coeffs.items():
@@ -187,23 +200,32 @@ def eval_on_vectors(t, xs):
 
 
 def endo_of_quadratic(b):
-    """The endomorphism x -> B_x attached to a quadratic B under sp(E) = S^2E."""
+    """The endomorphism x -> B_x attached to a quadratic B under sp(E) = S^2E.
+
+    With B = sum M_ij e_i e_j, M symmetric, B_x = M omega_flat(x), whose i-th
+    coordinate is omega(x, M_i) = omega_flat(-M_i) . x: row i of the matrix
+    is omega_flat(-M_i), read off B's coefficients without contracting.
+    """
     if b.degree != 2:
         raise ContractError("endo_of_quadratic needs degree 2")
-    sp = b.space
-    cols = []
-    for k in range(sp.dim):
-        ck = contract(b, sp.basis_vector(k))
-        col = [ZERO] * sp.dim
-        for alpha, c in ck.coeffs.items():
-            col[alpha.index(1)] = c
-        cols.append(col)
-    return Matrix(cols).transpose()
+    dim = b.space.dim
+    neg_m = [[ZERO] * dim for _ in range(dim)]
+    for alpha, c in b.coeffs.items():
+        i, j = [k for k, e in enumerate(alpha) for _ in range(e)]
+        if i == j:
+            neg_m[i][i] = -c
+        else:
+            neg_m[i][j] = neg_m[j][i] = -(c * _HALF)
+    return Matrix([omega_flat(row) for row in neg_m])
 
 
 def is_in_sp(space, a):
-    """True iff omega(Ax, y) + omega(x, Ay) = 0 exactly."""
-    return (a.transpose() @ space.omega + space.omega @ a).is_zero()
+    """True iff omega(Ax, y) + omega(x, Ay) = 0 exactly, i.e. iff the form
+    (x, y) -> omega(Ax, y) is symmetric: omega_flat(A e_k)_l is symmetric in k, l."""
+    if a.nrows != space.dim or a.ncols != space.dim:
+        raise ContractError("endomorphism has wrong size")
+    rows = [omega_flat(a.col(k)) for k in range(space.dim)]
+    return all(rows[k][l] == rows[l][k] for k in range(space.dim) for l in range(k + 1, space.dim))
 
 
 def sp_action(a, t):
@@ -215,8 +237,6 @@ def sp_action(a, t):
     p^2 . S = mu p^4.
     """
     space = t.space
-    if a.nrows != space.dim or a.ncols != space.dim:
-        raise ContractError("endomorphism has wrong size")
     if not is_in_sp(space, a):
         raise ContractError("endomorphism is not in sp(E)")
     out = {}
@@ -317,23 +337,16 @@ def tau(t, j):
     if d == 0:
         c = t.coeffs.get((0,) * sp.dim, ZERO)
         return SymTensor(sp, 0, {(0,) * sp.dim: c.conjugate()} if c else {})
-    j_dual = [j.apply(sp.dual_vector(k)) for k in range(sp.dim)]
-    fact_d = 1
-    for i in range(2, d + 1):
-        fact_d *= i
+    # j applied to the vector u_k with omega(u_k, .) the k-th coordinate
+    j_dual = [j.apply(omega_sharp(unit_vec(sp.dim, k))) for k in range(sp.dim)]
     out = {}
 
     def sweep(node, start, alpha, depth):
         if depth == d:
             c = node.coeffs.get((0,) * sp.dim, ZERO)
             if c:
-                beta_fact = 1
-                for e in alpha:
-                    for i in range(2, e + 1):
-                        beta_fact *= i
-                w = GaussRat(Fraction(fact_d, beta_fact))
-                key = tuple(alpha)
-                out[key] = c.conjugate() * w
+                w = GaussRat(Fraction(factorial(d), prod(factorial(e) for e in alpha)))
+                out[tuple(alpha)] = c.conjugate() * w
             return
         if node.is_zero():
             return

@@ -6,14 +6,88 @@ contraction), the automorphism oracle builds the gl(E_+) action matrix by raw
 monomial calculus (no sp-embedding, no contraction machinery), and the root
 pattern oracle uses the derivative gcd chain instead of Yun's algorithm.
 RefGaussRat is the original Fraction-pair scalar, the slow reference for the
-integer-triple GaussRat.
+integer-triple GaussRat.  The dense-Omega formulas apply omega through its
+2n x 2n Gram matrix, built here from the definition omega(p_a, q_b) =
+delta_ab, as the reference for the package's omega_flat path.
 """
 
 import re as _re
 from fractions import Fraction
 from itertools import combinations
 
-from hksym.exactnum import ContractError, GaussRat, Matrix, ScalarError, ZERO, mat_vec, rank_kernel
+from hksym.exactnum import (
+    ContractError,
+    GaussRat,
+    Matrix,
+    ONE,
+    ScalarError,
+    ZERO,
+    mat_vec,
+    rank_kernel,
+    solve_linear,
+    unit_vec,
+)
+
+
+def dense_omega(n):
+    """Omega with omega(x, y) = x^t Omega y on the basis p_1..p_n, q_1..q_n."""
+    rows = [[ZERO] * (2 * n) for _ in range(2 * n)]
+    for a in range(n):
+        rows[a][n + a] = ONE
+        rows[n + a][a] = -ONE
+    return Matrix(rows)
+
+
+def omega_pair_dense(x, y):
+    """omega(x, y) = x^t Omega y as a double sum over Omega."""
+    omega = dense_omega(len(x) // 2)
+    total = ZERO
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            total = total + a * omega.entry(i, j) * b
+    return total
+
+
+def omega_flat_dense(x):
+    """The covector omega(x, .) = Omega^t x."""
+    return mat_vec(dense_omega(len(x) // 2).transpose(), tuple(x))
+
+
+def omega_sharp_dense(xi):
+    """The u with omega(u, .) = xi, by solving Omega^t u = xi."""
+    return solve_linear(dense_omega(len(xi) // 2).transpose(), tuple(xi))
+
+
+def is_in_sp_dense(a):
+    """A^t Omega + Omega A = 0, by two matrix products."""
+    omega = dense_omega(a.nrows // 2)
+    return (a.transpose() @ omega + omega @ a).is_zero()
+
+
+def contract_dense(t, x):
+    """T_x = (1/d) d_{omega x} T with the derivative direction Omega^t x."""
+    from hksym.symtensor import SymTensor
+
+    w = omega_flat_dense(x)
+    out = {}
+    for alpha, c in t.coeffs.items():
+        for k, e in enumerate(alpha):
+            if e and w[k]:
+                key = alpha[:k] + (e - 1,) + alpha[k + 1:]
+                out[key] = out.get(key, ZERO) + GaussRat(e) * w[k] * c
+    return SymTensor(t.space, t.degree - 1, out).scale(GaussRat(Fraction(1, t.degree)))
+
+
+def endo_by_contraction(b):
+    """x -> B_x by definition: column k is the contraction B_{e_k} as a vector."""
+    dim = b.space.dim
+    cols = []
+    for k in range(dim):
+        col = [ZERO] * dim
+        for alpha, c in contract_dense(b, unit_vec(dim, k)).coeffs.items():
+            col[alpha.index(1)] = c
+        cols.append(col)
+    return Matrix(cols).transpose()
 
 
 def evaluate_at_covector(t, xi):
@@ -32,8 +106,7 @@ def polarization_inclusion_exclusion(t, xs):
     """M_t(omega x_1, ..., omega x_d) by the subset-sum polarization identity."""
     d = t.degree
     sp = t.space
-    omega_t = sp.omega.transpose()
-    covs = [mat_vec(omega_t, tuple(x)) for x in xs]
+    covs = [omega_flat_dense(x) for x in xs]
     total = ZERO
     indices = list(range(d))
     for size in range(1, d + 1):

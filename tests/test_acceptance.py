@@ -35,6 +35,7 @@ from hksym.hkalgebra import (
     holonomy,
     verify_grading,
     verify_jacobi,
+    verify_metric,
 )
 from hksym.realform import build_real_algebra, check_reality, symmetrize_real
 from hksym.dim8 import classify_complex8, classify_quartic, isomorphic8, petrov_from_matrix, quartic_to_matrix
@@ -130,8 +131,8 @@ def test_criterion_3_example1_property_suite():
             assert model.dim == model.dim_h + 4 * n
             assert model.dim_m == 4 * n
             assert verify_jacobi(model) == (True, None)
-            ricci, metric_ok = curvature_ricci(model)
-            assert ricci.is_zero() and metric_ok
+            assert curvature_ricci(model).is_zero()
+            assert verify_metric(model) == (True, None)
             sigma = support(s)
             assert is_isotropic(sigma)
             assert e_plus.contains_subspace(sigma)

@@ -239,7 +239,9 @@ class TestSpanSolver:
         [(ONE, ZERO), (ONE, ZERO)],         # repeated pivot
         [(ONE, ONE), (ZERO, ONE)],          # nonzero above a pivot
         [(ONE, ZERO, ZERO), (ZERO, ONE)],   # ragged
-    ], ids=["not-normalized", "zero-row", "unordered", "repeated", "not-reduced", "ragged"])
+        [(ZERO, ZERO, ONE), (ONE,)],        # ragged, short row after a late pivot
+    ], ids=["not-normalized", "zero-row", "unordered", "repeated", "not-reduced", "ragged",
+            "ragged-short"])
     def test_rejects_rows_not_in_rref(self, rows):
         # coordinates are read off the pivots, so only RREF rows are accepted
         with pytest.raises(ContractError, match="reduced row echelon"):

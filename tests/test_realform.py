@@ -3,11 +3,19 @@ import pytest
 from hksym.exactnum import I_UNIT, echelon_basis, hermitian_inertia
 from hksym.symplectic import SymplecticSpace, span
 from hksym.symtensor import SymTensor, double_contraction_endo, double_contractions, support, tau
-from hksym.hkalgebra import certify_invariance, verify_grading, verify_jacobi, verify_metric
+from hksym.hkalgebra import (
+    _flatten,
+    _unflatten,
+    certify_invariance,
+    verify_grading,
+    verify_jacobi,
+    verify_metric,
+)
 from hksym.realform import (
     _commutes_with_j,
     _j_table,
-    _realify_matrix,
+    _realify,
+    _unrealify,
     build_real_algebra,
     check_reality,
     real_holonomy,
@@ -166,8 +174,10 @@ class TestRealHolonomy:
         # {A in h^C (realified) : [A, j] = 0}, including flat-factor cases
         sp, j = dim4
         from hksym.exactnum import Matrix as Mx, rank_kernel
-        from hksym.realform import _unrealify_matrix
         from hksym.symtensor import SymTensor as ST
+
+        def realify_matrix(m):
+            return _realify(_flatten(m))
 
         x4 = ST.linear(sp, sp.basis_vector(0)) ** 4
         samples = [random_tau_fixed(1, rng)[0] for _ in range(4)]
@@ -177,14 +187,14 @@ class TestRealHolonomy:
             # realified span of h^C: complex basis + i * basis
             rows = []
             for m in hol.basis:
-                rows.append(_realify_matrix(m))
-                rows.append(_realify_matrix(m.scale(I_UNIT)))
+                rows.append(realify_matrix(m))
+                rows.append(realify_matrix(m.scale(I_UNIT)))
             rows = echelon_basis(rows)
-            basis_mats = [_unrealify_matrix(v, sp.dim) for v in rows]
+            basis_mats = [_unflatten(_unrealify(v), sp.dim) for v in rows]
             constraint_cols = []
             for b in basis_mats:
                 resid = b @ j.c_matrix - j.c_matrix @ b.conj()
-                constraint_cols.append(_realify_matrix(resid))
+                constraint_cols.append(realify_matrix(resid))
             if constraint_cols:
                 _, kernel, _ = rank_kernel(Mx(constraint_cols).transpose())
                 commutant_dim = len(kernel)

@@ -6,7 +6,9 @@ those calls counts the table entries computed: an accepted analysis on
 dim E = d computes the d(d+1)/2 entries once, and a rejection stops at its
 witness.  Likewise every bracket of holonomy matrices is one
 hkalgebra.commutator call: the derived series and the algebra builder share
-the d(d-1)/2 commutators of a holonomy basis of dimension d.
+the d(d-1)/2 commutators of a holonomy basis of dimension d.  The table
+itself takes two contractions per entry and no matrix product or transpose,
+and a span is eliminated once.
 """
 
 import random
@@ -15,39 +17,38 @@ from pathlib import Path
 import pytest
 
 import hksym.hkalgebra as hkalgebra
+import hksym.symplectic as symplectic
 import hksym.symtensor as symtensor
 from hksym.cli import main
-from hksym.generators import make_generator, random_quartic_full
-from hksym.hkalgebra import analyze_quartic, check_invariance
-from hksym.symplectic import SymplecticSpace
+from hksym.exactnum import Matrix
+from hksym.generators import make_generator, random_quartic_full, random_vector
+from hksym.hkalgebra import analyze_quartic, certify_invariance, check_invariance
+from hksym.symplectic import SymplecticSpace, span
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls; returns the counter."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.fixture
 def endo_calls(monkeypatch):
-    calls = []
-    original = symtensor.endo_of_quadratic
-
-    def counted(b):
-        calls.append(b)
-        return original(b)
-
-    monkeypatch.setattr(symtensor, "endo_of_quadratic", counted)
-    return calls
+    return count_calls(monkeypatch, symtensor, "endo_of_quadratic")
 
 
 @pytest.fixture
 def commutator_calls(monkeypatch):
-    calls = []
-    original = hkalgebra.commutator
-
-    def counted(a, b):
-        calls.append((a, b))
-        return original(a, b)
-
-    monkeypatch.setattr(hkalgebra, "commutator", counted)
-    return calls
+    return count_calls(monkeypatch, hkalgebra, "commutator")
 
 
 def table_size(s):
@@ -97,3 +98,22 @@ def test_real_analysis_computes_each_commutator_once(commutator_calls):
     d, r = report.holonomy.dimension, report.reality["real_holonomy_dim"]
     assert report.holonomy.derived_series_lengths == (d, 0)
     assert len(commutator_calls) == pairs(d) + pairs(r)
+
+
+def test_certify_invariance_contracts_and_multiplies_no_matrices(monkeypatch):
+    s = make_generator("random-lagrangian:3", 7)
+    products = count_calls(monkeypatch, Matrix, "__matmul__")
+    transposes = count_calls(monkeypatch, Matrix, "transpose")
+    contractions = count_calls(monkeypatch, symtensor, "contract")
+    certify_invariance(s)
+    d = s.space.dim
+    assert (len(products), len(transposes), len(contractions)) == (0, 0, d * (d + 1)) == (0, 0, 42)
+
+
+def test_span_eliminates_once(monkeypatch, rng):
+    sp = SymplecticSpace(3)
+    vectors = [random_vector(sp, rng) for _ in range(4)]
+    eliminations = count_calls(monkeypatch, symplectic, "echelon_basis")
+    sub = span(sp, vectors + [vectors[0]])
+    assert sub.dim == 4
+    assert len(eliminations) == 1
