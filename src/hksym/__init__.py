@@ -3,7 +3,7 @@ quartic tensors on complex symplectic vector spaces."""
 
 __version__ = "0.1.0"
 
-from .exactnum import ContractError, GaussRat, Matrix, ScalarError
+from .exactnum import ContractError, GaussRat, Matrix, ScalarError, TheoremViolationError
 from .symplectic import (
     QuaternionicStructure,
     Subspace,
@@ -35,7 +35,6 @@ from .hkalgebra import (
     InvariantQuartic,
     LieAlgebraModel,
     NotHyperKahlerError,
-    TheoremViolationError,
     analyze_quartic,
     build_complex_algebra,
     certify_invariance,

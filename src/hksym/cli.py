@@ -13,12 +13,11 @@ import json
 import sys
 
 from . import __version__
-from .exactnum import ContractError, ScalarError
+from .exactnum import ContractError, ScalarError, TheoremViolationError
 from .symplectic import quaternionic_from_json, standard_split_j
 from .symtensor import double_contractions, quartic_from_dict, quartic_to_dict
 from .hkalgebra import (
     NotHyperKahlerError,
-    TheoremViolationError,
     analyze_quartic,
     build_complex_algebra,
     certify_invariance,

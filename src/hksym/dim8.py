@@ -22,7 +22,7 @@ from .exactnum import (
     ZERO,
     inverse,
 )
-from .symtensor import SymTensor, restrict_to_basis, tensor_in_subspace_power, tau
+from .symtensor import restrict_to_basis, tensor_in_subspace_power, tau
 from .hkalgebra import certify_invariance, find_lagrangian
 
 
@@ -93,16 +93,6 @@ class BinaryQuartic:
         for beta, c in coeffs.items():
             plain[beta[1]] = c
         return cls.from_plain(plain)
-
-    def to_symtensor(self, space, basis_pair):
-        x = SymTensor.linear(space, basis_pair[0])
-        y = SymTensor.linear(space, basis_pair[1])
-        plain = self.plain()
-        out = SymTensor.zero(space, 4)
-        for k, c in enumerate(plain):
-            if c:
-                out = out + ((x ** (4 - k)) * (y ** k)).scale(c)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +267,6 @@ class TracelessSym3:
     def __setattr__(self, name, value):
         raise AttributeError("TracelessSym3 is immutable")
 
-    @property
-    def gram(self):
-        return GRAM
-
     def operator(self):
         """The endomorphism G^{-1} A of the 3-space; its Jordan type is the class."""
         return GRAM_INV @ self.a
@@ -336,38 +322,6 @@ def _char_poly_3(m):
     c1 = (tr * tr - tr2) * _HALF
     c0 = -det
     return c0, c1, c2
-
-
-def petrov_from_matrix(m):
-    """Type letter from the Jordan structure of the operator G^{-1} A.
-
-    Exact over Q(i): the discriminant of the (traceless) characteristic
-    polynomial separates I; p = q = 0 gives the nilpotent types split by the
-    square; otherwise the double eigenvalue -3q/(2p) is rational and the
-    degree-2 minimal polynomial test separates D from II.
-    """
-    op = m.operator()
-    if op.is_zero():
-        return "O"
-    q0, p1, c2 = _char_poly_3(op)
-    if c2:
-        raise ContractError("operator is not traceless")
-    p, q = p1, q0
-    four = GaussRat(4)
-    disc = -(four * p * p * p) - GaussRat(27) * q * q
-    if disc:
-        return "I"
-    if not p and not q:
-        if (op @ op).is_zero():
-            return "N"
-        return "III"
-    lam = -(GaussRat(3) * q) / (GaussRat(2) * p)
-    ident = Matrix.identity(3)
-    factor1 = op - ident.scale(lam)
-    factor2 = op + ident.scale(GaussRat(2) * lam)
-    if (factor1 @ factor2).is_zero():
-        return "D"
-    return "II"
 
 
 # ---------------------------------------------------------------------------

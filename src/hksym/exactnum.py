@@ -21,6 +21,10 @@ class ContractError(Exception):
     """A documented precondition was violated (e.g. non-Hermitian input)."""
 
 
+class TheoremViolationError(Exception):
+    """An internal consistency guarantee failed (bug signal, not a data state)."""
+
+
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 _new = object.__new__
@@ -230,15 +234,6 @@ I_UNIT = GaussRat(0, 1)
 MINUS_ONE = GaussRat(-1)
 
 
-def gr(re, im=0):
-    """Shorthand constructor; accepts ints, Fractions or "a/b" strings."""
-    if isinstance(re, str):
-        re = Fraction(re)
-    if isinstance(im, str):
-        im = Fraction(im)
-    return GaussRat(re, im)
-
-
 def from_parts(re, im):
     """Re(re) + i*Re(im) as one GaussRat: two real coordinates rejoined."""
     a, d = re._a, re._d
@@ -293,9 +288,6 @@ class Matrix:
 
     def entry(self, i, j):
         return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
 
     def col(self, j):
         return tuple(r[j] for r in self.data)
@@ -463,7 +455,7 @@ def inverse(m):
     if m.nrows != m.ncols:
         raise ContractError("inverse of a non-square matrix")
     n = m.nrows
-    rows = [list(r) + list(Matrix.identity(n).row(i)) for i, r in enumerate(m.data)]
+    rows = [list(r) + list(unit_vec(n, i)) for i, r in enumerate(m.data)]
     pivots = _rref(rows)
     if len(pivots) < n:
         raise ContractError("matrix is singular")

@@ -1,5 +1,5 @@
-"""Seeded deterministic generators for quartics and random linear algebra used
-by the CLI generate command and the test corpus.
+"""Seeded deterministic generators for quartics and symplectic maps used by
+the CLI and benchmark corpus.
 
 Random coefficients are small on purpose (numerators in [-9, 9], denominators
 in {1, 2, 3}) to keep exact arithmetic fast.
@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .exactnum import GaussRat, Matrix, rank_kernel
+from .exactnum import GaussRat, Matrix
 from .symplectic import SymplecticSpace, omega_pair, standard_split_j
 from .symtensor import SymTensor
 from .realform import symmetrize_real
@@ -19,11 +19,11 @@ def random_fraction(rng):
     return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3]))
 
 
-def random_gaussrat(rng, real_only=False):
-    return GaussRat(random_fraction(rng), 0 if real_only else random_fraction(rng))
+def random_gaussrat(rng):
+    return GaussRat(random_fraction(rng), random_fraction(rng))
 
 
-def random_quartic_lagrangian(n, rng, real_only=False):
+def random_quartic_lagrangian(n, rng):
     """Random S in S^4 E_+ for E_+ = span(p_1..p_n) inside E = C^(2n)."""
     sp = SymplecticSpace(n)
     coeffs = {}
@@ -31,7 +31,7 @@ def random_quartic_lagrangian(n, rng, real_only=False):
         alpha = [0] * sp.dim
         for k in combo:
             alpha[k] += 1
-        c = random_gaussrat(rng, real_only=real_only)
+        c = random_gaussrat(rng)
         if c:
             coeffs[tuple(alpha)] = c
     return SymTensor(sp, 4, coeffs)
@@ -48,19 +48,6 @@ def random_quartic_full(sp, rng):
         if c:
             coeffs[tuple(alpha)] = c
     return SymTensor(sp, 4, coeffs)
-
-
-def random_vector(sp, rng):
-    return tuple(random_gaussrat(rng) for _ in range(sp.dim))
-
-
-def random_invertible(n, rng):
-    """Random invertible n x n matrix over Q(i)."""
-    while True:
-        m = Matrix([[random_gaussrat(rng) for _ in range(n)] for _ in range(n)])
-        rank, _, _ = rank_kernel(m)
-        if rank == n:
-            return m
 
 
 def symplectic_transvection(sp, v, c):

@@ -29,6 +29,7 @@ from .exactnum import (
     Matrix,
     ONE,
     SpanSolver,
+    TheoremViolationError,
     ZERO,
     echelon_basis,
     hermitian_inertia,
@@ -62,10 +63,6 @@ class NotHyperKahlerError(Exception):
         self.witness = witness
         super().__init__("quartic is not invariant under its double contractions; "
                          "witness basis pair %s" % (witness,))
-
-
-class TheoremViolationError(Exception):
-    """An internal consistency guarantee failed (bug signal, not a data state)."""
 
 
 def _flatten(m):
@@ -219,9 +216,6 @@ class LieAlgebraModel:
     @property
     def dim(self):
         return self.dim_h + self.dim_m
-
-    def bracket(self, a, b):
-        return self.brackets[a][b]
 
     def bracket_vectors(self, u, v):
         """Bilinear extension of the bracket to coordinate dicts."""
@@ -504,17 +498,6 @@ def flat_decomposition(q, e_plus):
     return e1, e0, 2 * e0.dim
 
 
-def _embed_dual_adapted(e_plus, top, bottom):
-    """The endomorphism blockdiag(top, bottom) of E in the basis of e_plus
-    followed by its deterministic omega-dual Lagrangian complement."""
-    n = e_plus.dim
-    _, g = lagrangian_complement(e_plus)
-    basis_mat = Matrix([list(v) for v in e_plus.basis] + [list(v) for v in g]).transpose()
-    block = [list(row) + [ZERO] * n for row in top.data]
-    block += [[ZERO] * n + list(row) for row in bottom.data]
-    return basis_mat @ Matrix(block) @ inverse(basis_mat)
-
-
 def embed_gl_eplus(e_plus, a_small):
     """Canonical embedding gl(E_+) -> sp(E): A on E_+, -A^t on the dual complement.
 
@@ -525,22 +508,13 @@ def embed_gl_eplus(e_plus, a_small):
     n = e_plus.dim
     if a_small.nrows != n or a_small.ncols != n:
         raise ContractError("gl(E_+) matrix has wrong size")
-    embedded = _embed_dual_adapted(e_plus, a_small, -a_small.transpose())
+    _, g = lagrangian_complement(e_plus)
+    basis_mat = Matrix([list(v) for v in e_plus.basis] + [list(v) for v in g]).transpose()
+    block = [list(row) + [ZERO] * n for row in a_small.data]
+    block += [[ZERO] * n + list(row) for row in (-a_small.transpose()).data]
+    embedded = basis_mat @ Matrix(block) @ inverse(basis_mat)
     if not is_in_sp(e_plus.ambient, embedded):
         raise TheoremViolationError("gl(E_+) embedding failed to preserve omega")
-    return embedded
-
-
-def embed_gl_group(e_plus, t_small):
-    """Extension of an invertible T in GL(E_+) to Sp(E): blockdiag(T, (T^t)^-1)
-    in the omega-dual-adapted bases.  Symplectic by construction; verified."""
-    omega = e_plus.ambient.omega
-    n = e_plus.dim
-    if t_small.nrows != n or t_small.ncols != n:
-        raise ContractError("GL(E_+) matrix has wrong size")
-    embedded = _embed_dual_adapted(e_plus, t_small, inverse(t_small.transpose()))
-    if embedded.transpose() @ omega @ embedded != omega:
-        raise TheoremViolationError("GL(E_+) group embedding is not symplectic")
     return embedded
 
 

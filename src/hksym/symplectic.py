@@ -18,10 +18,10 @@ Conventions fixed here and inherited by everything downstream:
 
 from .exactnum import (
     ContractError,
-    GaussRat,
     Matrix,
     ONE,
     SpanSolver,
+    TheoremViolationError,
     ZERO,
     echelon_basis,
     hermitian_inertia,
@@ -120,9 +120,6 @@ class Subspace:
     def contains(self, v):
         return SpanSolver(self._echelon).contains(tuple(v))
 
-    def contains_subspace(self, other):
-        return all(self.contains(v) for v in other.basis)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -196,7 +193,8 @@ def extend_to_lagrangian(sub):
             raise ContractError("failed to complete isotropic subspace to a Lagrangian")
         current.append(fresh)
     out = Subspace(sp, current)
-    assert is_isotropic(out)
+    if not is_isotropic(out):
+        raise TheoremViolationError("extend_to_lagrangian produced a non-isotropic subspace")
     return out
 
 
@@ -224,7 +222,8 @@ def lagrangian_complement(lag):
             raise ContractError("symplectic completion failed (corrupt input)")
         g.append(sol)
     comp = Subspace(sp, g)
-    assert is_isotropic(comp)
+    if not is_isotropic(comp):
+        raise TheoremViolationError("lagrangian_complement produced a non-isotropic complement")
     return comp, g
 
 
@@ -249,12 +248,6 @@ class QuaternionicStructure:
 
     def apply(self, v):
         return mat_vec(self.c_matrix, vec_conj(v))
-
-    def maps_subspace_to_itself(self, sub):
-        return all(sub.contains(self.apply(v)) for v in sub.basis)
-
-    def to_strings(self):
-        return self.c_matrix.to_strings()
 
 
 def standard_quaternionic(sp, lagrangian_split=None):
@@ -408,37 +401,14 @@ def record_int(value, record, what):
 
 
 def record_rows(value, record, what):
-    """A JSON list of lists: matrix rows or basis vectors of literals."""
+    """A JSON list of lists: the rows of a matrix of literals."""
     if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
         raise ContractError("malformed %s record: %s must be a list of lists" % (record, what))
     return value
 
 
-def _record_space(data, record, ambient):
-    """ambient if given, else the space of the record's dim_ambient_half."""
-    if ambient is not None:
-        return ambient
-    (half,) = record_fields(data, record, ("dim_ambient_half",))
-    return SymplecticSpace(record_int(half, record, "dim_ambient_half"))
-
-
-def subspace_to_json(sub):
-    return {"dim_ambient_half": sub.ambient.n, "basis": sub.to_strings()}
-
-
-def subspace_from_json(data, ambient=None):
-    (basis,) = record_fields(data, "subspace", ("basis",))
-    sp = _record_space(data, "subspace", ambient)
-    rows = record_rows(basis, "subspace", "basis")
-    return Subspace(sp, [tuple(GaussRat.parse(c) for c in row) for row in rows])
-
-
-def quaternionic_to_json(j):
-    return {"dim_ambient_half": j.ambient.n, "c_matrix": j.to_strings()}
-
-
-def quaternionic_from_json(data, ambient=None):
+def quaternionic_from_json(data, ambient):
+    """The quaternionic structure on ambient whose c_matrix the record holds."""
     (c_matrix,) = record_fields(data, "quaternionic structure", ("c_matrix",))
-    sp = _record_space(data, "quaternionic structure", ambient)
     rows = record_rows(c_matrix, "quaternionic structure", "c_matrix")
-    return QuaternionicStructure(sp, Matrix.from_strings(rows))
+    return QuaternionicStructure(ambient, Matrix.from_strings(rows))

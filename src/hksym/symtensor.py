@@ -24,6 +24,7 @@ from .exactnum import (
     Matrix,
     ONE,
     ZERO,
+    solve_linear,
     unit_vec,
     vec_is_zero,
 )
@@ -41,7 +42,11 @@ _HALF = GaussRat(Fraction(1, 2))
 
 
 class SymTensor:
-    """Homogeneous degree-d element of S^dE as a sparse multi-index table."""
+    """Homogeneous degree-d element of S^dE as a sparse multi-index table.
+
+    The constructor drops zero coefficients, so builders may accumulate into
+    a plain dict and leave cancelled entries in it.
+    """
 
     __slots__ = ("space", "degree", "coeffs")
 
@@ -100,11 +105,7 @@ class SymTensor:
         self._check_compatible(other)
         out = dict(self.coeffs)
         for a, c in other.coeffs.items():
-            v = out.get(a, ZERO) + c
-            if v:
-                out[a] = v
-            elif a in out:
-                del out[a]
+            out[a] = out.get(a, ZERO) + c
         return SymTensor(self.space, self.degree, out)
 
     def __sub__(self, other):
@@ -126,11 +127,7 @@ class SymTensor:
         for a, ca in self.coeffs.items():
             for b, cb in other.coeffs.items():
                 key = tuple(x + y for x, y in zip(a, b))
-                v = out.get(key, ZERO) + ca * cb
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+                out[key] = out.get(key, ZERO) + ca * cb
         return SymTensor(self.space, self.degree + other.degree, out)
 
     def __pow__(self, k):
@@ -176,11 +173,7 @@ def contract(t, x):
             if not e or not w[k]:
                 continue
             key = alpha[:k] + (e - 1,) + alpha[k + 1:]
-            v = out.get(key, ZERO) + GaussRat(e) * w[k] * c
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, ZERO) + GaussRat(e) * w[k] * c
     return SymTensor(sp, t.degree - 1, out).scale(inv_d)
 
 
@@ -253,11 +246,7 @@ def sp_action(a, t):
                 key[k] -= 1
                 key[l] += 1
                 key = tuple(key)
-                v = out.get(key, ZERO) - ec * alk
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+                out[key] = out.get(key, ZERO) - ec * alk
     return SymTensor(space, t.degree, out)
 
 
@@ -356,7 +345,7 @@ def tau(t, j):
             alpha[k] -= 1
 
     sweep(t, 0, [0] * sp.dim, 0)
-    return SymTensor(sp, d, {a: c for a, c in out.items() if c})
+    return SymTensor(sp, d, out)
 
 
 def tensor_in_subspace_power(t, sub):
@@ -410,11 +399,11 @@ def restrict_to_basis(t, vectors):
         for k in combo:
             beta[k] += 1
         betas.append(tuple(beta))
-    monomials = sorted(set(list(t.coeffs.keys()) + [a for b in betas for a in _expand(forms, b).coeffs]))
+    expansions = [_expand(forms, b) for b in betas]
+    monomials = sorted(set(t.coeffs).union(*(poly.coeffs for poly in expansions)))
     index = {a: i for i, a in enumerate(monomials)}
     cols = []
-    for b in betas:
-        poly = _expand(forms, b)
+    for poly in expansions:
         col = [ZERO] * len(monomials)
         for a, c in poly.coeffs.items():
             col[index[a]] = c
@@ -422,16 +411,14 @@ def restrict_to_basis(t, vectors):
     rhs = [ZERO] * len(monomials)
     for a, c in t.coeffs.items():
         rhs[index[a]] = c
-    from .exactnum import solve_linear
-
     sol = solve_linear(Matrix(cols).transpose(), tuple(rhs))
     if sol is None:
         raise ContractError("tensor is not supported in the given subspace")
     # certify: the parametrized expansion reproduces t exactly
     check = SymTensor.zero(sp, t.degree)
-    for b, c in zip(betas, sol):
+    for poly, c in zip(expansions, sol):
         if c:
-            check = check + _expand(forms, b).scale(c)
+            check = check + poly.scale(c)
     if check != t:
         raise ContractError("restriction certification failed")
     return dict(zip(betas, sol))

@@ -9,6 +9,11 @@ RefGaussRat is the original Fraction-pair scalar, the slow reference for the
 integer-triple GaussRat.  The dense-Omega formulas apply omega through its
 2n x 2n Gram matrix, built here from the definition omega(p_a, q_b) =
 delta_ab, as the reference for the package's omega_flat path.
+petrov_from_matrix reads the Petrov type off the Jordan structure of the
+3x3 operator, not off root multiplicities.  embed_gl_group and
+binary_quartic_tensor carry group elements and binary quartics into E for
+equivariance and round-trip tests; random_vector and random_invertible
+draw their operands.
 """
 
 import re as _re
@@ -22,11 +27,13 @@ from hksym.exactnum import (
     ONE,
     ScalarError,
     ZERO,
+    inverse,
     mat_vec,
     rank_kernel,
     solve_linear,
     unit_vec,
 )
+from hksym.generators import random_gaussrat
 
 
 def dense_omega(n):
@@ -408,3 +415,80 @@ class RefGaussRat:
         if self.im:
             raise ContractError("real_sign of a non-real scalar %s" % self)
         return (self.re > 0) - (self.re < 0)
+
+
+def random_vector(sp, rng):
+    return tuple(random_gaussrat(rng) for _ in range(sp.dim))
+
+
+def random_invertible(n, rng):
+    """Random invertible n x n matrix over Q(i)."""
+    while True:
+        m = Matrix([[random_gaussrat(rng) for _ in range(n)] for _ in range(n)])
+        rank, _, _ = rank_kernel(m)
+        if rank == n:
+            return m
+
+
+def embed_gl_group(e_plus, t_small):
+    """Extension of an invertible T in GL(E_+) to Sp(E): blockdiag(T, (T^t)^-1)
+    in the basis of e_plus followed by its omega-dual Lagrangian complement.
+    Symplectic by construction; checked."""
+    from hksym.symplectic import lagrangian_complement
+
+    n = e_plus.dim
+    _, g = lagrangian_complement(e_plus)
+    basis_mat = Matrix([list(v) for v in e_plus.basis] + [list(v) for v in g]).transpose()
+    block = [list(row) + [ZERO] * n for row in t_small.data]
+    block += [[ZERO] * n + list(row) for row in inverse(t_small.transpose()).data]
+    embedded = basis_mat @ Matrix(block) @ inverse(basis_mat)
+    omega = e_plus.ambient.omega
+    assert embedded.transpose() @ omega @ embedded == omega
+    return embedded
+
+
+def binary_quartic_tensor(q, space, basis_pair):
+    """The BinaryQuartic q as a quartic on space in the variables basis_pair."""
+    from hksym.symtensor import SymTensor
+
+    x = SymTensor.linear(space, basis_pair[0])
+    y = SymTensor.linear(space, basis_pair[1])
+    out = SymTensor.zero(space, 4)
+    for k, c in enumerate(q.plain()):
+        if c:
+            out = out + ((x ** (4 - k)) * (y ** k)).scale(c)
+    return out
+
+
+def petrov_from_matrix(m):
+    """Type letter from the Jordan structure of the operator G^{-1} A.
+
+    Exact over Q(i): the discriminant of the (traceless) characteristic
+    polynomial separates I; p = q = 0 gives the nilpotent types split by the
+    square; otherwise the double eigenvalue -3q/(2p) is rational and the
+    degree-2 minimal polynomial test separates D from II.
+    """
+    from hksym.dim8 import _char_poly_3
+
+    op = m.operator()
+    if op.is_zero():
+        return "O"
+    q0, p1, c2 = _char_poly_3(op)
+    if c2:
+        raise ContractError("operator is not traceless")
+    p, q = p1, q0
+    four = GaussRat(4)
+    disc = -(four * p * p * p) - GaussRat(27) * q * q
+    if disc:
+        return "I"
+    if not p and not q:
+        if (op @ op).is_zero():
+            return "N"
+        return "III"
+    lam = -(GaussRat(3) * q) / (GaussRat(2) * p)
+    ident = Matrix.identity(3)
+    factor1 = op - ident.scale(lam)
+    factor2 = op + ident.scale(GaussRat(2) * lam)
+    if (factor1 @ factor2).is_zero():
+        return "D"
+    return "II"

@@ -114,10 +114,10 @@ class TestAnalyze:
 
     def test_real_mode_with_custom_j_file(self, capsys, tmp_path):
         from hksym.generators import standard_split_j
-        from hksym.symplectic import SymplecticSpace, quaternionic_to_json
+        from hksym.symplectic import SymplecticSpace
 
         j_path = tmp_path / "j.json"
-        j_path.write_text(json.dumps(quaternionic_to_json(standard_split_j(SymplecticSpace(2)))))
+        j_path.write_text(json.dumps({"c_matrix": standard_split_j(SymplecticSpace(2)).c_matrix.to_strings()}))
         real = str(tmp_path / "real.json")
         run_cli(capsys, "generate", "real-random:1", "--seed", "2", "-o", real)
         code, out, _ = run_cli(capsys, "analyze", real, "--real", "--j", str(j_path), "--json")
@@ -188,6 +188,29 @@ class TestAnalyze:
         assert code == 3
         assert out == ""
         assert err == "internal error: jacobi failed: (k1, k2, k3)\n"
+
+    @pytest.mark.parametrize("failing_call, message", [
+        (2, "extend_to_lagrangian produced a non-isotropic subspace"),
+        (4, "lagrangian_complement produced a non-isotropic complement"),
+    ], ids=["extend", "complement"])
+    def test_symplectic_postcondition_exits_3(self, capsys, monkeypatch, dim4_file,
+                                               failing_call, message):
+        # analyze on p^4 checks isotropy inside symplectic four times: the
+        # input, then the result, of extend_to_lagrangian and of
+        # lagrangian_complement; failing a result check is a bug signal
+        import hksym.symplectic as symplectic
+
+        honest = symplectic.is_isotropic
+        calls = []
+
+        def fails_once(sub):
+            calls.append(sub)
+            return honest(sub) and len(calls) != failing_call
+
+        monkeypatch.setattr(symplectic, "is_isotropic", fails_once)
+        code, out, err = run_cli(capsys, "analyze", dim4_file)
+        assert (code, out, err) == (3, "", "internal error: %s\n" % message)
+        assert len(calls) == failing_call
 
     def test_dimension_mismatch_exits_1(self, capsys, tmp_path):
         path = write_quartic(tmp_path, "dim.json", {

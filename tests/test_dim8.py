@@ -5,7 +5,6 @@ from fractions import Fraction
 from hksym.exactnum import ContractError, GaussRat, Matrix, ONE, ZERO
 from hksym.symplectic import SymplecticSpace, span
 from hksym.symtensor import SymTensor, support, transform
-from hksym.hkalgebra import embed_gl_group
 from hksym.dim8 import (
     GRAM,
     BinaryQuartic,
@@ -15,15 +14,20 @@ from hksym.dim8 import (
     classify_real8,
     isomorphic8,
     matrix_to_quartic,
-    petrov_from_matrix,
     quartic_invariants,
     quartic_to_matrix,
     real_class_of_symmetric,
     real_orbit_class_from_char,
 )
-from hksym.generators import random_gaussrat, random_invertible, random_tau_fixed, standard_split_j
+from hksym.generators import random_gaussrat, random_tau_fixed, standard_split_j
 
-from oracles import root_pattern_gcd_chain
+from oracles import (
+    binary_quartic_tensor,
+    embed_gl_group,
+    petrov_from_matrix,
+    random_invertible,
+    root_pattern_gcd_chain,
+)
 
 
 def lin(sp, k):
@@ -221,7 +225,7 @@ class TestSymTensorConversion:
         pair = [sp.basis_vector(0), sp.basis_vector(1)]
         for _ in range(10):
             q = BinaryQuartic.from_plain([random_gaussrat(rng) for _ in range(5)])
-            s = q.to_symtensor(sp, pair)
+            s = binary_quartic_tensor(q, sp, pair)
             assert BinaryQuartic.from_symtensor(s, pair) == q
 
 

@@ -20,7 +20,6 @@ from hksym.hkalgebra import (
     compute_aut,
     curvature_ricci,
     embed_gl_eplus,
-    embed_gl_group,
     find_lagrangian,
     flat_decomposition,
     holonomy,
@@ -28,13 +27,14 @@ from hksym.hkalgebra import (
     verify_jacobi,
     verify_metric,
 )
-from hksym.generators import (
-    random_invertible,
-    random_quartic_lagrangian,
-    random_symplectic,
-)
+from hksym.generators import random_quartic_lagrangian, random_symplectic
 
-from oracles import aut_dimension_bruteforce, ricci_by_adjoint_matrices
+from oracles import (
+    aut_dimension_bruteforce,
+    embed_gl_group,
+    random_invertible,
+    ricci_by_adjoint_matrices,
+)
 
 
 def lin(sp, k):

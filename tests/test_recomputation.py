@@ -8,7 +8,8 @@ witness.  Likewise every bracket of holonomy matrices is one
 hkalgebra.commutator call: the derived series and the algebra builder share
 the d(d-1)/2 commutators of a holonomy basis of dimension d.  The table
 itself takes two contractions per entry and no matrix product or transpose,
-and a span is eliminated once.
+a span is eliminated once, and restricting a quartic to a basis expands each
+symmetric power of the basis once.
 """
 
 import random
@@ -21,9 +22,11 @@ import hksym.symplectic as symplectic
 import hksym.symtensor as symtensor
 from hksym.cli import main
 from hksym.exactnum import Matrix
-from hksym.generators import make_generator, random_quartic_full, random_vector
+from hksym.generators import make_generator, random_quartic_full
 from hksym.hkalgebra import analyze_quartic, certify_invariance, check_invariance
 from hksym.symplectic import SymplecticSpace, span
+
+from oracles import random_vector
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -117,3 +120,13 @@ def test_span_eliminates_once(monkeypatch, rng):
     sub = span(sp, vectors + [vectors[0]])
     assert sub.dim == 4
     assert len(eliminations) == 1
+
+
+def test_restriction_expands_each_power_once(monkeypatch, tmp_path, capsys):
+    path = str(tmp_path / "petrov_i.json")
+    assert main(["generate", "petrov:I", "-o", path]) == 0
+    expansions = count_calls(monkeypatch, symtensor, "_expand")
+    assert main(["classify8", path]) == 0
+    assert capsys.readouterr().out.startswith("type: I\n")
+    # one expansion per beta of degree 4 in two variables
+    assert len(expansions) == 5

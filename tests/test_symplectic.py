@@ -16,14 +16,13 @@ from hksym.symplectic import (
     omega_pair,
     omega_perp,
     quaternionic_from_json,
-    quaternionic_to_json,
     span,
     standard_quaternionic,
     standard_split_j,
-    subspace_from_json,
-    subspace_to_json,
 )
-from hksym.generators import random_symplectic, random_vector
+from hksym.generators import random_symplectic
+
+from oracles import random_vector
 
 
 def basis(sp):
@@ -102,7 +101,7 @@ class TestSubspaces:
             out = extend_to_lagrangian(seed)
             assert out.dim == sp.n
             assert is_isotropic(out)
-            assert out.contains_subspace(seed)
+            assert all(out.contains(v) for v in seed.basis)
 
     def test_extend_from_scrambled_isotropic_planes(self, rng):
         # seeds where the standard-basis sweep stalls and the omega-perp
@@ -118,7 +117,7 @@ class TestSubspaces:
                 out = extend_to_lagrangian(seed)
                 assert out.dim == sp.n
                 assert is_isotropic(out)
-                assert out.contains_subspace(seed)
+                assert all(out.contains(v) for v in seed.basis)
 
     def test_omega_perp_of_lagrangian_is_itself(self):
         sp = SymplecticSpace(2)
@@ -174,8 +173,8 @@ class TestQuaternionic:
         e_plus = span(sp, [p1, p2])
         e_minus = span(sp, [q1, q2])
         j = standard_quaternionic(sp, (e_plus, e_minus))
-        assert j.maps_subspace_to_itself(e_plus)
-        assert j.maps_subspace_to_itself(e_minus)
+        for half in (e_plus, e_minus):
+            assert all(half.contains(j.apply(v)) for v in half.basis)
         assert gamma_signature(j) == (2, 2, 0)
 
     def test_split_sign_flip_same_signature(self):
@@ -208,7 +207,7 @@ class TestQuaternionic:
             e_plus = span(sp, [mat_vec(t, sp.basis_vector(0)), mat_vec(t, sp.basis_vector(1))])
             e_minus = span(sp, [mat_vec(t, sp.basis_vector(2)), mat_vec(t, sp.basis_vector(3))])
             j = standard_quaternionic(sp, (e_plus, e_minus))
-            assert j.maps_subspace_to_itself(e_plus)
+            assert all(e_plus.contains(j.apply(v)) for v in e_plus.basis)
             assert gamma_signature(j) == (2, 2, 0)
 
     def test_gamma_gram_hermitian(self, rng):
@@ -230,25 +229,15 @@ class TestQuaternionic:
     def test_serialization_roundtrip(self):
         sp = SymplecticSpace(2)
         j = standard_split_j(sp)
-        again = quaternionic_from_json(quaternionic_to_json(j))
+        again = quaternionic_from_json({"c_matrix": j.c_matrix.to_strings()}, sp)
         assert again.c_matrix == j.c_matrix
-        sub = span(sp, [sp.basis_vector(0), sp.basis_vector(1)])
-        sub2 = subspace_from_json(subspace_to_json(sub))
-        assert sub2 == sub
 
     @pytest.mark.parametrize("record", [
-        {"dim_ambient_half": 1.5, "c_matrix": [["0", "-1"], ["1", "0"]]},
-        {"dim_ambient_half": True, "c_matrix": [["0", "-1"], ["1", "0"]]},
-        {"c_matrix": [["0", "-1"], ["1", "0"]]},
-        {"dim_ambient_half": 1, "c_matrix": ["0", "-1"]},
-    ], ids=["fractional-dim", "bool-dim", "no-dim", "flat-matrix"])
+        {"c_matrix": ["0", "-1"]},
+    ], ids=["flat-matrix"])
     def test_malformed_records_are_refused(self, record):
-        # int() used to truncate dim_ambient_half instead of refusing it
         with pytest.raises(ContractError, match="malformed quaternionic structure record: "):
-            quaternionic_from_json(record)
-        sub_record = {("basis" if k == "c_matrix" else k): v for k, v in record.items()}
-        with pytest.raises(ContractError, match="malformed subspace record: "):
-            subspace_from_json(sub_record)
+            quaternionic_from_json(record, SymplecticSpace(1))
 
 
 def test_h_space_constants():

@@ -26,11 +26,10 @@ from hksym.generators import (
     random_gaussrat,
     random_quartic_full,
     random_quartic_lagrangian,
-    random_vector,
     standard_split_j,
 )
 
-from oracles import polarization_inclusion_exclusion
+from oracles import polarization_inclusion_exclusion, random_vector
 
 
 def lin(sp, k):
@@ -309,6 +308,51 @@ class TestSpAction:
                         + double_contraction_endo(s, mat_vec(a, f), g) \
                         + double_contraction_endo(s, f, mat_vec(a, g))
                     assert lhs == rhs
+
+
+class TestCancellation:
+    """Builders accumulate into plain dicts and leave dropping zero
+    coefficients to the SymTensor constructor."""
+
+    @staticmethod
+    def assert_clean(t):
+        assert all(t.coeffs.values())
+
+    def test_cancelling_sums(self):
+        sp = SymplecticSpace(2)
+        t = SymTensor.linear(sp, (ONE, GaussRat(2), GaussRat(-1), I_UNIT)) ** 4
+        assert (t + (-t)).is_zero()
+        assert (t - t).is_zero()
+        partial = (t + lin(sp, 0) ** 4) + (-t)
+        assert partial == lin(sp, 0) ** 4
+        self.assert_clean(partial)
+
+    def test_cancelling_products(self):
+        sp = SymplecticSpace(1)
+        p, q = lin(sp, 0), lin(sp, 1)
+        product = (p + q) * (p - q)
+        assert set(product.coeffs) == {(2, 0), (0, 2)}
+        self.assert_clean(product)
+        assert (product * SymTensor.zero(sp, 2)).is_zero()
+
+    def test_cancelling_contractions(self):
+        # omega(v, v) = 0, so (l^4)_v vanishes although every term contributes
+        sp = SymplecticSpace(2)
+        v = (ONE, GaussRat(2), GaussRat(-1), I_UNIT)
+        assert contract(SymTensor.linear(sp, v) ** 4, v).is_zero()
+        mixed = contract(lin(sp, 0) ** 2 + lin(sp, 2) ** 2, (ONE, ZERO, ONE, ZERO))
+        assert mixed == (lin(sp, 0) - lin(sp, 2)).scale(GaussRat(-1))
+        self.assert_clean(mixed)
+
+    def test_cancelling_actions(self):
+        # pq scales p and q oppositely, so it annihilates p^2 q^2 term by term
+        sp = SymplecticSpace(2)
+        p, q = lin(sp, 0), lin(sp, 2)
+        pq = endo_of_quadratic(p * q)
+        assert sp_action(pq, (p * q) ** 2).is_zero()
+        acted = sp_action(pq, (p * q) ** 2 + p ** 4)
+        assert acted == (p ** 4).scale(GaussRat(-2))
+        self.assert_clean(acted)
 
 
 class TestDoubleContraction:
