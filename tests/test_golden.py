@@ -3,7 +3,8 @@ must stay identical to the committed files in tests/golden/.
 
 Each case is an input quartic and the exact stdout of one command on it.
 Most inputs are written by `hksym generate`; inputs that no generator kind
-produces are committed as fixed JSON files.  To regenerate after a
+produces are committed as fixed JSON files, and so are the quaternionic
+structures that cases with --j read from <stem>.j.json.  To regenerate after a
 deliberate report change, run `python tests/test_golden.py` from the
 repository root and review the diff: it rewrites every generated input and
 every report, and leaves the fixed inputs as they are.
@@ -42,6 +43,16 @@ CASES = (
         # transform(random_quartic_lagrangian(2, Random(2)),
         # random_symplectic(SymplecticSpace(2), Random(3), steps=3)) (type I)
         ("scrambled_lagrangian_2", None, "analyze", (), 0),
+        # the first real form with m = 2 in the gate
+        ("real_2", ("real-random:2", 3), "analyze", ("--real",), 0),
+        # a j whose invariant Lagrangians are not coordinate subspaces, read
+        # from non_coordinate_j.j.json: with sp = SymplecticSpace(2) and
+        # rng = Random(31), t = random_symplectic(sp, rng) moves the split
+        # (span(p), span(q)) to (E_+, E_-), j = standard_quaternionic(sp,
+        # (E_+, E_-)) and the quartic is symmetrize_real(transform(
+        # random_quartic_lagrangian(2, rng), t), j)
+        ("non_coordinate_j", None, "analyze", ("--real", "--j"), 0),
+        ("non_coordinate_j", None, "classify8", ("--real", "--j"), 0),
     ]
 )
 
@@ -51,7 +62,11 @@ def _out_name(stem, command, flags):
 
 
 def _argv(stem, command, flags):
-    return [command, str(GOLDEN / ("%s.json" % stem)), *flags, "--json"]
+    """The CLI arguments of a case; --j reads the fixed record <stem>.j.json."""
+    argv = [command, str(GOLDEN / ("%s.json" % stem))]
+    for flag in flags:
+        argv += [flag, str(GOLDEN / ("%s.j.json" % stem))] if flag == "--j" else [flag]
+    return argv + ["--json"]
 
 
 @pytest.mark.parametrize(
