@@ -36,11 +36,18 @@ GENERATOR_KINDS = (
 )
 
 
+def _parse_json(raw, record):
+    """json.loads, refusing nesting too deep for the parser as a malformed record."""
+    try:
+        return json.loads(raw)
+    except RecursionError:
+        raise ContractError("malformed %s record: JSON nested too deeply" % record) from None
+
+
 def _read_quartic(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
-    data = json.loads(raw)
-    s = quartic_from_dict(data)
+    s = quartic_from_dict(_parse_json(raw, "quartic"))
     digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
     return s, digest
 
@@ -48,7 +55,8 @@ def _read_quartic(path):
 def _load_j(args, sp):
     if getattr(args, "j", None):
         with open(args.j, "r", encoding="utf-8") as fh:
-            return quaternionic_from_json(json.load(fh), ambient=sp)
+            data = _parse_json(fh.read(), "quaternionic structure")
+        return quaternionic_from_json(data, ambient=sp)
     return standard_split_j(sp)
 
 

@@ -346,16 +346,16 @@ class Matrix:
 
 
 def mat_vec(m, v):
-    """Matrix times column vector (tuple in, tuple out)."""
+    """Matrix times column vector (tuple in, tuple out), column by column over
+    the nonzero entries of v."""
     if m.ncols != len(v):
         raise ContractError("mat_vec dimension mismatch")
-    out = []
-    for r in m.data:
-        s = ZERO
-        for a, b in zip(r, v):
-            if a and b:
-                s = s + a * b
-        out.append(s)
+    out = [ZERO] * m.nrows
+    for k, b in enumerate(v):
+        if b:
+            for i, r in enumerate(m.data):
+                if r[k]:
+                    out[i] = out[i] + r[k] * b
     return tuple(out)
 
 

@@ -10,12 +10,18 @@ explicitly: holonomy(q) spans the table, find_lagrangian(q) extends the
 support, flat_decomposition(q, e_plus) splits off the flat factor, and
 build_complex_algebra(q, hol) reads the [m, m] brackets off the table.
 
-The bracket data is the one the quartic dictates:
-  [A, B]           = matrix commutator               (h with h),
-  [A, h(x)e]       = h (x) Ae                        (h with m),
-  [h(x)e, h'(x)e'] = omega_H(h, h') S_{e,e'}         (m with m),
-and the metric on m is the Gram matrix of omega_H (x) omega_E.  One builder,
-_build_model, assembles them for both the complex algebra and its real form
+H is the fixed plane with basis h, h', omega_H(h, h') = 1 and j_H h = h',
+j_H h' = -h, so H(x)E = E (+) E: an element of H(x)E is a flat tuple (x, y)
+of length 2 dim E standing for h(x)x + h'(x)y (index a * dim E + k holds
+h_a (x) e_k).  Every formula involving H is then a signed swap of the two
+copies of E, and the bracket data is the one the quartic dictates:
+  [A, B]              = AB - BA                        (h with h),
+  [A, (x, y)]         = (Ax, Ay)                       (h with m),
+  [(x, y), (x', y')]  = S_{x,y'} - S_{y,x'}            (m with m),
+  g((x, y), (x', y')) = omega(x, y') - omega(y, x')    (the metric on m),
+  rho(x, y)           = (-jy, jx)                      (the real structure),
+so the real form is m = (H(x)E)^rho = {(x, jx)}.  One builder, _build_model,
+assembles them for both the complex algebra and its real form
 (realform.build_real_algebra); the callers differ only in the bases of h and
 m and in the coordinate functions they pass.
 """
@@ -34,10 +40,11 @@ from .exactnum import (
     echelon_basis,
     hermitian_inertia,
     inverse,
+    mat_vec,
     rank_kernel,
+    unit_vec,
 )
 from .symplectic import (
-    H_SPACE,
     Subspace,
     extend_to_lagrangian,
     is_isotropic,
@@ -194,6 +201,21 @@ def holonomy(q):
 # ---------------------------------------------------------------------------
 
 
+def _dict_neg(d):
+    return {k: -v for k, v in d.items()}
+
+
+def _add_into(acc, v, f=ONE):
+    """acc += f * v on coordinate dicts, in place, dropping zeros; returns acc."""
+    for k, c in v.items():
+        val = acc.get(k, ZERO) + f * c
+        if val:
+            acc[k] = val
+        elif k in acc:
+            del acc[k]
+    return acc
+
+
 class LieAlgebraModel:
     """Finite-dimensional algebra with labeled basis, exact structure constants
     and an invariant metric on the m-part.
@@ -222,31 +244,8 @@ class LieAlgebraModel:
         out = {}
         for a, ca in u.items():
             for b, cb in v.items():
-                f = ca * cb
-                if not f:
-                    continue
-                for k, c in self.brackets[a][b].items():
-                    val = out.get(k, ZERO) + f * c
-                    if val:
-                        out[k] = val
-                    elif k in out:
-                        del out[k]
+                _add_into(out, self.brackets[a][b], ca * cb)
         return out
-
-
-def _dict_neg(d):
-    return {k: -v for k, v in d.items()}
-
-
-def _add_into(acc, v, f=ONE):
-    """acc += f * v on coordinate dicts, in place, dropping zeros; returns acc."""
-    for k, c in v.items():
-        val = acc.get(k, ZERO) + f * c
-        if val:
-            acc[k] = val
-        elif k in acc:
-            del acc[k]
-    return acc
 
 
 def verify_antisymmetry(model):
@@ -338,15 +337,16 @@ def _build_model(labels, h_basis, h_coords, h_brackets, m_basis, m_coords, q):
     """The bracket/metric skeleton of g = h + m with m inside H(x)E; verified.
 
     h_basis are matrices on E, h_coords(A) the coordinate dict of A in them
-    and h_brackets = _commutators(h_basis); m_basis are coordinate dicts
-    {(a, k): c} over H(x)E (a the H-slot, k the E-index) and m_coords(v) the
-    coordinate dict of such a v in them.
+    and h_brackets = _commutators(h_basis); m_basis are H(x)E tuples (x, y)
+    and m_coords(v) the coordinate dict of such a tuple v in them.
     The [m, m] brackets are read off the table of the InvariantQuartic q.
     """
-    omega_h, omega_e = H_SPACE.omega, q.s.space.omega
+    sp = q.s.space
+    dim_e = sp.dim
     dim_h, dim_m = len(h_basis), len(m_basis)
     dim = dim_h + dim_m
     brackets = [[{} for _ in range(dim)] for _ in range(dim)]
+    pairs = [(w[:dim_e], w[dim_e:]) for w in m_basis]
 
     def put(a, b, coords):
         brackets[a][b] = coords
@@ -355,47 +355,36 @@ def _build_model(labels, h_basis, h_coords, h_brackets, m_basis, m_coords, q):
     # [h, h]: the nonzero matrix commutators
     for (i, i2), c in h_brackets.items():
         put(i, i2, h_coords(c))
-    # [h, m]: A . (h_a (x) e_k) = h_a (x) A e_k
+    # [h, m]: [A, (x, y)] = (Ax, Ay)
     for i, a_mat in enumerate(h_basis):
-        for x, w in enumerate(m_basis):
-            image = {}
-            for (a, k), c in w.items():
-                _add_into(image, {(a, l): alk for l, alk in enumerate(a_mat.col(k)) if alk}, c)
-            put(i, dim_h + x, {dim_h + t: c for t, c in m_coords(image).items()})
-    # [m, m]: omega_H(h_a, h_b) S_{e_k, e_l}, bilinearly
-    for x in range(dim_m):
-        for y in range(x + 1, dim_m):
+        for t, (x, y) in enumerate(pairs):
+            image = mat_vec(a_mat, x) + mat_vec(a_mat, y)
+            put(i, dim_h + t, {dim_h + r: c for r, c in m_coords(image).items()})
+    # [m, m]: [(x, y), (x', y')] = S_{x,y'} - S_{y,x'}, bilinearly over the table
+    for t, (x, y) in enumerate(pairs):
+        for t2 in range(t + 1, dim_m):
+            x2, y2 = pairs[t2]
             acc = None
-            for (a, k), cx in m_basis[x].items():
-                for (b, l), cy in m_basis[y].items():
-                    f = omega_h.entry(a, b) * cx * cy
-                    if f:
-                        term = table_entry(q.table, k, l).scale(f)
-                        acc = term if acc is None else acc + term
-            put(dim_h + x, dim_h + y, {} if acc is None or acc.is_zero() else h_coords(acc))
-    # metric: omega_H (x) omega_E restricted to m
-    metric_rows = []
-    for x in range(dim_m):
-        row = []
-        for y in range(dim_m):
-            g = ZERO
-            for (a, k), cx in m_basis[x].items():
-                for (b, l), cy in m_basis[y].items():
-                    wh = omega_h.entry(a, b)
-                    we = omega_e.entry(k, l)
-                    if wh and we:
-                        g = g + cx * cy * wh * we
-            row.append(g)
-        metric_rows.append(row)
-
-    model = LieAlgebraModel(labels, dim_h, dim_m, brackets, Matrix(metric_rows))
+            for u, v, sign in ((x, y2, ONE), (y, x2, MINUS_ONE)):
+                for k, cu in enumerate(u):
+                    if not cu:
+                        continue
+                    for l, cv in enumerate(v):
+                        if cv:
+                            term = table_entry(q.table, k, l).scale(sign * cu * cv)
+                            acc = term if acc is None else acc + term
+            put(dim_h + t, dim_h + t2, {} if acc is None or acc.is_zero() else h_coords(acc))
+    # metric: g((x, y), (x', y')) = omega(x, y') - omega(y, x')
+    metric = Matrix([[omega_pair(sp, x, y2) - omega_pair(sp, y, x2) for x2, y2 in pairs]
+                     for x, y in pairs])
+    model = LieAlgebraModel(labels, dim_h, dim_m, brackets, metric)
     verify_model(model)
     return model
 
 
 def build_complex_algebra(q, hol):
     """The complex symmetric decomposition g = h + H(x)E of an InvariantQuartic,
-    with hol = holonomy(q) as h and the basis tensors h_a (x) e_k as m."""
+    with hol = holonomy(q) as h and the unit tuples h_a (x) e_k as m."""
     sp = q.s.space
     dim_e = sp.dim
     labels = ["k%d" % (i + 1) for i in range(hol.dimension)]
@@ -409,10 +398,10 @@ def build_complex_algebra(q, hol):
             raise TheoremViolationError("bracket value escaped the holonomy span")
         return {i: v for i, v in enumerate(c) if v}
 
-    def m_coords(coords):
-        return {a * dim_e + k: c for (a, k), c in coords.items()}
+    def m_coords(v):
+        return {i: c for i, c in enumerate(v) if c}
 
-    m_basis = [{(a, k): ONE} for a in range(2) for k in range(dim_e)]
+    m_basis = [unit_vec(2 * dim_e, i) for i in range(2 * dim_e)]
     return _build_model(labels, hol.basis, h_coords, hol.commutators, m_basis, m_coords, q)
 
 
@@ -431,13 +420,11 @@ def curvature_ricci(model):
         for y in range(dm):
             trace = ZERO
             for z in range(dm):
-                zx = model.brackets[dh + z][dh + x]
-                if not zx:
-                    continue
-                inner = model.bracket_vectors(zx, {dh + y: ONE})
-                c = inner.get(dh + z)
-                if c:
-                    trace = trace - c
+                # the z-coefficient of [[z, x], y] = sum_a c_a [x_a, y]
+                for a, c in model.brackets[dh + z][dh + x].items():
+                    t = model.brackets[a][dh + y].get(dh + z)
+                    if t:
+                        trace = trace - c * t
             row.append(trace)
         ric.append(row)
     return Matrix(ric)

@@ -1,5 +1,5 @@
 """Reality conditions, real holonomy, and the real form g = h + m with
-m = (H(x)E)^rho, all over the rational field by realification.
+m = (H(x)E)^rho = {(x, jx)}, all over the rational field by realification.
 
 "Real span" computations never leave exact arithmetic: a complex object is
 split into real and imaginary coordinate blocks and eliminated over Q, so
@@ -12,7 +12,9 @@ check_reality builds J[k][l] = S_{je_k,e_l} once from the table and reads
 both the commutator condition and the real holonomy off J.  Its report
 carries the j it was computed for and the real holonomy basis, and
 build_real_algebra consumes that report together with the InvariantQuartic,
-through the same builder as the complex algebra.
+through the same builder as the complex algebra.  Its m is the graph of j,
+with the basis real_m_basis(j) in which (x, jx) has the coordinates
+(Re x, Im x), so reading coordinates off m is a realification, not a solve.
 """
 
 from dataclasses import dataclass, field
@@ -27,11 +29,10 @@ from .exactnum import (
     ZERO,
     echelon_basis,
     from_parts,
+    unit_vec,
 )
-from .symplectic import RealStructureRho
 from .hkalgebra import (
     TheoremViolationError,
-    _add_into,
     _build_model,
     _commutators,
     _flatten,
@@ -167,22 +168,29 @@ def symmetrize_real(t, j):
     return t + tau(t, j)
 
 
+def real_m_basis(j):
+    """The basis (e_k, je_k), then (ie_k, j(ie_k)), of m = {(x, jx)}, in which
+    (x, jx) has the real coordinates (Re x, Im x)."""
+    dim_e = j.ambient.dim
+    xs = [tuple(c * u for u in unit_vec(dim_e, k)) for c in (ONE, I_UNIT) for k in range(dim_e)]
+    return [x + j.apply(x) for x in xs]
+
+
 def build_real_algebra(q, rep):
-    """The real symmetric decomposition g = h + m, m = (H(x)E)^rho.
+    """The real symmetric decomposition g = h + m, m = (H(x)E)^rho = {(x, jx)}.
 
     q is the InvariantQuartic and rep = check_reality(q.s, j, q.table); a
     failed report raises RealityError.  j is read off the report and h is
-    its real holonomy basis.  The m basis is the canonical echelon basis,
-    over the reals, of the sweep {v + rho v, i(v - rho v)} over the complex
-    basis tensors; it has real dimension 4n.
+    its real holonomy basis; m has the basis real_m_basis(j) of real
+    dimension 4n.
     The builder's coordinate functions certify that every structure constant
-    is real and that h preserves the real form; the metric, the restriction
-    of omega_H (x) omega_E, is certified real afterwards.
+    is real and that h preserves the real form; the metric is certified real
+    afterwards.
     """
     if not rep.commutator_condition_ok:
         raise RealityError("quartic fails the reality condition for this j")
     dim_e = q.s.space.dim
-    rho = RealStructureRho(rep.j)
+    j = rep.j
 
     h_basis = rep.real_holonomy_basis
     h_solver = SpanSolver([_realify(_flatten(a)) for a in h_basis])
@@ -193,30 +201,12 @@ def build_real_algebra(q, rep):
             raise TheoremViolationError("real bracket escaped the real holonomy span")
         return _real_coords(c)
 
-    def realify_coords(coords):
-        # H(x)E coordinate (a, k) sits at index a * dim E + k
-        return _realify([coords.get(divmod(i, dim_e), ZERO) for i in range(2 * dim_e)])
-
-    # real basis of m: the RREF of the realified candidates v + rho v and
-    # i(v - rho v) over the complex basis tensors, of real dimension 4n
-    candidates = []
-    for a in range(2):
-        for k in range(dim_e):
-            rv = rho.apply({(a, k): ONE})
-            candidates.append(_add_into({(a, k): ONE}, rv))
-            candidates.append(_add_into({(a, k): I_UNIT}, rv, -I_UNIT))
-    m_rows = echelon_basis([realify_coords(c) for c in candidates])
-    if len(m_rows) != 2 * dim_e:
-        raise TheoremViolationError("real form of H(x)E has wrong dimension")
-    m_basis = [{divmod(i, dim_e): z for i, z in enumerate(_unrealify(row)) if z} for row in m_rows]
-    m_change = SpanSolver(m_rows)
-
-    def m_coords(coords):
-        c = m_change.coords(realify_coords(coords))
-        if c is None:
+    def m_coords(v):
+        if v[dim_e:] != j.apply(v[:dim_e]):
             raise TheoremViolationError("h does not preserve the real form (bug signal)")
-        return _real_coords(c)
+        return _real_coords(_realify(v[:dim_e]))
 
+    m_basis = real_m_basis(j)
     labels = ["K%d" % (i + 1) for i in range(len(h_basis))]
     labels += ["M%d" % (i + 1) for i in range(len(m_basis))]
     model = _build_model(labels, h_basis, h_coords, _commutators(h_basis), m_basis, m_coords, q)

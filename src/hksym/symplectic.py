@@ -7,8 +7,11 @@ Conventions fixed here and inherited by everything downstream:
   omega(p_a, q_b) = delta_ab and omega vanishing on p's and q's separately.
   So omega(x, .) is the covector (-x_q, x_p), and omega is applied only
   through omega_flat(x) = omega(x, .) and its inverse omega_sharp; the
-  dense matrix Omega (row k is omega_flat(e_k)) is kept for matrix
-  identities such as C^t Omega C = conj(Omega) and the Gram matrix of gamma.
+  dense matrix Omega (row k is omega_flat(e_k)) is kept only for matrix
+  identities: C^t Omega C = conj(Omega), C = Omega^t for the standard j and
+  the Gram matrix of gamma.
+* E is the only symplectic space here.  The plane H of g = h + H(x)E is
+  written out as formulas on pairs (x, y) in E (+) E in hkalgebra.
 * The pairing <v, omega x> := omega(x, v), so that the coordinate p paired
   against q gives p_q = omega(q, p) = -1.
 * A quaternionic structure j is the antilinear map v -> C . conj(v) with
@@ -53,7 +56,7 @@ class SymplecticSpace:
 
     __slots__ = ("n", "dim", "omega", "basis_labels")
 
-    def __init__(self, n, label_pair=("p", "q")):
+    def __init__(self, n):
         if n < 1:
             raise ContractError("need n >= 1")
         object.__setattr__(self, "n", n)
@@ -61,8 +64,7 @@ class SymplecticSpace:
         # omega(x, y) = x^t Omega y: row k of Omega is omega(e_k, .)
         omega = Matrix([omega_flat(unit_vec(2 * n, k)) for k in range(2 * n)])
         object.__setattr__(self, "omega", omega)
-        a, b = label_pair
-        labels = ["%s%d" % (a, i + 1) for i in range(n)] + ["%s%d" % (b, i + 1) for i in range(n)]
+        labels = ["p%d" % (i + 1) for i in range(n)] + ["q%d" % (i + 1) for i in range(n)]
         object.__setattr__(self, "basis_labels", tuple(labels))
 
     def __setattr__(self, name, value):
@@ -254,8 +256,8 @@ def standard_quaternionic(sp, lagrangian_split=None):
     """The standard compatible quaternionic structure on (E, omega).
 
     Without a split: j p_k = q_k, j q_k = -p_k, whose gamma is positive
-    definite (this is j_H when n = 1).  With a Lagrangian split (E_+, E_-) and
-    dim E = 4m: j preserves both halves, pairing consecutive coordinates by
+    definite.  With a Lagrangian split (E_+, E_-) and dim E = 4m: j preserves
+    both halves, pairing consecutive coordinates by
     (z1, z2) -> (-conj(z2), conj(z1)) in omega-dual-adapted bases.
     """
     dim = sp.dim
@@ -326,56 +328,6 @@ def gamma_signature(j):
     if z:
         raise ContractError("gamma is degenerate: corrupted quaternionic structure")
     return p, n, z
-
-
-# ---------------------------------------------------------------------------
-# The fixed 2-dimensional space H with omega_H(h1, h2) = 1 and the unique j_H
-# making gamma_H positive definite.
-# ---------------------------------------------------------------------------
-
-H_SPACE = SymplecticSpace(1, label_pair=("h", "h'"))
-J_H = standard_quaternionic(H_SPACE)
-
-
-class RealStructureRho:
-    """rho(h tensor e) = j_H h tensor j_E e on H tensor E; an antilinear involution.
-
-    H tensor E coordinates are dicts {(a, k): GaussRat} with a in {0, 1} the
-    h-index and k the E-index.
-    """
-
-    __slots__ = ("j_e",)
-
-    def __init__(self, j_e):
-        object.__setattr__(self, "j_e", j_e)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealStructureRho is immutable")
-
-    def apply(self, coords):
-        dim = self.j_e.ambient.dim
-        ch = J_H.c_matrix
-        ce = self.j_e.c_matrix
-        out = {}
-        for (a, k), c in coords.items():
-            cc = c.conjugate()
-            if not cc:
-                continue
-            for b in range(2):
-                ha = ch.entry(b, a)
-                if not ha:
-                    continue
-                for l in range(dim):
-                    ee = ce.entry(l, k)
-                    if not ee:
-                        continue
-                    key = (b, l)
-                    val = out.get(key, ZERO) + cc * ha * ee
-                    if val:
-                        out[key] = val
-                    elif key in out:
-                        del out[key]
-        return out
 
 
 # JSON records: a malformed record is refused with one ContractError naming

@@ -10,7 +10,12 @@ integer-triple GaussRat.  The dense-Omega formulas apply omega through its
 2n x 2n Gram matrix, built here from the definition omega(p_a, q_b) =
 delta_ab, as the reference for the package's omega_flat path.
 petrov_from_matrix reads the Petrov type off the Jordan structure of the
-3x3 operator, not off root multiplicities.  embed_gl_group and
+3x3 operator, not off root multiplicities.  The H(x)E references work on
+flat tuples (index a * dim E + k holds h_a (x) e_k) through the Kronecker
+products of the 2 x 2 data of H with the data of E, not through the pair
+formulas of hkalgebra: rho_reference applies j_H (x) j_E, rho_candidate_sweep
+is the spanning set {v + rho v, i(v - rho v)} of (H(x)E)^rho, kronecker_gram
+is the Gram matrix of Omega_H (x) Omega_E and kronecker_apply applies I (x) A.  embed_gl_group and
 binary_quartic_tensor carry group elements and binary quartics into E for
 equivariance and round-trip tests; random_vector and random_invertible
 draw their operands.
@@ -34,6 +39,10 @@ from hksym.exactnum import (
     unit_vec,
 )
 from hksym.generators import random_gaussrat
+from hksym.symplectic import SymplecticSpace, standard_quaternionic
+
+# j_H on the plane H with omega_H(h, h') = 1: j_H h = h', j_H h' = -h
+J_H = standard_quaternionic(SymplecticSpace(1))
 
 
 def dense_omega(n):
@@ -492,3 +501,63 @@ def petrov_from_matrix(m):
     if (factor1 @ factor2).is_zero():
         return "D"
     return "II"
+
+
+def rho_reference(j_e, v):
+    """rho(h_a (x) e_k) = j_H h_a (x) j_E e_k on a flat H(x)E tuple: the
+    conjugated coefficients times the Kronecker product C_H (x) C_E."""
+    dim = j_e.ambient.dim
+    ch, ce = J_H.c_matrix, j_e.c_matrix
+    out = [ZERO] * (2 * dim)
+    for i, c in enumerate(v):
+        a, k = divmod(i, dim)
+        for b in range(2):
+            for l in range(dim):
+                out[b * dim + l] = out[b * dim + l] + c.conjugate() * ch.entry(b, a) * ce.entry(l, k)
+    return tuple(out)
+
+
+def rho_candidate_sweep(j_e):
+    """v + rho v and i(v - rho v) over the unit tuples v of H(x)E: a spanning
+    set of the real form (H(x)E)^rho."""
+    from hksym.exactnum import I_UNIT
+
+    out = []
+    for i in range(2 * j_e.ambient.dim):
+        v = unit_vec(2 * j_e.ambient.dim, i)
+        rv = rho_reference(j_e, v)
+        out.append(tuple(a + b for a, b in zip(v, rv)))
+        out.append(tuple(I_UNIT * (a - b) for a, b in zip(v, rv)))
+    return out
+
+
+def kronecker_gram(vectors):
+    """Gram matrix of Omega_H (x) Omega_E on flat H(x)E tuples, with both
+    Omegas dense."""
+    dim = len(vectors[0]) // 2
+    oh, oe = dense_omega(1), dense_omega(dim // 2)
+    rows = []
+    for u in vectors:
+        row = []
+        for v in vectors:
+            g = ZERO
+            for i, a in enumerate(u):
+                for k, b in enumerate(v):
+                    g = g + a * b * oh.entry(i // dim, k // dim) * oe.entry(i % dim, k % dim)
+            row.append(g)
+        rows.append(row)
+    return Matrix(rows)
+
+
+def kronecker_apply(a_mat, v):
+    """(I_2 (x) A) v for a flat H(x)E tuple v, as a double sum over the
+    Kronecker product."""
+    dim = a_mat.nrows
+    out = []
+    for i in range(2 * dim):
+        s = ZERO
+        for k, c in enumerate(v):
+            if i // dim == k // dim:
+                s = s + a_mat.entry(i % dim, k % dim) * c
+        out.append(s)
+    return tuple(out)

@@ -17,8 +17,9 @@ def run_cli(capsys, *argv):
 
 
 def write_quartic(tmp_path, name, data):
+    """Write data as JSON, or a str as the raw file text."""
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return str(path)
 
 
@@ -151,7 +152,9 @@ class TestAnalyze:
         {"n": 1.7, "degree": 4, "coeffs": [{"monomial": [4, 0], "value": "1"}]},
         # used to end in a TypeError traceback
         {"n": 1, "degree": 4, "coeffs": {"monomial": [4, 0], "value": "1"}},
-    ], ids=["fractional-exponent", "fractional-n", "coeffs-object"])
+        # used to end in a RecursionError traceback from json
+        "[" * 100000,
+    ], ids=["fractional-exponent", "fractional-n", "coeffs-object", "deep-nesting"])
     def test_malformed_record_exits_1_with_one_line_error(self, capsys, tmp_path, record):
         path = write_quartic(tmp_path, "bad.json", record)
         code, out, err = run_cli(capsys, "analyze", path, "--json")
@@ -161,11 +164,12 @@ class TestAnalyze:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("j_record", [
-        # each used to end in a KeyError or TypeError traceback
+        # each used to end in a KeyError, TypeError or RecursionError traceback
         {},
         {"c_matrix": 5},
         [1, 2],
-    ], ids=["empty-object", "c_matrix-int", "list"])
+        "[" * 100000,
+    ], ids=["empty-object", "c_matrix-int", "list", "deep-nesting"])
     def test_malformed_j_exits_1_with_one_line_error(self, capsys, tmp_path, j_record):
         real = str(tmp_path / "real.json")
         run_cli(capsys, "generate", "real-random:1", "--seed", "2", "-o", real)

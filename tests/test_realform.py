@@ -1,11 +1,12 @@
 import pytest
 
-from hksym.exactnum import I_UNIT, echelon_basis, hermitian_inertia
+from hksym.exactnum import I_UNIT, ONE, ZERO, echelon_basis, hermitian_inertia, unit_vec
 from hksym.symplectic import SymplecticSpace, span
 from hksym.symtensor import SymTensor, double_contraction_endo, double_contractions, support, tau
 from hksym.hkalgebra import (
     _flatten,
     _unflatten,
+    build_complex_algebra,
     certify_invariance,
     verify_grading,
     verify_jacobi,
@@ -19,14 +20,18 @@ from hksym.realform import (
     build_real_algebra,
     check_reality,
     real_holonomy,
+    real_m_basis,
     symmetrize_real,
 )
 from hksym.generators import (
+    random_gaussrat,
     random_quartic_full,
     random_tau_fixed,
     standard_split_j,
 )
 from hksym.hkalgebra import holonomy
+
+from oracles import kronecker_apply, kronecker_gram, rho_candidate_sweep, rho_reference
 
 
 def reality(s, j):
@@ -327,3 +332,82 @@ class TestBuildRealAlgebra:
         assert model.dim_m == 16
         assert hermitian_inertia(model.metric_on_m) == (8, 8, 0)
         assert verify_jacobi(model) == (True, None)
+
+
+
+def _h_formula_case(kind):
+    """(s, j) for the split, definite or non-coordinate j on dim E = 4: a
+    tau-fixed invariant quartic, zero for the definite j (its gamma is
+    definite, so no Lagrangian is j-invariant)."""
+    import random
+
+    from hksym.generators import random_quartic_lagrangian
+    from hksym.symplectic import standard_quaternionic
+    from hksym.symtensor import transform
+
+    if kind == "split":
+        return random_tau_fixed(1, random.Random(5))
+    sp = SymplecticSpace(2)
+    if kind == "definite":
+        return SymTensor.zero(sp, 4), standard_quaternionic(sp)
+    rng = random.Random(31)
+    split, t_mat = non_coordinate_split(sp, rng)
+    j = standard_quaternionic(sp, split)
+    return symmetrize_real(transform(random_quartic_lagrangian(2, rng), t_mat), j), j
+
+
+def _models_with_bases(s, j):
+    """(model, h basis, m basis, is real) of the real and the complex algebra of s."""
+    q = certify_invariance(s)
+    rep = check_reality(s, j, q.table)
+    hol = holonomy(q)
+    units = [unit_vec(2 * s.space.dim, i) for i in range(2 * s.space.dim)]
+    return [
+        (build_real_algebra(q, rep), rep.real_holonomy_basis, real_m_basis(j), True),
+        (build_complex_algebra(q, hol), hol.basis, units, False),
+    ]
+
+
+def _combine(coeffs, vectors):
+    """sum_t coeffs[t] vectors[t]."""
+    return tuple(sum((c * v[i] for c, v in zip(coeffs, vectors)), ZERO)
+                 for i in range(len(vectors[0])))
+
+
+H_FORMULA_KINDS = ["split", "definite", "non-coordinate"]
+
+
+class TestHFormulas:
+    """The pair formulas on H(x)E = E (+) E against the Kronecker references."""
+
+    @pytest.mark.parametrize("kind", H_FORMULA_KINDS)
+    def test_real_m_basis_is_fixed_by_rho_and_spans_the_sweep(self, kind):
+        _, j = _h_formula_case(kind)
+        basis = real_m_basis(j)
+        assert len(basis) == 2 * j.ambient.dim
+        for v in basis:
+            assert rho_reference(j, v) == v
+        sweep = echelon_basis([_realify(v) for v in rho_candidate_sweep(j)])
+        assert echelon_basis([_realify(v) for v in basis]) == sweep
+
+    @pytest.mark.parametrize("kind", H_FORMULA_KINDS)
+    def test_pair_metric_is_the_kronecker_gram(self, kind):
+        s, j = _h_formula_case(kind)
+        for model, _, m_basis, _ in _models_with_bases(s, j):
+            assert model.metric_on_m == kronecker_gram(m_basis)
+
+    @pytest.mark.parametrize("kind", H_FORMULA_KINDS)
+    def test_h_acts_as_identity_tensor_a(self, kind, rng):
+        # [A, (x, y)] = (Ax, Ay) is (I (x) A) on seeded tuples, read back
+        # through the m basis; real coefficients for the real form
+        s, j = _h_formula_case(kind)
+        for model, h_basis, m_basis, real in _models_with_bases(s, j):
+            dh = model.dim_h
+            for _ in range(3):
+                coeffs = [random_gaussrat(rng).real_part() if real else random_gaussrat(rng)
+                          for _ in m_basis]
+                w = {dh + t: c for t, c in enumerate(coeffs) if c}
+                for i, a_mat in enumerate(h_basis):
+                    image = model.bracket_vectors({i: ONE}, w)
+                    got = [image.get(dh + t, ZERO) for t in range(len(m_basis))]
+                    assert _combine(got, m_basis) == kronecker_apply(a_mat, _combine(coeffs, m_basis))

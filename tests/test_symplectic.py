@@ -2,10 +2,7 @@ import pytest
 
 from hksym.exactnum import ContractError, GaussRat, Matrix, ONE, ZERO
 from hksym.symplectic import (
-    H_SPACE,
-    J_H,
     QuaternionicStructure,
-    RealStructureRho,
     Subspace,
     SymplecticSpace,
     extend_to_lagrangian,
@@ -22,7 +19,7 @@ from hksym.symplectic import (
 )
 from hksym.generators import random_symplectic
 
-from oracles import random_vector
+from oracles import J_H, random_vector, rho_reference
 
 
 def basis(sp):
@@ -217,14 +214,13 @@ class TestQuaternionic:
         assert g == g.hermitian_transpose()
 
     def test_rho_squared_identity(self):
+        # rho = j_H (x) j_E is an involution: j_H^2 = j_E^2 = -1
         for n in (1, 2):
             sp = SymplecticSpace(n)
             j_e = standard_quaternionic(sp)
-            rho = RealStructureRho(j_e)
-            for a in range(2):
-                for k in range(sp.dim):
-                    v = {(a, k): ONE}
-                    assert rho.apply(rho.apply(v)) == v
+            for i in range(2 * sp.dim):
+                v = tuple(ONE if t == i else ZERO for t in range(2 * sp.dim))
+                assert rho_reference(j_e, rho_reference(j_e, v)) == v
 
     def test_serialization_roundtrip(self):
         sp = SymplecticSpace(2)
@@ -241,5 +237,10 @@ class TestQuaternionic:
 
 
 def test_h_space_constants():
-    assert H_SPACE.n == 1
-    assert omega_pair(H_SPACE, H_SPACE.basis_vector(0), H_SPACE.basis_vector(1)) == ONE
+    # H is the plane of j_H with omega_H(h, h') = 1, j_H h = h', j_H h' = -h
+    h_space = J_H.ambient
+    h, h_prime = h_space.basis_vector(0), h_space.basis_vector(1)
+    assert h_space.n == 1
+    assert omega_pair(h_space, h, h_prime) == ONE
+    assert J_H.apply(h) == h_prime
+    assert J_H.apply(h_prime) == tuple(-c for c in h)
