@@ -15,10 +15,10 @@ flat tuples (index a * dim E + k holds h_a (x) e_k) through the Kronecker
 products of the 2 x 2 data of H with the data of E, not through the pair
 formulas of hkalgebra: rho_reference applies j_H (x) j_E, rho_candidate_sweep
 is the spanning set {v + rho v, i(v - rho v)} of (H(x)E)^rho, kronecker_gram
-is the Gram matrix of Omega_H (x) Omega_E and kronecker_apply applies I (x) A.  embed_gl_group and
-binary_quartic_tensor carry group elements and binary quartics into E for
-equivariance and round-trip tests; random_vector and random_invertible
-draw their operands.
+is the Gram matrix of Omega_H (x) Omega_E and kronecker_apply applies
+I (x) A.  embed_gl_group and binary_quartic_tensor carry group elements
+and binary quartics into E for equivariance and round-trip tests;
+random_vector and random_invertible draw their operands.
 """
 
 import re as _re
@@ -28,6 +28,7 @@ from itertools import combinations
 from hksym.exactnum import (
     ContractError,
     GaussRat,
+    I_UNIT,
     Matrix,
     ONE,
     ScalarError,
@@ -520,8 +521,6 @@ def rho_reference(j_e, v):
 def rho_candidate_sweep(j_e):
     """v + rho v and i(v - rho v) over the unit tuples v of H(x)E: a spanning
     set of the real form (H(x)E)^rho."""
-    from hksym.exactnum import I_UNIT
-
     out = []
     for i in range(2 * j_e.ambient.dim):
         v = unit_vec(2 * j_e.ambient.dim, i)

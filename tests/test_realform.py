@@ -334,7 +334,6 @@ class TestBuildRealAlgebra:
         assert verify_jacobi(model) == (True, None)
 
 
-
 def _h_formula_case(kind):
     """(s, j) for the split, definite or non-coordinate j on dim E = 4: a
     tau-fixed invariant quartic, zero for the definite j (its gamma is
