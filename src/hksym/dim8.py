@@ -23,7 +23,8 @@ from .exactnum import (
     inverse,
 )
 from .symtensor import restrict_to_basis, tensor_in_subspace_power, tau
-from .hkalgebra import certify_invariance, find_lagrangian
+from .hkalgebra import TheoremViolationError, certify_invariance, find_lagrangian
+from .realform import RealityError
 
 
 _HALF = GaussRat(Fraction(1, 2))
@@ -418,12 +419,12 @@ def classify_real8(s, j, e_plus):
     (certified exactly).  There it is self-adjoint for the positive definite
     restriction of the invariant form, hence orthogonally diagonalizable, and
     its characteristic data (p, q) is the complete positive-scaling rotation
-    invariant.
+    invariant.  A quartic that is not tau-fixed for j raises RealityError.
     """
     if s.space.dim != 4:
         raise ContractError("real dim-8 classification needs dim E = 4")
     if tau(s, j) != s:
-        raise ContractError("real classification needs a tau-fixed quartic")
+        raise RealityError("real classification needs a tau-fixed quartic")
     if s.is_zero():
         return RealOrbitClass(kind="zero")
     if e_plus.dim != 2:
@@ -443,8 +444,8 @@ def classify_real8(s, j, e_plus):
     for row in op_r.data:
         for e in row:
             if not e.is_real:
-                raise ContractError("operator does not restrict to the real slice "
-                                    "(quartic not tau-fixed for this j?)")
+                raise TheoremViolationError("operator of a tau-fixed quartic does not "
+                                            "restrict to the real slice (bug signal)")
     return real_class_of_symmetric(op_r)
 
 

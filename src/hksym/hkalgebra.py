@@ -20,10 +20,12 @@ copies of E, and the bracket data is the one the quartic dictates:
   [(x, y), (x', y')]  = S_{x,y'} - S_{y,x'}            (m with m),
   g((x, y), (x', y')) = omega(x, y') - omega(y, x')    (the metric on m),
   rho(x, y)           = (-jy, jx)                      (the real structure),
-so the real form is m = (H(x)E)^rho = {(x, jx)}.  One builder, _build_model,
-assembles them for both the complex algebra and its real form
-(realform.build_real_algebra); the callers differ only in the bases of h and
-m and in the coordinate functions they pass.
+so the real form is m = (H(x)E)^rho = {(x, jx)}.  As h = [m, m], the [m, m]
+brackets are the holonomy generators.  One builder, _build_model, assembles
+both the complex algebra and its real form (realform.build_real_algebra) from
+the bases of h and m, their coordinates and the [m, m] brackets its caller
+already holds: the table entries here, the generator table of check_reality
+there.
 """
 
 from dataclasses import dataclass, field
@@ -333,26 +335,31 @@ def verify_model(model):
     return True
 
 
-def _build_model(labels, h_basis, h_coords, h_brackets, m_basis, m_coords, q):
+def _build_model(sp, labels, h_basis, h_brackets, flat, m_basis, m_coords, m_brackets):
     """The bracket/metric skeleton of g = h + m with m inside H(x)E; verified.
 
-    h_basis are matrices on E, h_coords(A) the coordinate dict of A in them
-    and h_brackets = _commutators(h_basis); m_basis are H(x)E tuples (x, y)
-    and m_coords(v) the coordinate dict of such a tuple v in them.
-    The [m, m] brackets are read off the table of the InvariantQuartic q.
+    h_basis are matrices on E with reduced row echelon rows flat(A), in which
+    one SpanSolver reads h_brackets = _commutators(h_basis) and m_brackets =
+    {(t, t2): [m_t, m_t2]}, t < t2 (pairs left out bracket to zero).  m_basis
+    are H(x)E tuples (x, y) and m_coords(v) the coordinate dict of such a v.
     """
-    sp = q.s.space
     dim_e = sp.dim
     dim_h, dim_m = len(h_basis), len(m_basis)
     dim = dim_h + dim_m
     brackets = [[{} for _ in range(dim)] for _ in range(dim)]
     pairs = [(w[:dim_e], w[dim_e:]) for w in m_basis]
+    solver = SpanSolver([flat(a) for a in h_basis])
 
     def put(a, b, coords):
         brackets[a][b] = coords
         brackets[b][a] = _dict_neg(coords)
 
-    # [h, h]: the nonzero matrix commutators
+    def h_coords(mat):
+        c = solver.coords(flat(mat))
+        if c is None:
+            raise TheoremViolationError("bracket value escaped the holonomy span (bug signal)")
+        return {i: v for i, v in enumerate(c) if v}
+
     for (i, i2), c in h_brackets.items():
         put(i, i2, h_coords(c))
     # [h, m]: [A, (x, y)] = (Ax, Ay)
@@ -360,20 +367,9 @@ def _build_model(labels, h_basis, h_coords, h_brackets, m_basis, m_coords, q):
         for t, (x, y) in enumerate(pairs):
             image = mat_vec(a_mat, x) + mat_vec(a_mat, y)
             put(i, dim_h + t, {dim_h + r: c for r, c in m_coords(image).items()})
-    # [m, m]: [(x, y), (x', y')] = S_{x,y'} - S_{y,x'}, bilinearly over the table
-    for t, (x, y) in enumerate(pairs):
-        for t2 in range(t + 1, dim_m):
-            x2, y2 = pairs[t2]
-            acc = None
-            for u, v, sign in ((x, y2, ONE), (y, x2, MINUS_ONE)):
-                for k, cu in enumerate(u):
-                    if not cu:
-                        continue
-                    for l, cv in enumerate(v):
-                        if cv:
-                            term = table_entry(q.table, k, l).scale(sign * cu * cv)
-                            acc = term if acc is None else acc + term
-            put(dim_h + t, dim_h + t2, {} if acc is None or acc.is_zero() else h_coords(acc))
+    for (t, t2), c in m_brackets.items():
+        if not c.is_zero():
+            put(dim_h + t, dim_h + t2, h_coords(c))
     # metric: g((x, y), (x', y')) = omega(x, y') - omega(y, x')
     metric = Matrix([[omega_pair(sp, x, y2) - omega_pair(sp, y, x2) for x2, y2 in pairs]
                      for x, y in pairs])
@@ -384,25 +380,18 @@ def _build_model(labels, h_basis, h_coords, h_brackets, m_basis, m_coords, q):
 
 def build_complex_algebra(q, hol):
     """The complex symmetric decomposition g = h + H(x)E of an InvariantQuartic,
-    with hol = holonomy(q) as h and the unit tuples h_a (x) e_k as m."""
+    with hol = holonomy(q) as h and the unit tuples h_a (x) e_k as m, whose
+    only nonzero [m, m] brackets are [h(x)e_k, h'(x)e_l] = S_{e_k,e_l}."""
     sp = q.s.space
     dim_e = sp.dim
     labels = ["k%d" % (i + 1) for i in range(hol.dimension)]
     for a in (1, 2):
         labels += ["h%d*%s" % (a, sp.basis_labels[k]) for k in range(dim_e)]
-    solver = SpanSolver([_flatten(m) for m in hol.basis])
-
-    def h_coords(mat):
-        c = solver.coords(_flatten(mat))
-        if c is None:
-            raise TheoremViolationError("bracket value escaped the holonomy span")
-        return {i: v for i, v in enumerate(c) if v}
-
-    def m_coords(v):
-        return {i: c for i, c in enumerate(v) if c}
-
     m_basis = [unit_vec(2 * dim_e, i) for i in range(2 * dim_e)]
-    return _build_model(labels, hol.basis, h_coords, hol.commutators, m_basis, m_coords, q)
+    m_brackets = {(k, dim_e + l): table_entry(q.table, k, l)
+                  for k in range(dim_e) for l in range(dim_e)}
+    return _build_model(sp, labels, hol.basis, hol.commutators, _flatten, m_basis,
+                        lambda v: {i: c for i, c in enumerate(v) if c}, m_brackets)
 
 
 def curvature_ricci(model):
@@ -621,7 +610,7 @@ def analyze_quartic(s, j=None, real=False):
             "tau_fixed": rep.tau_fixed,
             "equivalent": rep.equivalent,
             "real_holonomy_dim": rep.real_holonomy_dim,
-            "signature_on_m": list(rep.signature_on_m) if rep.signature_on_m else None,
+            "signature_on_m": None,
         }
         if rep.commutator_condition_ok:
             real_model = realform.build_real_algebra(q, rep)

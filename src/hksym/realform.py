@@ -6,14 +6,17 @@ split into real and imaginary coordinate blocks and eliminated over Q, so
 every verdict (the commutator condition, tau-fixedness, closure of the real
 structure constants, the metric signature) is exact.
 
-Everything is read off the quartic's table of double contractions
-S_{e_k,e_l}: by bilinearity S_{je_k,e_l} = sum_m (je_k)_m S_{e_m,e_l}, so
-check_reality builds J[k][l] = S_{je_k,e_l} once from the table and reads
-both the commutator condition and the real holonomy off J.  Its report
-carries the j it was computed for and the real holonomy basis, and
-build_real_algebra consumes that report together with the InvariantQuartic,
-through the same builder as the complex algebra.  Its m is the graph of j,
-with the basis real_m_basis(j) in which (x, jx) has the coordinates
+Everything is read off the quartic's table of double contractions: by
+bilinearity J[k][l] = S_{je_k,e_l} = sum_m (je_k)_m S_{e_m,e_l}.  In the
+basis real_m_basis(j) of m, m_k = (e_k, je_k) and m_{d+k} = (ie_k, -i je_k),
+the pair formula gives the generator table {(k, l): ([m_k, m_l],
+[m_k, m_{d+l}])}, k <= l, which holds every [m, m] bracket:
+  [m_k, m_l]     = [m_{d+k}, m_{d+l}] = J[l][k] - J[k][l],
+  [m_k, m_{d+l}] = [m_l, m_{d+k}]     = -i (J[l][k] + J[k][l]).
+check_reality builds it once and reads the commutator condition off its first
+components and the real holonomy h = [m, m] off all of it.  Its report
+carries j, the table and that basis, and build_real_algebra hands them to
+the same builder as the complex algebra.  (x, jx) has the coordinates
 (Re x, Im x), so reading coordinates off m is a realification, not a solve.
 """
 
@@ -25,7 +28,6 @@ from .exactnum import (
     I_UNIT,
     Matrix,
     ONE,
-    SpanSolver,
     ZERO,
     echelon_basis,
     from_parts,
@@ -51,10 +53,11 @@ class RealityReport:
     tau_fixed: bool
     equivalent: bool
     real_holonomy_dim: Optional[int] = None
-    signature_on_m: Optional[tuple] = None
-    # the j the report was computed for, and the echelonized real holonomy
-    # basis when the condition holds; not part of any serialized report
+    # the j the report was computed for, its generator table and, when the
+    # condition holds, the echelonized real holonomy basis; not part of any
+    # serialized report
     j: Optional[object] = field(default=None, repr=False)
+    generators: Optional[dict] = field(default=None, repr=False)
     real_holonomy_basis: Optional[list] = field(default=None, repr=False)
 
 
@@ -63,21 +66,18 @@ def _commutes_with_j(a, j):
     return (a @ j.c_matrix - j.c_matrix @ a.conj()).is_zero()
 
 
-def _j_table(j, table):
-    """J[k][l] = S_{je_k,e_l} = sum_m (je_k)_m S_{e_m,e_l}, from the table."""
+def _generator_table(j, table):
+    """{(k, l): ([m_k, m_l], [m_k, m_{d+l}])} for k <= l, from
+    J[k][l] = S_{je_k,e_l} = sum_m (je_k)_m S_{e_m,e_l}."""
     sp = j.ambient
-    rows = []
-    for k in range(sp.dim):
+    d = sp.dim
+    jt = []
+    for k in range(d):
         jk = j.apply(sp.basis_vector(k))
-        row = []
-        for l in range(sp.dim):
-            acc = Matrix.zeros(sp.dim, sp.dim)
-            for m, c in enumerate(jk):
-                if c:
-                    acc = acc + table_entry(table, m, l).scale(c)
-            row.append(acc)
-        rows.append(row)
-    return rows
+        jt.append([sum((table_entry(table, m, l).scale(c) for m, c in enumerate(jk) if c),
+                       Matrix.zeros(d, d)) for l in range(d)])
+    return {(k, l): (jt[l][k] - jt[k][l], (jt[l][k] + jt[k][l]).scale(-I_UNIT))
+            for k in range(d) for l in range(k, d)}
 
 
 def _realify(v):
@@ -100,20 +100,17 @@ def check_reality(s, j, table):
 
     table holds S_{e_k,e_l} for k <= l: an InvariantQuartic's table, or
     dict(double_contractions(s)) for any quartic.  The commutator condition
-    is [S_{je,e'} - S_{e,je'}, j] = 0 over all basis pairs, where
-    S_{e_k,je_l} = J[l][k]; the difference is antisymmetric in (k, l), so
-    the pairs k < l decide it.  tau-fixedness is tau(S) = S.  Their
-    equivalence is a theorem, so disagreement raises instead of being
-    reported as data.  The report carries j and, when the condition holds,
-    the real holonomy basis.
+    is [S_{je,e'} - S_{e,je'}, j] = 0 over all basis pairs, i.e. [m_k, m_l]
+    commutes with j; it is antisymmetric in (k, l), so the generator pairs
+    k < l decide it.  tau-fixedness is tau(S) = S.  Their equivalence is a
+    theorem, so disagreement raises instead of being reported as data.  The
+    report carries j, the generator table and, when the condition holds, the
+    real holonomy basis.
     """
     if s.degree != 4:
         raise ContractError("reality check needs a quartic")
-    jt = _j_table(j, table)
-    dim = s.space.dim
-    commutator_ok = all(
-        _commutes_with_j(jt[k][l] - jt[l][k], j) for k in range(dim) for l in range(k + 1, dim)
-    )
+    gens = _generator_table(j, table)
+    commutator_ok = all(_commutes_with_j(a, j) for (k, l), (a, _) in gens.items() if k < l)
     tau_fixed = tau(s, j) == s
     if commutator_ok != tau_fixed:
         raise TheoremViolationError(
@@ -124,34 +121,30 @@ def check_reality(s, j, table):
         tau_fixed=tau_fixed,
         equivalent=True,
         j=j,
+        generators=gens,
     )
     if commutator_ok:
-        report.real_holonomy_basis = real_holonomy(jt, j)
+        report.real_holonomy_basis = real_holonomy(gens, j)
         report.real_holonomy_dim = len(report.real_holonomy_basis)
     return report
 
 
-def real_holonomy(jt, j):
+def real_holonomy(gens, j):
     """Echelonized basis (over Q, by realification) of the real holonomy span.
 
-    jt is the table J[k][l] = S_{je_k,e_l}.  The span is generated by
-    S_{je,e'} - S_{e,je'} over basis pairs together with the i-scaled
-    companions i(S_{je,e'} + S_{e,je'}): real-bilinear expansion over
-    arbitrary e, e' reduces to exactly these, because replacing e by ie turns
-    the difference generator into the sum generator (times a real factor),
-    and (ie, ie') reproduces (e, e').
+    gens is the generator table of check_reality, and the real holonomy is
+    the real span of all its brackets, h = [m, m].  Its components are
+    S_{e,je'} - S_{je,e'} over basis pairs and the -i-scaled companions
+    -i(S_{je,e'} + S_{e,je'}): real-bilinear expansion over arbitrary
+    e, e' reduces to exactly these, because replacing e by ie turns the
+    difference generator into the sum generator (times a real factor), and
+    (ie, ie') reproduces (e, e').
 
     Every returned matrix is certified to commute with j in the antilinear
     sense; the span sits inside the commutant of j in the complex holonomy.
     """
-    dim = len(jt)
-    rows = []
-    for k in range(dim):
-        for l in range(k, dim):
-            a, b = jt[k][l], jt[l][k]
-            for g in (a - b, (a + b).scale(I_UNIT)):
-                if not g.is_zero():
-                    rows.append(_realify(_flatten(g)))
+    dim = j.ambient.dim
+    rows = [_realify(_flatten(g)) for pair in gens.values() for g in pair if not g.is_zero()]
     basis = []
     for v in echelon_basis(rows):
         a = _unflatten(_unrealify(v), dim)
@@ -180,46 +173,37 @@ def build_real_algebra(q, rep):
     """The real symmetric decomposition g = h + m, m = (H(x)E)^rho = {(x, jx)}.
 
     q is the InvariantQuartic and rep = check_reality(q.s, j, q.table); a
-    failed report raises RealityError.  j is read off the report and h is
-    its real holonomy basis; m has the basis real_m_basis(j) of real
-    dimension 4n.
-    The builder's coordinate functions certify that every structure constant
-    is real and that h preserves the real form; the metric is certified real
-    afterwards.
+    failed report raises RealityError.  j is read off the report, h is its
+    real holonomy basis and the [m, m] brackets are its generator table;
+    m has the basis real_m_basis(j) of real dimension 4n.
+    Coordinates in h are read off realified rows and so are real; m_coords
+    certifies that h preserves the real form, and the metric is certified
+    real afterwards.
     """
     if not rep.commutator_condition_ok:
         raise RealityError("quartic fails the reality condition for this j")
-    dim_e = q.s.space.dim
-    j = rep.j
-
-    h_basis = rep.real_holonomy_basis
-    h_solver = SpanSolver([_realify(_flatten(a)) for a in h_basis])
-
-    def h_coords(mat):
-        c = h_solver.coords(_realify(_flatten(mat)))
-        if c is None:
-            raise TheoremViolationError("real bracket escaped the real holonomy span")
-        return _real_coords(c)
+    sp, j = q.s.space, rep.j
+    dim_e = sp.dim
 
     def m_coords(v):
         if v[dim_e:] != j.apply(v[:dim_e]):
             raise TheoremViolationError("h does not preserve the real form (bug signal)")
-        return _real_coords(_realify(v[:dim_e]))
+        return {i: c for i, c in enumerate(_realify(v[:dim_e])) if c}
 
+    m_brackets = {}
+    for (k, l), (a, b) in rep.generators.items():
+        if k < l:
+            m_brackets[(k, l)] = m_brackets[(dim_e + k, dim_e + l)] = a
+            m_brackets[(l, dim_e + k)] = b
+        m_brackets[(k, dim_e + l)] = b
+    h_basis = rep.real_holonomy_basis
     m_basis = real_m_basis(j)
     labels = ["K%d" % (i + 1) for i in range(len(h_basis))]
     labels += ["M%d" % (i + 1) for i in range(len(m_basis))]
-    model = _build_model(labels, h_basis, h_coords, _commutators(h_basis), m_basis, m_coords, q)
+    model = _build_model(sp, labels, h_basis, _commutators(h_basis),
+                         lambda a: _realify(_flatten(a)), m_basis, m_coords, m_brackets)
     for row in model.metric_on_m.data:
         for g in row:
             if not g.is_real:
                 raise TheoremViolationError("metric restriction is not real (bug signal)")
     return model
-
-
-def _real_coords(c):
-    """Coordinate dict of a solved coordinate tuple that must be real."""
-    for x in c:
-        if not x.is_real:
-            raise TheoremViolationError("non-real structure constant (bug signal)")
-    return {i: v for i, v in enumerate(c) if v}

@@ -16,7 +16,11 @@ products of the 2 x 2 data of H with the data of E, not through the pair
 formulas of hkalgebra: rho_reference applies j_H (x) j_E, rho_candidate_sweep
 is the spanning set {v + rho v, i(v - rho v)} of (H(x)E)^rho, kronecker_gram
 is the Gram matrix of Omega_H (x) Omega_E and kronecker_apply applies
-I (x) A.  embed_gl_group and binary_quartic_tensor carry group elements
+I (x) A.  mm_bracket_walk and real_holonomy_generators are the [m, m]
+and real holonomy paths the algebra builder used before it took its brackets
+from its callers: the pair formula summed bilinearly over the table of
+double contractions, and the generators S_{je,e'} -/+ S_{e,je'} over basis
+pairs.  embed_gl_group and binary_quartic_tensor carry group elements
 and binary quartics into E for equivariance and round-trip tests;
 random_vector and random_invertible draw their operands.
 """
@@ -40,6 +44,7 @@ from hksym.exactnum import (
     unit_vec,
 )
 from hksym.generators import random_gaussrat
+from hksym.symtensor import table_entry
 from hksym.symplectic import SymplecticSpace, standard_quaternionic
 
 # j_H on the plane H with omega_H(h, h') = 1: j_H h = h', j_H h' = -h
@@ -560,3 +565,36 @@ def kronecker_apply(a_mat, v):
                 s = s + a_mat.entry(i % dim, k % dim) * c
         out.append(s)
     return tuple(out)
+
+
+def mm_bracket_walk(table, m_basis):
+    """{(t, t2): [m_t, m_t2]} for t < t2 over H(x)E tuples m_t = (x, y):
+    S_{x,y'} - S_{y,x'} summed bilinearly over the table of S_{e_k,e_l},
+    with None for a bracket that has no nonzero term."""
+    dim = len(m_basis[0]) // 2
+    pairs = [(w[:dim], w[dim:]) for w in m_basis]
+    out = {}
+    for t, (x, y) in enumerate(pairs):
+        for t2 in range(t + 1, len(pairs)):
+            x2, y2 = pairs[t2]
+            acc = None
+            for u, v, sign in ((x, y2, ONE), (y, x2, -ONE)):
+                for k, cu in enumerate(u):
+                    for l, cv in enumerate(v):
+                        if cu and cv:
+                            term = table_entry(table, k, l).scale(sign * cu * cv)
+                            acc = term if acc is None else acc + term
+            out[(t, t2)] = acc
+    return out
+
+
+def real_holonomy_generators(jt):
+    """S_{je_k,e_l} - S_{e_k,je_l} and i(S_{je_k,e_l} + S_{e_k,je_l}) for
+    k <= l, from the table jt[k][l] = S_{je_k,e_l}."""
+    dim = len(jt)
+    out = []
+    for k in range(dim):
+        for l in range(k, dim):
+            a, b = jt[k][l], jt[l][k]
+            out += [a - b, (a + b).scale(I_UNIT)]
+    return out

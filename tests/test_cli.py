@@ -308,9 +308,9 @@ class TestClassify8:
         # an invariant quartic that is not tau-fixed for the default j
         path = str(Path(__file__).resolve().parent / "golden" / "lagrangian_2.json")
         code, out, err = run_cli(capsys, "classify8", path, "--real", "--json")
-        assert code == 1
+        assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("rejected: ")
         assert err.count("\n") == 1
 
 

@@ -20,6 +20,7 @@ from hksym.dim8 import (
     real_orbit_class_from_char,
 )
 from hksym.generators import random_gaussrat, random_tau_fixed, standard_split_j
+from hksym.realform import RealityError
 
 from oracles import (
     binary_quartic_tensor,
@@ -344,7 +345,7 @@ class TestClassifyReal8:
         sp = SymplecticSpace(2)
         j = standard_split_j(sp)
         s = lin(sp, 0) ** 4
-        with pytest.raises(ContractError):
+        with pytest.raises(RealityError):
             classify_real8(s, j, span(sp, [sp.basis_vector(0), sp.basis_vector(1)]))
 
 

@@ -1,8 +1,23 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from hksym.exactnum import I_UNIT, ONE, ZERO, echelon_basis, hermitian_inertia, unit_vec
-from hksym.symplectic import SymplecticSpace, span
-from hksym.symtensor import SymTensor, double_contraction_endo, double_contractions, support, tau
+from hksym.exactnum import I_UNIT, ONE, ZERO, Matrix, echelon_basis, hermitian_inertia, unit_vec
+from hksym.symplectic import (
+    SymplecticSpace,
+    quaternionic_from_json,
+    span,
+    standard_quaternionic,
+)
+from hksym.symtensor import (
+    SymTensor,
+    double_contraction_endo,
+    double_contractions,
+    quartic_from_dict,
+    support,
+    tau,
+)
 from hksym.hkalgebra import (
     _flatten,
     _unflatten,
@@ -14,7 +29,7 @@ from hksym.hkalgebra import (
 )
 from hksym.realform import (
     _commutes_with_j,
-    _j_table,
+    _generator_table,
     _realify,
     _unrealify,
     build_real_algebra,
@@ -24,6 +39,7 @@ from hksym.realform import (
     symmetrize_real,
 )
 from hksym.generators import (
+    make_generator,
     random_gaussrat,
     random_quartic_full,
     random_tau_fixed,
@@ -31,7 +47,16 @@ from hksym.generators import (
 )
 from hksym.hkalgebra import holonomy
 
-from oracles import kronecker_apply, kronecker_gram, rho_candidate_sweep, rho_reference
+from oracles import (
+    kronecker_apply,
+    kronecker_gram,
+    mm_bracket_walk,
+    real_holonomy_generators,
+    rho_candidate_sweep,
+    rho_reference,
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def reality(s, j):
@@ -105,27 +130,37 @@ class TestCheckReality:
         assert fixed_count >= 10  # the symmetrized half always passes
 
     def test_j_table_matches_direct_contractions(self, dim4, rng):
-        # J[k][l] = S_{je_k,e_l} read off the table by bilinearity equals the
-        # direct double contraction, for the split j, the definite j and a
-        # j whose invariant Lagrangians are not coordinate subspaces
-        from hksym.symplectic import standard_quaternionic
-
+        # each generator pair ([m_k, m_l], [m_k, m_{d+l}]) read off J by
+        # bilinearity equals the pair formula S_{x,y'} - S_{y,x'} on the
+        # real_m_basis tuples, contracted directly, as do the brackets
+        # [m_{d+k}, m_{d+l}] and [m_l, m_{d+k}] it stands for; for the split
+        # j, the definite j and a j whose invariant Lagrangians are not
+        # coordinate subspaces
         sp, split_j = dim4
+        d = sp.dim
         split, _ = non_coordinate_split(sp, rng)
         for j in (split_j, standard_quaternionic(sp), standard_quaternionic(sp, split)):
             s = random_quartic_full(sp, rng)
-            jt = _j_table(j, dict(double_contractions(s)))
-            for k in range(sp.dim):
-                jk = j.apply(sp.basis_vector(k))
-                for l in range(sp.dim):
-                    assert jt[k][l] == double_contraction_endo(s, jk, sp.basis_vector(l))
+            m = real_m_basis(j)
+
+            def bracket(v, w):
+                return (double_contraction_endo(s, v[:d], w[d:])
+                        - double_contraction_endo(s, v[d:], w[:d]))
+
+            gens = _generator_table(j, dict(double_contractions(s)))
+            assert list(gens) == [(k, l) for k in range(d) for l in range(k, d)]
+            for (k, l), (a, b) in gens.items():
+                assert a == bracket(m[k], m[l]) == bracket(m[d + k], m[d + l])
+                assert b == bracket(m[k], m[d + l]) == bracket(m[l], m[d + k])
 
     def test_report_carries_real_holonomy(self, dim4, rng):
         sp, j = dim4
         s, _ = random_tau_fixed(1, rng)
         table = dict(double_contractions(s))
         rep = check_reality(s, j, table)
-        assert rep.real_holonomy_basis == real_holonomy(_j_table(j, table), j)
+        gens = _generator_table(j, table)
+        assert rep.generators == gens
+        assert rep.real_holonomy_basis == real_holonomy(gens, j)
         assert rep.real_holonomy_dim == len(rep.real_holonomy_basis)
         assert rep.j is j
         failed = reality(s.scale(I_UNIT), j)
@@ -410,3 +445,72 @@ class TestHFormulas:
                     image = model.bracket_vectors({i: ONE}, w)
                     got = [image.get(dh + t, ZERO) for t in range(len(m_basis))]
                     assert _combine(got, m_basis) == kronecker_apply(a_mat, _combine(coeffs, m_basis))
+
+
+def _golden_quartic(stem):
+    return quartic_from_dict(json.loads((GOLDEN / ("%s.json" % stem)).read_text()))
+
+
+def _walk_case(kind):
+    """(s, j) of a differential case: j is None for the complex model."""
+    if kind.startswith("complex:"):
+        name = kind.split(":", 1)[1]
+        if name == "scrambled_lagrangian_2":
+            return _golden_quartic(name), None
+        return make_generator(name, 7), None
+    if kind == "definite-zero":
+        sp = SymplecticSpace(2)
+        return SymTensor.zero(sp, 4), standard_quaternionic(sp)
+    if kind == "non_coordinate_j":
+        s = _golden_quartic(kind)
+        record = json.loads((GOLDEN / ("%s.j.json" % kind)).read_text())
+        return s, quaternionic_from_json(record, ambient=s.space)
+    s = make_generator(kind, 3)
+    return s, standard_split_j(s.space)
+
+
+WALK_KINDS = [
+    "complex:random-lagrangian:3",
+    "complex:scrambled_lagrangian_2",
+    "real-random:1",
+    "real-random:2",
+    "non_coordinate_j",
+    "definite-zero",
+]
+
+
+class TestBracketsAgainstWalk:
+    """The [m, m] brackets each caller hands the builder, against the
+    bilinear walk over the table that the builder used to make itself."""
+
+    @pytest.mark.parametrize("kind", WALK_KINDS)
+    def test_mm_brackets_equal_the_walk(self, kind):
+        s, j = _walk_case(kind)
+        q = certify_invariance(s)
+        d = s.space.dim
+        if j is None:
+            hol = holonomy(q)
+            model = build_complex_algebra(q, hol)
+            h_basis, m_basis = hol.basis, [unit_vec(2 * d, i) for i in range(2 * d)]
+        else:
+            rep = check_reality(s, j, q.table)
+            model = build_real_algebra(q, rep)
+            h_basis, m_basis = rep.real_holonomy_basis, real_m_basis(j)
+        walk = mm_bracket_walk(q.table, m_basis)
+        dh = model.dim_h
+        for (t, t2), expected in walk.items():
+            got = Matrix.zeros(d, d)
+            for a, c in model.brackets[dh + t][dh + t2].items():
+                assert a < dh
+                got = got + h_basis[a].scale(c)
+            assert got == (Matrix.zeros(d, d) if expected is None else expected)
+
+    @pytest.mark.parametrize("kind", [k for k in WALK_KINDS if not k.startswith("complex:")])
+    def test_real_holonomy_is_the_rref_of_the_old_generators(self, kind):
+        s, j = _walk_case(kind)
+        sp = s.space
+        jt = [[double_contraction_endo(s, j.apply(sp.basis_vector(k)), sp.basis_vector(l))
+               for l in range(sp.dim)] for k in range(sp.dim)]
+        rows = echelon_basis([_realify(_flatten(g)) for g in real_holonomy_generators(jt)])
+        expected = [_unflatten(_unrealify(v), sp.dim) for v in rows]
+        assert reality(s, j).real_holonomy_basis == expected

@@ -9,7 +9,9 @@ hkalgebra.commutator call: the derived series and the algebra builder share
 the d(d-1)/2 commutators of a holonomy basis of dimension d.  The table
 itself takes two contractions per entry and no matrix product or transpose,
 a span is eliminated once, and restricting a quartic to a basis expands each
-symmetric power of the basis once.
+symmetric power of the basis once.  The real form reads the table once, into
+its J table S_{je_k,e_l}: the real algebra takes its [m, m] brackets from
+that, and the complex algebra reads each [m, m] bracket S_{e_k,e_l} once.
 """
 
 import random
@@ -18,13 +20,15 @@ from pathlib import Path
 import pytest
 
 import hksym.hkalgebra as hkalgebra
+import hksym.realform as realform
 import hksym.symplectic as symplectic
 import hksym.symtensor as symtensor
 from hksym.cli import main
 from hksym.exactnum import Matrix
 from hksym.generators import make_generator, random_quartic_full
 from hksym.hkalgebra import analyze_quartic, certify_invariance, check_invariance
-from hksym.symplectic import SymplecticSpace, span
+from hksym.realform import build_real_algebra, check_reality
+from hksym.symplectic import SymplecticSpace, span, standard_split_j
 
 from oracles import random_vector
 
@@ -83,6 +87,24 @@ def test_reality_of_a_non_invariant_quartic_computes_the_table_once(endo_calls, 
     assert main(["verify", str(GOLDEN / "tau_fixed_full_2.json"), "--reality"]) == 0
     assert capsys.readouterr().out == "reality: pass\n"
     assert len(endo_calls) == 10
+
+
+def test_real_analysis_reads_the_j_table_once(monkeypatch):
+    # dim E = 8 and the split j has one nonzero entry per je_k: the complex
+    # [m, m] brackets read d^2 = 64 entries and J reads 64 more; the real
+    # algebra reads none
+    s = make_generator("real-random:2", 3)
+    reads = {name: count_calls(monkeypatch, module, "table_entry")
+             for name, module in (("hkalgebra", hkalgebra), ("realform", realform))}
+    report = analyze_quartic(s, real=True)
+    assert report.signature == (8, 8)
+    assert {name: len(calls) for name, calls in reads.items()} == {"hkalgebra": 64, "realform": 64}
+    q = certify_invariance(s)
+    rep = check_reality(s, standard_split_j(s.space), q.table)
+    for calls in reads.values():
+        calls.clear()
+    build_real_algebra(q, rep)
+    assert {name: len(calls) for name, calls in reads.items()} == {"hkalgebra": 0, "realform": 0}
 
 
 def pairs(d):
