@@ -302,16 +302,18 @@ class Matrix:
         return hash(self.data)
 
     def __add__(self, other):
-        return Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
+        return _trusted_matrix(tuple(tuple([a + b for a, b in zip(r, s)])
+                                     for r, s in zip(self.data, other.data)))
 
     def __sub__(self, other):
-        return Matrix([[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
+        return _trusted_matrix(tuple(tuple([a - b for a, b in zip(r, s)])
+                                     for r, s in zip(self.data, other.data)))
 
     def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.data])
+        return _trusted_matrix(tuple(tuple([-a for a in r]) for r in self.data))
 
     def scale(self, c):
-        return Matrix([[c * a for a in r] for r in self.data])
+        return _trusted_matrix(tuple(tuple([c * a for a in r]) for r in self.data))
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -326,14 +328,14 @@ class Matrix:
                     if a and b:
                         s = s + a * b
                 out_row.append(s)
-            out.append(out_row)
-        return Matrix(out)
+            out.append(tuple(out_row))
+        return _trusted_matrix(tuple(out))
 
     def transpose(self):
-        return Matrix([self.col(j) for j in range(self.ncols)])
+        return _trusted_matrix(tuple([self.col(j) for j in range(self.ncols)]))
 
     def conj(self):
-        return Matrix([[a.conjugate() for a in r] for r in self.data])
+        return _trusted_matrix(tuple(tuple([a.conjugate() for a in r]) for r in self.data))
 
     def hermitian_transpose(self):
         return self.transpose().conj()
@@ -343,6 +345,17 @@ class Matrix:
 
     def __repr__(self):
         return "Matrix(%s)" % (self.to_strings(),)
+
+
+def _trusted_matrix(rows):
+    """The Matrix of rows that are already a nonempty tuple of equal-width,
+    nonempty tuples of GaussRat, as internal results are: Matrix(rows) checks
+    every entry of outside input, this skips the checks."""
+    m = _new(Matrix)
+    object.__setattr__(m, "nrows", len(rows))
+    object.__setattr__(m, "ncols", len(rows[0]))
+    object.__setattr__(m, "data", rows)
+    return m
 
 
 def mat_vec(m, v):
@@ -459,7 +472,7 @@ def inverse(m):
     pivots = _rref(rows)
     if len(pivots) < n:
         raise ContractError("matrix is singular")
-    return Matrix([row[n:] for row in rows])
+    return _trusted_matrix(tuple(tuple(row[n:]) for row in rows))
 
 
 def hermitian_inertia(h):

@@ -3,12 +3,13 @@ attached to an invariant quartic, with holonomy, curvature, support-based flat
 splitting and the automorphism algebra.
 
 Every object here comes from one table of double contractions S_{e_k,e_l}.
-certify_invariance(s) computes it once, checking S_{e_k,e_l} . S = 0 entry
-by entry, and returns an InvariantQuartic: the quartic, the table and its
-support.  The stages take that certificate (or what they consume of it)
-explicitly: holonomy(q) spans the table, find_lagrangian(q) extends the
-support, flat_decomposition(q, e_plus) splits off the flat factor, and
-build_complex_algebra(q, hol) reads the [m, m] brackets off the table.
+certify_invariance(s) computes it once, checks S_{e_k,e_l} . S = 0 on the
+entries that span h = span{S_{e,e'}}, and returns an InvariantQuartic: the
+quartic, the table, the basis of h and the support.  The stages take that
+certificate (or what they consume of it) explicitly: holonomy(q) reads the
+basis of h, find_lagrangian(q) extends the support, flat_decomposition(q,
+e_plus) splits off the flat factor, and build_complex_algebra(q, hol) reads
+the [m, m] brackets off the table.
 
 H is the fixed plane with basis h, h', omega_H(h, h') = 1 and j_H h = h',
 j_H h' = -h, so H(x)E = E (+) E: an element of H(x)E is a flat tuple (x, y)
@@ -39,6 +40,7 @@ from .exactnum import (
     SpanSolver,
     TheoremViolationError,
     ZERO,
+    _trusted_matrix,
     echelon_basis,
     hermitian_inertia,
     inverse,
@@ -79,7 +81,7 @@ def _flatten(m):
 
 
 def _unflatten(v, n):
-    return Matrix([list(v[i * n:(i + 1) * n]) for i in range(n)])
+    return _trusted_matrix(tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n)))
 
 
 def commutator(a, b):
@@ -102,32 +104,47 @@ class HolonomyData:
 class InvariantQuartic:
     """Certificate that the quartic s is invariant: S_{e,e'} . S = 0.
 
-    table maps (k, l), k <= l, to S_{e_k,e_l} in lexicographic order and
-    support is the column span of those entries, i.e. support(s).  Built only
-    by certify_invariance; every later stage reads it instead of contracting
-    S again.
+    table maps (k, l), k <= l, to S_{e_k,e_l} in lexicographic order;
+    h_rows is the canonical RREF basis of h = span of those entries, as
+    flattened rows (_flatten); support is the column span of the entries,
+    i.e. support(s).  Built only by certify_invariance; every later stage
+    reads it instead of contracting S or eliminating the table again.
     """
 
     s: object
     table: dict
+    h_rows: tuple
     support: Subspace
 
 
 def certify_invariance(s):
     """The InvariantQuartic of s, or NotHyperKahlerError with the first witness.
 
-    Each entry S_{e_k,e_l} is checked as soon as it is computed, in
-    lexicographic order (sufficient by bilinearity), so a rejection stops at
-    its witness without building the rest of the table.
+    The entries S_{e_k,e_l} come in lexicographic order and all go into the
+    table.  A . S is linear in A, so an entry in the span of the entries
+    before it passes when they do: only the entries that raise the rank are
+    acted on S.  The first failing entry always raises the rank, so the
+    witness is the first violating pair, and a rejection stops there without
+    building the rest of the table.  The echelon kept on the way is the
+    basis of h, and the columns of the independent entries span the support.
     """
     if s.degree != 4:
         raise ContractError("invariance check needs a quartic")
     table = {}
+    independent = []
+    h_rows = []
+    solver = SpanSolver(h_rows)
     for pair, endo in double_contractions(s):
+        table[pair] = endo
+        row = _flatten(endo)
+        if solver.contains(row):
+            continue
         if not sp_action(endo, s).is_zero():
             raise NotHyperKahlerError(pair)
-        table[pair] = endo
-    return InvariantQuartic(s, table, column_span(s.space, table.values()))
+        independent.append(endo)
+        h_rows = echelon_basis(h_rows + [row])
+        solver = SpanSolver(h_rows)
+    return InvariantQuartic(s, table, tuple(h_rows), column_span(s.space, independent))
 
 
 def check_invariance(s):
@@ -165,6 +182,10 @@ def _derived_series(basis_mats, brackets):
         dims.append(len(current))
         if not current:
             break
+        if not brackets:
+            # [h, h] = 0, as for every invariant quartic: nothing to eliminate
+            dims.append(0)
+            break
         n = current[0].nrows
         nxt = [_unflatten(v, n) for v in echelon_basis([_flatten(c) for c in brackets.values()])]
         if len(nxt) == len(current):
@@ -175,10 +196,10 @@ def _derived_series(basis_mats, brackets):
     return tuple(dims)
 
 
-def _span_data(endos, dim):
-    """HolonomyData of the span of the given dim x dim matrices, in order."""
-    ech = echelon_basis([_flatten(m) for m in endos if not m.is_zero()])
-    mats = tuple(_unflatten(v, dim) for v in ech)
+def _span_data(rows, dim):
+    """HolonomyData of the span whose canonical RREF basis is the given
+    flattened dim x dim matrices."""
+    mats = tuple(_unflatten(v, dim) for v in rows)
     brackets = _commutators(mats)
     series = _derived_series(mats, brackets)
     solvable = series[-1] == 0 if series else True
@@ -194,8 +215,9 @@ def _span_data(endos, dim):
 
 
 def holonomy(q):
-    """Holonomy data: the span of the double contractions S_{e,e'} in sp(E)."""
-    return _span_data(q.table.values(), q.s.space.dim)
+    """Holonomy data: the span of the double contractions S_{e,e'} in sp(E),
+    read off the basis certify_invariance eliminated."""
+    return _span_data(q.h_rows, q.s.space.dim)
 
 
 # ---------------------------------------------------------------------------

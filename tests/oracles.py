@@ -20,7 +20,10 @@ I (x) A.  mm_bracket_walk and real_holonomy_generators are the [m, m]
 and real holonomy paths the algebra builder used before it took its brackets
 from its callers: the pair formula summed bilinearly over the table of
 double contractions, and the generators S_{je,e'} -/+ S_{e,je'} over basis
-pairs.  embed_gl_group and binary_quartic_tensor carry group elements
+pairs.  certify_invariance_all_entries is the invariance check before it
+skipped the entries in the span of earlier ones: sp_action on every table
+entry, then the support and the holonomy basis eliminated from the whole
+table.  embed_gl_group and binary_quartic_tensor carry group elements
 and binary quartics into E for equivariance and round-trip tests;
 random_vector and random_invertible draw their operands.
 """
@@ -37,6 +40,7 @@ from hksym.exactnum import (
     ONE,
     ScalarError,
     ZERO,
+    echelon_basis,
     inverse,
     mat_vec,
     rank_kernel,
@@ -44,7 +48,7 @@ from hksym.exactnum import (
     unit_vec,
 )
 from hksym.generators import random_gaussrat
-from hksym.symtensor import table_entry
+from hksym.symtensor import column_span, double_contractions, sp_action, table_entry
 from hksym.symplectic import SymplecticSpace, standard_quaternionic
 
 # j_H on the plane H with omega_H(h, h') = 1: j_H h = h', j_H h' = -h
@@ -598,3 +602,18 @@ def real_holonomy_generators(jt):
             a, b = jt[k][l], jt[l][k]
             out += [a - b, (a + b).scale(I_UNIT)]
     return out
+
+
+def certify_invariance_all_entries(s):
+    """(witness, table, support, h_rows) by checking S_{e_k,e_l} . S = 0 on
+    every entry in lexicographic order.  A rejection gives its first
+    violating pair and None for the rest; an invariant quartic gives witness
+    None, the full table, the column span of all entries and the RREF of all
+    flattened entries."""
+    table = {}
+    for pair, endo in double_contractions(s):
+        if not sp_action(endo, s).is_zero():
+            return pair, None, None, None
+        table[pair] = endo
+    rows = echelon_basis([tuple(e for row in m.data for e in row) for m in table.values()])
+    return None, table, column_span(s.space, table.values()), tuple(rows)

@@ -23,6 +23,8 @@ from hksym.exactnum import (
     vec_is_zero,
 )
 
+from hksym.hkalgebra import _unflatten
+
 from oracles import RefGaussRat
 
 
@@ -245,6 +247,25 @@ class TestSpanSolver:
         # coordinates are read off the pivots, so only RREF rows are accepted
         with pytest.raises(ContractError, match="reduced row echelon"):
             SpanSolver(rows)
+
+
+class TestMatrixConstruction:
+    @pytest.mark.parametrize("rows", [[[ONE, 1]], [[ONE, Fraction(1, 2)]], [[ONE, ZERO], [ONE]]],
+                             ids=["int entry", "Fraction entry", "ragged row"])
+    def test_constructor_checks_its_rows(self, rows):
+        with pytest.raises(ContractError):
+            Matrix(rows)
+
+    def test_results_are_well_formed_without_the_checks(self, rng):
+        # operations build their results unchecked; each must still pass
+        # the constructor's checks and have the shape of its rows
+        a, b, c = rand_invertible(rng, 3), rand_matrix(rng, 3, 3), rand_matrix(rng, 2, 3)
+        flat = tuple(rand_gauss(rng) for _ in range(9))
+        for m in (a @ c.transpose(), a + b, a - b, -a, a.scale(I_UNIT), c.transpose(), c.conj(),
+                  inverse(a), _unflatten(flat, 3)):
+            assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
+            assert m == Matrix(m.data)
+            assert (m.nrows, m.ncols) == (len(m.data), len(m.data[0]))
 
 
 def test_matrix_inverse(rng):

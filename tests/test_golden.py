@@ -33,6 +33,11 @@ CASES = (
         ("lagrangian_2", ("random-lagrangian:2", 7), "analyze", ("--real",), 2),
         # p^3 q on dim E = 2: S_{p,q} . S != 0, first witness (0, 1)
         ("p3q", None, "analyze", (), 2),
+        # p1^2 p2^2 + 2 p1 p2^3 + p2^3 q1 on dim E = 4: the first violating
+        # pair (2, 3) comes after (2, 2), a nonzero entry in the span of the
+        # entries before it
+        ("late_witness", None, "analyze", (), 2),
+        ("late_witness", None, "verify", ("--invariance",), 2),
         # symmetrize_real of random_quartic_full(SymplecticSpace(2), Random(11))
         # under the standard split j: tau-fixed but not invariant
         ("tau_fixed_full_2", None, "verify", ("--reality",), 0),

@@ -1,17 +1,23 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 
-from hksym.exactnum import ContractError, GaussRat, Matrix, ONE, ZERO, mat_vec
+from hksym.exactnum import ContractError, GaussRat, Matrix, ONE, ZERO, echelon_basis, mat_vec
 from hksym.symplectic import SymplecticSpace, is_isotropic, span
 from hksym.symtensor import (
     SymTensor,
     double_contraction_endo,
     double_contractions,
     endo_of_quadratic,
+    quartic_from_dict,
     support,
     transform,
 )
 from hksym.hkalgebra import (
     NotHyperKahlerError,
+    _flatten,
     _span_data,
     analyze_quartic,
     build_complex_algebra,
@@ -27,10 +33,16 @@ from hksym.hkalgebra import (
     verify_jacobi,
     verify_metric,
 )
-from hksym.generators import random_quartic_lagrangian, random_symplectic
+from hksym.generators import (
+    make_generator,
+    random_quartic_full,
+    random_quartic_lagrangian,
+    random_symplectic,
+)
 
 from oracles import (
     aut_dimension_bruteforce,
+    certify_invariance_all_entries,
     embed_gl_group,
     random_invertible,
     ricci_by_adjoint_matrices,
@@ -53,7 +65,8 @@ def flat_split(s):
 
 def span_of_double_contractions(s):
     """HolonomyData of span{S_{e,e'}} for any quartic, invariant or not."""
-    return _span_data(dict(double_contractions(s)).values(), s.space.dim)
+    rows = echelon_basis([_flatten(m) for _, m in double_contractions(s)])
+    return _span_data(rows, s.space.dim)
 
 
 @pytest.fixture
@@ -100,6 +113,64 @@ class TestInvariance:
             s = random_quartic_lagrangian(n, rng)
             ok, _ = check_invariance(s)
             assert ok
+
+
+GOLDEN_INPUTS = sorted(p for p in (Path(__file__).resolve().parent / "golden").glob("*.json")
+                       if not p.name.endswith(".j.json"))
+
+
+def scrambled_lagrangian(n, seed):
+    rng = random.Random(seed)
+    s = random_quartic_lagrangian(n, rng)
+    return transform(s, random_symplectic(s.space, rng, steps=3))
+
+
+class TestInvarianceAgainstAllEntries:
+    """certify_invariance checks only the entries outside the span of the
+    entries before them; the reference checks every entry and eliminates the
+    whole table."""
+
+    @staticmethod
+    def same_certificate(s):
+        """Asserts both agree on s; returns the witness, None if accepted."""
+        witness, table, sup, rows = certify_invariance_all_entries(s)
+        try:
+            q = certify_invariance(s)
+        except NotHyperKahlerError as exc:
+            assert witness is not None and exc.witness == witness
+            return witness
+        assert witness is None
+        assert list(q.table.items()) == list(table.items())
+        assert q.support == sup
+        assert q.h_rows == rows
+        assert tuple(_flatten(m) for m in holonomy(q).basis) == rows
+        return None
+
+    @pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
+    def test_golden_inputs(self, path):
+        self.same_certificate(quartic_from_dict(json.loads(path.read_text(encoding="utf-8"))))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_lagrangian(self, n):
+        assert self.same_certificate(make_generator("random-lagrangian:%d" % n, 7)) is None
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 2)])
+    def test_scrambled_lagrangian(self, n, seed):
+        assert self.same_certificate(scrambled_lagrangian(n, seed)) is None
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_full_random_rejected(self, n):
+        for seed in range(3):
+            s = random_quartic_full(SymplecticSpace(n), random.Random(seed))
+            assert self.same_certificate(s) is not None
+
+    @pytest.mark.parametrize("alpha", [(2, 1, 1, 0), (0, 3, 0, 1), (1, 1, 1, 1), (0, 0, 0, 4)])
+    def test_lagrangian_plus_off_lagrangian_monomial(self, alpha):
+        # one monomial with a q factor breaks invariance past the first entry
+        for seed in range(2):
+            s = random_quartic_lagrangian(2, random.Random(seed))
+            witness = self.same_certificate(s + SymTensor.monomial(s.space, alpha))
+            assert witness not in (None, (0, 0))
 
 
 class TestHolonomy:

@@ -1,19 +1,24 @@
 """Each analysis computes its table of double contractions S_{e_k,e_l} and
-the holonomy commutators [A_i, A_j] once.
+the holonomy commutators [A_i, A_j] once, and checks invariance on a basis
+of h.
 
 Every S_{e_k,e_l} ends in one symtensor.endo_of_quadratic call, so counting
 those calls counts the table entries computed: an accepted analysis on
 dim E = d computes the d(d+1)/2 entries once, and a rejection stops at its
-witness.  Likewise every bracket of holonomy matrices is one
-hkalgebra.commutator call: the derived series and the algebra builder share
-the d(d-1)/2 commutators of a holonomy basis of dimension d.  The table
-itself takes two contractions per entry and no matrix product or transpose,
-a span is eliminated once, and restricting a quartic to a basis expands each
-symmetric power of the basis once.  The real form reads the table once, into
+witness.  Only an entry outside the span of the entries before it is acted
+on S, so an accepted quartic makes dim h sp_action calls, and holonomy(q)
+reads the basis of h that certify_invariance eliminated on the way,
+without a second elimination.  Likewise every bracket of holonomy matrices
+is one hkalgebra.commutator call: the derived series and the algebra
+builder share the d(d-1)/2 commutators of a holonomy basis of dimension d.
+The table itself takes two contractions per entry and no matrix product or
+transpose, a span is eliminated once, and restricting a quartic to a basis
+expands each symmetric power of the basis once.  The real form reads the table once, into
 its J table S_{je_k,e_l}: the real algebra takes its [m, m] brackets from
 that, and the complex algebra reads each [m, m] bracket S_{e_k,e_l} once.
 """
 
+import json
 import random
 from pathlib import Path
 
@@ -26,9 +31,10 @@ import hksym.symtensor as symtensor
 from hksym.cli import main
 from hksym.exactnum import Matrix
 from hksym.generators import make_generator, random_quartic_full
-from hksym.hkalgebra import analyze_quartic, certify_invariance, check_invariance
+from hksym.hkalgebra import analyze_quartic, certify_invariance, check_invariance, holonomy
 from hksym.realform import build_real_algebra, check_reality
 from hksym.symplectic import SymplecticSpace, span, standard_split_j
+from hksym.symtensor import quartic_from_dict
 
 from oracles import random_vector
 
@@ -75,6 +81,37 @@ def test_real_analysis_computes_the_table_once(endo_calls):
     report = analyze_quartic(s, real=True)
     assert report.signature == (4, 4)
     assert len(endo_calls) == table_size(s) == 10
+
+
+def golden_quartic(stem):
+    return quartic_from_dict(json.loads((GOLDEN / ("%s.json" % stem)).read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("s,dim_h", [
+    (make_generator("random-lagrangian:3", 7), 6),
+    (golden_quartic("scrambled_lagrangian_2"), 3),
+], ids=["random-lagrangian:3", "scrambled_lagrangian_2"])
+def test_invariance_acts_once_per_basis_element_of_h(monkeypatch, endo_calls, s, dim_h):
+    actions = count_calls(monkeypatch, hkalgebra, "sp_action")
+    q = certify_invariance(s)
+    assert len(actions) == holonomy(q).dimension == dim_h
+    assert len(endo_calls) == len(q.table) == table_size(s)
+
+
+def test_late_witness_acts_on_the_independent_entries_only(monkeypatch):
+    # the nonzero entries up to the witness (2, 3) are (0, 3), (2, 2) and
+    # (2, 3); (2, 2) lies in the span of (0, 3) and is not acted on S
+    actions = count_calls(monkeypatch, hkalgebra, "sp_action")
+    assert check_invariance(golden_quartic("late_witness")) == (False, (2, 3))
+    assert len(actions) == 2
+
+
+def test_holonomy_eliminates_nothing(monkeypatch):
+    qs = [certify_invariance(s) for s in (make_generator("random-lagrangian:3", 7),
+                                          golden_quartic("scrambled_lagrangian_2"))]
+    eliminations = count_calls(monkeypatch, hkalgebra, "echelon_basis")
+    assert [holonomy(q).dimension for q in qs] == [6, 3]
+    assert len(eliminations) == 0
 
 
 def test_rejection_stops_at_the_first_witness(endo_calls):
