@@ -4,19 +4,20 @@ splitting and the automorphism algebra.
 
 Every object here comes from one table of double contractions S_{e_k,e_l}.
 certify_invariance(s) computes it once, checks S_{e_k,e_l} . S = 0 on the
-entries that span h = span{S_{e,e'}}, and returns an InvariantQuartic: the
-quartic, the table, the basis of h and the support.  The stages take that
-certificate (or what they consume of it) explicitly: holonomy(q) reads the
-basis of h, find_lagrangian(q) extends the support, flat_decomposition(q,
-e_plus) splits off the flat factor, and build_complex_algebra(q, hol) reads
-the [m, m] brackets off the table.
+entries that span h = span{S_{e,e'}} and the isotropy of the support, and
+returns an InvariantQuartic: the quartic, the table, the basis of h and the
+support.  The stages take that certificate (or what they consume of it)
+explicitly: holonomy(q) reads the basis of h, find_lagrangian(q) extends the
+support, flat_decomposition(q, e_plus) splits off the flat factor, and
+build_complex_algebra(q, hol) reads the [m, m] brackets off the table.
 
 H is the fixed plane with basis h, h', omega_H(h, h') = 1 and j_H h = h',
 j_H h' = -h, so H(x)E = E (+) E: an element of H(x)E is a flat tuple (x, y)
 of length 2 dim E standing for h(x)x + h'(x)y (index a * dim E + k holds
 h_a (x) e_k).  Every formula involving H is then a signed swap of the two
 copies of E, and the bracket data is the one the quartic dictates:
-  [A, B]              = AB - BA                        (h with h),
+  [h, h]              = 0                              (h with h: h kills the
+                        isotropic support, which holds the image of h),
   [A, (x, y)]         = (Ax, Ay)                       (h with m),
   [(x, y), (x', y')]  = S_{x,y'} - S_{y,x'}            (m with m),
   g((x, y), (x', y')) = omega(x, y') - omega(y, x')    (the metric on m),
@@ -29,7 +30,7 @@ already holds: the table entries here, the generator table of check_reality
 there.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .exactnum import (
@@ -84,10 +85,6 @@ def _unflatten(v, n):
     return _trusted_matrix(tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n)))
 
 
-def commutator(a, b):
-    return a @ b - b @ a
-
-
 @dataclass(frozen=True)
 class HolonomyData:
     basis: tuple
@@ -95,9 +92,6 @@ class HolonomyData:
     is_abelian: bool
     is_solvable: bool
     derived_series_lengths: tuple
-    # _commutators(basis), shared by the derived series and the algebra
-    # builder; not part of any serialized report
-    commutators: dict = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,8 +101,11 @@ class InvariantQuartic:
     table maps (k, l), k <= l, to S_{e_k,e_l} in lexicographic order;
     h_rows is the canonical RREF basis of h = span of those entries, as
     flattened rows (_flatten); support is the column span of the entries,
-    i.e. support(s).  Built only by certify_invariance; every later stage
-    reads it instead of contracting S or eliminating the table again.
+    i.e. support(s), certified isotropic: certify_invariance raises
+    TheoremViolationError("support of an invariant quartic is not isotropic")
+    otherwise, which the structure theorem rules out.  Built only by
+    certify_invariance; every later stage reads it instead of contracting S,
+    eliminating the table or checking isotropy again.
     """
 
     s: object
@@ -126,7 +123,8 @@ def certify_invariance(s):
     acted on S.  The first failing entry always raises the rank, so the
     witness is the first violating pair, and a rejection stops there without
     building the rest of the table.  The echelon kept on the way is the
-    basis of h, and the columns of the independent entries span the support.
+    basis of h, and the columns of the independent entries span the support,
+    whose isotropy is checked here once.
     """
     if s.degree != 4:
         raise ContractError("invariance check needs a quartic")
@@ -144,7 +142,10 @@ def certify_invariance(s):
         independent.append(endo)
         h_rows = echelon_basis(h_rows + [row])
         solver = SpanSolver(h_rows)
-    return InvariantQuartic(s, table, tuple(h_rows), column_span(s.space, independent))
+    sigma = column_span(s.space, independent)
+    if not is_isotropic(sigma):
+        raise TheoremViolationError("support of an invariant quartic is not isotropic")
+    return InvariantQuartic(s, table, tuple(h_rows), sigma)
 
 
 def check_invariance(s):
@@ -160,64 +161,24 @@ def check_invariance(s):
     return True, None
 
 
-def _commutators(mats):
-    """{(i, j): [A_i, A_j]} for i < j in lexicographic order, zeros left out."""
-    out = {}
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            c = commutator(mats[i], mats[j])
-            if not c.is_zero():
-                out[(i, j)] = c
-    return out
-
-
-def _derived_series(basis_mats, brackets):
-    """Dimensions of the derived series of the span of the given matrices.
-
-    brackets is _commutators(basis_mats), the first derived step.
-    """
-    dims = []
-    current = list(basis_mats)
-    while True:
-        dims.append(len(current))
-        if not current:
-            break
-        if not brackets:
-            # [h, h] = 0, as for every invariant quartic: nothing to eliminate
-            dims.append(0)
-            break
-        n = current[0].nrows
-        nxt = [_unflatten(v, n) for v in echelon_basis([_flatten(c) for c in brackets.values()])]
-        if len(nxt) == len(current):
-            dims.append(len(nxt))
-            break
-        current = nxt
-        brackets = _commutators(current)
-    return tuple(dims)
-
-
-def _span_data(rows, dim):
-    """HolonomyData of the span whose canonical RREF basis is the given
-    flattened dim x dim matrices."""
-    mats = tuple(_unflatten(v, dim) for v in rows)
-    brackets = _commutators(mats)
-    series = _derived_series(mats, brackets)
-    solvable = series[-1] == 0 if series else True
-    return HolonomyData(
-        basis=mats,
-        dimension=len(mats),
-        # series[1] is dim [h, h]
-        is_abelian=len(series) < 2 or series[1] == 0,
-        is_solvable=solvable,
-        derived_series_lengths=series,
-        commutators=brackets,
-    )
-
-
 def holonomy(q):
-    """Holonomy data: the span of the double contractions S_{e,e'} in sp(E),
-    read off the basis certify_invariance eliminated."""
-    return _span_data(q.h_rows, q.s.space.dim)
+    """Holonomy data: the span h of the double contractions S_{e,e'} in sp(E),
+    read off the basis certify_invariance eliminated.
+
+    h is abelian, and no bracket is computed: every A in h lies in sp(E) and
+    maps E into the support, which certify_invariance certified isotropic, so
+    omega(Ax, y) = -omega(x, Ay) = 0 for x in the support and all y.  A thus
+    kills the support, which holds the image of every B in h: AB = 0.
+    """
+    dim = q.s.space.dim
+    basis = tuple(_unflatten(v, dim) for v in q.h_rows)
+    return HolonomyData(
+        basis=basis,
+        dimension=len(basis),
+        is_abelian=True,
+        is_solvable=True,
+        derived_series_lengths=(len(basis), 0) if basis else (0,),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +318,15 @@ def verify_model(model):
     return True
 
 
-def _build_model(sp, labels, h_basis, h_brackets, flat, m_basis, m_coords, m_brackets):
+def _build_model(sp, labels, h_basis, flat, m_basis, m_coords, m_brackets):
     """The bracket/metric skeleton of g = h + m with m inside H(x)E; verified.
 
     h_basis are matrices on E with reduced row echelon rows flat(A), in which
-    one SpanSolver reads h_brackets = _commutators(h_basis) and m_brackets =
-    {(t, t2): [m_t, m_t2]}, t < t2 (pairs left out bracket to zero).  m_basis
-    are H(x)E tuples (x, y) and m_coords(v) the coordinate dict of such a v.
+    one SpanSolver reads m_brackets = {(t, t2): [m_t, m_t2]}, t < t2 (pairs
+    left out bracket to zero).  m_basis are H(x)E tuples (x, y) and
+    m_coords(v) the coordinate dict of such a v.  [h, h] stays zero (see
+    holonomy); verify_jacobi checks that zero independently, as each triple
+    (A, B, m) evaluates [A, B]m against it.
     """
     dim_e = sp.dim
     dim_h, dim_m = len(h_basis), len(m_basis)
@@ -382,8 +345,6 @@ def _build_model(sp, labels, h_basis, h_brackets, flat, m_basis, m_coords, m_bra
             raise TheoremViolationError("bracket value escaped the holonomy span (bug signal)")
         return {i: v for i, v in enumerate(c) if v}
 
-    for (i, i2), c in h_brackets.items():
-        put(i, i2, h_coords(c))
     # [h, m]: [A, (x, y)] = (Ax, Ay)
     for i, a_mat in enumerate(h_basis):
         for t, (x, y) in enumerate(pairs):
@@ -412,7 +373,7 @@ def build_complex_algebra(q, hol):
     m_basis = [unit_vec(2 * dim_e, i) for i in range(2 * dim_e)]
     m_brackets = {(k, dim_e + l): table_entry(q.table, k, l)
                   for k in range(dim_e) for l in range(dim_e)}
-    return _build_model(sp, labels, hol.basis, hol.commutators, _flatten, m_basis,
+    return _build_model(sp, labels, hol.basis, _flatten, m_basis,
                         lambda v: {i: c for i, c in enumerate(v) if c}, m_brackets)
 
 
@@ -444,14 +405,11 @@ def curvature_ricci(model):
 def find_lagrangian(q):
     """A Lagrangian E_+ with S in S^4 E_+, from the support of an InvariantQuartic.
 
-    Raises TheoremViolationError when the support is not isotropic or the
-    membership certificate fails (which the structure theorem for invariant
-    quartics rules out).
+    certify_invariance certified the support isotropic.  Raises
+    TheoremViolationError when the membership certificate fails (which the
+    structure theorem for invariant quartics rules out).
     """
-    sigma = q.support
-    if not is_isotropic(sigma):
-        raise TheoremViolationError("support of an invariant quartic is not isotropic")
-    e_plus = extend_to_lagrangian(sigma)
+    e_plus = extend_to_lagrangian(q.support)
     if not tensor_in_subspace_power(q.s, e_plus):
         raise TheoremViolationError("S is not contained in S^4 of the found Lagrangian")
     return e_plus
@@ -615,7 +573,8 @@ def analyze_quartic(s, j=None, real=False):
         invariance_ok=True,
         holonomy=hol,
         support_dim=q.support.dim,
-        support_isotropic=is_isotropic(q.support),
+        # certify_invariance raised unless the support is isotropic
+        support_isotropic=True,
         lagrangian_found=e_plus,
         flat_complex_dim=flat_dim,
         jacobi_ok=True,

@@ -36,7 +36,6 @@ from .exactnum import (
 from .hkalgebra import (
     TheoremViolationError,
     _build_model,
-    _commutators,
     _flatten,
     _unflatten,
 )
@@ -200,8 +199,8 @@ def build_real_algebra(q, rep):
     m_basis = real_m_basis(j)
     labels = ["K%d" % (i + 1) for i in range(len(h_basis))]
     labels += ["M%d" % (i + 1) for i in range(len(m_basis))]
-    model = _build_model(sp, labels, h_basis, _commutators(h_basis),
-                         lambda a: _realify(_flatten(a)), m_basis, m_coords, m_brackets)
+    model = _build_model(sp, labels, h_basis, lambda a: _realify(_flatten(a)),
+                         m_basis, m_coords, m_brackets)
     for row in model.metric_on_m.data:
         for g in row:
             if not g.is_real:

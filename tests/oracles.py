@@ -23,9 +23,12 @@ double contractions, and the generators S_{je,e'} -/+ S_{e,je'} over basis
 pairs.  certify_invariance_all_entries is the invariance check before it
 skipped the entries in the span of earlier ones: sp_action on every table
 entry, then the support and the holonomy basis eliminated from the whole
-table.  embed_gl_group and binary_quartic_tensor carry group elements
-and binary quartics into E for equivariance and round-trip tests;
-random_vector and random_invertible draw their operands.
+table.  derived_series_reference is the holonomy's derived series before
+[h, h] = 0 was derived from the isotropic support: every commutator of a
+basis as a dense matrix product AB - BA, then the span of the brackets
+eliminated, step by step.  embed_gl_group and binary_quartic_tensor carry
+group elements and binary quartics into E for equivariance and round-trip
+tests; random_vector and random_invertible draw their operands.
 """
 
 import re as _re
@@ -617,3 +620,39 @@ def certify_invariance_all_entries(s):
         table[pair] = endo
     rows = echelon_basis([tuple(e for row in m.data for e in row) for m in table.values()])
     return None, table, column_span(s.space, table.values()), tuple(rows)
+
+
+def _commutator_table(mats):
+    """{(i, j): A_i A_j - A_j A_i} for i < j, zeros left out."""
+    out = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            c = mats[i] @ mats[j] - mats[j] @ mats[i]
+            if not c.is_zero():
+                out[(i, j)] = c
+    return out
+
+
+def derived_series_reference(mats):
+    """(brackets, dims) for the span of the given matrices: brackets are the
+    nonzero commutators {(i, j): [A_i, A_j]}, i < j, of the matrices as
+    given, and dims the dimensions of the derived series, ending at 0 or at
+    the first step that does not shrink."""
+    brackets = _commutator_table(mats)
+    first = brackets
+    dims = []
+    current = list(mats)
+    while True:
+        dims.append(len(current))
+        if not current:
+            break
+        n = current[0].nrows
+        nxt = [Matrix([list(v[i * n:(i + 1) * n]) for i in range(n)])
+               for v in echelon_basis([tuple(e for row in c.data for e in row)
+                                       for c in brackets.values()])]
+        if len(nxt) == len(current):
+            dims.append(len(nxt))
+            break
+        current = nxt
+        brackets = _commutator_table(current)
+    return first, tuple(dims)

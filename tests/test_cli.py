@@ -216,6 +216,16 @@ class TestAnalyze:
         assert (code, out, err) == (3, "", "internal error: %s\n" % message)
         assert len(calls) == failing_call
 
+    def test_non_isotropic_support_exits_3(self, capsys, monkeypatch, dim4_file):
+        # certify_invariance checks the support once, and [h, h] = 0, the
+        # Lagrangian and the report rely on that check
+        import hksym.hkalgebra as hkalgebra
+
+        monkeypatch.setattr(hkalgebra, "is_isotropic", lambda sub: False)
+        code, out, err = run_cli(capsys, "analyze", dim4_file)
+        assert (code, out, err) == (
+            3, "", "internal error: support of an invariant quartic is not isotropic\n")
+
     def test_dimension_mismatch_exits_1(self, capsys, tmp_path):
         path = write_quartic(tmp_path, "dim.json", {
             "n": 2, "degree": 4,

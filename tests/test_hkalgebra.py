@@ -1,11 +1,22 @@
+import ast
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from hksym.exactnum import ContractError, GaussRat, Matrix, ONE, ZERO, echelon_basis, mat_vec
-from hksym.symplectic import SymplecticSpace, is_isotropic, span
+from hksym.exactnum import (
+    ContractError,
+    GaussRat,
+    Matrix,
+    ONE,
+    TheoremViolationError,
+    ZERO,
+    echelon_basis,
+    mat_vec,
+    unit_vec,
+)
+from hksym.symplectic import SymplecticSpace, is_isotropic, quaternionic_from_json, span
 from hksym.symtensor import (
     SymTensor,
     double_contraction_endo,
@@ -13,12 +24,15 @@ from hksym.symtensor import (
     endo_of_quadratic,
     quartic_from_dict,
     support,
+    table_entry,
     transform,
 )
 from hksym.hkalgebra import (
+    HolonomyData,
     NotHyperKahlerError,
+    _build_model,
     _flatten,
-    _span_data,
+    _unflatten,
     analyze_quartic,
     build_complex_algebra,
     certify_invariance,
@@ -38,11 +52,14 @@ from hksym.generators import (
     random_quartic_full,
     random_quartic_lagrangian,
     random_symplectic,
+    standard_split_j,
 )
+from hksym.realform import check_reality
 
 from oracles import (
     aut_dimension_bruteforce,
     certify_invariance_all_entries,
+    derived_series_reference,
     embed_gl_group,
     random_invertible,
     ricci_by_adjoint_matrices,
@@ -64,9 +81,18 @@ def flat_split(s):
 
 
 def span_of_double_contractions(s):
-    """HolonomyData of span{S_{e,e'}} for any quartic, invariant or not."""
+    """HolonomyData of span{S_{e,e'}} for any quartic, invariant or not, with
+    the derived series of the reference."""
     rows = echelon_basis([_flatten(m) for _, m in double_contractions(s)])
-    return _span_data(rows, s.space.dim)
+    mats = tuple(_unflatten(v, s.space.dim) for v in rows)
+    _, series = derived_series_reference(mats)
+    return HolonomyData(
+        basis=mats,
+        dimension=len(mats),
+        is_abelian=len(series) < 2 or series[1] == 0,
+        is_solvable=series[-1] == 0,
+        derived_series_lengths=series,
+    )
 
 
 @pytest.fixture
@@ -173,6 +199,73 @@ class TestInvarianceAgainstAllEntries:
             assert witness not in (None, (0, 0))
 
 
+# the golden inputs that pass invariance, each with the j its real form
+# uses: the committed <stem>.j.json, else the standard split j when dim E is
+# a multiple of 4, else none; the quartic is tau-fixed for that j in
+# REAL_GOLDEN only
+ACCEPTED_GOLDEN = [p for p in GOLDEN_INPUTS
+                   if p.stem not in ("late_witness", "p3q", "tau_fixed_full_2")]
+REAL_GOLDEN = {"non_coordinate_j", "petrov_D", "petrov_I", "petrov_O", "real_1", "real_2"}
+
+
+def golden_case(path):
+    s = quartic_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    j_path = path.with_name("%s.j.json" % path.stem)
+    if j_path.exists():
+        return s, quaternionic_from_json(json.loads(j_path.read_text(encoding="utf-8")), s.space)
+    return s, split_j(s)
+
+
+def split_j(s):
+    return None if s.space.dim % 4 else standard_split_j(s.space)
+
+
+class TestAbelianAgainstDerivedSeries:
+    """holonomy(q) reports [h, h] = 0 from the isotropic support without a
+    bracket; the reference multiplies out every commutator of the complex
+    holonomy basis and of the real one and eliminates the derived series."""
+
+    @staticmethod
+    def same_series(s, j):
+        """Asserts the reference agrees on h and, when s is tau-fixed for a
+        given j, on the real holonomy; returns the number of real forms
+        checked."""
+        q = certify_invariance(s)
+        hol = holonomy(q)
+        brackets, series = derived_series_reference(hol.basis)
+        assert brackets == {}
+        assert series == hol.derived_series_lengths
+        if j is None:
+            return 0
+        rep = check_reality(s, j, q.table)
+        if not rep.commutator_condition_ok:
+            return 0
+        brackets, series = derived_series_reference(rep.real_holonomy_basis)
+        assert brackets == {}
+        r = rep.real_holonomy_dim
+        assert series == ((r, 0) if r else (0,))
+        return 1
+
+    @pytest.mark.parametrize("path", ACCEPTED_GOLDEN, ids=lambda p: p.stem)
+    def test_golden_inputs(self, path):
+        assert self.same_series(*golden_case(path)) == (path.stem in REAL_GOLDEN)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_lagrangian(self, n):
+        s = make_generator("random-lagrangian:%d" % n, 7)
+        self.same_series(s, split_j(s))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scrambled_lagrangian(self, seed):
+        s = scrambled_lagrangian(2, seed)
+        self.same_series(s, standard_split_j(s.space))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_real_random(self, m):
+        s = make_generator("real-random:%d" % m, 3)
+        assert self.same_series(s, standard_split_j(s.space)) == 1
+
+
 class TestHolonomy:
     def test_p4(self, p4):
         hol = holonomy(certify_invariance(p4))
@@ -225,6 +318,26 @@ class TestHolonomy:
         assert not hol.is_abelian
         assert hol.is_solvable
         assert hol.derived_series_lengths == (2, 1, 0)
+
+    def test_jacobi_catches_a_non_abelian_span(self):
+        # the builder records [h, h] = 0; handed the non-abelian span of
+        # p^3 q with the table's [m, m] brackets, the exhaustive Jacobi check
+        # finds the h-h-m triple whose [A, B]m is not the recorded zero
+        sp = SymplecticSpace(1)
+        s = (lin(sp, 0) ** 3) * lin(sp, 1)
+        table = dict(double_contractions(s))
+        hol = span_of_double_contractions(s)
+        d = sp.dim
+        labels = ["k%d" % (i + 1) for i in range(hol.dimension)]
+        labels += ["m%d" % (t + 1) for t in range(2 * d)]
+        m_brackets = {(k, d + l): table_entry(table, k, l) for k in range(d) for l in range(d)}
+        with pytest.raises(TheoremViolationError) as info:
+            _build_model(sp, labels, hol.basis, _flatten,
+                         [unit_vec(2 * d, t) for t in range(2 * d)],
+                         lambda v: {i: c for i, c in enumerate(v) if c}, m_brackets)
+        kind, witness = str(info.value).split(": ", 1)
+        assert kind == "jacobi failed"
+        assert [label[0] for label in ast.literal_eval(witness)] == ["k", "k", "m"]
 
     def test_double_contractions_strictly_triangular(self, rng):
         # for S = lambda p^4 + p^3 w0 + p^2 B + p C + D in the splitting

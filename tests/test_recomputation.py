@@ -1,6 +1,6 @@
-"""Each analysis computes its table of double contractions S_{e_k,e_l} and
-the holonomy commutators [A_i, A_j] once, and checks invariance on a basis
-of h.
+"""Each analysis computes its table of double contractions S_{e_k,e_l} once,
+checks invariance on a basis of h and the isotropy of the support once, and
+computes no bracket of holonomy matrices.
 
 Every S_{e_k,e_l} ends in one symtensor.endo_of_quadratic call, so counting
 those calls counts the table entries computed: an accepted analysis on
@@ -8,12 +8,13 @@ dim E = d computes the d(d+1)/2 entries once, and a rejection stops at its
 witness.  Only an entry outside the span of the entries before it is acted
 on S, so an accepted quartic makes dim h sp_action calls, and holonomy(q)
 reads the basis of h that certify_invariance eliminated on the way,
-without a second elimination.  Likewise every bracket of holonomy matrices
-is one hkalgebra.commutator call: the derived series and the algebra
-builder share the d(d-1)/2 commutators of a holonomy basis of dimension d.
-The table itself takes two contractions per entry and no matrix product or
-transpose, a span is eliminated once, and restricting a quartic to a basis
-expands each symmetric power of the basis once.  The real form reads the table once, into
+without a second elimination.  [h, h] = 0 follows from the isotropy of
+the support, which certify_invariance checks with the one
+hkalgebra.is_isotropic call of an analysis, so holonomy(q) and both algebra
+builders make no matrix product at all.  The table itself takes two
+contractions per entry and no matrix product or transpose, a span is
+eliminated once, and restricting a quartic to a basis expands each symmetric
+power of the basis once.  The real form reads the table once, into
 its J table S_{je_k,e_l}: the real algebra takes its [m, m] brackets from
 that, and the complex algebra reads each [m, m] bracket S_{e_k,e_l} once.
 """
@@ -31,7 +32,13 @@ import hksym.symtensor as symtensor
 from hksym.cli import main
 from hksym.exactnum import Matrix
 from hksym.generators import make_generator, random_quartic_full
-from hksym.hkalgebra import analyze_quartic, certify_invariance, check_invariance, holonomy
+from hksym.hkalgebra import (
+    analyze_quartic,
+    build_complex_algebra,
+    certify_invariance,
+    check_invariance,
+    holonomy,
+)
 from hksym.realform import build_real_algebra, check_reality
 from hksym.symplectic import SymplecticSpace, span, standard_split_j
 from hksym.symtensor import quartic_from_dict
@@ -57,11 +64,6 @@ def count_calls(monkeypatch, owner, name):
 @pytest.fixture
 def endo_calls(monkeypatch):
     return count_calls(monkeypatch, symtensor, "endo_of_quadratic")
-
-
-@pytest.fixture
-def commutator_calls(monkeypatch):
-    return count_calls(monkeypatch, hkalgebra, "commutator")
 
 
 def table_size(s):
@@ -144,22 +146,28 @@ def test_real_analysis_reads_the_j_table_once(monkeypatch):
     assert {name: len(calls) for name, calls in reads.items()} == {"hkalgebra": 0, "realform": 0}
 
 
-def pairs(d):
-    return d * (d - 1) // 2
+@pytest.mark.parametrize("kind", ["real-random:1", "real-random:2"])
+def test_holonomy_and_algebras_multiply_no_matrices(monkeypatch, kind):
+    s = make_generator(kind, 3)
+    q = certify_invariance(s)
+    rep = check_reality(s, standard_split_j(s.space), q.table)
+    products = count_calls(monkeypatch, Matrix, "__matmul__")
+    hol = holonomy(q)
+    build_complex_algebra(q, hol)
+    build_real_algebra(q, rep)
+    assert hol.derived_series_lengths == (hol.dimension, 0)
+    assert len(products) == 0
 
 
-def test_complex_analysis_computes_each_commutator_once(commutator_calls):
-    report = analyze_quartic(make_generator("random-lagrangian:3", 7))
-    assert report.holonomy.derived_series_lengths == (6, 0)
-    assert len(commutator_calls) == pairs(6) == 15
-
-
-def test_real_analysis_computes_each_commutator_once(commutator_calls):
-    report = analyze_quartic(make_generator("real-random:1", 3), real=True)
-    # the complex holonomy, then the real one for the real algebra
-    d, r = report.holonomy.dimension, report.reality["real_holonomy_dim"]
-    assert report.holonomy.derived_series_lengths == (d, 0)
-    assert len(commutator_calls) == pairs(d) + pairs(r)
+@pytest.mark.parametrize("kind,seed,real", [
+    ("random-lagrangian:3", 7, False),
+    ("real-random:1", 3, True),
+], ids=["random-lagrangian:3", "real-random:1"])
+def test_analysis_checks_support_isotropy_once(monkeypatch, kind, seed, real):
+    checks = count_calls(monkeypatch, hkalgebra, "is_isotropic")
+    report = analyze_quartic(make_generator(kind, seed), real=real)
+    assert report.support_isotropic
+    assert len(checks) == 1
 
 
 def test_certify_invariance_contracts_and_multiplies_no_matrices(monkeypatch):
