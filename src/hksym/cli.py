@@ -37,9 +37,19 @@ GENERATOR_KINDS = (
 
 
 def _parse_json(raw, record):
-    """json.loads, refusing nesting too deep for the parser as a malformed record."""
+    """json.loads, refusing a repeated key and nesting too deep for the parser
+    as a malformed record."""
+
+    def unique_keys(pairs):
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ContractError("malformed %s record: duplicate key %r" % (record, key))
+            out[key] = value
+        return out
+
     try:
-        return json.loads(raw)
+        return json.loads(raw, object_pairs_hook=unique_keys)
     except RecursionError:
         raise ContractError("malformed %s record: JSON nested too deeply" % record) from None
 

@@ -318,17 +318,17 @@ class Matrix:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ContractError("matmul dimension mismatch")
-        cols = [other.col(j) for j in range(other.ncols)]
+        # row-sparse: row r of the product is the sum of a * (row k of other)
+        # over the nonzero a = self[r][k], each row k read at its nonzeros
+        rows = [[(t, b) for t, b in enumerate(row) if b] for row in other.data]
         out = []
         for r in self.data:
-            out_row = []
-            for c in cols:
-                s = ZERO
-                for a, b in zip(r, c):
-                    if a and b:
-                        s = s + a * b
-                out_row.append(s)
-            out.append(tuple(out_row))
+            acc = [ZERO] * other.ncols
+            for a, row in zip(r, rows):
+                if a:
+                    for t, b in row:
+                        acc[t] = acc[t] + a * b
+            out.append(tuple(acc))
         return _trusted_matrix(tuple(out))
 
     def transpose(self):

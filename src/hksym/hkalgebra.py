@@ -590,15 +590,17 @@ def analyze_quartic(s, j=None, real=False):
             "commutator_condition_ok": rep.commutator_condition_ok,
             "tau_fixed": rep.tau_fixed,
             "equivalent": rep.equivalent,
-            "real_holonomy_dim": rep.real_holonomy_dim,
+            "real_holonomy_dim": None,
             "signature_on_m": None,
         }
         if rep.commutator_condition_ok:
-            real_model = realform.build_real_algebra(q, rep)
+            h_real = realform.real_holonomy(q, rep)
+            real_model = realform.build_real_algebra(q, rep, h_real)
             p, n, z = hermitian_inertia(real_model.metric_on_m)
             if z:
                 raise TheoremViolationError("degenerate real metric")
             report.signature = (p, n)
+            report.reality["real_holonomy_dim"] = len(h_real)
             report.reality["signature_on_m"] = [p, n]
     if s.space.n == 2:
         from . import dim8

@@ -1,23 +1,21 @@
 """Reality conditions, real holonomy, and the real form g = h + m with
-m = (H(x)E)^rho = {(x, jx)}, all over the rational field by realification.
+m = (H(x)E)^rho = {(x, jx)}, exact over Q by realification: a complex object
+is split into real and imaginary coordinate blocks and eliminated over Q.
 
-"Real span" computations never leave exact arithmetic: a complex object is
-split into real and imaginary coordinate blocks and eliminated over Q, so
-every verdict (the commutator condition, tau-fixedness, closure of the real
-structure constants, the metric signature) is exact.
-
-Everything is read off the quartic's table of double contractions: by
-bilinearity J[k][l] = S_{je_k,e_l} = sum_m (je_k)_m S_{e_m,e_l}.  In the
-basis real_m_basis(j) of m, m_k = (e_k, je_k) and m_{d+k} = (ie_k, -i je_k),
-the pair formula gives the generator table {(k, l): ([m_k, m_l],
-[m_k, m_{d+l}])}, k <= l, which holds every [m, m] bracket:
+j = C conj acts on matrices by the antilinear involution
+sigma(A) = C conj(A) C^-1 = -C conj(A C); sigma(A) = A says that A
+commutes with j.  With J[k][l] = S_{je_k,e_l} = sum_m (je_k)_m S_{e_m,e_l},
+m_k = (e_k, je_k) and m_{d+k} = (ie_k, -i je_k) (the basis real_m_basis(j),
+in which (x, jx) has the coordinates (Re x, Im x)), the generator table
+{(k, l): ([m_k, m_l], [m_k, m_{d+l}])}, k <= l, holds every [m, m] bracket:
   [m_k, m_l]     = [m_{d+k}, m_{d+l}] = J[l][k] - J[k][l],
   [m_k, m_{d+l}] = [m_l, m_{d+k}]     = -i (J[l][k] + J[k][l]).
-check_reality builds it once and reads the commutator condition off its first
-components and the real holonomy h = [m, m] off all of it.  Its report
-carries j, the table and that basis, and build_real_algebra hands them to
-the same builder as the complex algebra.  (x, jx) has the coordinates
-(Re x, Im x), so reading coordinates off m is a realification, not a solve.
+check_reality builds it once; the reality condition says every generator is
+sigma-fixed.  The real holonomy h_R = [m, m] is then h^sigma: it lies in
+h^sigma, and the generators span h over C (J[l][k] = (a + i b)/2 for the
+pair (a, b), and the je_k are a C-basis), so dim_R h_R >= dim_C h =
+dim_R h^sigma.  real_holonomy reads it off the complex basis of h, and
+build_real_algebra hands it, j and the table to the complex algebra's builder.
 """
 
 from dataclasses import dataclass, field
@@ -51,18 +49,17 @@ class RealityReport:
     commutator_condition_ok: bool
     tau_fixed: bool
     equivalent: bool
-    real_holonomy_dim: Optional[int] = None
-    # the j the report was computed for, its generator table and, when the
-    # condition holds, the echelonized real holonomy basis; not part of any
-    # serialized report
+    # the j the report was computed for and its generator table; not part of
+    # any serialized report
     j: Optional[object] = field(default=None, repr=False)
     generators: Optional[dict] = field(default=None, repr=False)
-    real_holonomy_basis: Optional[list] = field(default=None, repr=False)
 
 
-def _commutes_with_j(a, j):
-    """[A, j] = 0 in the antilinear sense: A C = C conj(A)."""
-    return (a @ j.c_matrix - j.c_matrix @ a.conj()).is_zero()
+def _sigma(a, j):
+    """sigma(A) = C conj(A) C^-1 = -C conj(A C), as C^-1 = -conj(C); A
+    commutes with j, A C = C conj(A), exactly when sigma(A) = A."""
+    c = j.c_matrix
+    return -(c @ (a @ c).conj())
 
 
 def _generator_table(j, table):
@@ -99,57 +96,50 @@ def check_reality(s, j, table):
 
     table holds S_{e_k,e_l} for k <= l: an InvariantQuartic's table, or
     dict(double_contractions(s)) for any quartic.  The commutator condition
-    is [S_{je,e'} - S_{e,je'}, j] = 0 over all basis pairs, i.e. [m_k, m_l]
-    commutes with j; it is antisymmetric in (k, l), so the generator pairs
-    k < l decide it.  tau-fixedness is tau(S) = S.  Their equivalence is a
-    theorem, so disagreement raises instead of being reported as data.  The
-    report carries j, the generator table and, when the condition holds, the
-    real holonomy basis.
+    [S_{je,e'} - S_{e,je'}, j] = 0 for all e, e' in E is real bilinear, and
+    (e_l, e_k) gives [m_k, m_l], (ie_l, e_k) gives [m_k, m_{d+l}]: both
+    components of every generator pair must be sigma-fixed.  tau-fixedness is
+    tau(S) = S.  Their equivalence is a theorem, so disagreement raises
+    instead of being reported as data.  The report carries j and the table.
     """
     if s.degree != 4:
         raise ContractError("reality check needs a quartic")
     gens = _generator_table(j, table)
-    commutator_ok = all(_commutes_with_j(a, j) for (k, l), (a, _) in gens.items() if k < l)
+    commutator_ok = all(_sigma(g, j) == g for pair in gens.values() for g in pair)
     tau_fixed = tau(s, j) == s
     if commutator_ok != tau_fixed:
         raise TheoremViolationError(
             "commutator condition and tau-fixedness disagree (bug signal)"
         )
-    report = RealityReport(
+    return RealityReport(
         commutator_condition_ok=commutator_ok,
         tau_fixed=tau_fixed,
         equivalent=True,
         j=j,
         generators=gens,
     )
-    if commutator_ok:
-        report.real_holonomy_basis = real_holonomy(gens, j)
-        report.real_holonomy_dim = len(report.real_holonomy_basis)
-    return report
 
 
-def real_holonomy(gens, j):
-    """Echelonized basis (over Q, by realification) of the real holonomy span.
-
-    gens is the generator table of check_reality, and the real holonomy is
-    the real span of all its brackets, h = [m, m].  Its components are
-    S_{e,je'} - S_{je,e'} over basis pairs and the -i-scaled companions
-    -i(S_{je,e'} + S_{e,je'}): real-bilinear expansion over arbitrary
-    e, e' reduces to exactly these, because replacing e by ie turns the
-    difference generator into the sum generator (times a real factor), and
-    (ie, ie') reproduces (e, e').
-
-    Every returned matrix is certified to commute with j in the antilinear
-    sense; the span sits inside the commutant of j in the complex holonomy.
+def real_holonomy(q, rep):
+    """Echelonized basis of h^sigma, the real span of A + sigma(A) and
+    i(A - sigma(A)) over the basis q.h_rows of h, for
+    rep = check_reality(q.s, j, q.table); a failed report raises RealityError.
+    It is certified sigma-fixed and of real dimension dim_C h.
     """
-    dim = j.ambient.dim
-    rows = [_realify(_flatten(g)) for pair in gens.values() for g in pair if not g.is_zero()]
-    basis = []
-    for v in echelon_basis(rows):
-        a = _unflatten(_unrealify(v), dim)
-        if not _commutes_with_j(a, j):
-            raise RealityError("real holonomy element does not commute with j")
-        basis.append(a)
+    if not rep.commutator_condition_ok:
+        raise RealityError("quartic fails the reality condition for this j")
+    j, dim = rep.j, q.s.space.dim
+    rows = []
+    for v in q.h_rows:
+        a = _unflatten(v, dim)
+        sa = _sigma(a, j)
+        rows += [_realify(_flatten(a + sa)), _realify(_flatten((a - sa).scale(I_UNIT)))]
+    basis = [_unflatten(_unrealify(v), dim) for v in echelon_basis(rows)]
+    if any(_sigma(a, j) != a for a in basis):
+        raise TheoremViolationError("real holonomy element is not sigma-fixed (bug signal)")
+    if len(basis) != len(q.h_rows):
+        raise TheoremViolationError("real holonomy dimension %d is not dim_C h = %d "
+                                    "(bug signal)" % (len(basis), len(q.h_rows)))
     return basis
 
 
@@ -168,19 +158,17 @@ def real_m_basis(j):
     return [x + j.apply(x) for x in xs]
 
 
-def build_real_algebra(q, rep):
+def build_real_algebra(q, rep, h_basis):
     """The real symmetric decomposition g = h + m, m = (H(x)E)^rho = {(x, jx)}.
 
-    q is the InvariantQuartic and rep = check_reality(q.s, j, q.table); a
-    failed report raises RealityError.  j is read off the report, h is its
-    real holonomy basis and the [m, m] brackets are its generator table;
-    m has the basis real_m_basis(j) of real dimension 4n.
+    q is the InvariantQuartic, rep = check_reality(q.s, j, q.table) and
+    h_basis = real_holonomy(q, rep), which refuses a failed report.  j is
+    read off the report and the [m, m] brackets are its generator table; m
+    has the basis real_m_basis(j) of real dimension 4n.
     Coordinates in h are read off realified rows and so are real; m_coords
     certifies that h preserves the real form, and the metric is certified
     real afterwards.
     """
-    if not rep.commutator_condition_ok:
-        raise RealityError("quartic fails the reality condition for this j")
     sp, j = q.s.space, rep.j
     dim_e = sp.dim
 
@@ -195,7 +183,6 @@ def build_real_algebra(q, rep):
             m_brackets[(k, l)] = m_brackets[(dim_e + k, dim_e + l)] = a
             m_brackets[(l, dim_e + k)] = b
         m_brackets[(k, dim_e + l)] = b
-    h_basis = rep.real_holonomy_basis
     m_basis = real_m_basis(j)
     labels = ["K%d" % (i + 1) for i in range(len(h_basis))]
     labels += ["M%d" % (i + 1) for i in range(len(m_basis))]

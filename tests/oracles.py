@@ -6,9 +6,11 @@ contraction), the automorphism oracle builds the gl(E_+) action matrix by raw
 monomial calculus (no sp-embedding, no contraction machinery), and the root
 pattern oracle uses the derivative gcd chain instead of Yun's algorithm.
 RefGaussRat is the original Fraction-pair scalar, the slow reference for the
-integer-triple GaussRat.  The dense-Omega formulas apply omega through its
-2n x 2n Gram matrix, built here from the definition omega(p_a, q_b) =
-delta_ab, as the reference for the package's omega_flat path.
+integer-triple GaussRat, and dense_matmul the column-by-column product, the
+reference for the row-sparse Matrix product.  The dense-Omega formulas apply
+omega through its 2n x 2n Gram matrix, built here from the definition
+omega(p_a, q_b) = delta_ab, as the reference for the package's omega_flat
+path.
 petrov_from_matrix reads the Petrov type off the Jordan structure of the
 3x3 operator, not off root multiplicities.  The H(x)E references work on
 flat tuples (index a * dim E + k holds h_a (x) e_k) through the Kronecker
@@ -20,7 +22,10 @@ I (x) A.  mm_bracket_walk and real_holonomy_generators are the [m, m]
 and real holonomy paths the algebra builder used before it took its brackets
 from its callers: the pair formula summed bilinearly over the table of
 double contractions, and the generators S_{je,e'} -/+ S_{e,je'} over basis
-pairs.  certify_invariance_all_entries is the invariance check before it
+pairs.  real_holonomy_from_generators is the real holonomy before it was
+read off the complex basis as h^sigma: the realified generators eliminated
+over Q, each basis element checked to commute with j as A C = C conj(A).
+certify_invariance_all_entries is the invariance check before it
 skipped the entries in the span of earlier ones: sp_action on every table
 entry, then the support and the holonomy basis eliminated from the whole
 table.  derived_series_reference is the holonomy's derived series before
@@ -51,11 +56,19 @@ from hksym.exactnum import (
     unit_vec,
 )
 from hksym.generators import random_gaussrat
+from hksym.hkalgebra import _flatten, _unflatten
+from hksym.realform import _realify, _unrealify
 from hksym.symtensor import column_span, double_contractions, sp_action, table_entry
 from hksym.symplectic import SymplecticSpace, standard_quaternionic
 
 # j_H on the plane H with omega_H(h, h') = 1: j_H h = h', j_H h' = -h
 J_H = standard_quaternionic(SymplecticSpace(1))
+
+
+def dense_matmul(x, y):
+    """x @ y as the dot product of every row of x with every column of y."""
+    cols = [y.col(t) for t in range(y.ncols)]
+    return Matrix([[sum((a * b for a, b in zip(r, c)), ZERO) for c in cols] for r in x.data])
 
 
 def dense_omega(n):
@@ -605,6 +618,18 @@ def real_holonomy_generators(jt):
             a, b = jt[k][l], jt[l][k]
             out += [a - b, (a + b).scale(I_UNIT)]
     return out
+
+
+def real_holonomy_from_generators(gens, j):
+    """RREF basis of the real span of the complex matrices gens, eliminated
+    over Q as [Re | Im] rows; asserts that every element commutes with j."""
+    dim = j.ambient.dim
+    c = j.c_matrix
+    rows = [_realify(_flatten(g)) for g in gens if not g.is_zero()]
+    basis = [_unflatten(_unrealify(v), dim) for v in echelon_basis(rows)]
+    for a in basis:
+        assert a @ c == c @ a.conj(), "real holonomy element does not commute with j"
+    return basis
 
 
 def certify_invariance_all_entries(s):

@@ -37,7 +37,7 @@ from hksym.hkalgebra import (
     verify_jacobi,
     verify_metric,
 )
-from hksym.realform import build_real_algebra, check_reality, symmetrize_real
+from hksym.realform import build_real_algebra, check_reality, real_holonomy, symmetrize_real
 from hksym.dim8 import classify_complex8, classify_quartic, isomorphic8, quartic_to_matrix
 from hksym.generators import (
     make_generator,
@@ -219,7 +219,8 @@ def test_criterion_6_signature_theorem():
     for m, count, want in ((1, 10, (4, 4, 0)), (2, 3, (8, 8, 0))):
         for s, j in _tau_fixed_full_support(m, count, "c6-m%d" % m):
             q = certify_invariance(s)
-            model = build_real_algebra(q, check_reality(s, j, q.table))
+            rep = check_reality(s, j, q.table)
+            model = build_real_algebra(q, rep, real_holonomy(q, rep))
             assert model.dim_m == 8 * m
             assert hermitian_inertia(model.metric_on_m) == want
             assert verify_jacobi(model) == (True, None)

@@ -193,6 +193,39 @@ class TestAnalyze:
         assert out == ""
         assert err == "internal error: jacobi failed: (k1, k2, k3)\n"
 
+    @pytest.mark.parametrize("key, raw", [
+        # the last of a repeated key used to win: the zero quartic, and 7 p^4
+        ("coeffs", '{"n": 1, "degree": 4, "coeffs": [{"monomial": [4, 0], "value": "1"}], '
+                   '"coeffs": []}'),
+        ("value", '{"n": 1, "degree": 4, "coeffs": [{"monomial": [4, 0], "value": "1", '
+                  '"value": "7"}]}'),
+    ], ids=["coeffs", "value"])
+    def test_duplicate_key_names_the_key(self, capsys, tmp_path, key, raw):
+        path = write_quartic(tmp_path, "dup.json", raw)
+        assert run_cli(capsys, "analyze", path) == (
+            1, "", "error: malformed quartic record: duplicate key '%s'\n" % key)
+
+    def test_duplicate_j_key_names_the_key(self, capsys, tmp_path):
+        real = str(tmp_path / "real.json")
+        run_cli(capsys, "generate", "real-random:1", "--seed", "2", "-o", real)
+        j_path = write_quartic(tmp_path, "j.json", '{"c_matrix": 5, "c_matrix": []}')
+        assert run_cli(capsys, "verify", real, "--reality", "--j", j_path) == (
+            1, "", "error: malformed quaternionic structure record: duplicate key 'c_matrix'\n")
+
+    def test_real_holonomy_shortfall_exits_3(self, capsys, monkeypatch, tmp_path):
+        # dim_R h_R = dim_C h is certified: an elimination that loses a row
+        # is a bug signal, not a rejection of the quartic
+        import hksym.exactnum as exactnum
+        import hksym.realform as realform
+
+        real = str(tmp_path / "real.json")
+        run_cli(capsys, "generate", "real-random:1", "--seed", "2", "-o", real)
+        monkeypatch.setattr(realform, "echelon_basis", lambda rows: exactnum.echelon_basis(rows)[:-1])
+        code, out, err = run_cli(capsys, "analyze", real, "--real")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: real holonomy dimension ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("failing_call, message", [
         (2, "extend_to_lagrangian produced a non-isotropic subspace"),
         (4, "lagrangian_complement produced a non-isotropic complement"),

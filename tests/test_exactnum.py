@@ -25,7 +25,7 @@ from hksym.exactnum import (
 
 from hksym.hkalgebra import _unflatten
 
-from oracles import RefGaussRat
+from oracles import RefGaussRat, dense_matmul
 
 
 def rand_gauss(rng):
@@ -273,6 +273,27 @@ def test_matrix_inverse(rng):
         n = rng.randint(1, 4)
         m = rand_invertible(rng, n)
         assert m @ inverse(m) == Matrix.identity(n)
+
+
+def test_product_against_dense_reference():
+    # the row-sparse product against the column-by-column one, on shapes up
+    # to 5 x 5 with entries up to 300 bits and zero densities from none to
+    # all, signed permutations (the split and definite C) included
+    rng = random.Random(11)
+    for k in range(60):
+        n, m, p = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        zeros = k % 4 / 3
+
+        def entry():
+            return ZERO if rng.random() < zeros else _ref_operand(rng)[0]
+
+        x = Matrix([[entry() for _ in range(m)] for _ in range(n)])
+        y = Matrix([[entry() for _ in range(p)] for _ in range(m)])
+        assert x @ y == dense_matmul(x, y)
+        perm = rng.sample(range(m), m)
+        c = Matrix([[rng.choice((ONE, MINUS_ONE)) if t == perm[s] else ZERO for t in range(m)]
+                    for s in range(m)])
+        assert x @ c == dense_matmul(x, c) and c @ y == dense_matmul(c, y)
 
 
 def _ref_component(rng):

@@ -54,7 +54,7 @@ from hksym.generators import (
     random_symplectic,
     standard_split_j,
 )
-from hksym.realform import check_reality
+from hksym.realform import check_reality, real_holonomy
 
 from oracles import (
     aut_dimension_bruteforce,
@@ -240,9 +240,10 @@ class TestAbelianAgainstDerivedSeries:
         rep = check_reality(s, j, q.table)
         if not rep.commutator_condition_ok:
             return 0
-        brackets, series = derived_series_reference(rep.real_holonomy_basis)
+        h_real = real_holonomy(q, rep)
+        brackets, series = derived_series_reference(h_real)
         assert brackets == {}
-        r = rep.real_holonomy_dim
+        r = len(h_real)
         assert series == ((r, 0) if r else (0,))
         return 1
 

@@ -1,12 +1,22 @@
 import json
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from hksym.exactnum import I_UNIT, ONE, ZERO, Matrix, echelon_basis, hermitian_inertia, unit_vec
+from hksym.exactnum import (
+    GaussRat,
+    I_UNIT,
+    ONE,
+    ZERO,
+    Matrix,
+    echelon_basis,
+    hermitian_inertia,
+    unit_vec,
+)
 from hksym.symplectic import (
     SymplecticSpace,
-    quaternionic_from_json,
     span,
     standard_quaternionic,
 )
@@ -28,9 +38,10 @@ from hksym.hkalgebra import (
     verify_metric,
 )
 from hksym.realform import (
-    _commutes_with_j,
+    RealityError,
     _generator_table,
     _realify,
+    _sigma,
     _unrealify,
     build_real_algebra,
     check_reality,
@@ -51,10 +62,12 @@ from oracles import (
     kronecker_apply,
     kronecker_gram,
     mm_bracket_walk,
+    real_holonomy_from_generators,
     real_holonomy_generators,
     rho_candidate_sweep,
     rho_reference,
 )
+from test_hkalgebra import REAL_GOLDEN, golden_case
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -65,12 +78,14 @@ def reality(s, j):
 
 
 def real_holonomy_of(s, j):
-    return reality(s, j).real_holonomy_basis
+    q = certify_invariance(s)
+    return real_holonomy(q, check_reality(s, j, q.table))
 
 
 def real_model(s, j):
     q = certify_invariance(s)
-    return build_real_algebra(q, check_reality(s, j, q.table))
+    rep = check_reality(s, j, q.table)
+    return build_real_algebra(q, rep, real_holonomy(q, rep))
 
 
 def complex_holonomy(s):
@@ -154,18 +169,45 @@ class TestCheckReality:
                 assert b == bracket(m[k], m[d + l]) == bracket(m[l], m[d + k])
 
     def test_report_carries_real_holonomy(self, dim4, rng):
+        # the report carries j and the generator table the real holonomy and
+        # algebra are read from; real_holonomy refuses a failed report
         sp, j = dim4
         s, _ = random_tau_fixed(1, rng)
-        table = dict(double_contractions(s))
-        rep = check_reality(s, j, table)
-        gens = _generator_table(j, table)
-        assert rep.generators == gens
-        assert rep.real_holonomy_basis == real_holonomy(gens, j)
-        assert rep.real_holonomy_dim == len(rep.real_holonomy_basis)
+        q = certify_invariance(s)
+        rep = check_reality(s, j, q.table)
+        assert rep.generators == _generator_table(j, q.table)
         assert rep.j is j
-        failed = reality(s.scale(I_UNIT), j)
-        assert failed.real_holonomy_basis is None
+        gens = [g for pair in rep.generators.values() for g in pair]
+        assert real_holonomy(q, rep) == real_holonomy_from_generators(gens, j)
+        q_failed = certify_invariance(s.scale(I_UNIT))
+        failed = check_reality(q_failed.s, j, q_failed.table)
+        assert not failed.commutator_condition_ok
         assert failed.j is j
+        with pytest.raises(RealityError):
+            real_holonomy(q_failed, failed)
+
+    def test_commutator_condition_reads_both_components(self, dim4):
+        # -(i/2) p1 p2^3 is not tau-fixed for the split j, yet every
+        # [m_k, m_l] is sigma-fixed: only the [m_k, m_{d+l}] components, the
+        # condition at (ie, e'), refute it
+        sp, j = dim4
+        s = SymTensor.monomial(sp, (1, 3, 0, 0)).scale(GaussRat(Fraction(-1, 2)) * I_UNIT)
+        gens = _generator_table(j, dict(double_contractions(s)))
+        assert all(_sigma(a, j) == a for a, _ in gens.values())
+        rep = reality(s, j)
+        assert not rep.commutator_condition_ok and not rep.tau_fixed
+
+    @pytest.mark.parametrize("kind", ["split", "definite", "non-coordinate"])
+    def test_equivalence_on_monomials(self, kind):
+        # every monomial and i times it: the two conditions agree
+        # (disagreement raises inside check_reality)
+        _, j = _h_formula_case(kind)
+        sp = j.ambient
+        for alpha in product(range(5), repeat=sp.dim):
+            if sum(alpha) == 4:
+                for c in (ONE, I_UNIT):
+                    rep = reality(SymTensor.monomial(sp, alpha).scale(c), j)
+                    assert rep.commutator_condition_ok == rep.tau_fixed
 
     def test_equivalence_for_definite_j(self, rng):
         # the equivalence is a statement about any compatible j, including the
@@ -183,6 +225,21 @@ class TestCheckReality:
 
 
 class TestRealHolonomy:
+    @pytest.mark.parametrize("kind", ["split", "definite", "non-coordinate"])
+    def test_sigma_is_the_antilinear_involution_fixing_the_commutant(self, kind, rng):
+        # sigma(sigma A) = A, sigma(iA) = -i sigma(A), and sigma(A) = A
+        # exactly when A C = C conj(A): true for A + sigma(A), false for a
+        # random A
+        _, j = _h_formula_case(kind)
+        c, d = j.c_matrix, j.ambient.dim
+        for _ in range(3):
+            a = Matrix([[random_gaussrat(rng) for _ in range(d)] for _ in range(d)])
+            assert _sigma(_sigma(a, j), j) == a
+            assert _sigma(a.scale(I_UNIT), j) == _sigma(a, j).scale(-I_UNIT)
+            for b in (a, a + _sigma(a, j)):
+                assert (_sigma(b, j) == b) == (b @ c == c @ b.conj())
+            assert _sigma(a, j) != a
+
     def test_zero_quartic_empty(self, dim4):
         sp, j = dim4
         assert real_holonomy_of(SymTensor.zero(sp, 4), j) == []
@@ -190,24 +247,19 @@ class TestRealHolonomy:
     def test_elements_commute_with_j(self, dim4, rng):
         sp, j = dim4
         s, _ = random_tau_fixed(1, rng)
-        for a in real_holonomy_of(s, j):
-            assert _commutes_with_j(a, j)
+        c = j.c_matrix
+        basis = real_holonomy_of(s, j)
+        assert basis
+        for a in basis:
+            assert _sigma(a, j) == a
+            assert a @ c == c @ a.conj()
 
-    def test_dimension_bound(self, dim4, rng):
-        sp, j = dim4
-        s, _ = random_tau_fixed(1, rng)
-        real_dim = len(real_holonomy_of(s, j))
-        assert real_dim <= 2 * complex_holonomy(s).dimension
-
-    def test_real_form_dimension_for_full_support(self, dim4, rng):
-        # tau-fixed S with full support: the real span is a real form, so its
-        # real dimension equals the complex holonomy dimension
-        sp, j = dim4
-        for _ in range(5):
-            s, _ = random_tau_fixed(1, rng)
-            if support(s).dim != 2:
-                continue
-            assert len(real_holonomy_of(s, j)) == complex_holonomy(s).dimension
+    def test_dimension_bound(self):
+        # h_R = h^sigma is a real form of h: dim_R h_R = dim_C h on every
+        # tau-fixed input, flat factors and the definite j included
+        for kind in REAL_KINDS:
+            s, j = _walk_case(kind)
+            assert len(real_holonomy_of(s, j)) == complex_holonomy(s).dimension, kind
 
     def test_span_equals_commutant_of_j(self, dim4, rng):
         # reported property: the real span coincides with
@@ -302,17 +354,16 @@ class TestBuildRealAlgebra:
                 assert e.is_real
 
     def test_rejects_non_real_quartic(self, dim4, rng):
-        # i S is invariant but never tau-fixed; the failed report is refused
+        # i S is invariant but never tau-fixed; the failed report yields no
+        # real holonomy to build the real form from
         sp, j = dim4
-        from hksym.realform import RealityError
-
         s = random_tau_fixed(1, rng)[0].scale(I_UNIT)
         assert not s.is_zero()
         q = certify_invariance(s)
         rep = check_reality(s, j, q.table)
         assert not rep.commutator_condition_ok
         with pytest.raises(RealityError):
-            build_real_algebra(q, rep)
+            real_holonomy(q, rep)
 
     def test_m_dimension_is_4n(self, rng):
         # real form of H (x) E always has real dimension 4n
@@ -394,10 +445,11 @@ def _models_with_bases(s, j):
     """(model, h basis, m basis, is real) of the real and the complex algebra of s."""
     q = certify_invariance(s)
     rep = check_reality(s, j, q.table)
+    h_real = real_holonomy(q, rep)
     hol = holonomy(q)
     units = [unit_vec(2 * s.space.dim, i) for i in range(2 * s.space.dim)]
     return [
-        (build_real_algebra(q, rep), rep.real_holonomy_basis, real_m_basis(j), True),
+        (build_real_algebra(q, rep, h_real), h_real, real_m_basis(j), True),
         (build_complex_algebra(q, hol), hol.basis, units, False),
     ]
 
@@ -461,10 +513,8 @@ def _walk_case(kind):
     if kind == "definite-zero":
         sp = SymplecticSpace(2)
         return SymTensor.zero(sp, 4), standard_quaternionic(sp)
-    if kind == "non_coordinate_j":
-        s = _golden_quartic(kind)
-        record = json.loads((GOLDEN / ("%s.j.json" % kind)).read_text())
-        return s, quaternionic_from_json(record, ambient=s.space)
+    if kind in REAL_GOLDEN:
+        return golden_case(GOLDEN / ("%s.json" % kind))
     s = make_generator(kind, 3)
     return s, standard_split_j(s.space)
 
@@ -477,6 +527,11 @@ WALK_KINDS = [
     "non_coordinate_j",
     "definite-zero",
 ]
+
+# every tau-fixed input with its j: the golden ones, the zero quartic for
+# the definite j and the seeded real-random draws
+REAL_KINDS = sorted(REAL_GOLDEN) + ["definite-zero", "real-random:1", "real-random:2",
+                                    "real-random:3"]
 
 
 class TestBracketsAgainstWalk:
@@ -494,8 +549,8 @@ class TestBracketsAgainstWalk:
             h_basis, m_basis = hol.basis, [unit_vec(2 * d, i) for i in range(2 * d)]
         else:
             rep = check_reality(s, j, q.table)
-            model = build_real_algebra(q, rep)
-            h_basis, m_basis = rep.real_holonomy_basis, real_m_basis(j)
+            h_basis, m_basis = real_holonomy(q, rep), real_m_basis(j)
+            model = build_real_algebra(q, rep, h_basis)
         walk = mm_bracket_walk(q.table, m_basis)
         dh = model.dim_h
         for (t, t2), expected in walk.items():
@@ -505,12 +560,18 @@ class TestBracketsAgainstWalk:
                 got = got + h_basis[a].scale(c)
             assert got == (Matrix.zeros(d, d) if expected is None else expected)
 
-    @pytest.mark.parametrize("kind", [k for k in WALK_KINDS if not k.startswith("complex:")])
+    @pytest.mark.parametrize("kind", REAL_KINDS)
     def test_real_holonomy_is_the_rref_of_the_old_generators(self, kind):
+        # h^sigma read off the complex basis against the elimination of every
+        # realified generator: of the J table contracted directly, and of
+        # check_reality's generator table
         s, j = _walk_case(kind)
         sp = s.space
         jt = [[double_contraction_endo(s, j.apply(sp.basis_vector(k)), sp.basis_vector(l))
                for l in range(sp.dim)] for k in range(sp.dim)]
-        rows = echelon_basis([_realify(_flatten(g)) for g in real_holonomy_generators(jt)])
-        expected = [_unflatten(_unrealify(v), sp.dim) for v in rows]
-        assert reality(s, j).real_holonomy_basis == expected
+        expected = real_holonomy_from_generators(real_holonomy_generators(jt), j)
+        q = certify_invariance(s)
+        rep = check_reality(s, j, q.table)
+        assert real_holonomy(q, rep) == expected
+        gens = [g for pair in rep.generators.values() for g in pair]
+        assert real_holonomy_from_generators(gens, j) == expected

@@ -11,12 +11,15 @@ reads the basis of h that certify_invariance eliminated on the way,
 without a second elimination.  [h, h] = 0 follows from the isotropy of
 the support, which certify_invariance checks with the one
 hkalgebra.is_isotropic call of an analysis, so holonomy(q) and both algebra
-builders make no matrix product at all.  The table itself takes two
-contractions per entry and no matrix product or transpose, a span is
-eliminated once, and restricting a quartic to a basis expands each symmetric
-power of the basis once.  The real form reads the table once, into
-its J table S_{je_k,e_l}: the real algebra takes its [m, m] brackets from
-that, and the complex algebra reads each [m, m] bracket S_{e_k,e_l} once.
+builders make no matrix product at all.  The real holonomy is h^sigma, read
+off that same basis by one elimination of 2 dim h rows, and only when the
+real algebra is built: a reality verdict alone eliminates nothing.  The
+table itself takes two contractions per entry and no matrix product or
+transpose, a span is eliminated once, and restricting a quartic to a basis
+expands each symmetric power of the basis once.  The real form reads the
+table once, into its J table S_{je_k,e_l}: the real algebra takes its [m, m]
+brackets from that, and the complex algebra reads each [m, m] bracket
+S_{e_k,e_l} once.
 """
 
 import json
@@ -39,7 +42,7 @@ from hksym.hkalgebra import (
     check_invariance,
     holonomy,
 )
-from hksym.realform import build_real_algebra, check_reality
+from hksym.realform import build_real_algebra, check_reality, real_holonomy
 from hksym.symplectic import SymplecticSpace, span, standard_split_j
 from hksym.symtensor import quartic_from_dict
 
@@ -140,9 +143,10 @@ def test_real_analysis_reads_the_j_table_once(monkeypatch):
     assert {name: len(calls) for name, calls in reads.items()} == {"hkalgebra": 64, "realform": 64}
     q = certify_invariance(s)
     rep = check_reality(s, standard_split_j(s.space), q.table)
+    h_real = real_holonomy(q, rep)
     for calls in reads.values():
         calls.clear()
-    build_real_algebra(q, rep)
+    build_real_algebra(q, rep, h_real)
     assert {name: len(calls) for name, calls in reads.items()} == {"hkalgebra": 0, "realform": 0}
 
 
@@ -151,12 +155,32 @@ def test_holonomy_and_algebras_multiply_no_matrices(monkeypatch, kind):
     s = make_generator(kind, 3)
     q = certify_invariance(s)
     rep = check_reality(s, standard_split_j(s.space), q.table)
+    h_real = real_holonomy(q, rep)
     products = count_calls(monkeypatch, Matrix, "__matmul__")
     hol = holonomy(q)
     build_complex_algebra(q, hol)
-    build_real_algebra(q, rep)
+    build_real_algebra(q, rep, h_real)
     assert hol.derived_series_lengths == (hol.dimension, 0)
     assert len(products) == 0
+
+
+@pytest.mark.parametrize("stem", ["real_2", "tau_fixed_full_2"])
+def test_reality_verdict_eliminates_nothing(monkeypatch, capsys, stem):
+    # the real holonomy is read only for the real algebra; tau_fixed_full_2
+    # is not invariant, so its verdict comes from the plain table
+    eliminations = count_calls(monkeypatch, realform, "echelon_basis")
+    assert main(["verify", str(GOLDEN / ("%s.json" % stem)), "--reality"]) == 0
+    assert capsys.readouterr().out == "reality: pass\n"
+    assert len(eliminations) == 0
+
+
+@pytest.mark.parametrize("stem,dim_h", [("real_1", 3), ("real_2", 10)])
+def test_real_holonomy_is_one_elimination_of_2_dim_h_rows(monkeypatch, capsys, stem, dim_h):
+    eliminations = count_calls(monkeypatch, realform, "echelon_basis")
+    assert main(["analyze", str(GOLDEN / ("%s.json" % stem)), "--real", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["holonomy"]["dimension"] == report["reality"]["real_holonomy_dim"] == dim_h
+    assert [len(rows) for (rows,) in eliminations] == [2 * dim_h]
 
 
 @pytest.mark.parametrize("kind,seed,real", [
