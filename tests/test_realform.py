@@ -261,6 +261,16 @@ class TestRealHolonomy:
             s, j = _walk_case(kind)
             assert len(real_holonomy_of(s, j)) == complex_holonomy(s).dimension, kind
 
+    def test_real_form_dimension_for_full_support(self, dim4, rng):
+        # tau-fixed S with full support: the real span is a real form, so its
+        # real dimension equals the complex holonomy dimension
+        sp, j = dim4
+        for _ in range(5):
+            s, _ = random_tau_fixed(1, rng)
+            if support(s).dim != 2:
+                continue
+            assert len(real_holonomy_of(s, j)) == complex_holonomy(s).dimension
+
     def test_span_equals_commutant_of_j(self, dim4, rng):
         # reported property: the real span coincides with
         # {A in h^C (realified) : [A, j] = 0}, including flat-factor cases
