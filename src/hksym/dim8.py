@@ -9,9 +9,8 @@ J = a0 a2 a4 + 2 a1 a2 a3 - a0 a3^2 - a1^2 a4 - a2^3.  Root multiplicities are
 found by exact gcd chains (Yun), never by extracting roots.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import (
     ContractError,
@@ -201,8 +200,7 @@ def quartic_invariants(q):
     return inv_i, inv_j, tuple(sorted(mults, reverse=True))
 
 
-@dataclass(frozen=True)
-class PetrovClass:
+class PetrovClass(NamedTuple):
     type_tag: str
     multiplicity_pattern: tuple
     projective_invariant: Optional[tuple]  # normalized (I^3 : J^2) for type I
@@ -347,8 +345,7 @@ def classify_complex8(s, e_plus):
     return classify_quartic(bq)
 
 
-@dataclass(frozen=True)
-class RealOrbitClass:
+class RealOrbitClass(NamedTuple):
     """Complete invariant of the real orbit: char poly data of the real operator.
 
     kind "zero" for the zero matrix; otherwise the triple

@@ -9,6 +9,7 @@ results are reproducible byte for byte.  There is no floating point anywhere.
 """
 
 import re as _re
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
 
@@ -591,6 +592,40 @@ class SpanSolver:
 
     def contains(self, t):
         return self.coords(t) is not None
+
+
+def extend_rref(rows, pivots, v):
+    """Extend a canonical RREF in place by the vector v; True iff it grew.
+
+    rows are the RREF rows as lists and pivots their pivot columns.  v is
+    reduced by the rows (each row clears its own pivot column and touches no
+    other), and a nonzero remainder is scaled to lead with 1, cleared from
+    the other rows in its pivot column and inserted in pivot order.  The
+    result is the RREF echelon_basis(rows + [v]) would return, without
+    eliminating the rows again.
+    """
+    v = list(v)
+    for row, p in zip(rows, pivots):
+        f = v[p]
+        if f:
+            for c in range(p, len(v)):
+                if row[c]:
+                    v[c] = v[c] - f * row[c]
+    lead = next((c for c, e in enumerate(v) if e), None)
+    if lead is None:
+        return False
+    inv = v[lead].inverse()
+    new = [inv * e if e else e for e in v]
+    nonzero = [(c, e) for c, e in enumerate(new) if e]
+    for row in rows:
+        f = row[lead]
+        if f:
+            for c, e in nonzero:
+                row[c] = row[c] - f * e
+    at = bisect_left(pivots, lead)
+    rows.insert(at, new)
+    pivots.insert(at, lead)
+    return True
 
 
 def echelon_basis(vectors):

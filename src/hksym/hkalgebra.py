@@ -2,13 +2,15 @@
 attached to an invariant quartic, with holonomy, curvature, support-based flat
 splitting and the automorphism algebra.
 
-Every object here comes from one table of double contractions S_{e_k,e_l}.
-certify_invariance(s) computes it once, checks S_{e_k,e_l} . S = 0 on the
-entries that span h = span{S_{e,e'}} and the isotropy of the support, and
-returns an InvariantQuartic: the quartic, the table, the basis of h and the
-support.  The stages take that certificate (or what they consume of it)
-explicitly: holonomy(q) reads the basis of h, find_lagrangian(q) extends the
-support, flat_decomposition(q, e_plus) splits off the flat factor, and
+Every object here comes from one table of double contractions S_{e_k,e_l},
+read off S's coefficients (its middle catalecticant, see symtensor).
+certify_invariance(s) computes it once, eliminates h = span{S_{e,e'}} in
+S^2E coordinates as the entries come, checks S_{e_k,e_l} . S = 0 on the
+entries that raise its rank and the isotropy of the support, and returns an
+InvariantQuartic: the quartic, the table, the basis of h and the support.
+The stages take that certificate (or what they consume of it) explicitly:
+holonomy(q) reads the basis of h, find_lagrangian(q) extends the support,
+flat_decomposition(q, e_plus) splits off the flat factor, and
 build_complex_algebra(q, hol) reads the [m, m] brackets off the table.
 
 H is the fixed plane with basis h, h', omega_H(h, h') = 1 and j_H h = h',
@@ -30,8 +32,7 @@ already holds: the table entries here, the generator table of check_reality
 there.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import (
     ContractError,
@@ -43,6 +44,7 @@ from .exactnum import (
     ZERO,
     _trusted_matrix,
     echelon_basis,
+    extend_rref,
     hermitian_inertia,
     inverse,
     mat_vec,
@@ -62,6 +64,8 @@ from .symtensor import (
     column_span,
     double_contractions,
     is_in_sp,
+    s2e_coords,
+    s2e_flatten,
     sp_action,
     table_entry,
     tensor_in_subspace_power,
@@ -77,16 +81,11 @@ class NotHyperKahlerError(Exception):
                          "witness basis pair %s" % (witness,))
 
 
-def _flatten(m):
-    return tuple(e for row in m.data for e in row)
-
-
 def _unflatten(v, n):
     return _trusted_matrix(tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n)))
 
 
-@dataclass(frozen=True)
-class HolonomyData:
+class HolonomyData(NamedTuple):
     basis: tuple
     dimension: int
     is_abelian: bool
@@ -94,14 +93,14 @@ class HolonomyData:
     derived_series_lengths: tuple
 
 
-@dataclass(frozen=True, eq=False)
-class InvariantQuartic:
+class InvariantQuartic(NamedTuple):
     """Certificate that the quartic s is invariant: S_{e,e'} . S = 0.
 
     table maps (k, l), k <= l, to S_{e_k,e_l} in lexicographic order;
     h_rows is the canonical RREF basis of h = span of those entries, as
-    flattened rows (_flatten); support is the column span of the entries,
-    i.e. support(s), certified isotropic: certify_invariance raises
+    flattened d x d rows (row after row), written back from the RREF in S^2E
+    coordinates it was eliminated in; support is the column span of the
+    entries, i.e. support(s), certified isotropic: certify_invariance raises
     TheoremViolationError("support of an invariant quartic is not isotropic")
     otherwise, which the structure theorem rules out.  Built only by
     certify_invariance; every later stage reads it instead of contracting S,
@@ -117,35 +116,34 @@ class InvariantQuartic:
 def certify_invariance(s):
     """The InvariantQuartic of s, or NotHyperKahlerError with the first witness.
 
-    The entries S_{e_k,e_l} come in lexicographic order and all go into the
-    table.  A . S is linear in A, so an entry in the span of the entries
-    before it passes when they do: only the entries that raise the rank are
-    acted on S.  The first failing entry always raises the rank, so the
-    witness is the first violating pair, and a rejection stops there without
-    building the rest of the table.  The echelon kept on the way is the
-    basis of h, and the columns of the independent entries span the support,
-    whose isotropy is checked here once.
+    The entries S_{e_k,e_l} come in lexicographic order, read off S's
+    coefficients, and all go into the table.  A . S is linear in A, so an
+    entry in the span of the entries before it passes when they do: each
+    entry is reduced by an echelon of h in S^2E coordinates, kept in place,
+    and only an entry that leaves a remainder, i.e. raises the rank, is acted
+    on S.  The first failing entry always raises the rank, so the witness is
+    the first violating pair, and a rejection stops there without building
+    the rest of the table.  The echelon, written back as flattened rows, is
+    the basis of h, and the columns of the independent entries span the
+    support, whose isotropy is checked here once.
     """
     if s.degree != 4:
         raise ContractError("invariance check needs a quartic")
     table = {}
     independent = []
-    h_rows = []
-    solver = SpanSolver(h_rows)
+    rows, pivots = [], []
     for pair, endo in double_contractions(s):
         table[pair] = endo
-        row = _flatten(endo)
-        if solver.contains(row):
+        if not extend_rref(rows, pivots, s2e_coords(endo)):
             continue
         if not sp_action(endo, s).is_zero():
             raise NotHyperKahlerError(pair)
         independent.append(endo)
-        h_rows = echelon_basis(h_rows + [row])
-        solver = SpanSolver(h_rows)
     sigma = column_span(s.space, independent)
     if not is_isotropic(sigma):
         raise TheoremViolationError("support of an invariant quartic is not isotropic")
-    return InvariantQuartic(s, table, tuple(h_rows), sigma)
+    dim = s.space.dim
+    return InvariantQuartic(s, table, tuple(s2e_flatten(row, dim) for row in rows), sigma)
 
 
 def check_invariance(s):
@@ -321,9 +319,11 @@ def verify_model(model):
 def _build_model(sp, labels, h_basis, flat, m_basis, m_coords, m_brackets):
     """The bracket/metric skeleton of g = h + m with m inside H(x)E; verified.
 
-    h_basis are matrices on E with reduced row echelon rows flat(A), in which
-    one SpanSolver reads m_brackets = {(t, t2): [m_t, m_t2]}, t < t2 (pairs
-    left out bracket to zero).  m_basis are H(x)E tuples (x, y) and
+    h_basis are matrices in sp(E) with reduced row echelon rows flat(A), their
+    (possibly realified) S^2E coordinates, in which one SpanSolver reads
+    m_brackets = {(t, t2): [m_t, m_t2]}, t < t2 (pairs left out bracket to
+    zero); the brackets lie in sp(E) by construction, so their S^2E
+    coordinates determine them.  m_basis are H(x)E tuples (x, y) and
     m_coords(v) the coordinate dict of such a v.  [h, h] stays zero (see
     holonomy); verify_jacobi checks that zero independently, as each triple
     (A, B, m) evaluates [A, B]m against it.
@@ -373,7 +373,7 @@ def build_complex_algebra(q, hol):
     m_basis = [unit_vec(2 * dim_e, i) for i in range(2 * dim_e)]
     m_brackets = {(k, dim_e + l): table_entry(q.table, k, l)
                   for k in range(dim_e) for l in range(dim_e)}
-    return _build_model(sp, labels, hol.basis, _flatten, m_basis,
+    return _build_model(sp, labels, hol.basis, s2e_coords, m_basis,
                         lambda v: {i: c for i, c in enumerate(v) if c}, m_brackets)
 
 
@@ -510,8 +510,7 @@ def compute_aut(s, e_plus):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     invariance_ok: bool
     invariance_witness: Optional[tuple] = None
     holonomy: Optional[HolonomyData] = None
@@ -569,24 +568,14 @@ def analyze_quartic(s, j=None, real=False):
     # algebra is built, so jacobi_ok holds once the model exists
     model = build_complex_algebra(q, hol)
     ricci = curvature_ricci(model)
-    report = AnalysisReport(
-        invariance_ok=True,
-        holonomy=hol,
-        support_dim=q.support.dim,
-        # certify_invariance raised unless the support is isotropic
-        support_isotropic=True,
-        lagrangian_found=e_plus,
-        flat_complex_dim=flat_dim,
-        jacobi_ok=True,
-        ricci_zero=ricci.is_zero(),
-    )
+    reality = signature = classification = None
     if real:
         from . import realform
 
         if j is None:
             j = standard_split_j(s.space)
         rep = realform.check_reality(s, j, q.table)
-        report.reality = {
+        reality = {
             "commutator_condition_ok": rep.commutator_condition_ok,
             "tau_fixed": rep.tau_fixed,
             "equivalent": rep.equivalent,
@@ -599,11 +588,24 @@ def analyze_quartic(s, j=None, real=False):
             p, n, z = hermitian_inertia(real_model.metric_on_m)
             if z:
                 raise TheoremViolationError("degenerate real metric")
-            report.signature = (p, n)
-            report.reality["real_holonomy_dim"] = len(h_real)
-            report.reality["signature_on_m"] = [p, n]
+            signature = (p, n)
+            reality["real_holonomy_dim"] = len(h_real)
+            reality["signature_on_m"] = [p, n]
     if s.space.n == 2:
         from . import dim8
 
-        report.classification = dim8.classify_complex8(s, e_plus).type_tag
-    return report
+        classification = dim8.classify_complex8(s, e_plus).type_tag
+    return AnalysisReport(
+        invariance_ok=True,
+        holonomy=hol,
+        support_dim=q.support.dim,
+        # certify_invariance raised unless the support is isotropic
+        support_isotropic=True,
+        lagrangian_found=e_plus,
+        flat_complex_dim=flat_dim,
+        jacobi_ok=True,
+        ricci_zero=ricci.is_zero(),
+        reality=reality,
+        signature=signature,
+        classification=classification,
+    )

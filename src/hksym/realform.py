@@ -18,8 +18,7 @@ dim_R h^sigma.  real_holonomy reads it off the complex basis of h, and
 build_real_algebra hands it, j and the table to the complex algebra's builder.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import (
     ContractError,
@@ -34,25 +33,23 @@ from .exactnum import (
 from .hkalgebra import (
     TheoremViolationError,
     _build_model,
-    _flatten,
     _unflatten,
 )
-from .symtensor import table_entry, tau
+from .symtensor import s2e_coords, s2e_flatten, table_entry, tau
 
 
 class RealityError(Exception):
     """The quartic fails the reality condition for the given j."""
 
 
-@dataclass
-class RealityReport:
+class RealityReport(NamedTuple):
     commutator_condition_ok: bool
     tau_fixed: bool
     equivalent: bool
     # the j the report was computed for and its generator table; not part of
     # any serialized report
-    j: Optional[object] = field(default=None, repr=False)
-    generators: Optional[dict] = field(default=None, repr=False)
+    j: Optional[object] = None
+    generators: Optional[dict] = None
 
 
 def _sigma(a, j):
@@ -124,7 +121,8 @@ def real_holonomy(q, rep):
     """Echelonized basis of h^sigma, the real span of A + sigma(A) and
     i(A - sigma(A)) over the basis q.h_rows of h, for
     rep = check_reality(q.s, j, q.table); a failed report raises RealityError.
-    It is certified sigma-fixed and of real dimension dim_C h.
+    The rows are eliminated in realified S^2E coordinates, as sigma keeps
+    sp(E).  The basis is certified sigma-fixed and of real dimension dim_C h.
     """
     if not rep.commutator_condition_ok:
         raise RealityError("quartic fails the reality condition for this j")
@@ -133,8 +131,8 @@ def real_holonomy(q, rep):
     for v in q.h_rows:
         a = _unflatten(v, dim)
         sa = _sigma(a, j)
-        rows += [_realify(_flatten(a + sa)), _realify(_flatten((a - sa).scale(I_UNIT)))]
-    basis = [_unflatten(_unrealify(v), dim) for v in echelon_basis(rows)]
+        rows += [_realify(s2e_coords(a + sa)), _realify(s2e_coords((a - sa).scale(I_UNIT)))]
+    basis = [_unflatten(s2e_flatten(_unrealify(v), dim), dim) for v in echelon_basis(rows)]
     if any(_sigma(a, j) != a for a in basis):
         raise TheoremViolationError("real holonomy element is not sigma-fixed (bug signal)")
     if len(basis) != len(q.h_rows):
@@ -186,7 +184,7 @@ def build_real_algebra(q, rep, h_basis):
     m_basis = real_m_basis(j)
     labels = ["K%d" % (i + 1) for i in range(len(h_basis))]
     labels += ["M%d" % (i + 1) for i in range(len(m_basis))]
-    model = _build_model(sp, labels, h_basis, lambda a: _realify(_flatten(a)),
+    model = _build_model(sp, labels, h_basis, lambda a: _realify(s2e_coords(a)),
                          m_basis, m_coords, m_brackets)
     for row in model.metric_on_m.data:
         for g in row:

@@ -344,6 +344,13 @@ def record_fields(data, record, keys):
     return [data[key] for key in keys]
 
 
+def check_size(n, max_n):
+    """Refuse n > max_n with a ContractError; called before a space of
+    dimension 2n, whose omega is a dense (2n)^2 matrix, is built."""
+    if max_n is not None and n > max_n:
+        raise ContractError("n = %d exceeds the size limit max_n = %d" % (n, max_n))
+
+
 def record_int(value, record, what):
     """A JSON integer field; floats, strings and booleans are refused."""
     if not isinstance(value, int) or isinstance(value, bool):

@@ -12,10 +12,25 @@ The three pinned conventions everything else hangs on:
 * a quadratic B acts as the endomorphism x -> B_x, and A in sp(E) acts on
   tensors as MINUS the derivation extending A, so that
   pq . (lambda p^4 + mu p^3 q) = -2 lambda p^4 - mu p^3 q.
+
+With these, omega_flat(e_k) = w_k e_k' for the omega-dual index k' (p_a and
+q_a are dual) and w = +1 on p, -1 on q, so a double contraction of a quartic
+against basis vectors is read straight off its coefficients:
+  S_{e_k,e_l} = (1/12) w_k w_l d_k' d_l' S,
+and, as an endomorphism,
+  S_{e_k,e_l}[i][m] = w_k w_l w_m T_{i m' k' l'},  T_alpha = (alpha!/4!) S_alpha,
+with T the symmetric coefficient tensor of S (S = sum T_abcd x_a x_b x_c x_d).
+The table of all S_{e_k,e_l} is thus S's middle catalecticant up to these
+signs, and h = span{S_{e,e'}} is its row space.  An A in sp(E) is the
+quadratic B with A[i][m] = w_m M_{i m'} (M the symmetric matrix of B), so its
+S^2E coordinate at e_a e_b (a <= b) sits at (a, b') and again, times
+w_a w_b, at (b, a'): s2e_coords reads it at the first of the two flattened
+positions and s2e_flatten writes both back.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
 
 from .exactnum import (
@@ -24,12 +39,14 @@ from .exactnum import (
     Matrix,
     ONE,
     ZERO,
+    _trusted_matrix,
     solve_linear,
     unit_vec,
     vec_is_zero,
 )
 from .symplectic import (
     SymplecticSpace,
+    check_size,
     omega_flat,
     omega_perp,
     omega_sharp,
@@ -260,17 +277,80 @@ def double_contraction_endo(s, e, f):
 def double_contractions(s):
     """Yield ((k, l), S_{e_k,e_l}) for k <= l in lexicographic order.
 
-    This is the one place that contracts a quartic against two basis vectors:
-    every table of double contractions is read off this sequence, and a
-    consumer that stops early never pays for the rest of it.
+    Every table of double contractions is read off this sequence.  Each
+    entry is read straight off S's coefficients by the formula in the module
+    docstring, with no contraction: one pass over S files every monomial
+    under the pairs of indices it can be differentiated along, and entry
+    (k, l) reads the monomials filed under (k', l').  A consumer that stops
+    early never pays for the rest of the table.
     """
     if s.degree != 4:
         raise ContractError("double contractions need a quartic")
-    sp = s.space
-    basis = [sp.basis_vector(k) for k in range(sp.dim)]
-    for k in range(sp.dim):
-        for l in range(k, sp.dim):
-            yield (k, l), double_contraction_endo(s, basis[k], basis[l])
+    dim = s.space.dim
+    dual, w = _duals(dim)
+    # (u, v) -> [(i, j, T_{uvij})] over the monomials x_u x_v x_i x_j of S
+    filed = {}
+    for alpha, c in s.coeffs.items():
+        idx = [k for k, e in enumerate(alpha) for _ in range(e)]
+        t = c * _WEIGHT[prod(factorial(e) for e in alpha)]
+        for u, v in set(combinations(idx, 2)):
+            rest = list(idx)
+            rest.remove(u)
+            rest.remove(v)
+            filed.setdefault((u, v), []).append((rest[0], rest[1], t))
+    for k in range(dim):
+        for l in range(k, dim):
+            rows = [[ZERO] * dim for _ in range(dim)]
+            wkl = w[k] * w[l]
+            for i, j, t in filed.get(tuple(sorted((dual[k], dual[l]))), ()):
+                rows[i][dual[j]] = t if wkl * w[dual[j]] > 0 else -t
+                rows[j][dual[i]] = t if wkl * w[dual[i]] > 0 else -t
+            yield (k, l), _trusted_matrix(tuple(tuple(row) for row in rows))
+
+
+# alpha!/4! for the alpha! = 1, 2, 4, 6, 24 of a degree-4 multi-index
+_WEIGHT = {f: GaussRat(Fraction(f, 24)) for f in (1, 2, 4, 6, 24)}
+
+
+def _duals(dim):
+    """The omega-dual index k' of each k and the sign w_k, +1 on p, -1 on q."""
+    n = dim // 2
+    return [(k + n) % dim for k in range(dim)], [1] * n + [-1] * n
+
+
+@lru_cache(maxsize=None)
+def _s2e_layout(dim):
+    """(first, second, sign) per S^2E coordinate e_a e_b of sp(E), ordered by
+    first: the flattened positions (a, b') and (b, a') it sits at, the smaller
+    one first, and the sign w_a w_b of the second copy (None for a == b)."""
+    dual, w = _duals(dim)
+    out = []
+    for a in range(dim):
+        for b in range(a, dim):
+            first, second = sorted((a * dim + dual[b], b * dim + dual[a]))
+            out.append((first, second if a != b else None, w[a] * w[b]))
+    out.sort()
+    return tuple(out)
+
+
+def s2e_coords(a):
+    """The S^2E coordinates of A in sp(E), as a list: the entry at the first
+    flattened position of each e_a e_b, in the order of those positions.
+    Every flattened position holds plus or minus one of them, so a canonical
+    RREF of flattened rows and its S^2E coordinates have the same pivots."""
+    dim = a.nrows
+    data = a.data
+    return [data[f // dim][f % dim] for f, _, _ in _s2e_layout(dim)]
+
+
+def s2e_flatten(v, dim):
+    """The flattened d x d matrix in sp(E) with S^2E coordinates v."""
+    out = [ZERO] * (dim * dim)
+    for (first, second, sign), c in zip(_s2e_layout(dim), v):
+        out[first] = c
+        if second is not None:
+            out[second] = c if sign > 0 else -c
+    return tuple(out)
 
 
 def table_entry(table, k, l):
@@ -447,9 +527,12 @@ def quartic_to_dict(t):
     return {"n": t.space.n, "degree": 4, "coeffs": coeffs}
 
 
-def quartic_from_dict(data):
+def quartic_from_dict(data, max_n=None):
+    """The quartic of a record {"n", "degree", "coeffs"}; ContractError on a
+    malformed one, and on n > max_n before anything of size n is built."""
     n, degree, raw = record_fields(data, "quartic", ("n", "degree", "coeffs"))
     n = record_int(n, "quartic", "n")
+    check_size(n, max_n)
     degree = record_int(degree, "quartic", "degree")
     if not isinstance(raw, list):
         raise ContractError("malformed quartic record: coeffs must be a list")

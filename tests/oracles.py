@@ -25,10 +25,13 @@ double contractions, and the generators S_{je,e'} -/+ S_{e,je'} over basis
 pairs.  real_holonomy_from_generators is the real holonomy before it was
 read off the complex basis as h^sigma: the realified generators eliminated
 over Q, each basis element checked to commute with j as A C = C conj(A).
+double_contractions_by_contraction is the table of double contractions
+before it was read off S's coefficients: two omega-contractions per entry,
+turned into an endomorphism by endo_of_quadratic.
 certify_invariance_all_entries is the invariance check before it
-skipped the entries in the span of earlier ones: sp_action on every table
-entry, then the support and the holonomy basis eliminated from the whole
-table.  derived_series_reference is the holonomy's derived series before
+skipped the entries in the span of earlier ones: sp_action on every entry
+of that table, then the support and the holonomy basis eliminated from the
+whole table as flattened d x d rows (flatten).  derived_series_reference is the holonomy's derived series before
 [h, h] = 0 was derived from the isotropic support: every commutator of a
 basis as a dense matrix product AB - BA, then the span of the brackets
 eliminated, step by step.  embed_gl_group and binary_quartic_tensor carry
@@ -56,9 +59,9 @@ from hksym.exactnum import (
     unit_vec,
 )
 from hksym.generators import random_gaussrat
-from hksym.hkalgebra import _flatten, _unflatten
+from hksym.hkalgebra import _unflatten
 from hksym.realform import _realify, _unrealify
-from hksym.symtensor import column_span, double_contractions, sp_action, table_entry
+from hksym.symtensor import column_span, double_contraction_endo, sp_action, table_entry
 from hksym.symplectic import SymplecticSpace, standard_quaternionic
 
 # j_H on the plane H with omega_H(h, h') = 1: j_H h = h', j_H h' = -h
@@ -625,25 +628,40 @@ def real_holonomy_from_generators(gens, j):
     over Q as [Re | Im] rows; asserts that every element commutes with j."""
     dim = j.ambient.dim
     c = j.c_matrix
-    rows = [_realify(_flatten(g)) for g in gens if not g.is_zero()]
+    rows = [_realify(flatten(g)) for g in gens if not g.is_zero()]
     basis = [_unflatten(_unrealify(v), dim) for v in echelon_basis(rows)]
     for a in basis:
         assert a @ c == c @ a.conj(), "real holonomy element does not commute with j"
     return basis
 
 
+def flatten(m):
+    """A matrix as one row: its rows laid end to end."""
+    return tuple(e for row in m.data for e in row)
+
+
+def double_contractions_by_contraction(s):
+    """Yield ((k, l), S_{e_k,e_l}) for k <= l in lexicographic order, each as
+    double_contraction_endo(s, e_k, e_l)."""
+    sp = s.space
+    basis = [sp.basis_vector(k) for k in range(sp.dim)]
+    for k in range(sp.dim):
+        for l in range(k, sp.dim):
+            yield (k, l), double_contraction_endo(s, basis[k], basis[l])
+
+
 def certify_invariance_all_entries(s):
     """(witness, table, support, h_rows) by checking S_{e_k,e_l} . S = 0 on
-    every entry in lexicographic order.  A rejection gives its first
-    violating pair and None for the rest; an invariant quartic gives witness
-    None, the full table, the column span of all entries and the RREF of all
-    flattened entries."""
+    every entry of double_contractions_by_contraction in lexicographic order.
+    A rejection gives its first violating pair and None for the rest; an
+    invariant quartic gives witness None, the full table, the column span of
+    all entries and the RREF of all flattened entries."""
     table = {}
-    for pair, endo in double_contractions(s):
+    for pair, endo in double_contractions_by_contraction(s):
         if not sp_action(endo, s).is_zero():
             return pair, None, None, None
         table[pair] = endo
-    rows = echelon_basis([tuple(e for row in m.data for e in row) for m in table.values()])
+    rows = echelon_basis([flatten(m) for m in table.values()])
     return None, table, column_span(s.space, table.values()), tuple(rows)
 
 

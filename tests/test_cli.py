@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from hksym.cli import main
+import hksym.generators as generators
+import hksym.symtensor as symtensor
+from hksym.cli import DEFAULT_MAX_N, main
 from hksym.symtensor import quartic_from_dict
 
 
@@ -355,6 +357,65 @@ class TestClassify8:
         assert out == ""
         assert err.startswith("rejected: ")
         assert err.count("\n") == 1
+
+
+class TestSizeGuard:
+    """--max-n refuses a quartic on n > N with one line and exit 1 before any
+    space of that size is built; only refused sizes are run here."""
+
+    @pytest.fixture
+    def spaces(self, monkeypatch):
+        # SymplecticSpace(n) holds a dense (2n)^2 omega: count the spaces built
+        built = []
+        for module in (symtensor, generators):
+            original = module.SymplecticSpace
+
+            def counted(n, original=original):
+                built.append(n)
+                return original(n)
+
+            monkeypatch.setattr(module, "SymplecticSpace", counted)
+        return built
+
+    @pytest.mark.parametrize("command", [["analyze"], ["analyze", "--real"],
+                                         ["verify", "--invariance"], ["classify8"]])
+    @pytest.mark.parametrize("n", [DEFAULT_MAX_N + 1, 100000, 10 ** 30])
+    def test_refuses_large_n_in_a_file(self, capsys, tmp_path, spaces, command, n):
+        path = write_quartic(tmp_path, "huge.json", {
+            "n": n, "degree": 4, "coeffs": [{"monomial": [4, 0], "value": "1"}]})
+        code, out, err = run_cli(capsys, command[0], path, *command[1:])
+        assert (code, out) == (1, "")
+        assert err == "error: n = %d exceeds the size limit max_n = %d\n" % (n, DEFAULT_MAX_N)
+        assert spaces == []
+
+    @pytest.mark.parametrize("kind,n", [
+        ("random-lagrangian:%d" % (DEFAULT_MAX_N + 1), DEFAULT_MAX_N + 1),
+        ("random-lagrangian:100000", 100000),
+        ("real-random:%d" % (DEFAULT_MAX_N // 2 + 1), DEFAULT_MAX_N + 2),
+        ("real-random:50000", 100000),
+    ])
+    def test_refuses_large_generator_kinds(self, capsys, spaces, kind, n):
+        code, out, err = run_cli(capsys, "generate", kind)
+        assert (code, out) == (1, "")
+        assert err == "error: n = %d exceeds the size limit max_n = %d\n" % (n, DEFAULT_MAX_N)
+        assert spaces == []
+
+    def test_lowered_limit_refuses_small_n(self, capsys, tmp_path, dim4_file, spaces):
+        code, _, err = run_cli(capsys, "generate", "real-random:1", "--max-n", "1")
+        assert (code, err) == (1, "error: n = 2 exceeds the size limit max_n = 1\n")
+        path = str(tmp_path / "lagrangian_2.json")
+        assert run_cli(capsys, "generate", "random-lagrangian:2", "-o", path)[0] == 0
+        spaces.clear()
+        code, _, err = run_cli(capsys, "verify", path, "--invariance", "--max-n", "1")
+        assert (code, err) == (1, "error: n = 2 exceeds the size limit max_n = 1\n")
+        assert spaces == []
+        assert run_cli(capsys, "verify", dim4_file, "--invariance", "--max-n", "1")[0] == 0
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
+    def test_limit_must_be_a_positive_integer(self, capsys, dim4_file, value):
+        code, out, err = run_cli(capsys, "analyze", dim4_file, "--max-n", value)
+        assert (code, out) == (1, "")
+        assert "--max-n" in err
 
 
 def test_console_script_installed():

@@ -29,7 +29,6 @@ from hksym.symtensor import (
     tau,
 )
 from hksym.hkalgebra import (
-    _flatten,
     _unflatten,
     build_complex_algebra,
     certify_invariance,
@@ -59,6 +58,7 @@ from hksym.generators import (
 from hksym.hkalgebra import holonomy
 
 from oracles import (
+    flatten,
     kronecker_apply,
     kronecker_gram,
     mm_bracket_walk,
@@ -279,7 +279,7 @@ class TestRealHolonomy:
         from hksym.symtensor import SymTensor as ST
 
         def realify_matrix(m):
-            return _realify(_flatten(m))
+            return _realify(flatten(m))
 
         x4 = ST.linear(sp, sp.basis_vector(0)) ** 4
         samples = [random_tau_fixed(1, rng)[0] for _ in range(4)]

@@ -2,23 +2,26 @@
 checks invariance on a basis of h and the isotropy of the support once, and
 computes no bracket of holonomy matrices.
 
-Every S_{e_k,e_l} ends in one symtensor.endo_of_quadratic call, so counting
-those calls counts the table entries computed: an accepted analysis on
-dim E = d computes the d(d+1)/2 entries once, and a rejection stops at its
-witness.  Only an entry outside the span of the entries before it is acted
-on S, so an accepted quartic makes dim h sp_action calls, and holonomy(q)
-reads the basis of h that certify_invariance eliminated on the way,
-without a second elimination.  [h, h] = 0 follows from the isotropy of
-the support, which certify_invariance checks with the one
-hkalgebra.is_isotropic call of an analysis, so holonomy(q) and both algebra
-builders make no matrix product at all.  The real holonomy is h^sigma, read
-off that same basis by one elimination of 2 dim h rows, and only when the
-real algebra is built: a reality verdict alone eliminates nothing.  The
-table itself takes two contractions per entry and no matrix product or
-transpose, a span is eliminated once, and restricting a quartic to a basis
-expands each symmetric power of the basis once.  The real form reads the
-table once, into its J table S_{je_k,e_l}: the real algebra takes its [m, m]
-brackets from that, and the complex algebra reads each [m, m] bracket
+Every table is read off symtensor.double_contractions, which hkalgebra and
+cli bind by name, so counting the entries that generator yields there counts
+the table entries computed: an accepted analysis on dim E = d computes the
+d(d+1)/2 entries once, and a rejection stops at its witness.  Each entry is
+read straight off S's coefficients, with no contraction, and reduced by an
+echelon of h in S^2E coordinates kept in place: certify_invariance calls
+no echelon_basis and builds no SpanSolver.  Only an entry outside the span
+of the entries before it is acted on S, so an accepted quartic makes dim h
+sp_action calls, and holonomy(q) reads the basis of h that
+certify_invariance eliminated on the way, without a second elimination.
+[h, h] = 0 follows from the isotropy of the support, which
+certify_invariance checks with the one hkalgebra.is_isotropic call of an
+analysis, so holonomy(q) and both algebra builders make no matrix product
+at all.  The real holonomy is h^sigma, read off that same basis by one
+elimination of 2 dim h rows, and only when the real algebra is built: a
+reality verdict alone eliminates nothing.  The table takes no matrix product
+or transpose, a span is eliminated once, and restricting a quartic to a
+basis expands each symmetric power of the basis once.  The real form reads
+the table once, into its J table S_{je_k,e_l}: the real algebra takes its
+[m, m] brackets from that, and the complex algebra reads each [m, m] bracket
 S_{e_k,e_l} once.
 """
 
@@ -28,6 +31,8 @@ from pathlib import Path
 
 import pytest
 
+import hksym.cli as cli
+import hksym.exactnum as exactnum
 import hksym.hkalgebra as hkalgebra
 import hksym.realform as realform
 import hksym.symplectic as symplectic
@@ -65,8 +70,20 @@ def count_calls(monkeypatch, owner, name):
 
 
 @pytest.fixture
-def endo_calls(monkeypatch):
-    return count_calls(monkeypatch, symtensor, "endo_of_quadratic")
+def table_entries(monkeypatch):
+    """The pairs of the table entries yielded by double_contractions to
+    hkalgebra and cli, in order."""
+    pairs = []
+    original = symtensor.double_contractions
+
+    def counted(s):
+        for pair, endo in original(s):
+            pairs.append(pair)
+            yield pair, endo
+
+    for module in (hkalgebra, cli):
+        monkeypatch.setattr(module, "double_contractions", counted)
+    return pairs
 
 
 def table_size(s):
@@ -74,18 +91,18 @@ def table_size(s):
     return d * (d + 1) // 2
 
 
-def test_complex_analysis_computes_the_table_once(endo_calls):
+def test_complex_analysis_computes_the_table_once(table_entries):
     s = make_generator("random-lagrangian:3", 7)
     report = analyze_quartic(s)
     assert report.invariance_ok and report.jacobi_ok
-    assert len(endo_calls) == table_size(s) == 21
+    assert len(table_entries) == table_size(s) == 21
 
 
-def test_real_analysis_computes_the_table_once(endo_calls):
+def test_real_analysis_computes_the_table_once(table_entries):
     s = make_generator("real-random:1", 3)
     report = analyze_quartic(s, real=True)
     assert report.signature == (4, 4)
-    assert len(endo_calls) == table_size(s) == 10
+    assert len(table_entries) == table_size(s) == 10
 
 
 def golden_quartic(stem):
@@ -96,11 +113,11 @@ def golden_quartic(stem):
     (make_generator("random-lagrangian:3", 7), 6),
     (golden_quartic("scrambled_lagrangian_2"), 3),
 ], ids=["random-lagrangian:3", "scrambled_lagrangian_2"])
-def test_invariance_acts_once_per_basis_element_of_h(monkeypatch, endo_calls, s, dim_h):
+def test_invariance_acts_once_per_basis_element_of_h(monkeypatch, table_entries, s, dim_h):
     actions = count_calls(monkeypatch, hkalgebra, "sp_action")
     q = certify_invariance(s)
     assert len(actions) == holonomy(q).dimension == dim_h
-    assert len(endo_calls) == len(q.table) == table_size(s)
+    assert len(table_entries) == len(q.table) == table_size(s)
 
 
 def test_late_witness_acts_on_the_independent_entries_only(monkeypatch):
@@ -119,16 +136,16 @@ def test_holonomy_eliminates_nothing(monkeypatch):
     assert len(eliminations) == 0
 
 
-def test_rejection_stops_at_the_first_witness(endo_calls):
+def test_rejection_stops_at_the_first_witness(table_entries):
     s = random_quartic_full(SymplecticSpace(4), random.Random(5))
     assert check_invariance(s) == (False, (0, 0))
-    assert len(endo_calls) == 1
+    assert len(table_entries) == 1
 
 
-def test_reality_of_a_non_invariant_quartic_computes_the_table_once(endo_calls, capsys):
+def test_reality_of_a_non_invariant_quartic_computes_the_table_once(table_entries, capsys):
     assert main(["verify", str(GOLDEN / "tau_fixed_full_2.json"), "--reality"]) == 0
     assert capsys.readouterr().out == "reality: pass\n"
-    assert len(endo_calls) == 10
+    assert len(table_entries) == 10
 
 
 def test_real_analysis_reads_the_j_table_once(monkeypatch):
@@ -200,8 +217,22 @@ def test_certify_invariance_contracts_and_multiplies_no_matrices(monkeypatch):
     transposes = count_calls(monkeypatch, Matrix, "transpose")
     contractions = count_calls(monkeypatch, symtensor, "contract")
     certify_invariance(s)
-    d = s.space.dim
-    assert (len(products), len(transposes), len(contractions)) == (0, 0, d * (d + 1)) == (0, 0, 42)
+    assert (len(products), len(transposes), len(contractions)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("s", [
+    make_generator("random-lagrangian:3", 7),
+    golden_quartic("scrambled_lagrangian_2"),
+    golden_quartic("late_witness"),
+], ids=["random-lagrangian:3", "scrambled_lagrangian_2", "late_witness"])
+def test_certify_invariance_extends_one_echelon_in_place(monkeypatch, s):
+    # h is eliminated in place as the entries come: no re-elimination and no
+    # SpanSolver; the one elimination left is the support's span
+    eliminations = count_calls(monkeypatch, hkalgebra, "echelon_basis")
+    solvers = count_calls(monkeypatch, exactnum.SpanSolver, "__init__")
+    spans = count_calls(monkeypatch, symplectic, "echelon_basis")
+    invariant, _ = check_invariance(s)
+    assert (len(eliminations), len(solvers), len(spans)) == (0, 0, int(invariant))
 
 
 def test_span_eliminates_once(monkeypatch, rng):

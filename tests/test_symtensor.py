@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +11,15 @@ from hksym.symtensor import (
     SymTensor,
     contract,
     double_contraction_endo,
+    double_contractions,
     endo_of_quadratic,
     eval_on_vectors,
     is_in_sp,
     quartic_from_dict,
     quartic_to_dict,
     restrict_to_basis,
+    s2e_coords,
+    s2e_flatten,
     sp_action,
     support,
     tau,
@@ -29,7 +33,15 @@ from hksym.generators import (
     standard_split_j,
 )
 
-from oracles import polarization_inclusion_exclusion, random_vector
+from oracles import (
+    double_contractions_by_contraction,
+    flatten,
+    polarization_inclusion_exclusion,
+    random_vector,
+)
+
+GOLDEN_INPUTS = sorted(p for p in (Path(__file__).resolve().parent / "golden").glob("*.json")
+                       if not p.name.endswith(".j.json"))
 
 
 def lin(sp, k):
@@ -379,6 +391,66 @@ class TestDoubleContraction:
         c = random_gaussrat(rng)
         scaled = tuple(c * a for a in e)
         assert double_contraction_endo(s, scaled, f) == double_contraction_endo(s, e, f).scale(c)
+
+
+class TestTableOffTheCoefficients:
+    """double_contractions reads each S_{e_k,e_l} off S's coefficients; the
+    reference contracts S twice per entry."""
+
+    @staticmethod
+    def assert_same_table(s):
+        assert list(double_contractions(s)) == list(double_contractions_by_contraction(s))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_full_quartics(self, n):
+        for seed in range(3):
+            self.assert_same_table(random_quartic_full(SymplecticSpace(n), random.Random(seed)))
+
+    @pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
+    def test_golden_inputs(self, path):
+        self.assert_same_table(quartic_from_dict(json.loads(path.read_text(encoding="utf-8"))))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("alpha", [(4, 0), (0, 4), (2, 2), (1, 3)],
+                             ids=["p1^4", "q1^4", "p1^2q1^2", "p1q1^3"])
+    def test_repeated_indices(self, n, alpha):
+        # k = l and k' = l' differentiate one variable twice
+        sp = SymplecticSpace(n)
+        p, q = lin(sp, 0), lin(sp, n)
+        s = (p ** alpha[0]) * (q ** alpha[1])
+        self.assert_same_table(s.scale(GaussRat(Fraction(-7, 3), 2)))
+
+    def test_rejects_non_quartic(self):
+        with pytest.raises(ContractError):
+            next(double_contractions(lin(SymplecticSpace(1), 0) ** 2))
+
+
+class TestS2ECoordinates:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_roundtrip_on_sp(self, n, rng):
+        sp = SymplecticSpace(n)
+        for _ in range(5):
+            a = random_sp_element(sp, rng)
+            coords = s2e_coords(a)
+            assert len(coords) == sp.dim * (sp.dim + 1) // 2
+            assert s2e_flatten(coords, sp.dim) == flatten(a)
+
+    def test_coordinates_come_in_flattened_order(self):
+        # each unit coordinate fills one or two flattened positions, the
+        # first ones increase, and together they cover every position once:
+        # so a flattened RREF and its S^2E coordinates share their pivots
+        d = SymplecticSpace(2).dim
+        width = d * (d + 1) // 2
+        firsts, covered = [], []
+        for t in range(width):
+            unit = [ONE if u == t else ZERO for u in range(width)]
+            flat = s2e_flatten(unit, d)
+            filled = [k for k, e in enumerate(flat) if e]
+            firsts.append(filled[0])
+            covered += filled
+            assert s2e_coords(Matrix([flat[i * d:(i + 1) * d] for i in range(d)])) == unit
+        assert firsts == sorted(firsts)
+        assert sorted(covered) == list(range(d * d))
 
 
 class TestSupport:
