@@ -28,10 +28,6 @@ from .realform import RealityError, check_reality
 from .dim8 import classify_complex8, classify_real8
 from .generators import make_generator
 
-# the largest n a quartic may have unless --max-n says otherwise: analyze
-# on random-lagrangian:10 takes seconds, and the cost grows about as n^6
-DEFAULT_MAX_N = 16
-
 GENERATOR_KINDS = (
     "dim4",
     "petrov:I", "petrov:II", "petrov:D", "petrov:III", "petrov:N", "petrov:O",
@@ -58,10 +54,10 @@ def _parse_json(raw, record):
         raise ContractError("malformed %s record: JSON nested too deeply" % record) from None
 
 
-def _read_quartic(path, max_n=DEFAULT_MAX_N):
+def _read_quartic(path):
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
-    s = quartic_from_dict(_parse_json(raw, "quartic"), max_n)
+    s = quartic_from_dict(_parse_json(raw, "quartic"))
     digest = hashlib.sha256(raw.encode("utf-8")).hexdigest()
     return s, digest
 
@@ -83,7 +79,7 @@ def _emit(args, payload, human_lines):
 
 
 def cmd_analyze(args):
-    s, digest = _read_quartic(args.file, args.max_n)
+    s, digest = _read_quartic(args.file)
     j = _load_j(args, s.space) if args.real else None
     report = analyze_quartic(s, j=j, real=args.real)
     payload = {"tool_version": __version__, "input_sha256": digest}
@@ -121,7 +117,7 @@ def cmd_analyze(args):
 
 
 def cmd_verify(args):
-    s, digest = _read_quartic(args.file, args.max_n)
+    s, digest = _read_quartic(args.file)
     q = witness = None
     if args.invariance or args.jacobi:
         try:
@@ -163,7 +159,7 @@ def cmd_verify(args):
 
 
 def cmd_classify8(args):
-    s, digest = _read_quartic(args.file, args.max_n)
+    s, digest = _read_quartic(args.file)
     if s.space.n != 2:
         raise ContractError("classify8 needs a quartic on dim E = 4 (n = 2)")
     q = certify_invariance(s)
@@ -185,7 +181,7 @@ def cmd_classify8(args):
 
 
 def cmd_generate(args):
-    s = make_generator(args.kind, args.seed, args.max_n)
+    s = make_generator(args.kind, args.seed)
     text = json.dumps(quartic_to_dict(s), indent=2, sort_keys=False) + "\n"
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -195,13 +191,6 @@ def cmd_generate(args):
     return 0
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hksym",
@@ -209,20 +198,15 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version="hksym %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    size = argparse.ArgumentParser(add_help=False)
-    size.add_argument("--max-n", type=_positive_int, default=DEFAULT_MAX_N, metavar="N",
-                      help="refuse a quartic on n > N (dim E = 2n) before building "
-                           "anything of its size (default %d)" % DEFAULT_MAX_N)
 
-    pa = sub.add_parser("analyze", parents=[size],
-                        help="run the full verification pipeline on a quartic file")
+    pa = sub.add_parser("analyze", help="run the full verification pipeline on a quartic file")
     pa.add_argument("file")
     pa.add_argument("--real", action="store_true", help="also check reality and the real form")
     pa.add_argument("--j", help="JSON file with a custom quaternionic structure")
     pa.add_argument("--json", action="store_true", help="emit a JSON report")
     pa.set_defaults(func=cmd_analyze)
 
-    pv = sub.add_parser("verify", parents=[size], help="run selected checks only")
+    pv = sub.add_parser("verify", help="run selected checks only")
     pv.add_argument("file")
     pv.add_argument("--invariance", action="store_true")
     pv.add_argument("--jacobi", action="store_true")
@@ -231,8 +215,7 @@ def build_parser():
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=cmd_verify)
 
-    pc = sub.add_parser("classify8", parents=[size],
-                        help="classify a dim-8 case (quartic on dim E = 4)")
+    pc = sub.add_parser("classify8", help="classify a dim-8 case (quartic on dim E = 4)")
     pc.add_argument("file")
     pc.add_argument("--real", action="store_true")
     pc.add_argument("--j", help="JSON file with a custom quaternionic structure")
@@ -240,7 +223,7 @@ def build_parser():
     pc.set_defaults(func=cmd_classify8)
 
     pg = sub.add_parser(
-        "generate", parents=[size],
+        "generate",
         help="write an example quartic file; kinds: %s" % ", ".join(GENERATOR_KINDS),
     )
     pg.add_argument("kind")

@@ -89,11 +89,11 @@ def random_tau_fixed(m, rng):
     return symmetrize_real(t, j), j
 
 
-def make_generator(kind, seed, max_n=None):
+def make_generator(kind, seed):
     """Quartic for a named generator kind; deterministic for a fixed seed.
 
     Kinds: dim4; petrov:I|II|D|III|N|O; random-lagrangian:n; real-random:m
-    (on n = 2m).  A quartic on n > max_n is refused before it is built.
+    (on n = 2m).  A quartic on n > MAX_N is refused before it is built.
     """
     rng = random.Random(seed)
     if kind == "dim4":
@@ -120,13 +120,13 @@ def make_generator(kind, seed, max_n=None):
         n = int(kind.split(":", 1)[1])
         if n < 1:
             raise ValueError("random-lagrangian needs n >= 1")
-        check_size(n, max_n)
+        check_size(n)
         return random_quartic_lagrangian(n, rng)
     if kind.startswith("real-random:"):
         m = int(kind.split(":", 1)[1])
         if m < 1:
             raise ValueError("real-random needs m >= 1")
-        check_size(2 * m, max_n)
+        check_size(2 * m)
         s, _ = random_tau_fixed(m, rng)
         return s
     raise ValueError("unknown generator kind %r" % kind)

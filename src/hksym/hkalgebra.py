@@ -104,7 +104,9 @@ class InvariantQuartic(NamedTuple):
     TheoremViolationError("support of an invariant quartic is not isotropic")
     otherwise, which the structure theorem rules out.  Built only by
     certify_invariance; every later stage reads it instead of contracting S,
-    eliminating the table or checking isotropy again.
+    eliminating the table or checking isotropy again.  Like the other report
+    types it is a NamedTuple: it compares by value, and is not hashable, as
+    its table is a dict.
     """
 
     s: object

@@ -38,6 +38,7 @@ from .exactnum import (
     GaussRat,
     Matrix,
     ONE,
+    TheoremViolationError,
     ZERO,
     _trusted_matrix,
     solve_linear,
@@ -337,10 +338,20 @@ def s2e_coords(a):
     """The S^2E coordinates of A in sp(E), as a list: the entry at the first
     flattened position of each e_a e_b, in the order of those positions.
     Every flattened position holds plus or minus one of them, so a canonical
-    RREF of flattened rows and its S^2E coordinates have the same pivots."""
+    RREF of flattened rows and its S^2E coordinates have the same pivots.
+    Each second position is checked against its first: an A outside sp(E)
+    is a bug signal here, never projected onto S^2E."""
     dim = a.nrows
     data = a.data
-    return [data[f // dim][f % dim] for f, _, _ in _s2e_layout(dim)]
+    out = []
+    for first, second, sign in _s2e_layout(dim):
+        c = data[first // dim][first % dim]
+        if second is not None:
+            c2 = data[second // dim][second % dim]
+            if c2 != (c if sign > 0 or not c else -c):
+                raise TheoremViolationError("matrix outside sp(E) (bug signal)")
+        out.append(c)
+    return out
 
 
 def s2e_flatten(v, dim):
@@ -527,12 +538,12 @@ def quartic_to_dict(t):
     return {"n": t.space.n, "degree": 4, "coeffs": coeffs}
 
 
-def quartic_from_dict(data, max_n=None):
+def quartic_from_dict(data):
     """The quartic of a record {"n", "degree", "coeffs"}; ContractError on a
-    malformed one, and on n > max_n before anything of size n is built."""
+    malformed one, and on n > MAX_N before anything of size n is built."""
     n, degree, raw = record_fields(data, "quartic", ("n", "degree", "coeffs"))
     n = record_int(n, "quartic", "n")
-    check_size(n, max_n)
+    check_size(n)
     degree = record_int(degree, "quartic", "degree")
     if not isinstance(raw, list):
         raise ContractError("malformed quartic record: coeffs must be a list")

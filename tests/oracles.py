@@ -25,7 +25,8 @@ double contractions, and the generators S_{je,e'} -/+ S_{e,je'} over basis
 pairs.  real_holonomy_from_generators is the real holonomy before it was
 read off the complex basis as h^sigma: the realified generators eliminated
 over Q, each basis element checked to commute with j as A C = C conj(A).
-double_contractions_by_contraction is the table of double contractions
+off_sp breaks one symmetric pair of an sp(E) matrix, for the bug-signal
+tests.  double_contractions_by_contraction is the table of double contractions
 before it was read off S's coefficients: two omega-contractions per entry,
 turned into an endomorphism by endo_of_quadratic.
 certify_invariance_all_entries is the invariance check before it
@@ -638,6 +639,24 @@ def real_holonomy_from_generators(gens, j):
 def flatten(m):
     """A matrix as one row: its rows laid end to end."""
     return tuple(e for row in m.data for e in row)
+
+
+def off_sp(a):
+    """A in sp(E) with one entry negated so that the result leaves sp(E):
+    the later of the two flattened positions (i, m) and (m', i') that hold
+    one S^2E coordinate, for the first such nonzero pair (k' the omega-dual
+    index).  Reading only the earlier positions still gives A's coordinates.
+    """
+    d = a.nrows
+    rows = [list(row) for row in a.data]
+    for i in range(d):
+        for m in range(d):
+            partner = ((m + d // 2) % d, (i + d // 2) % d)
+            if rows[i][m] and partner != (i, m):
+                r, c = max((i, m), partner)
+                rows[r][c] = -rows[r][c]
+                return Matrix(rows)
+    raise ValueError("A has no off-diagonal S^2E coordinate to break")
 
 
 def double_contractions_by_contraction(s):

@@ -8,8 +8,11 @@ import pytest
 
 import hksym.generators as generators
 import hksym.symtensor as symtensor
-from hksym.cli import DEFAULT_MAX_N, main
+from hksym.cli import main
+from hksym.symplectic import MAX_N
 from hksym.symtensor import quartic_from_dict
+
+from oracles import off_sp
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +231,33 @@ class TestAnalyze:
         assert err.startswith("internal error: real holonomy dimension ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("stage", ["table", "brackets"])
+    def test_entry_outside_sp_exits_3(self, capsys, monkeypatch, tmp_path, stage):
+        # table entries and [m, m] brackets are read in S^2E coordinates,
+        # which only determine a matrix in sp(E): one that has left sp(E)
+        # is a bug signal, in certify_invariance or in the algebra builder
+        import hksym.hkalgebra as hkalgebra
+
+        path = str(tmp_path / "lagrangian_2.json")
+        run_cli(capsys, "generate", "random-lagrangian:2", "--seed", "1", "-o", path)
+
+        def breaks(c):
+            try:
+                return off_sp(c)
+            except ValueError:
+                return c
+
+        if stage == "table":
+            honest = hkalgebra.double_contractions
+            monkeypatch.setattr(hkalgebra, "double_contractions",
+                                lambda s: ((pair, breaks(c)) for pair, c in honest(s)))
+        else:
+            honest = hkalgebra.table_entry
+            monkeypatch.setattr(hkalgebra, "table_entry",
+                                lambda table, k, l: breaks(honest(table, k, l)))
+        assert run_cli(capsys, "analyze", path) == (
+            3, "", "internal error: matrix outside sp(E) (bug signal)\n")
+
     @pytest.mark.parametrize("failing_call, message", [
         (2, "extend_to_lagrangian produced a non-isotropic subspace"),
         (4, "lagrangian_complement produced a non-isotropic complement"),
@@ -360,7 +390,7 @@ class TestClassify8:
 
 
 class TestSizeGuard:
-    """--max-n refuses a quartic on n > N with one line and exit 1 before any
+    """A quartic on n > MAX_N is refused with one line and exit 1 before any
     space of that size is built; only refused sizes are run here."""
 
     @pytest.fixture
@@ -379,43 +409,26 @@ class TestSizeGuard:
 
     @pytest.mark.parametrize("command", [["analyze"], ["analyze", "--real"],
                                          ["verify", "--invariance"], ["classify8"]])
-    @pytest.mark.parametrize("n", [DEFAULT_MAX_N + 1, 100000, 10 ** 30])
+    @pytest.mark.parametrize("n", [MAX_N + 1, 100000, 10 ** 30])
     def test_refuses_large_n_in_a_file(self, capsys, tmp_path, spaces, command, n):
         path = write_quartic(tmp_path, "huge.json", {
             "n": n, "degree": 4, "coeffs": [{"monomial": [4, 0], "value": "1"}]})
         code, out, err = run_cli(capsys, command[0], path, *command[1:])
         assert (code, out) == (1, "")
-        assert err == "error: n = %d exceeds the size limit max_n = %d\n" % (n, DEFAULT_MAX_N)
+        assert err == "error: n = %d exceeds the size limit n <= %d\n" % (n, MAX_N)
         assert spaces == []
 
     @pytest.mark.parametrize("kind,n", [
-        ("random-lagrangian:%d" % (DEFAULT_MAX_N + 1), DEFAULT_MAX_N + 1),
+        ("random-lagrangian:%d" % (MAX_N + 1), MAX_N + 1),
         ("random-lagrangian:100000", 100000),
-        ("real-random:%d" % (DEFAULT_MAX_N // 2 + 1), DEFAULT_MAX_N + 2),
+        ("real-random:%d" % (MAX_N // 2 + 1), MAX_N + 2),
         ("real-random:50000", 100000),
     ])
     def test_refuses_large_generator_kinds(self, capsys, spaces, kind, n):
         code, out, err = run_cli(capsys, "generate", kind)
         assert (code, out) == (1, "")
-        assert err == "error: n = %d exceeds the size limit max_n = %d\n" % (n, DEFAULT_MAX_N)
+        assert err == "error: n = %d exceeds the size limit n <= %d\n" % (n, MAX_N)
         assert spaces == []
-
-    def test_lowered_limit_refuses_small_n(self, capsys, tmp_path, dim4_file, spaces):
-        code, _, err = run_cli(capsys, "generate", "real-random:1", "--max-n", "1")
-        assert (code, err) == (1, "error: n = 2 exceeds the size limit max_n = 1\n")
-        path = str(tmp_path / "lagrangian_2.json")
-        assert run_cli(capsys, "generate", "random-lagrangian:2", "-o", path)[0] == 0
-        spaces.clear()
-        code, _, err = run_cli(capsys, "verify", path, "--invariance", "--max-n", "1")
-        assert (code, err) == (1, "error: n = 2 exceeds the size limit max_n = 1\n")
-        assert spaces == []
-        assert run_cli(capsys, "verify", dim4_file, "--invariance", "--max-n", "1")[0] == 0
-
-    @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
-    def test_limit_must_be_a_positive_integer(self, capsys, dim4_file, value):
-        code, out, err = run_cli(capsys, "analyze", dim4_file, "--max-n", value)
-        assert (code, out) == (1, "")
-        assert "--max-n" in err
 
 
 def test_console_script_installed():

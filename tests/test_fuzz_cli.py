@@ -5,7 +5,7 @@ main runs in-process on files written to a temporary directory, for analyze
 the file holds, the call ends in exit 0, 1 or 2 with at most one line on
 stderr and no exception, and exit 0 only for a quartic that survives the
 round trip through quartic_to_dict.  n is drawn from {-1, 0, 1, 2}, from
-integers above the --max-n limit or from non-integer junk: a large n below
+integers above the size limit MAX_N or from non-integer junk: a large n below
 the limit would build the dense (2n)^2 omega before anything else is read,
 so only sizes the guard refuses first are drawn.  The draw is derandomized,
 so the examples are the same on every run.
@@ -25,8 +25,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from hksym.cli import DEFAULT_MAX_N, _read_quartic, main  # noqa: E402
-from hksym.symplectic import SymplecticSpace, standard_quaternionic  # noqa: E402
+from hksym.cli import _read_quartic, main  # noqa: E402
+from hksym.symplectic import MAX_N, SymplecticSpace, standard_quaternionic  # noqa: E402
 from hksym.symtensor import quartic_from_dict, quartic_to_dict  # noqa: E402
 from hksym.generators import standard_split_j  # noqa: E402
 
@@ -76,7 +76,7 @@ def quartic_texts(draw):
     with one or two of FAULTS."""
     faults = draw(st.one_of(st.just(set()),
                             st.sets(st.sampled_from(FAULTS), min_size=1, max_size=2)))
-    n = draw(st.one_of(st.sampled_from([-1, 0]), st.integers(min_value=DEFAULT_MAX_N + 1), JUNK)
+    n = draw(st.one_of(st.sampled_from([-1, 0]), st.integers(min_value=MAX_N + 1), JUNK)
              if "n" in faults else st.sampled_from([1, 2]))
     lagrangian, every = MONOMIALS[2 if n == 1 else 4]
     if "monomial" in faults:

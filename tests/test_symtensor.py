@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from hksym.exactnum import ContractError, GaussRat, I_UNIT, Matrix, ONE, ZERO
+from hksym.exactnum import (
+    ContractError,
+    GaussRat,
+    I_UNIT,
+    Matrix,
+    ONE,
+    TheoremViolationError,
+    ZERO,
+)
 from hksym.symplectic import SymplecticSpace, omega_pair, span
 from hksym.symtensor import (
     SymTensor,
@@ -434,6 +442,27 @@ class TestS2ECoordinates:
             coords = s2e_coords(a)
             assert len(coords) == sp.dim * (sp.dim + 1) // 2
             assert s2e_flatten(coords, sp.dim) == flatten(a)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_refuses_a_matrix_outside_sp(self, n, rng):
+        # each flattened position is moved in turn: s2e_coords reads the
+        # matrix exactly when is_in_sp accepts it (d positions, one per
+        # e_a^2) and otherwise raises instead of dropping the broken copy
+        sp = SymplecticSpace(n)
+        d = sp.dim
+        a = random_sp_element(sp, rng)
+        accepted = 0
+        for pos in range(d * d):
+            flat = list(flatten(a))
+            flat[pos] = flat[pos] + ONE
+            b = Matrix([flat[i * d:(i + 1) * d] for i in range(d)])
+            if is_in_sp(sp, b):
+                accepted += 1
+                assert s2e_flatten(s2e_coords(b), d) == tuple(flat)
+            else:
+                with pytest.raises(TheoremViolationError, match="outside sp"):
+                    s2e_coords(b)
+        assert accepted == d
 
     def test_coordinates_come_in_flattened_order(self):
         # each unit coordinate fills one or two flattened positions, the
