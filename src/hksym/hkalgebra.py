@@ -5,8 +5,9 @@ splitting and the automorphism algebra.
 Every object here comes from one table of double contractions S_{e_k,e_l},
 read off S's coefficients (its middle catalecticant, see symtensor).
 certify_invariance(s) computes it once, eliminates h = span{S_{e,e'}} in
-S^2E coordinates as the entries come, checks S_{e_k,e_l} . S = 0 on the
-entries that raise its rank and the isotropy of the support, and returns an
+S^2E coordinates and the support in E as the entries come, certifies
+invariance by an isotropic support with S in S^4(support) (or finds the
+first S_{e_k,e_l} with S_{e_k,e_l} . S != 0), and returns an
 InvariantQuartic: the quartic, the table, the basis of h and the support.
 The stages take that certificate (or what they consume of it) explicitly:
 holonomy(q) reads the basis of h, find_lagrangian(q) extends the support,
@@ -54,14 +55,11 @@ from .exactnum import (
 from .symplectic import (
     Subspace,
     extend_to_lagrangian,
-    is_isotropic,
     lagrangian_complement,
     omega_pair,
-    span,
     standard_split_j,
 )
 from .symtensor import (
-    column_span,
     double_contractions,
     is_in_sp,
     s2e_coords,
@@ -100,13 +98,14 @@ class InvariantQuartic(NamedTuple):
     h_rows is the canonical RREF basis of h = span of those entries, as
     flattened d x d rows (row after row), written back from the RREF in S^2E
     coordinates it was eliminated in; support is the column span of the
-    entries, i.e. support(s), certified isotropic: certify_invariance raises
-    TheoremViolationError("support of an invariant quartic is not isotropic")
-    otherwise, which the structure theorem rules out.  Built only by
-    certify_invariance; every later stage reads it instead of contracting S,
-    eliminating the table or checking isotropy again.  Like the other report
-    types it is a NamedTuple: it compares by value, and is not hashable, as
-    its table is a dict.
+    entries, i.e. support(s), with its canonical RREF basis.  Two facts about
+    the support are certified, and together they imply invariance: it is
+    isotropic, and S lies in S^4(support).  So S lies in S^4 of every
+    subspace holding the support, a Lagrangian extension of it included.
+    Built only by certify_invariance; every later stage reads it instead of
+    contracting S, eliminating the table or checking the support again.
+    Like the other report types it is a NamedTuple: it compares by value,
+    and is not hashable, as its table is a dict.
     """
 
     s: object
@@ -119,33 +118,58 @@ def certify_invariance(s):
     """The InvariantQuartic of s, or NotHyperKahlerError with the first witness.
 
     The entries S_{e_k,e_l} come in lexicographic order, read off S's
-    coefficients, and all go into the table.  A . S is linear in A, so an
-    entry in the span of the entries before it passes when they do: each
-    entry is reduced by an echelon of h in S^2E coordinates, kept in place,
-    and only an entry that leaves a remainder, i.e. raises the rank, is acted
-    on S.  The first failing entry always raises the rank, so the witness is
-    the first violating pair, and a rejection stops there without building
-    the rest of the table.  The echelon, written back as flattened rows, is
-    the basis of h, and the columns of the independent entries span the
-    support, whose isotropy is checked here once.
+    coefficients, and all go into the table.  Each is reduced by an echelon
+    of h in S^2E coordinates, kept in place; the columns of an entry that
+    raises its rank are reduced by an echelon of the support, and a column
+    that raises the support's rank is paired by omega with the columns kept
+    before it.
+
+    Accept: if the support stays isotropic, S in S^4(support) is certified
+    once, and then every S_{x,y} lies in S^2(support) and kills the isotropic
+    support, so S_{x,y} . S = 0 with no action computed.  Reject: at the
+    first non-isotropic column, the entries that raised the rank of h are
+    acted on S in order, then the rest as they come.  A . S is linear in A,
+    so the first failing entry raises the rank: the witness is the first
+    violating pair.  An invariant quartic has an isotropic support by the
+    structure theorem, so an isotropy failure with no failing entry raises
+    TheoremViolationError.
     """
     if s.degree != 4:
         raise ContractError("invariance check needs a quartic")
+    sp = s.space
     table = {}
     independent = []
     rows, pivots = [], []
-    for pair, endo in double_contractions(s):
+    sigma, sigma_pivots, kept = [], [], []
+    entries = double_contractions(s)
+    for pair, endo in entries:
         table[pair] = endo
         if not extend_rref(rows, pivots, s2e_coords(endo)):
             continue
+        independent.append((pair, endo))
+        for k in range(sp.dim):
+            col = endo.col(k)
+            if not extend_rref(sigma, sigma_pivots, col):
+                continue
+            if any(omega_pair(sp, x, col) for x in kept):
+                return _reject(s, independent, entries, rows, pivots)
+            kept.append(col)
+    support = Subspace(sp, sigma)
+    if not tensor_in_subspace_power(s, support):
+        raise TheoremViolationError("S is not contained in S^4 of its support")
+    return InvariantQuartic(s, table, tuple(s2e_flatten(row, sp.dim) for row in rows), support)
+
+
+def _reject(s, independent, entries, rows, pivots):
+    """Raise NotHyperKahlerError at the first failing entry: the ones in
+    independent, in order, then the rank-raising ones left in entries."""
+    for pair, endo in independent:
         if not sp_action(endo, s).is_zero():
             raise NotHyperKahlerError(pair)
-        independent.append(endo)
-    sigma = column_span(s.space, independent)
-    if not is_isotropic(sigma):
-        raise TheoremViolationError("support of an invariant quartic is not isotropic")
-    dim = s.space.dim
-    return InvariantQuartic(s, table, tuple(s2e_flatten(row, dim) for row in rows), sigma)
+    for pair, endo in entries:
+        if extend_rref(rows, pivots, s2e_coords(endo)) and not sp_action(endo, s).is_zero():
+            raise NotHyperKahlerError(pair)
+    raise TheoremViolationError("support of an invariant quartic is not isotropic")
 
 
 def check_invariance(s):
@@ -405,16 +429,10 @@ def curvature_ricci(model):
 
 
 def find_lagrangian(q):
-    """A Lagrangian E_+ with S in S^4 E_+, from the support of an InvariantQuartic.
-
-    certify_invariance certified the support isotropic.  Raises
-    TheoremViolationError when the membership certificate fails (which the
-    structure theorem for invariant quartics rules out).
-    """
-    e_plus = extend_to_lagrangian(q.support)
-    if not tensor_in_subspace_power(q.s, e_plus):
-        raise TheoremViolationError("S is not contained in S^4 of the found Lagrangian")
-    return e_plus
+    """A Lagrangian E_+ with S in S^4 E_+, extended from the support of an
+    InvariantQuartic: certify_invariance certified the support isotropic and
+    S in S^4(support), which lies in S^4 E_+."""
+    return extend_to_lagrangian(q.support)
 
 
 def flat_decomposition(q, e_plus):
@@ -426,8 +444,8 @@ def flat_decomposition(q, e_plus):
     Returns (e1, e0, flat_complex_dim) where the flat complex dimension counts
     the H (x) E^0 block, i.e. 2 dim E^0.
     """
-    s, sigma = q.s, q.support
-    sp = s.space
+    sigma = q.support
+    sp = q.s.space
     # adapted basis of E_+: the support, then the greedy completion, i.e. the
     # pivot columns of the candidates laid side by side
     candidates = list(sigma.echelon()) + list(e_plus.echelon())
@@ -440,7 +458,8 @@ def flat_decomposition(q, e_plus):
     e0_vectors = adapted[r:] + g[r:]
     e1 = Subspace(sp, e1_vectors) if e1_vectors else Subspace.zero(sp)
     e0 = Subspace(sp, e0_vectors) if e0_vectors else Subspace.zero(sp)
-    # certificates: complementary, omega-nondegenerate, S supported in e1_+
+    # certificates: complementary and omega-nondegenerate; E^1_+ is the
+    # support, so S in S^4 E^1_+ is the InvariantQuartic's own certificate
     if e1.dim + e0.dim != sp.dim:
         raise TheoremViolationError("flat splitting is not complementary")
     if len(echelon_basis(list(e1.basis) + list(e0.basis))) != sp.dim:
@@ -451,8 +470,6 @@ def flat_decomposition(q, e_plus):
             rank, _, _ = rank_kernel(gram)
             if rank != part.dim:
                 raise TheoremViolationError("flat splitting piece is omega-degenerate")
-    if sigma.dim and not tensor_in_subspace_power(s, span(sp, adapted[:r])):
-        raise TheoremViolationError("S not supported in E^1_+")
     return e1, e0, 2 * e0.dim
 
 

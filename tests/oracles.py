@@ -30,9 +30,10 @@ tests.  double_contractions_by_contraction is the table of double contractions
 before it was read off S's coefficients: two omega-contractions per entry,
 turned into an endomorphism by endo_of_quadratic.
 certify_invariance_all_entries is the invariance check before it
-skipped the entries in the span of earlier ones: sp_action on every entry
-of that table, then the support and the holonomy basis eliminated from the
-whole table as flattened d x d rows (flatten).  derived_series_reference is the holonomy's derived series before
+skipped the entries in the span of earlier ones and before it accepted by
+the isotropic support: sp_action on every entry of that table, then the
+support and the holonomy basis eliminated from the whole table as flattened
+d x d rows (flatten).  derived_series_reference is the holonomy's derived series before
 [h, h] = 0 was derived from the isotropic support: every commutator of a
 basis as a dense matrix product AB - BA, then the span of the brackets
 eliminated, step by step.  embed_gl_group and binary_quartic_tensor carry

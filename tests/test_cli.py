@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 import hksym.generators as generators
 import hksym.symtensor as symtensor
 from hksym.cli import main
-from hksym.symplectic import MAX_N
+from hksym.symplectic import MAX_N, SymplecticSpace
 from hksym.symtensor import quartic_from_dict
 
 from oracles import off_sp
@@ -120,7 +121,6 @@ class TestAnalyze:
 
     def test_real_mode_with_custom_j_file(self, capsys, tmp_path):
         from hksym.generators import standard_split_j
-        from hksym.symplectic import SymplecticSpace
 
         j_path = tmp_path / "j.json"
         j_path.write_text(json.dumps({"c_matrix": standard_split_j(SymplecticSpace(2)).c_matrix.to_strings()}))
@@ -281,15 +281,28 @@ class TestAnalyze:
         assert (code, out, err) == (3, "", "internal error: %s\n" % message)
         assert len(calls) == failing_call
 
-    def test_non_isotropic_support_exits_3(self, capsys, monkeypatch, dim4_file):
-        # certify_invariance checks the support once, and [h, h] = 0, the
-        # Lagrangian and the report rely on that check
+    def test_non_isotropic_support_without_witness_exits_3(self, capsys, monkeypatch, tmp_path):
+        # a full quartic has a non-isotropic support, so some entry must fail
+        # S_{e_k,e_l} . S = 0; with every action read as zero none does, which
+        # the structure theorem rules out
         import hksym.hkalgebra as hkalgebra
 
-        monkeypatch.setattr(hkalgebra, "is_isotropic", lambda sub: False)
-        code, out, err = run_cli(capsys, "analyze", dim4_file)
+        s = generators.random_quartic_full(SymplecticSpace(2), random.Random(5))
+        path = write_quartic(tmp_path, "full.json", symtensor.quartic_to_dict(s))
+        monkeypatch.setattr(hkalgebra, "sp_action", lambda a, t: symtensor.SymTensor.zero(t.space, 4))
+        code, out, err = run_cli(capsys, "analyze", path)
         assert (code, out, err) == (
             3, "", "internal error: support of an invariant quartic is not isotropic\n")
+
+    def test_support_membership_failure_exits_3(self, capsys, monkeypatch, dim4_file):
+        # an isotropic support certifies invariance only with S in
+        # S^4(support), which holds for the true support of every quartic
+        import hksym.hkalgebra as hkalgebra
+
+        monkeypatch.setattr(hkalgebra, "tensor_in_subspace_power", lambda t, sub: False)
+        code, out, err = run_cli(capsys, "analyze", dim4_file)
+        assert (code, out, err) == (
+            3, "", "internal error: S is not contained in S^4 of its support\n")
 
     def test_dimension_mismatch_exits_1(self, capsys, tmp_path):
         path = write_quartic(tmp_path, "dim.json", {

@@ -49,6 +49,7 @@ from hksym.hkalgebra import (
 )
 from hksym.generators import (
     make_generator,
+    random_gaussrat,
     random_quartic_full,
     random_quartic_lagrangian,
     random_symplectic,
@@ -154,9 +155,9 @@ def scrambled_lagrangian(n, seed):
 
 
 class TestInvarianceAgainstAllEntries:
-    """certify_invariance checks only the entries outside the span of the
-    entries before them; the reference checks every entry and eliminates the
-    whole table."""
+    """certify_invariance accepts by an isotropic support with S in
+    S^4(support) and acts on S only to find a rejection's witness; the
+    reference acts every entry on S and eliminates the whole table."""
 
     @staticmethod
     def same_certificate(s):
@@ -199,6 +200,28 @@ class TestInvarianceAgainstAllEntries:
             s = random_quartic_lagrangian(2, random.Random(seed))
             witness = self.same_certificate(s + SymTensor.monomial(s.space, alpha))
             assert witness not in (None, (0, 0))
+
+    @staticmethod
+    def seeded_inputs(n, rng):
+        """A full quartic, a Lagrangian one and the Lagrangian one plus a
+        random monomial (a late witness when it has a q factor), each as
+        drawn and moved off the axes by a random symplectic map."""
+        sp = SymplecticSpace(n)
+        lagrangian = random_quartic_lagrangian(n, rng)
+        alpha = [0] * sp.dim
+        for _ in range(4):
+            alpha[rng.randrange(sp.dim)] += 1
+        plus = lagrangian + SymTensor.monomial(sp, tuple(alpha), random_gaussrat(rng))
+        drawn = [random_quartic_full(sp, rng), lagrangian, plus]
+        return drawn + [transform(s, random_symplectic(sp, rng, steps=2)) for s in drawn]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_seeded_inputs(self, n):
+        rng = random.Random("certify-invariance-%d" % n)
+        witnesses = [self.same_certificate(s)
+                     for _ in range(3) for s in self.seeded_inputs(n, rng)]
+        assert None in witnesses
+        assert any(w not in (None, (0, 0)) for w in witnesses)
 
 
 # the golden inputs that pass invariance, each with the j its real form

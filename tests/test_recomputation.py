@@ -1,21 +1,23 @@
 """Each analysis computes its table of double contractions S_{e_k,e_l} once,
-checks invariance on a basis of h and the isotropy of the support once, and
-computes no bracket of holonomy matrices.
+certifies invariance by its support once, and computes no bracket of
+holonomy matrices.
 
 Every table is read off symtensor.double_contractions, which hkalgebra and
 cli bind by name, so counting the entries that generator yields there counts
 the table entries computed: an accepted analysis on dim E = d computes the
 d(d+1)/2 entries once, and a rejection stops at its witness.  Each entry is
 read straight off S's coefficients, with no contraction, and reduced by an
-echelon of h in S^2E coordinates kept in place: certify_invariance calls
-no echelon_basis and builds no SpanSolver.  Only an entry outside the span
-of the entries before it is acted on S, so an accepted quartic makes dim h
-sp_action calls, and holonomy(q) reads the basis of h that
-certify_invariance eliminated on the way, without a second elimination.
-[h, h] = 0 follows from the isotropy of the support, which
-certify_invariance checks with the one hkalgebra.is_isotropic call of an
-analysis, so holonomy(q) and both algebra builders make no matrix product
-at all.  The real holonomy is h^sigma, read off that same basis by one
+echelon of h in S^2E coordinates kept in place, and the columns of each
+entry that raises its rank by an echelon of the support: certify_invariance
+calls no echelon_basis and builds no SpanSolver.  Each column that raises
+the support's rank is paired by omega with the ones before it, once.  An
+isotropic support with S in S^4(support), certified by the one
+tensor_in_subspace_power call of an analysis, implies invariance, so an
+accepted quartic makes no sp_action call; a rejection acts on S only the
+entries that raise the rank of h, up to its witness.  holonomy(q) reads the
+basis of h that certify_invariance eliminated on the way, without a second
+elimination.  [h, h] = 0 follows from the isotropy of the support, so
+holonomy(q) and both algebra builders make no matrix product at all.  The real holonomy is h^sigma, read off that same basis by one
 elimination of 2 dim h rows, and only when the real algebra is built: a
 reality verdict alone eliminates nothing.  The table takes no matrix product
 or transpose, a span is eliminated once, and restricting a quartic to a
@@ -113,10 +115,11 @@ def golden_quartic(stem):
     (make_generator("random-lagrangian:3", 7), 6),
     (golden_quartic("scrambled_lagrangian_2"), 3),
 ], ids=["random-lagrangian:3", "scrambled_lagrangian_2"])
-def test_invariance_acts_once_per_basis_element_of_h(monkeypatch, table_entries, s, dim_h):
+def test_accepted_invariance_acts_on_nothing(monkeypatch, table_entries, s, dim_h):
     actions = count_calls(monkeypatch, hkalgebra, "sp_action")
     q = certify_invariance(s)
-    assert len(actions) == holonomy(q).dimension == dim_h
+    assert holonomy(q).dimension == dim_h
+    assert len(actions) == 0
     assert len(table_entries) == len(q.table) == table_size(s)
 
 
@@ -205,19 +208,36 @@ def test_real_holonomy_is_one_elimination_of_2_dim_h_rows(monkeypatch, capsys, s
     ("real-random:1", 3, True),
 ], ids=["random-lagrangian:3", "real-random:1"])
 def test_analysis_checks_support_isotropy_once(monkeypatch, kind, seed, real):
-    checks = count_calls(monkeypatch, hkalgebra, "is_isotropic")
-    report = analyze_quartic(make_generator(kind, seed), real=real)
-    assert report.support_isotropic
-    assert len(checks) == 1
+    # each column that raises the support's rank is paired with the ones
+    # kept before it, so a support of dimension r costs r(r - 1)/2 pairs,
+    # and no stage after certify_invariance checks the support again
+    s = make_generator(kind, seed)
+    pairs = count_calls(monkeypatch, hkalgebra, "omega_pair")
+    q = certify_invariance(s)
+    r = q.support.dim
+    assert r == s.space.n
+    assert len(pairs) == r * (r - 1) // 2
+    assert len({(x, y) for _, x, y in pairs}) == len(pairs)
+    assert not hasattr(hkalgebra, "is_isotropic")
+    memberships = count_calls(monkeypatch, hkalgebra, "tensor_in_subspace_power")
+    report = analyze_quartic(s, real=real)
+    assert report.support_isotropic and report.support_dim == r
+    assert len(memberships) == 1
 
 
-def test_certify_invariance_contracts_and_multiplies_no_matrices(monkeypatch):
+def test_certify_invariance_contracts_only_for_membership(monkeypatch):
+    # the table takes no contraction and no matrix product; the one
+    # membership certificate contracts S once per basis vector of the
+    # omega-perp of the support
     s = make_generator("random-lagrangian:3", 7)
     products = count_calls(monkeypatch, Matrix, "__matmul__")
     transposes = count_calls(monkeypatch, Matrix, "transpose")
     contractions = count_calls(monkeypatch, symtensor, "contract")
-    certify_invariance(s)
-    assert (len(products), len(transposes), len(contractions)) == (0, 0, 0)
+    q = certify_invariance(s)
+    perp = symplectic.omega_perp(q.support).echelon()
+    assert (len(products), len(transposes)) == (0, 0)
+    assert [(t, tuple(v)) for t, v in contractions] == [(s, v) for v in perp]
+    assert len(perp) == s.space.dim - q.support.dim == 3
 
 
 @pytest.mark.parametrize("s", [
@@ -226,13 +246,17 @@ def test_certify_invariance_contracts_and_multiplies_no_matrices(monkeypatch):
     golden_quartic("late_witness"),
 ], ids=["random-lagrangian:3", "scrambled_lagrangian_2", "late_witness"])
 def test_certify_invariance_extends_one_echelon_in_place(monkeypatch, s):
-    # h is eliminated in place as the entries come: no re-elimination and no
-    # SpanSolver; the one elimination left is the support's span
+    # h and the support are eliminated in place as the entries come: no
+    # re-elimination and no SpanSolver; the one elimination left is the
+    # omega-perp of the support, for the membership certificate of an
+    # accepted quartic
     eliminations = count_calls(monkeypatch, hkalgebra, "echelon_basis")
     solvers = count_calls(monkeypatch, exactnum.SpanSolver, "__init__")
     spans = count_calls(monkeypatch, symplectic, "echelon_basis")
+    perps = count_calls(monkeypatch, symtensor, "omega_perp")
     invariant, _ = check_invariance(s)
-    assert (len(eliminations), len(solvers), len(spans)) == (0, 0, int(invariant))
+    assert (len(eliminations), len(solvers)) == (0, 0)
+    assert len(spans) == len(perps) == int(invariant)
 
 
 def test_span_eliminates_once(monkeypatch, rng):
