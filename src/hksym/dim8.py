@@ -21,7 +21,7 @@ from .exactnum import (
     ZERO,
     inverse,
 )
-from .symtensor import restrict_to_basis, tensor_in_subspace_power, tau
+from .symtensor import restrict_to_basis, tau
 from .hkalgebra import TheoremViolationError, certify_invariance, find_lagrangian
 from .realform import RealityError
 
@@ -87,7 +87,8 @@ class BinaryQuartic:
 
     @classmethod
     def from_symtensor(cls, s, basis_pair):
-        """Restrict a quartic tensor supported on span(basis_pair) to 2 variables."""
+        """Restrict a quartic tensor supported on span(basis_pair) to 2 variables;
+        ContractError (from restrict_to_basis) when it is not supported there."""
         coeffs = restrict_to_basis(s, list(basis_pair))
         plain = [ZERO] * 5
         for beta, c in coeffs.items():
@@ -333,14 +334,13 @@ def classify_complex8(s, e_plus):
 
     The output is independent of the chosen e_plus basis: the pattern is a
     root structure and (I^3 : J^2) is weight-0 under GL(2) (I and J scale by
-    det^4 and det^6).
+    det^4 and det^6).  A quartic not supported in e_plus raises ContractError
+    from restrict_to_basis, which solves for it on e_plus exactly.
     """
     if s.space.dim != 4:
         raise ContractError("complex dim-8 classification needs dim E = 4")
     if e_plus.dim != 2:
         raise ContractError("e_plus must be 2-dimensional")
-    if not tensor_in_subspace_power(s, e_plus):
-        raise ContractError("S is not supported in e_plus")
     bq = BinaryQuartic.from_symtensor(s, list(e_plus.basis))
     return classify_quartic(bq)
 
@@ -416,7 +416,8 @@ def classify_real8(s, j, e_plus):
     (certified exactly).  There it is self-adjoint for the positive definite
     restriction of the invariant form, hence orthogonally diagonalizable, and
     its characteristic data (p, q) is the complete positive-scaling rotation
-    invariant.  A quartic that is not tau-fixed for j raises RealityError.
+    invariant.  A quartic that is not tau-fixed for j raises RealityError,
+    and one not supported in e_plus ContractError (from restrict_to_basis).
     """
     if s.space.dim != 4:
         raise ContractError("real dim-8 classification needs dim E = 4")
@@ -426,8 +427,6 @@ def classify_real8(s, j, e_plus):
         return RealOrbitClass(kind="zero")
     if e_plus.dim != 2:
         raise ContractError("e_plus must be 2-dimensional")
-    if not tensor_in_subspace_power(s, e_plus):
-        raise ContractError("S is not supported in e_plus")
     v1, v2 = _adapted_j_basis(e_plus, j)
     bq = BinaryQuartic.from_symtensor(s, [v1, v2])
     op = quartic_to_matrix(bq).operator()

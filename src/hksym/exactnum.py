@@ -39,8 +39,12 @@ def _frac(x):
     raise ScalarError("rational component must be int or Fraction, got %r" % (x,))
 
 
-def _canonical(a, b, d):
-    """The GaussRat (a + b*i)/d for ints a, b and d > 0, reduced by gcd(a, b, d)."""
+def from_triple(a, b, d):
+    """The GaussRat (a + b*i)/d for ints a, b and d > 0, reduced by gcd(a, b, d).
+
+    With triple(z), the way out of and back into Q(i) for a kernel that sums
+    Gaussian-integer numerators over one common denominator and reduces each
+    result once."""
     if d != 1:
         g = gcd(a, b, d)
         if g != 1:
@@ -58,9 +62,10 @@ class GaussRat:
     """An exact element (a + b*i)/d of Q(i), stored as three ints.
 
     The triple is canonical: d > 0 and gcd(a, b, d) == 1, so two elements are
-    equal exactly when their triples are.  The triple is private; .re and .im
-    give the components as reduced Fractions, and real_part()/imag_part()
-    give them as GaussRat without building a Fraction.
+    equal exactly when their triples are.  The triple is private to this
+    module: triple(z) reads it and from_triple(a, b, d) rebuilds a number
+    from one.  .re and .im give the components as reduced Fractions, and
+    real_part()/imag_part() give them as GaussRat without building a Fraction.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -91,11 +96,11 @@ class GaussRat:
 
     def real_part(self):
         """Re(z) as a GaussRat."""
-        return _canonical(self._a, 0, self._d)
+        return from_triple(self._a, 0, self._d)
 
     def imag_part(self):
         """Im(z) as a GaussRat."""
-        return _canonical(self._b, 0, self._d)
+        return from_triple(self._b, 0, self._d)
 
     # -- parsing / formatting -------------------------------------------------
 
@@ -160,20 +165,20 @@ class GaussRat:
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if d == f:
-            return _canonical(a + c, b + e, d)
-        return _canonical(a * f + c * d, b * f + e * d, d * f)
+            return from_triple(a + c, b + e, d)
+        return from_triple(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other):
         a, b, d = self._a, self._b, self._d
         c, e, f = other._a, other._b, other._d
         if d == f:
-            return _canonical(a - c, b - e, d)
-        return _canonical(a * f - c * d, b * f - e * d, d * f)
+            return from_triple(a - c, b - e, d)
+        return from_triple(a * f - c * d, b * f - e * d, d * f)
 
     def __mul__(self, other):
         a, b = self._a, self._b
         c, e = other._a, other._b
-        return _canonical(a * c - b * e, a * e + b * c, self._d * other._d)
+        return from_triple(a * c - b * e, a * e + b * c, self._d * other._d)
 
     def __truediv__(self, other):
         c, e = other._a, other._b
@@ -181,7 +186,7 @@ class GaussRat:
         if not n:
             raise ScalarError("division by zero in Q(i)")
         a, b, f = self._a, self._b, other._d
-        return _canonical((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
+        return from_triple((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __neg__(self):
         z = _new(GaussRat)
@@ -202,7 +207,7 @@ class GaussRat:
         n = a * a + b * b
         if not n:
             raise ScalarError("division by zero in Q(i)")
-        return _canonical(a * d, -b * d, n)
+        return from_triple(a * d, -b * d, n)
 
     def __eq__(self, other):
         return (
@@ -235,13 +240,18 @@ I_UNIT = GaussRat(0, 1)
 MINUS_ONE = GaussRat(-1)
 
 
+def triple(z):
+    """The canonical triple (a, b, d) of z = (a + b*i)/d: d > 0, gcd(a, b, d) == 1."""
+    return z._a, z._b, z._d
+
+
 def from_parts(re, im):
     """Re(re) + i*Re(im) as one GaussRat: two real coordinates rejoined."""
     a, d = re._a, re._d
     c, f = im._a, im._d
     if d == f:
-        return _canonical(a, c, d)
-    return _canonical(a * f, c * d, d * f)
+        return from_triple(a, c, d)
+    return from_triple(a * f, c * d, d * f)
 
 
 # ---------------------------------------------------------------------------

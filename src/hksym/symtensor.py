@@ -31,7 +31,8 @@ positions and s2e_flatten writes both back.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import mul
 
 from .exactnum import (
     ContractError,
@@ -41,7 +42,9 @@ from .exactnum import (
     TheoremViolationError,
     ZERO,
     _trusted_matrix,
+    from_triple,
     solve_linear,
+    triple,
     unit_vec,
     vec_is_zero,
 )
@@ -246,26 +249,81 @@ def sp_action(a, t):
     This is the sign that makes the pinned family identities hold:
     pq . (lambda p^4 + mu p^3 q) = -2 lambda p^4 - mu p^3 q and
     p^2 . S = mu p^4.
+
+    The sum runs in Gaussian-integer numerators: t's coefficients and A's
+    entries are each put over a common denominator (_over_lcms), each term
+    e c A_lk is added into integer (re, im) sums keyed by the output monomial
+    (its exponents as base degree + 1 digits), and each sum is reduced once.
+    Denominators too far apart for one lcm get their own sums, which are
+    added as GaussRat at the end.
     """
     space = t.space
     if not is_in_sp(space, a):
         raise ContractError("endomorphism is not in sp(E)")
-    out = {}
-    for alpha, c in t.coeffs.items():
+    dim = space.dim
+    base = t.degree + 1
+    powers = [base ** k for k in range(dim)]
+    t_lcms, t_nums = _over_lcms(t.coeffs.values())
+    a_lcms, a_nums = _over_lcms([e for row in a.data for e in row])
+    # a sum's key is (code * len(t_lcms) + t's class) * len(a_lcms) + A's class
+    na = len(a_lcms)
+    width = len(t_lcms) * na
+    # column k of A as (key shift from e_k to e_l, re, im) over its nonzeros
+    cols = [[] for _ in range(dim)]
+    for at, (j, x, y) in enumerate(a_nums):
+        if x or y:
+            l, k = divmod(at, dim)
+            cols[k].append(((powers[l] - powers[k]) * width + j, x, y))
+    re_sums, im_sums = {}, {}
+    for alpha, (i, x, y) in zip(t.coeffs, t_nums):
+        start = sum(map(mul, alpha, powers)) * width + i * na
         for k, e in enumerate(alpha):
-            if not e:
-                continue
-            ec = GaussRat(e) * c
-            for l in range(space.dim):
-                alk = a.entry(l, k)
-                if not alk:
-                    continue
-                key = list(alpha)
-                key[k] -= 1
-                key[l] += 1
-                key = tuple(key)
-                out[key] = out.get(key, ZERO) - ec * alk
-    return SymTensor(space, t.degree, out)
+            if e:
+                ex, ey = e * x, e * y
+                for shift, ar, ai in cols[k]:
+                    key = start + shift
+                    re_sums[key] = re_sums.get(key, 0) + ex * ar - ey * ai
+                    im_sums[key] = im_sums.get(key, 0) + ex * ai + ey * ar
+    coeffs = {}
+    for key, re in re_sums.items():
+        im = im_sums[key]
+        if re or im:
+            code, cls = divmod(key, width)
+            i, j = divmod(cls, na)
+            c = from_triple(-re, -im, t_lcms[i] * a_lcms[j])
+            alpha = []
+            for _ in range(dim):
+                code, e = divmod(code, base)
+                alpha.append(e)
+            alpha = tuple(alpha)
+            coeffs[alpha] = coeffs[alpha] + c if alpha in coeffs else c
+    return SymTensor(space, t.degree, coeffs)
+
+
+def _over_lcms(values):
+    """(lcms, [(j, a, b), ...]): each value as the Gaussian-integer numerator
+    a + b*i over lcms[j], the lcm of the denominators of its class.
+
+    The values are taken in order, and one joins the current class unless
+    that would take the class's lcm past twice the bit length of its largest
+    denominator plus 64 bits.  Denominators that share their primes, as those
+    of every generated quartic and of its table entries do, make one class;
+    independent large denominators start new classes, so that no numerator
+    grows far beyond the heights of the values.
+    """
+    triples = [triple(z) for z in values]
+    lcms, classes, top = [1], [], 0
+    for _, _, d in triples:
+        if lcms[-1] % d:
+            grown = lcm(lcms[-1], d)
+            top = max(top, d.bit_length())
+            if grown.bit_length() <= 2 * top + 64:
+                lcms[-1] = grown
+            else:
+                lcms.append(d)
+                top = d.bit_length()
+        classes.append(len(lcms) - 1)
+    return lcms, [(j, a * (lcms[j] // d), b * (lcms[j] // d)) for j, (a, b, d) in zip(classes, triples)]
 
 
 def double_contraction_endo(s, e, f):

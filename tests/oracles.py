@@ -25,13 +25,15 @@ double contractions, and the generators S_{je,e'} -/+ S_{e,je'} over basis
 pairs.  real_holonomy_from_generators is the real holonomy before it was
 read off the complex basis as h^sigma: the realified generators eliminated
 over Q, each basis element checked to commute with j as A C = C conj(A).
-off_sp breaks one symmetric pair of an sp(E) matrix, for the bug-signal
+sp_action_reference is the action of sp(E) on tensors before it summed
+Gaussian-integer numerators over one common denominator: one GaussRat
+product and subtraction per term.  off_sp breaks one symmetric pair of an sp(E) matrix, for the bug-signal
 tests.  double_contractions_by_contraction is the table of double contractions
 before it was read off S's coefficients: two omega-contractions per entry,
 turned into an endomorphism by endo_of_quadratic.
 certify_invariance_all_entries is the invariance check before it
 skipped the entries in the span of earlier ones and before it accepted by
-the isotropic support: sp_action on every entry of that table, then the
+the isotropic support: sp_action_reference on every entry of that table, then the
 support and the holonomy basis eliminated from the whole table as flattened
 d x d rows (flatten).  derived_series_reference is the holonomy's derived series before
 [h, h] = 0 was derived from the isotropic support: every commutator of a
@@ -63,7 +65,7 @@ from hksym.exactnum import (
 from hksym.generators import random_gaussrat
 from hksym.hkalgebra import _unflatten
 from hksym.realform import _realify, _unrealify
-from hksym.symtensor import column_span, double_contraction_endo, sp_action, table_entry
+from hksym.symtensor import SymTensor, column_span, double_contraction_endo, is_in_sp, table_entry
 from hksym.symplectic import SymplecticSpace, standard_quaternionic
 
 # j_H on the plane H with omega_H(h, h') = 1: j_H h = h', j_H h' = -h
@@ -113,8 +115,6 @@ def is_in_sp_dense(a):
 
 def contract_dense(t, x):
     """T_x = (1/d) d_{omega x} T with the derivative direction Omega^t x."""
-    from hksym.symtensor import SymTensor
-
     w = omega_flat_dense(x)
     out = {}
     for alpha, c in t.coeffs.items():
@@ -489,8 +489,6 @@ def embed_gl_group(e_plus, t_small):
 
 def binary_quartic_tensor(q, space, basis_pair):
     """The BinaryQuartic q as a quartic on space in the variables basis_pair."""
-    from hksym.symtensor import SymTensor
-
     x = SymTensor.linear(space, basis_pair[0])
     y = SymTensor.linear(space, basis_pair[1])
     out = SymTensor.zero(space, 4)
@@ -642,6 +640,31 @@ def flatten(m):
     return tuple(e for row in m.data for e in row)
 
 
+def sp_action_reference(a, t):
+    """A . t = - sum over the monomials e^alpha of t of
+    alpha_k A_{lk} e^(alpha - e_k + e_l), one GaussRat term at a time;
+    ContractError for an A outside sp(E)."""
+    space = t.space
+    if not is_in_sp(space, a):
+        raise ContractError("endomorphism is not in sp(E)")
+    out = {}
+    for alpha, c in t.coeffs.items():
+        for k, e in enumerate(alpha):
+            if not e:
+                continue
+            ec = GaussRat(e) * c
+            for l in range(space.dim):
+                alk = a.entry(l, k)
+                if not alk:
+                    continue
+                key = list(alpha)
+                key[k] -= 1
+                key[l] += 1
+                key = tuple(key)
+                out[key] = out.get(key, ZERO) - ec * alk
+    return SymTensor(space, t.degree, out)
+
+
 def off_sp(a):
     """A in sp(E) with one entry negated so that the result leaves sp(E):
     the later of the two flattened positions (i, m) and (m', i') that hold
@@ -678,7 +701,7 @@ def certify_invariance_all_entries(s):
     all entries and the RREF of all flattened entries."""
     table = {}
     for pair, endo in double_contractions_by_contraction(s):
-        if not sp_action(endo, s).is_zero():
+        if not sp_action_reference(endo, s).is_zero():
             return pair, None, None, None
         table[pair] = endo
     rows = echelon_basis([flatten(m) for m in table.values()])

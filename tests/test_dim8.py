@@ -265,7 +265,7 @@ class TestClassifyComplex8:
     def test_requires_support(self):
         sp = SymplecticSpace(2)
         e_plus = span(sp, [sp.basis_vector(0), sp.basis_vector(1)])
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="not supported in the given subspace"):
             classify_complex8(lin(sp, 2) ** 4, e_plus)
 
 
@@ -340,6 +340,14 @@ class TestClassifyReal8:
                 assert neg != cls
                 return
         pytest.skip("corpus produced no sign_q != 0 sample")
+
+    def test_requires_support(self, rng):
+        # tau-fixed and supported in span(p1, p2); span(q1, q2) is also
+        # j-invariant, so only the restriction to it can refuse
+        s, j = random_tau_fixed(1, rng)
+        sp = s.space
+        with pytest.raises(ContractError, match="not supported in the given subspace"):
+            classify_real8(s, j, span(sp, [sp.basis_vector(2), sp.basis_vector(3)]))
 
     def test_rejects_non_tau_fixed(self, rng):
         sp = SymplecticSpace(2)

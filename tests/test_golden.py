@@ -38,6 +38,12 @@ CASES = (
         # entries before it
         ("late_witness", None, "analyze", (), 2),
         ("late_witness", None, "verify", ("--invariance",), 2),
+        # random_quartic_full(SymplecticSpace(4), Random(3)): dense, 329
+        # monomials, most coefficients complex and not integers; the first
+        # entry fails, witness (0, 0), so the rejection is one sp_action on
+        # a dense quartic
+        ("full_4", None, "analyze", (), 2),
+        ("full_4", None, "verify", ("--invariance",), 2),
         # symmetrize_real of random_quartic_full(SymplecticSpace(2), Random(11))
         # under the standard split j: tau-fixed but not invariant
         ("tau_fixed_full_2", None, "verify", ("--reality",), 0),

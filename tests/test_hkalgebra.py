@@ -229,7 +229,7 @@ class TestInvarianceAgainstAllEntries:
 # a multiple of 4, else none; the quartic is tau-fixed for that j in
 # REAL_GOLDEN only
 ACCEPTED_GOLDEN = [p for p in GOLDEN_INPUTS
-                   if p.stem not in ("late_witness", "p3q", "tau_fixed_full_2")]
+                   if p.stem not in ("full_4", "late_witness", "p3q", "tau_fixed_full_2")]
 REAL_GOLDEN = {"non_coordinate_j", "petrov_D", "petrov_I", "petrov_O", "real_1", "real_2"}
 
 

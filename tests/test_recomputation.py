@@ -24,7 +24,9 @@ or transpose, a span is eliminated once, and restricting a quartic to a
 basis expands each symmetric power of the basis once.  The real form reads
 the table once, into its J table S_{je_k,e_l}: the real algebra takes its
 [m, m] brackets from that, and the complex algebra reads each [m, m] bracket
-S_{e_k,e_l} once.
+S_{e_k,e_l} once.  classify8 certifies S in S^4 of a plane once, in
+certify_invariance: dim8 leaves S in S^4(e_plus) to restrict_to_basis, which
+solves for S on e_plus exactly.
 """
 
 import json
@@ -34,6 +36,7 @@ from pathlib import Path
 import pytest
 
 import hksym.cli as cli
+import hksym.dim8 as dim8
 import hksym.exactnum as exactnum
 import hksym.hkalgebra as hkalgebra
 import hksym.realform as realform
@@ -53,7 +56,7 @@ from hksym.realform import build_real_algebra, check_reality, real_holonomy
 from hksym.symplectic import SymplecticSpace, span, standard_split_j
 from hksym.symtensor import quartic_from_dict
 
-from oracles import random_vector
+from oracles import random_vector, sp_action_reference
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -129,6 +132,19 @@ def test_late_witness_acts_on_the_independent_entries_only(monkeypatch):
     actions = count_calls(monkeypatch, hkalgebra, "sp_action")
     assert check_invariance(golden_quartic("late_witness")) == (False, (2, 3))
     assert len(actions) == 2
+
+
+def test_dense_rejection_acts_once(monkeypatch, table_entries):
+    # a full quartic fails at its first entry (0, 0): one table entry, one
+    # action of it on S, and the action is the one the reference computes
+    s = golden_quartic("full_4")
+    actions = count_calls(monkeypatch, hkalgebra, "sp_action")
+    assert check_invariance(s) == (False, (0, 0))
+    assert table_entries == [(0, 0)]
+    assert len(actions) == 1
+    (endo, _), = actions
+    acted = symtensor.sp_action(endo, s)
+    assert not acted.is_zero() and acted == sp_action_reference(endo, s)
 
 
 def test_holonomy_eliminates_nothing(monkeypatch):
@@ -266,6 +282,23 @@ def test_span_eliminates_once(monkeypatch, rng):
     sub = span(sp, vectors + [vectors[0]])
     assert sub.dim == 4
     assert len(eliminations) == 1
+
+
+@pytest.mark.parametrize("flags", [(), ("--real",)], ids=["complex", "real"])
+def test_classify8_certifies_membership_once(monkeypatch, tmp_path, capsys, flags):
+    # certify_invariance certifies S in S^4(support) once; dim8 makes no
+    # tensor_in_subspace_power call of its own and leaves S in S^4(e_plus)
+    # to restrict_to_basis, which solves for S on e_plus exactly
+    path = str(tmp_path / "petrov_i.json")
+    assert main(["generate", "petrov:I", "-o", path]) == 0
+    assert not hasattr(dim8, "tensor_in_subspace_power")
+    memberships = count_calls(monkeypatch, hkalgebra, "tensor_in_subspace_power")
+    perps = count_calls(monkeypatch, symtensor, "omega_perp")
+    restrictions = count_calls(monkeypatch, dim8, "restrict_to_basis")
+    assert main(["classify8", path, *flags]) == 0
+    assert capsys.readouterr().out.startswith("type: I\n")
+    assert (len(memberships), len(perps)) == (1, 1)
+    assert len(restrictions) == 1 + len(flags)
 
 
 def test_restriction_expands_each_power_once(monkeypatch, tmp_path, capsys):

@@ -29,6 +29,7 @@ from hksym.symtensor import (
     s2e_coords,
     s2e_flatten,
     sp_action,
+    _over_lcms,
     support,
     tau,
     tensor_in_subspace_power,
@@ -38,14 +39,17 @@ from hksym.generators import (
     random_gaussrat,
     random_quartic_full,
     random_quartic_lagrangian,
+    random_symplectic,
     standard_split_j,
 )
 
 from oracles import (
     double_contractions_by_contraction,
     flatten,
+    off_sp,
     polarization_inclusion_exclusion,
     random_vector,
+    sp_action_reference,
 )
 
 GOLDEN_INPUTS = sorted(p for p in (Path(__file__).resolve().parent / "golden").glob("*.json")
@@ -72,6 +76,46 @@ def random_tensor(sp, degree, rng):
 
 def random_sp_element(sp, rng):
     return endo_of_quadratic(random_tensor(sp, 2, rng))
+
+
+def random_height_gaussrat(rng, bits, den_bits=16):
+    """A GaussRat whose real and imaginary parts are both p/q with p odd and
+    q even, |p| below 2^bits and q below 2^min(bits, den_bits): never an
+    integer, never real."""
+    top = 1 << (bits - 1)
+    bottom = 1 << (min(bits, den_bits) - 1)
+
+    def part():
+        return Fraction(2 * rng.randrange(-top, top) + 1, 2 * rng.randrange(1, bottom))
+
+    return GaussRat(part(), part())
+
+
+def with_heights(t, rng, bits):
+    """t with each coefficient multiplied by its own random_height_gaussrat."""
+    return SymTensor(t.space, t.degree,
+                     {alpha: c * random_height_gaussrat(rng, bits) for alpha, c in t.coeffs.items()})
+
+
+def random_sp_matrix(sp, rng, bits):
+    """[[X, Y], [Z, -X^t]] with Y and Z symmetric, every entry of X, Y and Z
+    drawn by random_height_gaussrat: an element of sp(E) built from its block
+    form, not from a quadratic."""
+    n = sp.n
+
+    def block(symmetric):
+        m = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(i if symmetric else 0, n):
+                m[i][k] = random_height_gaussrat(rng, bits)
+                if symmetric:
+                    m[k][i] = m[i][k]
+        return m
+
+    x, y, z = block(False), block(True), block(True)
+    top = [x[i] + y[i] for i in range(n)]
+    bottom = [z[i] + [-x[k][i] for k in range(n)] for i in range(n)]
+    return Matrix(top + bottom)
 
 
 PAPER_SCALARS = [GaussRat(1), GaussRat(-2), GaussRat(Fraction(3, 5))]
@@ -298,6 +342,40 @@ class TestSpAction:
         with pytest.raises(ContractError):
             sp_action(Matrix.identity(2), SymTensor.zero(sp, 4))
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rejects_a_matrix_just_outside_sp(self, n):
+        rng = random.Random(90 + n)
+        sp = SymplecticSpace(n)
+        a = off_sp(random_sp_matrix(sp, rng, 8))
+        with pytest.raises(ContractError, match="not in sp"):
+            sp_action(a, random_quartic_full(sp, rng))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_gaussrat_reference(self, n):
+        """Seeded differential test against the one-GaussRat-per-term loop:
+        full and symplectically moved quartics (and tensors of degree 0 to
+        3), as drawn and with coefficient heights raised to 2 and 300 bits by
+        independent factors, against A from a quadratic and from the
+        block form of sp(E), all with non-integer complex entries."""
+        rng = random.Random(1400 + n)
+        sp = SymplecticSpace(n)
+        tensors = [
+            random_quartic_full(sp, rng),
+            transform(random_quartic_lagrangian(n, rng), random_symplectic(sp, rng, steps=2)),
+        ] + [random_tensor(sp, degree, rng) for degree in range(4)]
+        nonzero = 0
+        for bits in (None, 2, 300):
+            for t in tensors:
+                if bits is not None:
+                    t = with_heights(t, rng, bits)
+                quadratic = random_tensor(sp, 2, rng)
+                for a in (endo_of_quadratic(quadratic if bits is None else with_heights(quadratic, rng, bits)),
+                          random_sp_matrix(sp, rng, bits or 4)):
+                    acted = sp_action(a, t)
+                    assert acted == sp_action_reference(a, t)
+                    nonzero += not acted.is_zero()
+        assert nonzero >= 2 * 3 * 2
+
     def test_leibniz_on_products(self, rng):
         sp = SymplecticSpace(2)
         a = random_sp_element(sp, rng)
@@ -328,6 +406,35 @@ class TestSpAction:
                         + double_contraction_endo(s, mat_vec(a, f), g) \
                         + double_contraction_endo(s, f, mat_vec(a, g))
                     assert lhs == rhs
+
+
+class TestOverLcms:
+    """sp_action's common denominators: one per class of values, each value
+    an exact numerator over its class's lcm."""
+
+    @staticmethod
+    def _values(lcms, nums):
+        return [GaussRat(Fraction(a, lcms[j]), Fraction(b, lcms[j])) for j, a, b in nums]
+
+    def test_shared_primes_make_one_class(self):
+        rng = random.Random(5)
+        values = [GaussRat(Fraction(rng.randint(-99, 99), 2 ** rng.randint(0, 40) * 3 ** rng.randint(0, 25)),
+                           Fraction(rng.randint(-99, 99), 6 ** rng.randint(0, 20))) for _ in range(50)]
+        lcms, nums = _over_lcms(values)
+        assert len(lcms) == 1
+        assert self._values(lcms, nums) == values
+
+    def test_independent_large_denominators_split(self):
+        rng = random.Random(6)
+        values = [random_height_gaussrat(rng, 300, den_bits=300) for _ in range(20)]
+        lcms, nums = _over_lcms(values)
+        assert len(lcms) > 1
+        assert max(d.bit_length() for d in lcms) <= 2 * 600 + 64
+        assert self._values(lcms, nums) == values
+
+    def test_zeros_and_empty(self):
+        assert _over_lcms([]) == ([1], [])
+        assert _over_lcms([ZERO, GaussRat(3)]) == ([1], [(0, 0, 0), (0, 3, 0)])
 
 
 class TestCancellation:
