@@ -405,34 +405,6 @@ def unit_vec(n, k):
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows):
-    """In-place reduced row echelon form; returns pivot column list."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * e for e in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 def rank_kernel(m):
     """Exact rank, kernel basis and pivot columns of a matrix.
 
@@ -440,8 +412,7 @@ def rank_kernel(m):
     free column f, with a 1 in position f and the negated pivot-row entries
     above it.  rank + len(kernel) == ncols always.
     """
-    rows = m.rows_list()
-    pivots = _rref(rows)
+    rows, pivots = _rref_of(m.data)
     rank = len(pivots)
     pivot_set = set(pivots)
     kernel = []
@@ -464,8 +435,7 @@ def solve_linear(m, b):
     """
     if m.nrows != len(b):
         raise ContractError("solve_linear: matrix/vector size mismatch")
-    rows = [list(r) + [be] for r, be in zip(m.data, b)]
-    pivots = _rref(rows)
+    rows, pivots = _rref_of(r + (be,) for r, be in zip(m.data, b))
     if m.ncols in pivots:
         return None
     x = [ZERO] * m.ncols
@@ -479,9 +449,9 @@ def inverse(m):
     if m.nrows != m.ncols:
         raise ContractError("inverse of a non-square matrix")
     n = m.nrows
-    rows = [list(r) + list(unit_vec(n, i)) for i, r in enumerate(m.data)]
-    pivots = _rref(rows)
-    if len(pivots) < n:
+    rows, pivots = _rref_of(r + unit_vec(n, i) for i, r in enumerate(m.data))
+    # [m | I] always has rank n; m is singular iff a pivot falls in the I half
+    if pivots[-1] >= n:
         raise ContractError("matrix is singular")
     return _trusted_matrix(tuple(tuple(row[n:]) for row in rows))
 
@@ -592,35 +562,37 @@ class SpanSolver:
     def coords(self, t):
         """Coordinates of t in the basis, or None if t is outside the span."""
         c = tuple(t[p] for p in self.pivots)
-        rest = list(t)
-        for f, row in zip(c, self.basis):
-            if f:
-                for l, e in enumerate(row):
-                    if e:
-                        rest[l] = rest[l] - f * e
-        return c if vec_is_zero(rest) else None
+        return c if vec_is_zero(_reduce(self.basis, self.pivots, list(t))) else None
 
     def contains(self, t):
         return self.coords(t) is not None
 
 
-def extend_rref(rows, pivots, v):
-    """Extend a canonical RREF in place by the vector v; True iff it grew.
-
-    rows are the RREF rows as lists and pivots their pivot columns.  v is
-    reduced by the rows (each row clears its own pivot column and touches no
-    other), and a nonzero remainder is scaled to lead with 1, cleared from
-    the other rows in its pivot column and inserted in pivot order.  The
-    result is the RREF echelon_basis(rows + [v]) would return, without
-    eliminating the rows again.
-    """
-    v = list(v)
+def _reduce(rows, pivots, v):
+    """The list v reduced in place by the RREF rows with the given pivot
+    columns: each row clears its own pivot column of v and touches no other,
+    so v comes back zero exactly when it lies in the span of the rows."""
     for row, p in zip(rows, pivots):
         f = v[p]
         if f:
             for c in range(p, len(v)):
                 if row[c]:
                     v[c] = v[c] - f * row[c]
+    return v
+
+
+def extend_rref(rows, pivots, v):
+    """Extend a canonical RREF in place by the vector v; True iff it grew.
+
+    rows are the RREF rows as lists and pivots their pivot columns.  v is
+    reduced by the rows, and a nonzero remainder is scaled to lead with 1,
+    cleared from the other rows in its pivot column (touching only its own
+    nonzero columns) and inserted in pivot order.  The result is the
+    canonical RREF of the span of rows + [v], without eliminating the rows
+    again.  This is the one row-reduction kernel: every RREF in hksym is
+    grown by it.
+    """
+    v = _reduce(rows, pivots, list(v))
     lead = next((c for c, e in enumerate(v) if e), None)
     if lead is None:
         return False
@@ -638,11 +610,15 @@ def extend_rref(rows, pivots, v):
     return True
 
 
+def _rref_of(vectors):
+    """(rows, pivots) of the canonical RREF of the span of vectors, built by
+    extend_rref one vector at a time; zero and dependent vectors add nothing."""
+    rows, pivots = [], []
+    for v in vectors:
+        extend_rref(rows, pivots, v)
+    return rows, pivots
+
+
 def echelon_basis(vectors):
     """Canonical RREF basis of the span of the given row vectors."""
-    vecs = [v for v in vectors if not vec_is_zero(v)]
-    if not vecs:
-        return []
-    rows = [list(v) for v in vecs]
-    pivots = _rref(rows)
-    return [tuple(rows[i]) for i in range(len(pivots))]
+    return [tuple(row) for row in _rref_of(vectors)[0]]

@@ -446,18 +446,17 @@ def flat_decomposition(q, e_plus):
     """
     sigma = q.support
     sp = q.s.space
-    # adapted basis of E_+: the support, then the greedy completion, i.e. the
-    # pivot columns of the candidates laid side by side
-    candidates = list(sigma.echelon()) + list(e_plus.echelon())
-    _, _, pivots = rank_kernel(Matrix(candidates).transpose())
-    adapted = [candidates[p] for p in pivots]
+    # adapted basis of E_+: the support, then the greedy completion, i.e.
+    # each candidate that raises the rank of the ones kept before it
+    rows, pivots = [], []
+    adapted = [v for v in sigma.echelon() + e_plus.echelon() if extend_rref(rows, pivots, v)]
     e_plus_adapted = Subspace(sp, adapted)
     _, g = lagrangian_complement(e_plus_adapted)
     r = sigma.dim
     e1_vectors = adapted[:r] + g[:r]
     e0_vectors = adapted[r:] + g[r:]
-    e1 = Subspace(sp, e1_vectors) if e1_vectors else Subspace.zero(sp)
-    e0 = Subspace(sp, e0_vectors) if e0_vectors else Subspace.zero(sp)
+    e1 = Subspace(sp, e1_vectors)
+    e0 = Subspace(sp, e0_vectors)
     # certificates: complementary and omega-nondegenerate; E^1_+ is the
     # support, so S in S^4 E^1_+ is the InvariantQuartic's own certificate
     if e1.dim + e0.dim != sp.dim:

@@ -27,6 +27,7 @@ from .exactnum import (
     TheoremViolationError,
     ZERO,
     echelon_basis,
+    extend_rref,
     hermitian_inertia,
     inverse,
     is_rref,
@@ -178,19 +179,18 @@ def extend_to_lagrangian(sub):
     if not is_isotropic(sub):
         raise ContractError("extend_to_lagrangian needs an isotropic subspace")
     current = list(sub.basis)
+    # one RREF of the current span, grown by each vector that raises its rank
+    rows, pivots = [], []
+    for v in current:
+        extend_rref(rows, pivots, v)
     for v in (sp.basis_vector(k) for k in range(sp.dim)):
         if len(current) == sp.n:
             break
-        if all(not omega_pair(sp, v, w) for w in current):
-            if len(echelon_basis(current + [v])) == len(current) + 1:
-                current.append(v)
+        if all(not omega_pair(sp, v, w) for w in current) and extend_rref(rows, pivots, v):
+            current.append(v)
     while len(current) < sp.n:
-        cur_span = span(sp, current)
-        fresh = None
-        for v in omega_perp(cur_span).echelon():
-            if not cur_span.contains(v):
-                fresh = v
-                break
+        perp = omega_perp(Subspace(sp, rows)).echelon()
+        fresh = next((v for v in perp if extend_rref(rows, pivots, v)), None)
         if fresh is None:
             raise ContractError("failed to complete isotropic subspace to a Lagrangian")
         current.append(fresh)

@@ -46,7 +46,6 @@ from .exactnum import (
     solve_linear,
     triple,
     unit_vec,
-    vec_is_zero,
 )
 from .symplectic import (
     SymplecticSpace,
@@ -427,17 +426,6 @@ def table_entry(table, k, l):
     return table[(k, l) if k <= l else (l, k)]
 
 
-def column_span(space, endos):
-    """Span of the nonzero columns of the given endomorphisms, taken in order."""
-    vectors = []
-    for endo in endos:
-        for k in range(space.dim):
-            col = endo.col(k)
-            if not vec_is_zero(col):
-                vectors.append(col)
-    return span(space, vectors)
-
-
 def support(t):
     """The support: span of all (d-1)-fold contractions read as vectors in E.
 
@@ -450,15 +438,13 @@ def support(t):
         raise ContractError("support needs degree >= 2")
     sp = t.space
     basis = [sp.basis_vector(k) for k in range(sp.dim)]
-
-    def endos():
-        for combo in combinations_with_replacement(range(sp.dim), t.degree - 2):
-            cur = t
-            for k in combo:
-                cur = contract(cur, basis[k])
-            yield endo_of_quadratic(cur)
-
-    return column_span(sp, endos())
+    columns = []
+    for combo in combinations_with_replacement(range(sp.dim), t.degree - 2):
+        cur = t
+        for k in combo:
+            cur = contract(cur, basis[k])
+        columns += endo_of_quadratic(cur).transpose().data
+    return span(sp, columns)
 
 
 def tau(t, j):

@@ -41,6 +41,10 @@ basis as a dense matrix product AB - BA, then the span of the brackets
 eliminated, step by step.  embed_gl_group and binary_quartic_tensor carry
 group elements and binary quartics into E for equivariance and round-trip
 tests; random_vector and random_invertible draw their operands.
+rref_reference is the dense column sweep that echelon_basis, rank_kernel,
+solve_linear and inverse ran before every RREF was grown one vector at a
+time by extend_rref: each pivot found by scanning its column, its row
+scaled, and every other row updated across its full width.
 """
 
 import re as _re
@@ -65,8 +69,8 @@ from hksym.exactnum import (
 from hksym.generators import random_gaussrat
 from hksym.hkalgebra import _unflatten
 from hksym.realform import _realify, _unrealify
-from hksym.symtensor import SymTensor, column_span, double_contraction_endo, is_in_sp, table_entry
-from hksym.symplectic import SymplecticSpace, standard_quaternionic
+from hksym.symtensor import SymTensor, double_contraction_endo, is_in_sp, table_entry
+from hksym.symplectic import SymplecticSpace, span, standard_quaternionic
 
 # j_H on the plane H with omega_H(h, h') = 1: j_H h = h', j_H h' = -h
 J_H = standard_quaternionic(SymplecticSpace(1))
@@ -705,7 +709,8 @@ def certify_invariance_all_entries(s):
             return pair, None, None, None
         table[pair] = endo
     rows = echelon_basis([flatten(m) for m in table.values()])
-    return None, table, column_span(s.space, table.values()), tuple(rows)
+    columns = [m.col(k) for m in table.values() for k in range(s.space.dim)]
+    return None, table, span(s.space, columns), tuple(rows)
 
 
 def _commutator_table(mats):
@@ -742,3 +747,31 @@ def derived_series_reference(mats):
         current = nxt
         brackets = _commutator_table(current)
     return first, tuple(dims)
+
+
+def rref_reference(rows):
+    """In-place reduced row echelon form; returns pivot column list."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * e for e in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [e - f * p for e, p in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots

@@ -26,7 +26,7 @@ from hksym.exactnum import (
 
 from hksym.hkalgebra import _unflatten
 
-from oracles import RefGaussRat, dense_matmul
+from oracles import RefGaussRat, dense_matmul, rref_reference
 
 
 def rand_gauss(rng):
@@ -250,9 +250,10 @@ class TestSpanSolver:
             SpanSolver(rows)
 
 
-def test_extend_rref_against_echelon_basis():
-    # vectors added one at a time give the RREF of all of them at every step,
-    # on widths up to 7 with 300-bit entries, zero columns and repeats
+def test_extend_rref_against_rref_reference():
+    # vectors added one at a time give the dense sweep's RREF of all of them
+    # at every step, on widths up to 7 with 300-bit entries, zero columns
+    # and repeats
     rng = random.Random(13)
     for k in range(40):
         width = rng.randint(1, 7)
@@ -269,10 +270,118 @@ def test_extend_rref_against_echelon_basis():
         for i, v in enumerate(vectors):
             before = len(rows)
             grew = extend_rref(rows, pivots, v)
-            expected = echelon_basis(vectors[:i + 1])
+            expected = echelon_reference(vectors[:i + 1])
             assert [tuple(r) for r in rows] == expected
             assert grew == (len(expected) > before)
             assert pivots == [next(c for c, e in enumerate(r) if e) for r in expected]
+
+
+def echelon_reference(vectors):
+    rows = [list(v) for v in vectors]
+    return [tuple(row) for row in rows[:len(rref_reference(rows))]]
+
+
+def rank_kernel_reference(m):
+    rows = m.rows_list()
+    pivots = rref_reference(rows)
+    kernel = []
+    for f in range(m.ncols):
+        if f not in pivots:
+            v = [ZERO] * m.ncols
+            v[f] = ONE
+            for i, p in enumerate(pivots):
+                v[p] = -rows[i][f]
+            kernel.append(tuple(v))
+    return len(pivots), kernel, pivots
+
+
+def solve_reference(m, b):
+    rows = [list(r) + [be] for r, be in zip(m.data, b)]
+    pivots = rref_reference(rows)
+    if m.ncols in pivots:
+        return None
+    x = [ZERO] * m.ncols
+    for i, p in enumerate(pivots):
+        x[p] = rows[i][m.ncols]
+    return tuple(x)
+
+
+def inverse_reference(m):
+    n = m.nrows
+    rows = [list(r) + [ONE if k == i else ZERO for k in range(n)] for i, r in enumerate(m.data)]
+    return Matrix([row[n:] for row in rows]) if rref_reference(rows) == list(range(n)) else None
+
+
+def dependent_rows(rng, nrows, width):
+    """nrows rows of 300-bit Q(i) entries: after the first, each is zero, a
+    repeat or a combination of two earlier rows about half the time."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random() if rows else 1.0
+        if kind < 0.15:
+            rows.append((ZERO,) * width)
+        elif kind < 0.3:
+            rows.append(rng.choice(rows))
+        elif kind < 0.5:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = _ref_operand(rng)[0]
+            rows.append(tuple(x + c * y for x, y in zip(a, b)))
+        else:
+            rows.append(tuple(_ref_operand(rng)[0] for _ in range(width)))
+    return rows
+
+
+class TestAgainstRrefReference:
+    """echelon_basis, rank_kernel, solve_linear and inverse, grown by
+    extend_rref, against the same functions built on the dense sweep, on
+    tall, wide and square matrices with zero, repeated and dependent rows."""
+
+    SHAPES = [(rows, cols) for rows in range(1, 7) for cols in range(1, 7)]
+
+    def matrices(self, seed):
+        rng = random.Random(seed)
+        for nrows, width in self.SHAPES:
+            yield rng, Matrix(dependent_rows(rng, nrows, width))
+
+    def test_echelon_basis(self):
+        for _, m in self.matrices(1):
+            assert echelon_basis(m.data) == echelon_reference(m.data)
+        assert echelon_basis([]) == []
+
+    def test_rank_kernel(self):
+        for _, m in self.matrices(2):
+            assert rank_kernel(m) == rank_kernel_reference(m)
+
+    def test_solve_linear(self):
+        kinds = {"consistent": 0, "underdetermined": 0, "inconsistent": 0}
+        for rng, m in self.matrices(3):
+            x = tuple(_ref_operand(rng)[0] for _ in range(m.ncols))
+            for b in (mat_vec(m, x), tuple(_ref_operand(rng)[0] for _ in range(m.nrows))):
+                got = solve_linear(m, b)
+                assert got == solve_reference(m, b)
+                if got is None:
+                    kinds["inconsistent"] += 1
+                else:
+                    assert mat_vec(m, got) == b
+                    kinds["consistent"] += 1
+                    kinds["underdetermined"] += rank_kernel(m)[0] < m.ncols
+        assert min(kinds.values()) > 0, kinds
+
+    def test_inverse(self):
+        rng = random.Random(4)
+        singular = 0
+        for _ in range(3):
+            for n in range(1, 7):
+                m = Matrix(dependent_rows(rng, n, n))
+                expected = inverse_reference(m)
+                if expected is None:
+                    singular += 1
+                    with pytest.raises(ContractError, match="singular"):
+                        inverse(m)
+                else:
+                    assert inverse(m) == expected
+                    assert m @ expected == Matrix.identity(n)
+        assert singular > 0
 
 
 class TestMatrixConstruction:
@@ -292,6 +401,13 @@ class TestMatrixConstruction:
             assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
             assert m == Matrix(m.data)
             assert (m.nrows, m.ncols) == (len(m.data), len(m.data[0]))
+
+
+def test_inverse_of_a_matrix_with_a_zero_column_is_refused():
+    # [m | I] has full rank whether or not m does, so counting its pivots
+    # accepts this m and returns a matrix that is no inverse
+    with pytest.raises(ContractError, match="singular"):
+        inverse(Matrix([[ONE, ZERO], [I_UNIT, ZERO]]))
 
 
 def test_matrix_inverse(rng):
