@@ -109,10 +109,6 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
-    @classmethod
-    def zero(cls, ambient):
-        return cls(ambient, [])
-
     @property
     def dim(self):
         return len(self.basis)
@@ -345,8 +341,9 @@ def record_fields(data, record, keys):
 
 
 # the largest n a quartic may have (dim E = 2n): analyze on
-# random-lagrangian:n takes 14 s, 42 s and 104 s at n = 12, 14 and 16 on a
-# 2-vCPU VM, growing about as n^7, so a larger quartic is refused outright
+# random-lagrangian:n (seed 7) takes about 9 s, 24-27 s and 74-84 s at
+# n = 12, 14 and 16 on a 2-vCPU VM, growing about as n^7, so a larger quartic
+# is refused outright
 MAX_N = 16
 
 

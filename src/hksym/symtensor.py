@@ -45,14 +45,12 @@ from .exactnum import (
     from_triple,
     solve_linear,
     triple,
-    unit_vec,
 )
 from .symplectic import (
     SymplecticSpace,
     check_size,
     omega_flat,
     omega_perp,
-    omega_sharp,
     record_fields,
     record_int,
     span,
@@ -290,11 +288,7 @@ def sp_action(a, t):
             code, cls = divmod(key, width)
             i, j = divmod(cls, na)
             c = from_triple(-re, -im, t_lcms[i] * a_lcms[j])
-            alpha = []
-            for _ in range(dim):
-                code, e = divmod(code, base)
-                alpha.append(e)
-            alpha = tuple(alpha)
+            alpha = _exponents(code, base, dim)
             coeffs[alpha] = coeffs[alpha] + c if alpha in coeffs else c
     return SymTensor(space, t.degree, coeffs)
 
@@ -450,37 +444,15 @@ def support(t):
 def tau(t, j):
     """The real structure (tau T)(x_1..x_d) = conj(T(j x_1, ..., j x_d)).
 
-    Reassembled through the polarization (not by conjugating coefficients), so
-    it is correct for quaternionic structures not aligned with the basis.
-    Antilinear and involutive on even degrees.
+    For even d, tau(v^d) = (jv)^d, since omega(jx, v) = -conj omega(x, jv):
+    tau is the push-forward along j's matrix C of t with conjugated
+    coefficients, correct for quaternionic structures not aligned with the
+    basis.  Antilinear and involutive on even degrees.
     """
     if t.degree % 2:
         raise ContractError("tau needs even degree")
-    sp = t.space
-    d = t.degree
-    if d == 0:
-        c = t.coeffs.get((0,) * sp.dim, ZERO)
-        return SymTensor(sp, 0, {(0,) * sp.dim: c.conjugate()} if c else {})
-    # j applied to the vector u_k with omega(u_k, .) the k-th coordinate
-    j_dual = [j.apply(omega_sharp(unit_vec(sp.dim, k))) for k in range(sp.dim)]
-    out = {}
-
-    def sweep(node, start, alpha, depth):
-        if depth == d:
-            c = node.coeffs.get((0,) * sp.dim, ZERO)
-            if c:
-                w = GaussRat(Fraction(factorial(d), prod(factorial(e) for e in alpha)))
-                out[tuple(alpha)] = c.conjugate() * w
-            return
-        if node.is_zero():
-            return
-        for k in range(start, sp.dim):
-            alpha[k] += 1
-            sweep(contract(node, j_dual[k]), k, alpha, depth + 1)
-            alpha[k] -= 1
-
-    sweep(t, 0, [0] * sp.dim, 0)
-    return SymTensor(sp, d, out)
+    conj = SymTensor(t.space, t.degree, {a: c.conjugate() for a, c in t.coeffs.items()})
+    return transform(conj, j.c_matrix)
 
 
 def tensor_in_subspace_power(t, sub):
@@ -492,30 +464,53 @@ def tensor_in_subspace_power(t, sub):
 
 
 def transform(t, m):
-    """Push-forward of t along the invertible linear map with matrix m.
+    """Push-forward of t along the linear map with matrix m.
 
     Each generator e_k is substituted by the linear form of the k-th column
     of m, i.e. (m . t)(v_1 ... v_d) = (m v_1) ... (m v_d) on decomposables.
+    Evaluated by Horner's rule over t's monomials as sorted index tuples:
+    t = sum_k e_k t_k, with t_k the monomials whose least index is k divided
+    by e_k, so each shared prefix is multiplied by its image once.  Partial
+    products are plain dicts keyed by the exponents as base d + 1 digits.
     """
     sp = t.space
-    if m.nrows != sp.dim or m.ncols != sp.dim:
+    dim, d = sp.dim, t.degree
+    if m.nrows != dim or m.ncols != dim:
         raise ContractError("transform matrix has wrong size")
-    images = [SymTensor.linear(sp, m.col(k)) for k in range(sp.dim)]
-    power_cache = {}
+    base = d + 1
+    powers = [base ** k for k in range(dim)]
+    # column k of m as (key shift of e_l, m_lk) over its nonzeros
+    images = [[(powers[l], c) for l, c in enumerate(m.col(k)) if c] for k in range(dim)]
 
-    def image_power(k, e):
-        if (k, e) not in power_cache:
-            power_cache[(k, e)] = images[k] ** e
-        return power_cache[(k, e)]
+    def horner(terms, depth):
+        """The image of sum c e_idx[depth:] over (idx, c) in terms, which
+        share idx[:depth]; at depth d there is at most one term."""
+        if depth == d:
+            return {0: c for _, c in terms}
+        groups = {}
+        for term in terms:
+            groups.setdefault(term[0][depth], []).append(term)
+        out = {}
+        for k, group in groups.items():
+            image = images[k]
+            for code, c in horner(group, depth + 1).items():
+                for shift, a in image:
+                    key = code + shift
+                    out[key] = out[key] + a * c if key in out else a * c
+        return {key: c for key, c in out.items() if c}
 
-    result = SymTensor.zero(sp, t.degree)
-    for alpha, c in t.coeffs.items():
-        term = SymTensor.monomial(sp, (0,) * sp.dim, c)
-        for k, e in enumerate(alpha):
-            if e:
-                term = term * image_power(k, e)
-        result = result + term
-    return result
+    terms = [(tuple(k for k, e in enumerate(alpha) for _ in range(e)), c)
+             for alpha, c in t.coeffs.items()]
+    return SymTensor(sp, d, {_exponents(code, base, dim): c for code, c in horner(terms, 0).items()})
+
+
+def _exponents(code, base, dim):
+    """The multi-index whose exponents are the base digits of code."""
+    alpha = []
+    for _ in range(dim):
+        code, e = divmod(code, base)
+        alpha.append(e)
+    return tuple(alpha)
 
 
 def restrict_to_basis(t, vectors):
@@ -527,14 +522,16 @@ def restrict_to_basis(t, vectors):
     """
     sp = t.space
     r = len(vectors)
-    forms = [SymTensor.linear(sp, v) for v in vectors]
     betas = []
     for combo in combinations_with_replacement(range(r), t.degree):
         beta = [0] * r
         for k in combo:
             beta[k] += 1
         betas.append(tuple(beta))
-    expansions = [_expand(forms, b) for b in betas]
+    # e_i -> v_i for i < r, every other generator -> 0
+    onto = Matrix([[v[l] for v in vectors] + [ZERO] * (sp.dim - r) for l in range(sp.dim)])
+    pad = (0,) * (sp.dim - r)
+    expansions = [transform(SymTensor.monomial(sp, b + pad), onto) for b in betas]
     monomials = sorted(set(t.coeffs).union(*(poly.coeffs for poly in expansions)))
     index = {a: i for i, a in enumerate(monomials)}
     cols = []
@@ -557,14 +554,6 @@ def restrict_to_basis(t, vectors):
     if check != t:
         raise ContractError("restriction certification failed")
     return dict(zip(betas, sol))
-
-
-def _expand(forms, beta):
-    out = SymTensor.monomial(forms[0].space, (0,) * forms[0].space.dim)
-    for k, e in enumerate(beta):
-        for _ in range(e):
-            out = out * forms[k]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,15 @@
 """Shared fixtures.  The convention gate runs before everything else: the
-three pinned anchor values must reproduce exactly or no other test is
-meaningful."""
+three pinned anchor values and two values of the real structure tau must
+reproduce exactly or no other test is meaningful."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from hksym.exactnum import GaussRat
-from hksym.symplectic import SymplecticSpace
-from hksym.symtensor import SymTensor, contract, endo_of_quadratic, eval_on_vectors, sp_action
+from hksym.exactnum import GaussRat, I_UNIT
+from hksym.symplectic import SymplecticSpace, standard_split_j
+from hksym.symtensor import SymTensor, contract, endo_of_quadratic, eval_on_vectors, sp_action, tau
 
 
 def linear(sp, k):
@@ -18,7 +18,8 @@ def linear(sp, k):
 
 @pytest.fixture(scope="session", autouse=True)
 def anchor_gate():
-    """The three convention anchors; everything downstream assumes them."""
+    """The three convention anchors and the tau anchor; everything
+    downstream assumes them."""
     sp = SymplecticSpace(1)
     p = linear(sp, 0)
     q = linear(sp, 1)
@@ -32,6 +33,13 @@ def anchor_gate():
     # anchor 3: pq . S = -2 lambda p^4 - mu p^3 q
     acted = sp_action(endo_of_quadratic(p * q), s)
     assert acted == (p ** 4).scale(GaussRat(-2) * lam) + ((p ** 3) * q).scale(-mu)
+    # tau anchor, for the default split j on dim E = 4:
+    # tau(p1^3 p2) = -p1 p2^3 and tau(i p1^4) = -i p2^4
+    sp2 = SymplecticSpace(2)
+    j = standard_split_j(sp2)
+    p1, p2 = linear(sp2, 0), linear(sp2, 1)
+    assert tau((p1 ** 3) * p2, j) == -(p1 * p2 ** 3)
+    assert tau((p1 ** 4).scale(I_UNIT), j) == (p2 ** 4).scale(-I_UNIT)
 
 
 @pytest.fixture

@@ -45,11 +45,18 @@ rref_reference is the dense column sweep that echelon_basis, rank_kernel,
 solve_linear and inverse ran before every RREF was grown one vector at a
 time by extend_rref: each pivot found by scanning its column, its row
 scaled, and every other row updated across its full width.
+transform_reference is the push-forward before it ran Horner's rule: each
+monomial's product of image powers built on its own (powers cached) and
+added into the result term by term.  tau_reference is the real structure
+before it was a push-forward along j: a sweep over the tree of polarization
+contractions against j applied to the omega-dual basis, each leaf read back
+as a conjugated coefficient with its multinomial weight.
 """
 
 import re as _re
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 from hksym.exactnum import (
     ContractError,
@@ -69,8 +76,8 @@ from hksym.exactnum import (
 from hksym.generators import random_gaussrat
 from hksym.hkalgebra import _unflatten
 from hksym.realform import _realify, _unrealify
-from hksym.symtensor import SymTensor, double_contraction_endo, is_in_sp, table_entry
-from hksym.symplectic import SymplecticSpace, span, standard_quaternionic
+from hksym.symtensor import SymTensor, contract, double_contraction_endo, is_in_sp, table_entry
+from hksym.symplectic import SymplecticSpace, omega_sharp, span, standard_quaternionic
 
 # j_H on the plane H with omega_H(h, h') = 1: j_H h = h', j_H h' = -h
 J_H = standard_quaternionic(SymplecticSpace(1))
@@ -775,3 +782,66 @@ def rref_reference(rows):
         if r == nrows:
             break
     return pivots
+
+
+def transform_reference(t, m):
+    """Push-forward of t along the invertible linear map with matrix m.
+
+    Each generator e_k is substituted by the linear form of the k-th column
+    of m, i.e. (m . t)(v_1 ... v_d) = (m v_1) ... (m v_d) on decomposables.
+    """
+    sp = t.space
+    if m.nrows != sp.dim or m.ncols != sp.dim:
+        raise ContractError("transform matrix has wrong size")
+    images = [SymTensor.linear(sp, m.col(k)) for k in range(sp.dim)]
+    power_cache = {}
+
+    def image_power(k, e):
+        if (k, e) not in power_cache:
+            power_cache[(k, e)] = images[k] ** e
+        return power_cache[(k, e)]
+
+    result = SymTensor.zero(sp, t.degree)
+    for alpha, c in t.coeffs.items():
+        term = SymTensor.monomial(sp, (0,) * sp.dim, c)
+        for k, e in enumerate(alpha):
+            if e:
+                term = term * image_power(k, e)
+        result = result + term
+    return result
+
+
+def tau_reference(t, j):
+    """The real structure (tau T)(x_1..x_d) = conj(T(j x_1, ..., j x_d)).
+
+    Reassembled through the polarization (not by conjugating coefficients), so
+    it is correct for quaternionic structures not aligned with the basis.
+    Antilinear and involutive on even degrees.
+    """
+    if t.degree % 2:
+        raise ContractError("tau needs even degree")
+    sp = t.space
+    d = t.degree
+    if d == 0:
+        c = t.coeffs.get((0,) * sp.dim, ZERO)
+        return SymTensor(sp, 0, {(0,) * sp.dim: c.conjugate()} if c else {})
+    # j applied to the vector u_k with omega(u_k, .) the k-th coordinate
+    j_dual = [j.apply(omega_sharp(unit_vec(sp.dim, k))) for k in range(sp.dim)]
+    out = {}
+
+    def sweep(node, start, alpha, depth):
+        if depth == d:
+            c = node.coeffs.get((0,) * sp.dim, ZERO)
+            if c:
+                w = GaussRat(Fraction(factorial(d), prod(factorial(e) for e in alpha)))
+                out[tuple(alpha)] = c.conjugate() * w
+            return
+        if node.is_zero():
+            return
+        for k in range(start, sp.dim):
+            alpha[k] += 1
+            sweep(contract(node, j_dual[k]), k, alpha, depth + 1)
+            alpha[k] -= 1
+
+    sweep(t, 0, [0] * sp.dim, 0)
+    return SymTensor(sp, d, out)

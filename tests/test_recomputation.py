@@ -304,8 +304,8 @@ def test_classify8_certifies_membership_once(monkeypatch, tmp_path, capsys, flag
 def test_restriction_expands_each_power_once(monkeypatch, tmp_path, capsys):
     path = str(tmp_path / "petrov_i.json")
     assert main(["generate", "petrov:I", "-o", path]) == 0
-    expansions = count_calls(monkeypatch, symtensor, "_expand")
+    expansions = count_calls(monkeypatch, symtensor, "transform")
     assert main(["classify8", path]) == 0
     assert capsys.readouterr().out.startswith("type: I\n")
-    # one expansion per beta of degree 4 in two variables
+    # one push-forward per beta of degree 4 in two variables, and no other
     assert len(expansions) == 5

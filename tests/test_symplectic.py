@@ -77,7 +77,7 @@ class TestSubspaces:
 
     def test_extend_empty(self):
         sp = SymplecticSpace(1)
-        out = extend_to_lagrangian(Subspace.zero(sp))
+        out = extend_to_lagrangian(Subspace(sp, []))
         assert out == span(sp, [sp.basis_vector(0)])
 
     def test_extend_rejects_non_isotropic(self):

@@ -13,8 +13,15 @@ from hksym.exactnum import (
     ONE,
     TheoremViolationError,
     ZERO,
+    inverse,
 )
-from hksym.symplectic import SymplecticSpace, omega_pair, span
+from hksym.symplectic import (
+    QuaternionicStructure,
+    SymplecticSpace,
+    omega_pair,
+    span,
+    standard_quaternionic,
+)
 from hksym.symtensor import (
     SymTensor,
     contract,
@@ -50,6 +57,8 @@ from oracles import (
     polarization_inclusion_exclusion,
     random_vector,
     sp_action_reference,
+    tau_reference,
+    transform_reference,
 )
 
 GOLDEN_INPUTS = sorted(p for p in (Path(__file__).resolve().parent / "golden").glob("*.json")
@@ -708,6 +717,68 @@ class TestTransform:
         sp = SymplecticSpace(2)
         s = random_tensor(sp, 4, rng)
         assert transform(s, Matrix.identity(sp.dim)) == s
+
+
+def singular_map(sp, rng):
+    """A random matrix whose last column is the sum of the others."""
+    cols = [[random_gaussrat(rng) for _ in range(sp.dim)] for _ in range(sp.dim - 1)]
+    cols.append([sum(row, ZERO) for row in zip(*cols)])
+    return Matrix(cols).transpose()
+
+
+def moved_j(j, t_mat):
+    """The quaternionic structure T j T^-1, dense for a generic symplectic T."""
+    return QuaternionicStructure(j.ambient, t_mat @ j.c_matrix @ inverse(t_mat).conj())
+
+
+class TestPushForwardAgainstReference:
+    """Seeded differential tests of transform (Horner's rule) and tau (a
+    push-forward along j) against the loops they replaced: tensors of degree
+    0 to 4 on n = 1..3, as drawn and with coefficient heights raised to 300
+    bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_transform_matches_the_reference(self, n):
+        """Against the identity, random symplectic maps of 1 to 6 steps and a
+        singular map: every map at n <= 2, and at n = 3, where the reference
+        is slow, each tensor against the next map in turn, from the last."""
+        rng = random.Random(1700 + n)
+        sp = SymplecticSpace(n)
+        maps = ([Matrix.identity(sp.dim)]
+                + [random_symplectic(sp, rng, steps=steps) for steps in range(1, 7)]
+                + [singular_map(sp, rng)])
+        drawn = 0
+        for degree in range(5):
+            for bits in (None, 300):
+                t = random_tensor(sp, degree, rng)
+                if bits is not None:
+                    t = with_heights(t, rng, bits)
+                for m in maps if n < 3 else [maps[-1 - drawn % len(maps)]]:
+                    assert transform(t, m) == transform_reference(t, m)
+                drawn += 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tau_matches_the_reference(self, n):
+        """Against the standard j, the split j (dim E = 4m only) and the
+        standard j moved by a random symplectic map, which is dense."""
+        rng = random.Random(1800 + n)
+        sp = SymplecticSpace(n)
+        js = [standard_quaternionic(sp)]
+        if sp.dim % 4 == 0:
+            js.append(standard_split_j(sp))
+        js.append(moved_j(js[0], random_symplectic(sp, rng, steps=2)))
+        moved = 0
+        for degree in (0, 2, 4):
+            for bits in (None, 300):
+                t = random_tensor(sp, degree, rng)
+                if bits is not None:
+                    t = with_heights(t, rng, bits)
+                for j in js:
+                    image = tau(t, j)
+                    assert image == tau_reference(t, j)
+                    moved += image != t
+        # every draw of degree 2 and 4 is moved, so agreeing is not trivial
+        assert moved >= 2 * 2 * len(js)
 
 
 class TestQuarticFiles:
