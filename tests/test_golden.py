@@ -64,6 +64,12 @@ CASES = (
         # random_quartic_lagrangian(2, rng), t), j)
         ("non_coordinate_j", None, "analyze", ("--real", "--j"), 0),
         ("non_coordinate_j", None, "classify8", ("--real", "--j"), 0),
+        # i times the non_coordinate_j quartic, under the same j (a copy of
+        # its record): tau(iS) = -iS, so the commutator condition fails under
+        # a j off the coordinate axes; verify --reality reads the table of a
+        # quartic it has not certified
+        ("unreal_non_coordinate_j", None, "analyze", ("--real", "--j"), 2),
+        ("unreal_non_coordinate_j", None, "verify", ("--reality", "--j"), 2),
     ]
 )
 
