@@ -3,9 +3,9 @@ attached to an invariant quartic, with holonomy, curvature, support-based flat
 splitting and the automorphism algebra.
 
 Every object here comes from one table of double contractions S_{e_k,e_l},
-read off S's coefficients (its middle catalecticant, see symtensor).
-certify_invariance(s) computes it once, eliminates h = span{S_{e,e'}} in
-S^2E coordinates and the support in E as the entries come, certifies
+read off S's coefficients (its middle catalecticant, see symtensor) as S^2E
+coordinates.  certify_invariance(s) computes it once, eliminates
+h = span{S_{e,e'}} in them and the support in E as the entries come, certifies
 invariance by an isotropic support with S in S^4(support) (or finds the
 first S_{e_k,e_l} with S_{e_k,e_l} . S != 0), and returns an
 InvariantQuartic: the quartic, the table, the basis of h and the support.
@@ -13,6 +13,8 @@ The stages take that certificate (or what they consume of it) explicitly:
 holonomy(q) reads the basis of h, find_lagrangian(q) extends the support,
 flat_decomposition(q, e_plus) splits off the flat factor, and
 build_complex_algebra(q, hol) reads the [m, m] brackets off the table.
+An element of sp(E) becomes a matrix (symtensor.s2e_matrix) only where it
+acts on E: support columns, the reject path, [h, m] and the report's basis.
 
 H is the fixed plane with basis h, h', omega_H(h, h') = 1 and j_H h = h',
 j_H h' = -h, so H(x)E = E (+) E: an element of H(x)E is a flat tuple (x, y)
@@ -28,9 +30,9 @@ copies of E, and the bracket data is the one the quartic dictates:
 so the real form is m = (H(x)E)^rho = {(x, jx)}.  As h = [m, m], the [m, m]
 brackets are the holonomy generators.  One builder, _build_model, assembles
 both the complex algebra and its real form (realform.build_real_algebra) from
-the bases of h and m, their coordinates and the [m, m] brackets its caller
-already holds: the table entries here, the generator table of check_reality
-there.
+the S^2E coordinates of h's basis, the basis of m and its coordinates, and
+the [m, m] brackets its caller already holds: the table entries here, the
+generator table of check_reality there.
 """
 
 from typing import NamedTuple, Optional
@@ -43,7 +45,6 @@ from .exactnum import (
     SpanSolver,
     TheoremViolationError,
     ZERO,
-    _trusted_matrix,
     echelon_basis,
     extend_rref,
     hermitian_inertia,
@@ -62,8 +63,7 @@ from .symplectic import (
 from .symtensor import (
     double_contractions,
     is_in_sp,
-    s2e_coords,
-    s2e_flatten,
+    s2e_matrix,
     sp_action,
     table_entry,
     tensor_in_subspace_power,
@@ -79,10 +79,6 @@ class NotHyperKahlerError(Exception):
                          "witness basis pair %s" % (witness,))
 
 
-def _unflatten(v, n):
-    return _trusted_matrix(tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n)))
-
-
 class HolonomyData(NamedTuple):
     basis: tuple
     dimension: int
@@ -94,10 +90,9 @@ class HolonomyData(NamedTuple):
 class InvariantQuartic(NamedTuple):
     """Certificate that the quartic s is invariant: S_{e,e'} . S = 0.
 
-    table maps (k, l), k <= l, to S_{e_k,e_l} in lexicographic order;
-    h_rows is the canonical RREF basis of h = span of those entries, as
-    flattened d x d rows (row after row), written back from the RREF in S^2E
-    coordinates it was eliminated in; support is the column span of the
+    table maps (k, l), k <= l, to S_{e_k,e_l} in lexicographic order, as
+    S^2E coordinate tuples; h_rows is the canonical RREF basis of h = span of
+    those entries, as coordinate tuples; support is the column span of the
     entries, i.e. support(s), with its canonical RREF basis.  Two facts about
     the support are certified, and together they imply invariance: it is
     isotropic, and S lies in S^4(support).  So S lies in S^4 of every
@@ -118,9 +113,10 @@ def certify_invariance(s):
     """The InvariantQuartic of s, or NotHyperKahlerError with the first witness.
 
     The entries S_{e_k,e_l} come in lexicographic order, read off S's
-    coefficients, and all go into the table.  Each is reduced by an echelon
-    of h in S^2E coordinates, kept in place; the columns of an entry that
-    raises its rank are reduced by an echelon of the support, and a column
+    coefficients as S^2E coordinates, and all go into the table.  Each is
+    reduced by an echelon of h, kept in place; an entry that raises its rank
+    is written out as a matrix, its columns are reduced by an echelon of the
+    support, and a column
     that raises the support's rank is paired by omega with the columns kept
     before it.
 
@@ -142,10 +138,11 @@ def certify_invariance(s):
     rows, pivots = [], []
     sigma, sigma_pivots, kept = [], [], []
     entries = double_contractions(s)
-    for pair, endo in entries:
-        table[pair] = endo
-        if not extend_rref(rows, pivots, s2e_coords(endo)):
+    for pair, v in entries:
+        table[pair] = v
+        if not extend_rref(rows, pivots, v):
             continue
+        endo = s2e_matrix(v, sp.dim)
         independent.append((pair, endo))
         for k in range(sp.dim):
             col = endo.col(k)
@@ -157,17 +154,17 @@ def certify_invariance(s):
     support = Subspace(sp, sigma)
     if not tensor_in_subspace_power(s, support):
         raise TheoremViolationError("S is not contained in S^4 of its support")
-    return InvariantQuartic(s, table, tuple(s2e_flatten(row, sp.dim) for row in rows), support)
+    return InvariantQuartic(s, table, tuple(map(tuple, rows)), support)
 
 
 def _reject(s, independent, entries, rows, pivots):
-    """Raise NotHyperKahlerError at the first failing entry: the ones in
+    """Raise NotHyperKahlerError at the first failing entry: the matrices in
     independent, in order, then the rank-raising ones left in entries."""
     for pair, endo in independent:
         if not sp_action(endo, s).is_zero():
             raise NotHyperKahlerError(pair)
-    for pair, endo in entries:
-        if extend_rref(rows, pivots, s2e_coords(endo)) and not sp_action(endo, s).is_zero():
+    for pair, v in entries:
+        if extend_rref(rows, pivots, v) and not sp_action(s2e_matrix(v, s.space.dim), s).is_zero():
             raise NotHyperKahlerError(pair)
     raise TheoremViolationError("support of an invariant quartic is not isotropic")
 
@@ -195,7 +192,7 @@ def holonomy(q):
     kills the support, which holds the image of every B in h: AB = 0.
     """
     dim = q.s.space.dim
-    basis = tuple(_unflatten(v, dim) for v in q.h_rows)
+    basis = tuple(s2e_matrix(v, dim) for v in q.h_rows)
     return HolonomyData(
         basis=basis,
         dimension=len(basis),
@@ -345,11 +342,11 @@ def verify_model(model):
 def _build_model(sp, labels, h_basis, flat, m_basis, m_coords, m_brackets):
     """The bracket/metric skeleton of g = h + m with m inside H(x)E; verified.
 
-    h_basis are matrices in sp(E) with reduced row echelon rows flat(A), their
-    (possibly realified) S^2E coordinates, in which one SpanSolver reads
-    m_brackets = {(t, t2): [m_t, m_t2]}, t < t2 (pairs left out bracket to
-    zero); the brackets lie in sp(E) by construction, so their S^2E
-    coordinates determine them.  m_basis are H(x)E tuples (x, y) and
+    h_basis are the S^2E coordinates of h's basis, with reduced row echelon
+    rows flat(v) (v itself, or realified), in which one SpanSolver reads
+    m_brackets = {(t, t2): [m_t, m_t2]}, t < t2, S^2E coordinates as well
+    (pairs left out bracket to zero).  The basis acts on m as matrices,
+    written out once each.  m_basis are H(x)E tuples (x, y) and
     m_coords(v) the coordinate dict of such a v.  [h, h] stays zero (see
     holonomy); verify_jacobi checks that zero independently, as each triple
     (A, B, m) evaluates [A, B]m against it.
@@ -365,19 +362,20 @@ def _build_model(sp, labels, h_basis, flat, m_basis, m_coords, m_brackets):
         brackets[a][b] = coords
         brackets[b][a] = _dict_neg(coords)
 
-    def h_coords(mat):
-        c = solver.coords(flat(mat))
+    def h_coords(v):
+        c = solver.coords(flat(v))
         if c is None:
             raise TheoremViolationError("bracket value escaped the holonomy span (bug signal)")
         return {i: v for i, v in enumerate(c) if v}
 
     # [h, m]: [A, (x, y)] = (Ax, Ay)
-    for i, a_mat in enumerate(h_basis):
+    for i, v in enumerate(h_basis):
+        a_mat = s2e_matrix(v, dim_e)
         for t, (x, y) in enumerate(pairs):
             image = mat_vec(a_mat, x) + mat_vec(a_mat, y)
             put(i, dim_h + t, {dim_h + r: c for r, c in m_coords(image).items()})
     for (t, t2), c in m_brackets.items():
-        if not c.is_zero():
+        if any(c):
             put(dim_h + t, dim_h + t2, h_coords(c))
     # metric: g((x, y), (x', y')) = omega(x, y') - omega(y, x')
     metric = Matrix([[omega_pair(sp, x, y2) - omega_pair(sp, y, x2) for x2, y2 in pairs]
@@ -389,8 +387,9 @@ def _build_model(sp, labels, h_basis, flat, m_basis, m_coords, m_brackets):
 
 def build_complex_algebra(q, hol):
     """The complex symmetric decomposition g = h + H(x)E of an InvariantQuartic,
-    with hol = holonomy(q) as h and the unit tuples h_a (x) e_k as m, whose
-    only nonzero [m, m] brackets are [h(x)e_k, h'(x)e_l] = S_{e_k,e_l}."""
+    with h = holonomy(q), whose basis is q.h_rows, and the unit tuples
+    h_a (x) e_k as m, whose only nonzero [m, m] brackets are
+    [h(x)e_k, h'(x)e_l] = S_{e_k,e_l}."""
     sp = q.s.space
     dim_e = sp.dim
     labels = ["k%d" % (i + 1) for i in range(hol.dimension)]
@@ -399,7 +398,7 @@ def build_complex_algebra(q, hol):
     m_basis = [unit_vec(2 * dim_e, i) for i in range(2 * dim_e)]
     m_brackets = {(k, dim_e + l): table_entry(q.table, k, l)
                   for k in range(dim_e) for l in range(dim_e)}
-    return _build_model(sp, labels, hol.basis, s2e_coords, m_basis,
+    return _build_model(sp, labels, q.h_rows, lambda v: v, m_basis,
                         lambda v: {i: c for i, c in enumerate(v) if c}, m_brackets)
 
 

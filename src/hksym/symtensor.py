@@ -24,8 +24,10 @@ The table of all S_{e_k,e_l} is thus S's middle catalecticant up to these
 signs, and h = span{S_{e,e'}} is its row space.  An A in sp(E) is the
 quadratic B with A[i][m] = w_m M_{i m'} (M the symmetric matrix of B), so its
 S^2E coordinate at e_a e_b (a <= b) sits at (a, b') and again, times
-w_a w_b, at (b, a'): s2e_coords reads it at the first of the two flattened
-positions and s2e_flatten writes both back.
+w_a w_b, at (b, a').  hksym holds an element of sp(E) as the tuple of these
+coordinates, and only this module knows their layout: s2e_matrix writes
+one out as a matrix by sign flips, and quadratic and s2e_coords go to B and
+back, on which j acts as tau: j A_B j^-1 = A_{tau B}.
 """
 
 from fractions import Fraction
@@ -39,7 +41,6 @@ from .exactnum import (
     GaussRat,
     Matrix,
     ONE,
-    TheoremViolationError,
     ZERO,
     _trusted_matrix,
     from_triple,
@@ -214,20 +215,12 @@ def endo_of_quadratic(b):
     """The endomorphism x -> B_x attached to a quadratic B under sp(E) = S^2E.
 
     With B = sum M_ij e_i e_j, M symmetric, B_x = M omega_flat(x), whose i-th
-    coordinate is omega(x, M_i) = omega_flat(-M_i) . x: row i of the matrix
-    is omega_flat(-M_i), read off B's coefficients without contracting.
+    coordinate is omega(x, M_i) = omega_flat(-M_i) . x; that is the matrix
+    s2e_matrix writes out from B's S^2E coordinates.
     """
     if b.degree != 2:
         raise ContractError("endo_of_quadratic needs degree 2")
-    dim = b.space.dim
-    neg_m = [[ZERO] * dim for _ in range(dim)]
-    for alpha, c in b.coeffs.items():
-        i, j = [k for k, e in enumerate(alpha) for _ in range(e)]
-        if i == j:
-            neg_m[i][i] = -c
-        else:
-            neg_m[i][j] = neg_m[j][i] = -(c * _HALF)
-    return Matrix([omega_flat(row) for row in neg_m])
+    return s2e_matrix(s2e_coords(b), b.space.dim)
 
 
 def is_in_sp(space, a):
@@ -327,7 +320,8 @@ def double_contraction_endo(s, e, f):
 
 
 def double_contractions(s):
-    """Yield ((k, l), S_{e_k,e_l}) for k <= l in lexicographic order.
+    """Yield ((k, l), S_{e_k,e_l}) for k <= l in lexicographic order, each
+    entry as its tuple of S^2E coordinates.
 
     Every table of double contractions is read off this sequence.  Each
     entry is read straight off S's coefficients by the formula in the module
@@ -340,7 +334,8 @@ def double_contractions(s):
         raise ContractError("double contractions need a quartic")
     dim = s.space.dim
     dual, w = _duals(dim)
-    # (u, v) -> [(i, j, T_{uvij})] over the monomials x_u x_v x_i x_j of S
+    layout, index = _s2e_layout(dim)
+    # (u, v) -> [(position of e_i e_j, T_{uvij})] over the monomials u v i j of S
     filed = {}
     for alpha, c in s.coeffs.items():
         idx = [k for k, e in enumerate(alpha) for _ in range(e)]
@@ -349,15 +344,14 @@ def double_contractions(s):
             rest = list(idx)
             rest.remove(u)
             rest.remove(v)
-            filed.setdefault((u, v), []).append((rest[0], rest[1], t))
+            filed.setdefault((u, v), []).append((index[tuple(rest)], t))
     for k in range(dim):
         for l in range(k, dim):
-            rows = [[ZERO] * dim for _ in range(dim)]
+            coords = [ZERO] * len(layout)
             wkl = w[k] * w[l]
-            for i, j, t in filed.get(tuple(sorted((dual[k], dual[l]))), ()):
-                rows[i][dual[j]] = t if wkl * w[dual[j]] > 0 else -t
-                rows[j][dual[i]] = t if wkl * w[dual[i]] > 0 else -t
-            yield (k, l), _trusted_matrix(tuple(tuple(row) for row in rows))
+            for pos, t in filed.get(tuple(sorted((dual[k], dual[l]))), ()):
+                coords[pos] = t if wkl * layout[pos][4] > 0 else -t
+            yield (k, l), tuple(coords)
 
 
 # alpha!/4! for the alpha! = 1, 2, 4, 6, 24 of a degree-4 multi-index
@@ -372,46 +366,57 @@ def _duals(dim):
 
 @lru_cache(maxsize=None)
 def _s2e_layout(dim):
-    """(first, second, sign) per S^2E coordinate e_a e_b of sp(E), ordered by
-    first: the flattened positions (a, b') and (b, a') it sits at, the smaller
-    one first, and the sign w_a w_b of the second copy (None for a == b)."""
+    """(entries, index): per S^2E coordinate e_a e_b (a <= b), ordered by
+    first, the entry (first, second, sign, alpha, w): the flattened positions
+    (a, b') and (b, a') it sits at, smaller first (second None for a == b),
+    the sign w_a w_b of the second copy, the monomial alpha = e_a e_b, and
+    w = w_c for first = (r, c), so that by A[r][c] = w_c M_{r c'} the
+    quadratic's coefficient at alpha is w times the coordinate, doubled off
+    the diagonal; index maps (a, b) to the position.  A flattened RREF and
+    its S^2E coordinates have the same pivots."""
     dual, w = _duals(dim)
     out = []
     for a in range(dim):
         for b in range(a, dim):
             first, second = sorted((a * dim + dual[b], b * dim + dual[a]))
-            out.append((first, second if a != b else None, w[a] * w[b]))
+            alpha = tuple((k == a) + (k == b) for k in range(dim))
+            second = second if a != b else None
+            out.append((first, second, w[a] * w[b], alpha, w[first % dim], (a, b)))
     out.sort()
-    return tuple(out)
+    return tuple(entry[:5] for entry in out), {entry[5]: pos for pos, entry in enumerate(out)}
 
 
-def s2e_coords(a):
-    """The S^2E coordinates of A in sp(E), as a list: the entry at the first
-    flattened position of each e_a e_b, in the order of those positions.
-    Every flattened position holds plus or minus one of them, so a canonical
-    RREF of flattened rows and its S^2E coordinates have the same pivots.
-    Each second position is checked against its first: an A outside sp(E)
-    is a bug signal here, never projected onto S^2E."""
-    dim = a.nrows
-    data = a.data
-    out = []
-    for first, second, sign in _s2e_layout(dim):
-        c = data[first // dim][first % dim]
-        if second is not None:
-            c2 = data[second // dim][second % dim]
-            if c2 != (c if sign > 0 or not c else -c):
-                raise TheoremViolationError("matrix outside sp(E) (bug signal)")
-        out.append(c)
-    return out
-
-
-def s2e_flatten(v, dim):
-    """The flattened d x d matrix in sp(E) with S^2E coordinates v."""
+def s2e_matrix(v, dim):
+    """The d x d matrix in sp(E) with S^2E coordinates v, by sign flips."""
     out = [ZERO] * (dim * dim)
-    for (first, second, sign), c in zip(_s2e_layout(dim), v):
+    for (first, second, sign, _, _), c in zip(_s2e_layout(dim)[0], v):
         out[first] = c
         if second is not None:
-            out[second] = c if sign > 0 else -c
+            out[second] = c if sign > 0 or not c else -c
+    return _trusted_matrix(tuple(tuple(out[i * dim:(i + 1) * dim]) for i in range(dim)))
+
+
+def quadratic(space, v):
+    """The quadratic B in S^2E whose endomorphism A_B has S^2E coordinates v."""
+    coeffs = {}
+    for (_, second, _, alpha, w), c in zip(_s2e_layout(space.dim)[0], v):
+        if c:
+            c = c if w > 0 else -c
+            coeffs[alpha] = c if second is None else c + c
+    return SymTensor(space, 2, coeffs)
+
+
+def s2e_coords(b):
+    """The S^2E coordinates of the quadratic b, as a tuple: the inverse of quadratic."""
+    if b.degree != 2:
+        raise ContractError("s2e_coords needs a quadratic")
+    layout, index = _s2e_layout(b.space.dim)
+    out = [ZERO] * len(layout)
+    for alpha, c in b.coeffs.items():
+        pos = index[tuple(k for k, e in enumerate(alpha) for _ in range(e))]
+        _, second, _, _, w = layout[pos]
+        c = c if second is None else c * _HALF
+        out[pos] = c if w > 0 else -c
     return tuple(out)
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures.  The convention gate runs before everything else: the
-three pinned anchor values and two values of the real structure tau must
-reproduce exactly or no other test is meaningful."""
+three pinned anchor values, two values of the real structure tau and one of
+its action sigma on sp(E) must reproduce exactly or no other test is
+meaningful."""
 
 import random
 from fractions import Fraction
@@ -11,6 +12,8 @@ from hksym.exactnum import GaussRat, I_UNIT
 from hksym.symplectic import SymplecticSpace, standard_split_j
 from hksym.symtensor import SymTensor, contract, endo_of_quadratic, eval_on_vectors, sp_action, tau
 
+from oracles import sigma_reference
+
 
 def linear(sp, k):
     return SymTensor.linear(sp, sp.basis_vector(k))
@@ -18,8 +21,8 @@ def linear(sp, k):
 
 @pytest.fixture(scope="session", autouse=True)
 def anchor_gate():
-    """The three convention anchors and the tau anchor; everything
-    downstream assumes them."""
+    """The three convention anchors, the tau anchor and the sigma anchor;
+    everything downstream assumes them."""
     sp = SymplecticSpace(1)
     p = linear(sp, 0)
     q = linear(sp, 1)
@@ -40,6 +43,11 @@ def anchor_gate():
     p1, p2 = linear(sp2, 0), linear(sp2, 1)
     assert tau((p1 ** 3) * p2, j) == -(p1 * p2 ** 3)
     assert tau((p1 ** 4).scale(I_UNIT), j) == (p2 ** 4).scale(-I_UNIT)
+    # sigma anchor: j acts on sp(E) = S^2E as tau, so for the same j
+    # sigma(A_{p1 q2}) = A_{tau(p1 q2)} = -A_{p2 q1}
+    q1, q2 = linear(sp2, 2), linear(sp2, 3)
+    assert tau(p1 * q2, j) == -(p2 * q1)
+    assert sigma_reference(endo_of_quadratic(p1 * q2), j) == endo_of_quadratic(-(p2 * q1))
 
 
 @pytest.fixture

@@ -25,12 +25,14 @@ double contractions, and the generators S_{je,e'} -/+ S_{e,je'} over basis
 pairs.  real_holonomy_from_generators is the real holonomy before it was
 read off the complex basis as h^sigma: the realified generators eliminated
 over Q, each basis element checked to commute with j as A C = C conj(A).
+sigma_reference is j's action A -> j A j^-1 = C conj(A) C^-1 on sp(E) as
+matrix products, before it was tau on S^2E.
 sp_action_reference is the action of sp(E) on tensors before it summed
 Gaussian-integer numerators over one common denominator: one GaussRat
-product and subtraction per term.  off_sp breaks one symmetric pair of an sp(E) matrix, for the bug-signal
-tests.  double_contractions_by_contraction is the table of double contractions
-before it was read off S's coefficients: two omega-contractions per entry,
-turned into an endomorphism by endo_of_quadratic.
+product and subtraction per term.  double_contractions_by_contraction is the
+table of double contractions before it was read off S's coefficients: two
+omega-contractions per entry, turned into an endomorphism by
+endo_of_quadratic.
 certify_invariance_all_entries is the invariance check before it
 skipped the entries in the span of earlier ones and before it accepted by
 the isotropic support: sp_action_reference on every entry of that table, then the
@@ -74,7 +76,6 @@ from hksym.exactnum import (
     unit_vec,
 )
 from hksym.generators import random_gaussrat
-from hksym.hkalgebra import _unflatten
 from hksym.realform import _realify, _unrealify
 from hksym.symtensor import SymTensor, contract, double_contraction_endo, is_in_sp, table_entry
 from hksym.symplectic import SymplecticSpace, omega_sharp, span, standard_quaternionic
@@ -640,7 +641,7 @@ def real_holonomy_from_generators(gens, j):
     dim = j.ambient.dim
     c = j.c_matrix
     rows = [_realify(flatten(g)) for g in gens if not g.is_zero()]
-    basis = [_unflatten(_unrealify(v), dim) for v in echelon_basis(rows)]
+    basis = [unflatten(_unrealify(v), dim) for v in echelon_basis(rows)]
     for a in basis:
         assert a @ c == c @ a.conj(), "real holonomy element does not commute with j"
     return basis
@@ -649,6 +650,18 @@ def real_holonomy_from_generators(gens, j):
 def flatten(m):
     """A matrix as one row: its rows laid end to end."""
     return tuple(e for row in m.data for e in row)
+
+
+def unflatten(v, n):
+    """The n x n matrix whose rows laid end to end are v: the inverse of flatten."""
+    return Matrix([list(v[i * n:(i + 1) * n]) for i in range(n)])
+
+
+def sigma_reference(a, j):
+    """sigma(A) = C conj(A) C^-1 = -C conj(A C), as C^-1 = -conj(C); A
+    commutes with j, A C = C conj(A), exactly when sigma(A) = A."""
+    c = j.c_matrix
+    return -(c @ (a @ c).conj())
 
 
 def sp_action_reference(a, t):
@@ -674,24 +687,6 @@ def sp_action_reference(a, t):
                 key = tuple(key)
                 out[key] = out.get(key, ZERO) - ec * alk
     return SymTensor(space, t.degree, out)
-
-
-def off_sp(a):
-    """A in sp(E) with one entry negated so that the result leaves sp(E):
-    the later of the two flattened positions (i, m) and (m', i') that hold
-    one S^2E coordinate, for the first such nonzero pair (k' the omega-dual
-    index).  Reading only the earlier positions still gives A's coordinates.
-    """
-    d = a.nrows
-    rows = [list(row) for row in a.data]
-    for i in range(d):
-        for m in range(d):
-            partner = ((m + d // 2) % d, (i + d // 2) % d)
-            if rows[i][m] and partner != (i, m):
-                r, c = max((i, m), partner)
-                rows[r][c] = -rows[r][c]
-                return Matrix(rows)
-    raise ValueError("A has no off-diagonal S^2E coordinate to break")
 
 
 def double_contractions_by_contraction(s):

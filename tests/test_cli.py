@@ -13,8 +13,6 @@ from hksym.cli import main
 from hksym.symplectic import MAX_N, SymplecticSpace
 from hksym.symtensor import quartic_from_dict
 
-from oracles import off_sp
-
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -231,32 +229,19 @@ class TestAnalyze:
         assert err.startswith("internal error: real holonomy dimension ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("stage", ["table", "brackets"])
-    def test_entry_outside_sp_exits_3(self, capsys, monkeypatch, tmp_path, stage):
-        # table entries and [m, m] brackets are read in S^2E coordinates,
-        # which only determine a matrix in sp(E): one that has left sp(E)
-        # is a bug signal, in certify_invariance or in the algebra builder
+    def test_bracket_outside_the_holonomy_exits_3(self, capsys, monkeypatch, tmp_path):
+        # the [m, m] brackets are table entries, read in the span of h: an
+        # entry that leaves it is a bug signal of the algebra builder
         import hksym.hkalgebra as hkalgebra
+        from hksym.exactnum import ONE
 
         path = str(tmp_path / "lagrangian_2.json")
         run_cli(capsys, "generate", "random-lagrangian:2", "--seed", "1", "-o", path)
-
-        def breaks(c):
-            try:
-                return off_sp(c)
-            except ValueError:
-                return c
-
-        if stage == "table":
-            honest = hkalgebra.double_contractions
-            monkeypatch.setattr(hkalgebra, "double_contractions",
-                                lambda s: ((pair, breaks(c)) for pair, c in honest(s)))
-        else:
-            honest = hkalgebra.table_entry
-            monkeypatch.setattr(hkalgebra, "table_entry",
-                                lambda table, k, l: breaks(honest(table, k, l)))
+        honest = hkalgebra.table_entry
+        monkeypatch.setattr(hkalgebra, "table_entry",
+                            lambda table, k, l: honest(table, k, l)[:-1] + (ONE,))
         assert run_cli(capsys, "analyze", path) == (
-            3, "", "internal error: matrix outside sp(E) (bug signal)\n")
+            3, "", "internal error: bracket value escaped the holonomy span (bug signal)\n")
 
     @pytest.mark.parametrize("failing_call, message", [
         (2, "extend_to_lagrangian produced a non-isotropic subspace"),

@@ -24,7 +24,7 @@ from hksym.exactnum import (
     vec_is_zero,
 )
 
-from hksym.hkalgebra import _unflatten
+from hksym.symtensor import s2e_matrix
 
 from oracles import RefGaussRat, dense_matmul, rref_reference
 
@@ -395,9 +395,9 @@ class TestMatrixConstruction:
         # operations build their results unchecked; each must still pass
         # the constructor's checks and have the shape of its rows
         a, b, c = rand_invertible(rng, 3), rand_matrix(rng, 3, 3), rand_matrix(rng, 2, 3)
-        flat = tuple(rand_gauss(rng) for _ in range(9))
+        coords = tuple(rand_gauss(rng) for _ in range(10))
         for m in (a @ c.transpose(), a + b, a - b, -a, a.scale(I_UNIT), c.transpose(), c.conj(),
-                  inverse(a), _unflatten(flat, 3)):
+                  inverse(a), s2e_matrix(coords, 4)):
             assert type(m.data) is tuple and all(type(row) is tuple for row in m.data)
             assert m == Matrix(m.data)
             assert (m.nrows, m.ncols) == (len(m.data), len(m.data[0]))

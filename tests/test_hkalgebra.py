@@ -24,6 +24,7 @@ from hksym.symtensor import (
     double_contractions,
     endo_of_quadratic,
     quartic_from_dict,
+    s2e_matrix,
     support,
     table_entry,
     transform,
@@ -32,7 +33,6 @@ from hksym.hkalgebra import (
     HolonomyData,
     NotHyperKahlerError,
     _build_model,
-    _unflatten,
     analyze_quartic,
     build_complex_algebra,
     certify_invariance,
@@ -66,6 +66,7 @@ from oracles import (
     flatten,
     random_invertible,
     ricci_by_adjoint_matrices,
+    unflatten,
 )
 
 
@@ -87,7 +88,7 @@ def span_of_double_contractions(s):
     """HolonomyData of span{S_{e,e'}} for any quartic, invariant or not, with
     the derived series of the reference."""
     rows = echelon_basis([flatten(m) for _, m in double_contractions_by_contraction(s)])
-    mats = tuple(_unflatten(v, s.space.dim) for v in rows)
+    mats = tuple(unflatten(v, s.space.dim) for v in rows)
     _, series = derived_series_reference(mats)
     return HolonomyData(
         basis=mats,
@@ -127,7 +128,7 @@ class TestInvariance:
             pairs = [(k, l) for k in range(sp.dim) for l in range(k, sp.dim)]
             assert list(q.table) == pairs
             for k, l in pairs:
-                assert q.table[(k, l)] == double_contraction_endo(
+                assert s2e_matrix(q.table[(k, l)], sp.dim) == double_contraction_endo(
                     s, sp.basis_vector(k), sp.basis_vector(l))
             assert q.support == support(s)
             assert q.s is s
@@ -169,9 +170,10 @@ class TestInvarianceAgainstAllEntries:
             assert witness is not None and exc.witness == witness
             return witness
         assert witness is None
-        assert list(q.table.items()) == list(table.items())
+        d = s.space.dim
+        assert [(pair, s2e_matrix(v, d)) for pair, v in q.table.items()] == list(table.items())
         assert q.support == sup
-        assert q.h_rows == rows and is_rref(q.h_rows)
+        assert tuple(flatten(s2e_matrix(v, d)) for v in q.h_rows) == rows and is_rref(q.h_rows)
         assert tuple(flatten(m) for m in holonomy(q).basis) == rows
         return None
 
@@ -266,7 +268,7 @@ class TestAbelianAgainstDerivedSeries:
         if not rep.commutator_condition_ok:
             return 0
         h_real = real_holonomy(q, rep)
-        brackets, series = derived_series_reference(h_real)
+        brackets, series = derived_series_reference([endo_of_quadratic(b) for b in h_real])
         assert brackets == {}
         r = len(h_real)
         assert series == ((r, 0) if r else (0,))
@@ -352,13 +354,14 @@ class TestHolonomy:
         sp = SymplecticSpace(1)
         s = (lin(sp, 0) ** 3) * lin(sp, 1)
         table = dict(double_contractions(s))
-        hol = span_of_double_contractions(s)
+        h_rows = echelon_basis(table.values())
+        assert len(h_rows) == span_of_double_contractions(s).dimension == 2
         d = sp.dim
-        labels = ["k%d" % (i + 1) for i in range(hol.dimension)]
+        labels = ["k%d" % (i + 1) for i in range(len(h_rows))]
         labels += ["m%d" % (t + 1) for t in range(2 * d)]
         m_brackets = {(k, d + l): table_entry(table, k, l) for k in range(d) for l in range(d)}
         with pytest.raises(TheoremViolationError) as info:
-            _build_model(sp, labels, hol.basis, flatten,
+            _build_model(sp, labels, h_rows, lambda v: v,
                          [unit_vec(2 * d, t) for t in range(2 * d)],
                          lambda v: {i: c for i, c in enumerate(v) if c}, m_brackets)
         kind, witness = str(info.value).split(": ", 1)

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -24,12 +25,14 @@ from hksym.symtensor import (
     SymTensor,
     double_contraction_endo,
     double_contractions,
+    endo_of_quadratic,
     quartic_from_dict,
+    s2e_coords,
+    s2e_matrix,
     support,
     tau,
 )
 from hksym.hkalgebra import (
-    _unflatten,
     build_complex_algebra,
     certify_invariance,
     verify_grading,
@@ -40,7 +43,6 @@ from hksym.realform import (
     RealityError,
     _generator_table,
     _realify,
-    _sigma,
     _unrealify,
     build_real_algebra,
     check_reality,
@@ -66,8 +68,11 @@ from oracles import (
     real_holonomy_generators,
     rho_candidate_sweep,
     rho_reference,
+    sigma_reference,
+    unflatten,
 )
 from test_hkalgebra import REAL_GOLDEN, golden_case
+from test_symtensor import random_height_gaussrat
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -90,6 +95,11 @@ def real_model(s, j):
 
 def complex_holonomy(s):
     return holonomy(certify_invariance(s))
+
+
+def endos(quadratics):
+    """The matrices in sp(E) of quadratics, such as real_holonomy's basis."""
+    return [endo_of_quadratic(b) for b in quadratics]
 
 
 def non_coordinate_split(sp, rng):
@@ -165,8 +175,8 @@ class TestCheckReality:
             gens = _generator_table(j, dict(double_contractions(s)))
             assert list(gens) == [(k, l) for k in range(d) for l in range(k, d)]
             for (k, l), (a, b) in gens.items():
-                assert a == bracket(m[k], m[l]) == bracket(m[d + k], m[d + l])
-                assert b == bracket(m[k], m[d + l]) == bracket(m[l], m[d + k])
+                assert endo_of_quadratic(a) == bracket(m[k], m[l]) == bracket(m[d + k], m[d + l])
+                assert endo_of_quadratic(b) == bracket(m[k], m[d + l]) == bracket(m[l], m[d + k])
 
     def test_report_carries_real_holonomy(self, dim4, rng):
         # the report carries j and the generator table the real holonomy and
@@ -177,8 +187,8 @@ class TestCheckReality:
         rep = check_reality(s, j, q.table)
         assert rep.generators == _generator_table(j, q.table)
         assert rep.j is j
-        gens = [g for pair in rep.generators.values() for g in pair]
-        assert real_holonomy(q, rep) == real_holonomy_from_generators(gens, j)
+        gens = endos(g for pair in rep.generators.values() for g in pair)
+        assert endos(real_holonomy(q, rep)) == real_holonomy_from_generators(gens, j)
         q_failed = certify_invariance(s.scale(I_UNIT))
         failed = check_reality(q_failed.s, j, q_failed.table)
         assert not failed.commutator_condition_ok
@@ -193,7 +203,8 @@ class TestCheckReality:
         sp, j = dim4
         s = SymTensor.monomial(sp, (1, 3, 0, 0)).scale(GaussRat(Fraction(-1, 2)) * I_UNIT)
         gens = _generator_table(j, dict(double_contractions(s)))
-        assert all(_sigma(a, j) == a for a, _ in gens.values())
+        assert all(tau(a, j) == a for a, _ in gens.values())
+        assert all(sigma_reference(a, j) == a for a in endos(a for a, _ in gens.values()))
         rep = reality(s, j)
         assert not rep.commutator_condition_ok and not rep.tau_fixed
 
@@ -227,18 +238,20 @@ class TestCheckReality:
 class TestRealHolonomy:
     @pytest.mark.parametrize("kind", ["split", "definite", "non-coordinate"])
     def test_sigma_is_the_antilinear_involution_fixing_the_commutant(self, kind, rng):
-        # sigma(sigma A) = A, sigma(iA) = -i sigma(A), and sigma(A) = A
-        # exactly when A C = C conj(A): true for A + sigma(A), false for a
-        # random A
+        # sigma is tau on S^2E: tau(tau B) = B, tau(iB) = -i tau(B), and
+        # tau(B) = B exactly when A_B C = C conj(A_B): true for B + tau(B),
+        # false for a random B
         _, j = _h_formula_case(kind)
-        c, d = j.c_matrix, j.ambient.dim
+        c, sp = j.c_matrix, j.ambient
+        full = SymTensor.linear(sp, [ONE] * sp.dim) ** 2
         for _ in range(3):
-            a = Matrix([[random_gaussrat(rng) for _ in range(d)] for _ in range(d)])
-            assert _sigma(_sigma(a, j), j) == a
-            assert _sigma(a.scale(I_UNIT), j) == _sigma(a, j).scale(-I_UNIT)
-            for b in (a, a + _sigma(a, j)):
-                assert (_sigma(b, j) == b) == (b @ c == c @ b.conj())
-            assert _sigma(a, j) != a
+            b = SymTensor(sp, 2, {alpha: random_gaussrat(rng) for alpha in full.coeffs})
+            assert tau(tau(b, j), j) == b
+            assert tau(b.scale(I_UNIT), j) == tau(b, j).scale(-I_UNIT)
+            for fixed in (b, b + tau(b, j)):
+                a = endo_of_quadratic(fixed)
+                assert (tau(fixed, j) == fixed) == (a @ c == c @ a.conj())
+            assert tau(b, j) != b
 
     def test_zero_quartic_empty(self, dim4):
         sp, j = dim4
@@ -250,8 +263,10 @@ class TestRealHolonomy:
         c = j.c_matrix
         basis = real_holonomy_of(s, j)
         assert basis
-        for a in basis:
-            assert _sigma(a, j) == a
+        for b in basis:
+            a = endo_of_quadratic(b)
+            assert tau(b, j) == b
+            assert sigma_reference(a, j) == a
             assert a @ c == c @ a.conj()
 
     def test_dimension_bound(self):
@@ -292,7 +307,7 @@ class TestRealHolonomy:
                 rows.append(realify_matrix(m))
                 rows.append(realify_matrix(m.scale(I_UNIT)))
             rows = echelon_basis(rows)
-            basis_mats = [_unflatten(_unrealify(v), sp.dim) for v in rows]
+            basis_mats = [unflatten(_unrealify(v), sp.dim) for v in rows]
             constraint_cols = []
             for b in basis_mats:
                 resid = b @ j.c_matrix - j.c_matrix @ b.conj()
@@ -307,10 +322,39 @@ class TestRealHolonomy:
     def test_pairwise_commuting_for_lagrangian_support(self, dim4, rng):
         sp, j = dim4
         s, _ = random_tau_fixed(1, rng)
-        basis = real_holonomy_of(s, j)
+        basis = endos(real_holonomy_of(s, j))
         for i in range(len(basis)):
             for k in range(i + 1, len(basis)):
                 assert (basis[i] @ basis[k] - basis[k] @ basis[i]).is_zero()
+
+
+def _sigma_case_j(n, kind):
+    sp = SymplecticSpace(n)
+    if kind == "definite":
+        return standard_quaternionic(sp)
+    if kind == "split":
+        return standard_split_j(sp)
+    return golden_case(GOLDEN / "non_coordinate_j.json")[1]
+
+
+class TestSigmaIsTau:
+    """j acts on sp(E) by sigma(A) = C conj(A) C^-1 and on S^2E by tau, and
+    the two agree on every quadratic B: sigma(A_B) = A_{tau B}.  Seeded
+    quadratics with coefficients of up to 300 bits, half of them zero,
+    against the matrix-product reference."""
+
+    @pytest.mark.parametrize("n,kind", [(1, "definite"), (2, "definite"), (3, "definite"),
+                                        (2, "split"), (2, "non-coordinate")])
+    def test_sigma_of_a_quadratic_is_its_tau(self, n, kind):
+        rng = random.Random("sigma-is-tau-%d-%s" % (n, kind))
+        j = _sigma_case_j(n, kind)
+        sp = j.ambient
+        full = SymTensor.linear(sp, [ONE] * sp.dim) ** 2
+        for _ in range(4):
+            b = SymTensor(sp, 2, {alpha: random_height_gaussrat(rng, rng.choice((4, 64, 300)))
+                                  for alpha in full.coeffs if rng.random() < 0.5})
+            a = s2e_matrix(s2e_coords(b), sp.dim)
+            assert s2e_matrix(s2e_coords(tau(b, j)), sp.dim) == sigma_reference(a, j)
 
 
 class TestSymmetrize:
@@ -459,7 +503,7 @@ def _models_with_bases(s, j):
     hol = holonomy(q)
     units = [unit_vec(2 * s.space.dim, i) for i in range(2 * s.space.dim)]
     return [
-        (build_real_algebra(q, rep, h_real), h_real, real_m_basis(j), True),
+        (build_real_algebra(q, rep, h_real), endos(h_real), real_m_basis(j), True),
         (build_complex_algebra(q, hol), hol.basis, units, False),
     ]
 
@@ -559,9 +603,10 @@ class TestBracketsAgainstWalk:
             h_basis, m_basis = hol.basis, [unit_vec(2 * d, i) for i in range(2 * d)]
         else:
             rep = check_reality(s, j, q.table)
-            h_basis, m_basis = real_holonomy(q, rep), real_m_basis(j)
-            model = build_real_algebra(q, rep, h_basis)
-        walk = mm_bracket_walk(q.table, m_basis)
+            h_real, m_basis = real_holonomy(q, rep), real_m_basis(j)
+            model = build_real_algebra(q, rep, h_real)
+            h_basis = endos(h_real)
+        walk = mm_bracket_walk({pair: s2e_matrix(v, d) for pair, v in q.table.items()}, m_basis)
         dh = model.dim_h
         for (t, t2), expected in walk.items():
             got = Matrix.zeros(d, d)
@@ -582,6 +627,6 @@ class TestBracketsAgainstWalk:
         expected = real_holonomy_from_generators(real_holonomy_generators(jt), j)
         q = certify_invariance(s)
         rep = check_reality(s, j, q.table)
-        assert real_holonomy(q, rep) == expected
-        gens = [g for pair in rep.generators.values() for g in pair]
+        assert endos(real_holonomy(q, rep)) == expected
+        gens = endos(g for pair in rep.generators.values() for g in pair)
         assert real_holonomy_from_generators(gens, j) == expected

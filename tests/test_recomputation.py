@@ -17,9 +17,13 @@ accepted quartic makes no sp_action call; a rejection acts on S only the
 entries that raise the rank of h, up to its witness.  holonomy(q) reads the
 basis of h that certify_invariance eliminated on the way, without a second
 elimination.  [h, h] = 0 follows from the isotropy of the support, so
-holonomy(q) and both algebra builders make no matrix product at all.  The real holonomy is h^sigma, read off that same basis by one
-elimination of 2 dim h rows, and only when the real algebra is built: a
-reality verdict alone eliminates nothing.  The table takes no matrix product
+holonomy(q) and both algebra builders make no matrix product at all.  The
+table is held in S^2E coordinates: certify_invariance writes an entry out
+as a matrix only when it raises the rank of h, for its support columns.
+The real form acts on sp(E) = S^2E by tau on quadratics, so it multiplies
+no matrices either.  The real holonomy is h^tau, read off that same basis
+by one elimination of 2 dim h rows, and only when the real algebra is
+built: a reality verdict alone eliminates nothing.  The table takes no matrix product
 or transpose, a span is eliminated once, and restricting a quartic to a
 basis expands each symmetric power of the basis once.  The real form reads
 the table once, into its J table S_{je_k,e_l}: the real algebra takes its
@@ -198,6 +202,33 @@ def test_holonomy_and_algebras_multiply_no_matrices(monkeypatch, kind):
     build_real_algebra(q, rep, h_real)
     assert hol.derived_series_lengths == (hol.dimension, 0)
     assert len(products) == 0
+
+
+@pytest.mark.parametrize("stem", ["real_1", "real_2", "non_coordinate_j"])
+def test_real_form_multiplies_no_matrices(monkeypatch, stem):
+    # j acts on sp(E) = S^2E as tau on the quadratics: the commutator
+    # condition, h^tau and the real algebra take no matrix product
+    s = golden_quartic(stem)
+    j_path = GOLDEN / ("%s.j.json" % stem)
+    j = (symplectic.quaternionic_from_json(json.loads(j_path.read_text(encoding="utf-8")), s.space)
+         if j_path.exists() else standard_split_j(s.space))
+    q = certify_invariance(s)
+    products = count_calls(monkeypatch, Matrix, "__matmul__")
+    rep = check_reality(s, j, q.table)
+    build_real_algebra(q, rep, real_holonomy(q, rep))
+    assert rep.commutator_condition_ok
+    assert len(products) == 0
+
+
+def test_certify_invariance_writes_out_the_rank_raising_entries_only(monkeypatch):
+    # the table stays in S^2E coordinates; each of the dim h = 6 entries
+    # that raise the rank of h becomes a matrix once, for its support
+    # columns, and the other 15 entries never do
+    s = make_generator("random-lagrangian:3", 7)
+    matrices = count_calls(monkeypatch, symtensor, "_trusted_matrix")
+    q = certify_invariance(s)
+    assert len(q.h_rows) == len(matrices) == 6
+    assert len(q.table) == table_size(s) == 21
 
 
 @pytest.mark.parametrize("stem", ["real_2", "tau_fixed_full_2"])

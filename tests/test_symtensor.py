@@ -11,7 +11,6 @@ from hksym.exactnum import (
     I_UNIT,
     Matrix,
     ONE,
-    TheoremViolationError,
     ZERO,
     inverse,
 )
@@ -33,8 +32,9 @@ from hksym.symtensor import (
     quartic_from_dict,
     quartic_to_dict,
     restrict_to_basis,
+    quadratic,
     s2e_coords,
-    s2e_flatten,
+    s2e_matrix,
     sp_action,
     _over_lcms,
     support,
@@ -52,8 +52,8 @@ from hksym.generators import (
 
 from oracles import (
     double_contractions_by_contraction,
+    endo_by_contraction,
     flatten,
-    off_sp,
     polarization_inclusion_exclusion,
     random_vector,
     sp_action_reference,
@@ -355,7 +355,10 @@ class TestSpAction:
     def test_rejects_a_matrix_just_outside_sp(self, n):
         rng = random.Random(90 + n)
         sp = SymplecticSpace(n)
-        a = off_sp(random_sp_matrix(sp, rng, 8))
+        # negate the second copy of the S^2E coordinate at (0, n): A[n][n] = -A[0][0]
+        rows = random_sp_matrix(sp, rng, 8).rows_list()
+        rows[n][n] = -rows[n][n]
+        a = Matrix(rows)
         with pytest.raises(ContractError, match="not in sp"):
             sp_action(a, random_quartic_full(sp, rng))
 
@@ -523,7 +526,10 @@ class TestTableOffTheCoefficients:
 
     @staticmethod
     def assert_same_table(s):
-        assert list(double_contractions(s)) == list(double_contractions_by_contraction(s))
+        entries = list(double_contractions(s))
+        assert all(type(v) is tuple for _, v in entries)
+        assert ([(pair, s2e_matrix(v, s.space.dim)) for pair, v in entries]
+                == list(double_contractions_by_contraction(s)))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_random_full_quartics(self, n):
@@ -554,46 +560,27 @@ class TestS2ECoordinates:
     def test_roundtrip_on_sp(self, n, rng):
         sp = SymplecticSpace(n)
         for _ in range(5):
-            a = random_sp_element(sp, rng)
-            coords = s2e_coords(a)
+            b = random_tensor(sp, 2, rng)
+            coords = s2e_coords(b)
             assert len(coords) == sp.dim * (sp.dim + 1) // 2
-            assert s2e_flatten(coords, sp.dim) == flatten(a)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_refuses_a_matrix_outside_sp(self, n, rng):
-        # each flattened position is moved in turn: s2e_coords reads the
-        # matrix exactly when is_in_sp accepts it (d positions, one per
-        # e_a^2) and otherwise raises instead of dropping the broken copy
-        sp = SymplecticSpace(n)
-        d = sp.dim
-        a = random_sp_element(sp, rng)
-        accepted = 0
-        for pos in range(d * d):
-            flat = list(flatten(a))
-            flat[pos] = flat[pos] + ONE
-            b = Matrix([flat[i * d:(i + 1) * d] for i in range(d)])
-            if is_in_sp(sp, b):
-                accepted += 1
-                assert s2e_flatten(s2e_coords(b), d) == tuple(flat)
-            else:
-                with pytest.raises(TheoremViolationError, match="outside sp"):
-                    s2e_coords(b)
-        assert accepted == d
+            assert quadratic(sp, coords) == b
+            assert s2e_matrix(coords, sp.dim) == endo_by_contraction(b)
 
     def test_coordinates_come_in_flattened_order(self):
         # each unit coordinate fills one or two flattened positions, the
         # first ones increase, and together they cover every position once:
         # so a flattened RREF and its S^2E coordinates share their pivots
-        d = SymplecticSpace(2).dim
+        sp = SymplecticSpace(2)
+        d = sp.dim
         width = d * (d + 1) // 2
         firsts, covered = [], []
         for t in range(width):
-            unit = [ONE if u == t else ZERO for u in range(width)]
-            flat = s2e_flatten(unit, d)
+            unit = tuple(ONE if u == t else ZERO for u in range(width))
+            flat = flatten(s2e_matrix(unit, d))
             filled = [k for k, e in enumerate(flat) if e]
             firsts.append(filled[0])
             covered += filled
-            assert s2e_coords(Matrix([flat[i * d:(i + 1) * d] for i in range(d)])) == unit
+            assert s2e_coords(quadratic(sp, unit)) == unit
         assert firsts == sorted(firsts)
         assert sorted(covered) == list(range(d * d))
 
