@@ -11,7 +11,7 @@ results are reproducible byte for byte.  There is no floating point anywhere.
 import re as _re
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class ScalarError(Exception):
@@ -425,6 +425,40 @@ def rank_kernel(m):
             v[p] = -rows[i][f]
         kernel.append(tuple(v))
     return rank, kernel, pivots
+
+
+# a prime = 3 (mod 4): -1 is no square modulo it, so Z[i]/(P) is a field
+MODULUS = 2 ** 61 - 1
+
+
+def modular_rank(rows, target):
+    """The rank of the rows modulo P = MODULUS, read until it reaches target.
+
+    Each row is scaled to Gaussian integers by the lcm of its denominators
+    and reduced into Z[i]/(P) = F_{P^2}.  That is a ring map, so the result
+    never exceeds the rank over Q(i), even when P divides a denominator."""
+    p = MODULUS
+    tails = {}  # pivot c -> its row from c on as (re, im) pairs, leading with 1
+    for row in rows if target else ():
+        if not any(row):
+            continue
+        den = lcm(*(z._d for z in row))
+        v = [(z._a * (den // z._d) % p, z._b * (den // z._d) % p) for z in row]
+        for c in sorted(tails):
+            fr, fi = v[c][0] % p, v[c][1] % p  # v is reduced only here and at the end
+            if fr or fi:
+                v[c:] = [(x - fr * a + fi * b, y - fr * b - fi * a)
+                         for (x, y), (a, b) in zip(v[c:], tails[c])]
+        lead = next((c for c, (x, y) in enumerate(v) if x % p or y % p), None)
+        if lead is None:
+            continue
+        # scale by 1/(x + iy) = (x - iy)/(x^2 + y^2), as x^2 + y^2 != 0 mod P
+        x, y = v[lead]
+        u = pow(x * x + y * y, -1, p)
+        tails[lead] = [((a * x + b * y) * u % p, (b * x - a * y) * u % p) for a, b in v[lead:]]
+        if len(tails) == target:
+            break
+    return len(tails)
 
 
 def solve_linear(m, b):

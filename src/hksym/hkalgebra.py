@@ -2,19 +2,19 @@
 attached to an invariant quartic, with holonomy, curvature, support-based flat
 splitting and the automorphism algebra.
 
-Every object here comes from one table of double contractions S_{e_k,e_l},
-read off S's coefficients (its middle catalecticant, see symtensor) as S^2E
-coordinates.  certify_invariance(s) computes it once, eliminates
-h = span{S_{e,e'}} in them and the support in E as the entries come, certifies
-invariance by an isotropic support with S in S^4(support) (or finds the
-first S_{e_k,e_l} with S_{e_k,e_l} . S != 0), and returns an
-InvariantQuartic: the quartic, the table, the basis of h and the support.
+Every object here is read off S's coefficients.  certify_invariance(s)
+certifies invariance by an isotropic support Sigma with S in S^4(Sigma) (or
+finds the first S_{e_k,e_l} with S_{e_k,e_l} . S != 0), reads the table of
+double contractions S_{e_k,e_l} (S's middle catalecticant, see symtensor) as
+S^2E coordinates, and certifies h = span of the table = S^2(Sigma) by a rank
+modulo a prime, or eliminates the table.  It returns an InvariantQuartic:
+the quartic, the table, the basis of h and the support.
 The stages take that certificate (or what they consume of it) explicitly:
 holonomy(q) reads the basis of h, find_lagrangian(q) extends the support,
 flat_decomposition(q, e_plus) splits off the flat factor, and
 build_complex_algebra(q, hol) reads the [m, m] brackets off the table.
 An element of sp(E) becomes a matrix (symtensor.s2e_matrix) only where it
-acts on E: support columns, the reject path, [h, m] and the report's basis.
+acts on E: the reject path, [h, m] and the report's basis.
 
 H is the fixed plane with basis h, h', omega_H(h, h') = 1 and j_H h = h',
 j_H h' = -h, so H(x)E = E (+) E: an element of H(x)E is a flat tuple (x, y)
@@ -50,6 +50,7 @@ from .exactnum import (
     hermitian_inertia,
     inverse,
     mat_vec,
+    modular_rank,
     rank_kernel,
     unit_vec,
 )
@@ -65,6 +66,8 @@ from .symtensor import (
     is_in_sp,
     s2e_matrix,
     sp_action,
+    support_columns,
+    symmetric_square,
     table_entry,
     tensor_in_subspace_power,
 )
@@ -92,11 +95,11 @@ class InvariantQuartic(NamedTuple):
 
     table maps (k, l), k <= l, to S_{e_k,e_l} in lexicographic order, as
     S^2E coordinate tuples; h_rows is the canonical RREF basis of h = span of
-    those entries, as coordinate tuples; support is the column span of the
-    entries, i.e. support(s), with its canonical RREF basis.  Two facts about
-    the support are certified, and together they imply invariance: it is
-    isotropic, and S lies in S^4(support).  So S lies in S^4 of every
-    subspace holding the support, a Lagrangian extension of it included.
+    those entries, as coordinate tuples; support is support(s), with its
+    canonical RREF basis.  Two facts about the support are certified, and
+    together they imply invariance: it is isotropic, and S lies in
+    S^4(support).  So S lies in S^4 of every subspace holding the support, a
+    Lagrangian extension of it included.
     Built only by certify_invariance; every later stage reads it instead of
     contracting S, eliminating the table or checking the support again.
     Like the other report types it is a NamedTuple: it compares by value,
@@ -112,57 +115,45 @@ class InvariantQuartic(NamedTuple):
 def certify_invariance(s):
     """The InvariantQuartic of s, or NotHyperKahlerError with the first witness.
 
-    The entries S_{e_k,e_l} come in lexicographic order, read off S's
-    coefficients as S^2E coordinates, and all go into the table.  Each is
-    reduced by an echelon of h, kept in place; an entry that raises its rank
-    is written out as a matrix, its columns are reduced by an echelon of the
-    support, and a column
-    that raises the support's rank is paired by omega with the columns kept
-    before it.
-
-    Accept: if the support stays isotropic, S in S^4(support) is certified
-    once, and then every S_{x,y} lies in S^2(support) and kills the isotropic
-    support, so S_{x,y} . S = 0 with no action computed.  Reject: at the
-    first non-isotropic column, the entries that raised the rank of h are
-    acted on S in order, then the rest as they come.  A . S is linear in A,
-    so the first failing entry raises the rank: the witness is the first
-    violating pair.  An invariant quartic has an isotropic support by the
-    structure theorem, so an isotropy failure with no failing entry raises
-    TheoremViolationError.
+    The support columns (symtensor.support_columns) are reduced by an
+    echelon of the support; one that raises its rank is paired by omega
+    with those kept before it, and a nonzero pairing goes to _reject.
+    Accept: with S in S^4(support), every S_{x,y} lies in S^2(support) and
+    kills the isotropic support, so S_{x,y} . S = 0.  The table's rank at
+    the pivots of the RREF of S^2(support), modulo a prime, is at most
+    dim h; if it is dim S^2(support), h_rows is that RREF.  Otherwise
+    (petrov:I, or a rank that drops modulo the prime) the table is
+    eliminated.  The accept path writes out no matrix.
     """
     if s.degree != 4:
         raise ContractError("invariance check needs a quartic")
     sp = s.space
-    table = {}
-    independent = []
-    rows, pivots = [], []
-    sigma, sigma_pivots, kept = [], [], []
-    entries = double_contractions(s)
-    for pair, v in entries:
-        table[pair] = v
-        if not extend_rref(rows, pivots, v):
+    sigma, pivots, kept = [], [], []
+    for col in support_columns(s):
+        if not extend_rref(sigma, pivots, col):
             continue
-        endo = s2e_matrix(v, sp.dim)
-        independent.append((pair, endo))
-        for k in range(sp.dim):
-            col = endo.col(k)
-            if not extend_rref(sigma, sigma_pivots, col):
-                continue
-            if any(omega_pair(sp, x, col) for x in kept):
-                return _reject(s, independent, entries, rows, pivots)
-            kept.append(col)
+        if any(omega_pair(sp, x, col) for x in kept):
+            _reject(s, double_contractions(s))
+        kept.append(col)
     support = Subspace(sp, sigma)
     if not tensor_in_subspace_power(s, support):
         raise TheoremViolationError("S is not contained in S^4 of its support")
+    table = dict(double_contractions(s))
+    rows, pivots = [], []
+    for v in symmetric_square(support):
+        extend_rref(rows, pivots, v)
+    # an element of S^2(support) is determined by its entries at the pivots
+    if modular_rank(([v[k] for k in pivots] for v in table.values()), len(rows)) < len(rows):
+        rows, pivots = [], []
+        for v in table.values():
+            extend_rref(rows, pivots, v)
     return InvariantQuartic(s, table, tuple(map(tuple, rows)), support)
 
 
-def _reject(s, independent, entries, rows, pivots):
-    """Raise NotHyperKahlerError at the first failing entry: the matrices in
-    independent, in order, then the rank-raising ones left in entries."""
-    for pair, endo in independent:
-        if not sp_action(endo, s).is_zero():
-            raise NotHyperKahlerError(pair)
+def _reject(s, entries):
+    """Raise NotHyperKahlerError at the first failing entry, acting on S only
+    the entries that raise the rank of those before them (A . S is linear)."""
+    rows, pivots = [], []
     for pair, v in entries:
         if extend_rref(rows, pivots, v) and not sp_action(s2e_matrix(v, s.space.dim), s).is_zero():
             raise NotHyperKahlerError(pair)

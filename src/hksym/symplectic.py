@@ -341,9 +341,9 @@ def record_fields(data, record, keys):
 
 
 # the largest n a quartic may have (dim E = 2n): analyze on
-# random-lagrangian:n (seed 7) takes about 9 s, 24-27 s and 74-84 s at
-# n = 12, 14 and 16 on a 2-vCPU VM, growing about as n^7, so a larger quartic
-# is refused outright
+# random-lagrangian:n (seed 7) takes about 3-3.6 s, 6-8 s and 14-16 s at
+# n = 12, 14 and 16 on a 2-vCPU VM, most of it in the Jacobi check, which
+# grows about as n^6, so a larger quartic is refused outright
 MAX_N = 16
 
 

@@ -21,13 +21,16 @@ and, as an endomorphism,
   S_{e_k,e_l}[i][m] = w_k w_l w_m T_{i m' k' l'},  T_alpha = (alpha!/4!) S_alpha,
 with T the symmetric coefficient tensor of S (S = sum T_abcd x_a x_b x_c x_d).
 The table of all S_{e_k,e_l} is thus S's middle catalecticant up to these
-signs, and h = span{S_{e,e'}} is its row space.  An A in sp(E) is the
-quadratic B with A[i][m] = w_m M_{i m'} (M the symmetric matrix of B), so its
-S^2E coordinate at e_a e_b (a <= b) sits at (a, b') and again, times
-w_a w_b, at (b, a').  hksym holds an element of sp(E) as the tuple of these
-coordinates, and only this module knows their layout: s2e_matrix writes
-one out as a matrix by sign flips, and quadratic and s2e_coords go to B and
-back, on which j acts as tau: j A_B j^-1 = A_{tau B}.
+signs, and h = span{S_{e,e'}} is its row space.  Likewise, in degree d and
+with T_alpha = (alpha!/d!) t_alpha, the (d - 1)-fold contractions against
+basis vectors, which span the support, are up to factors and order the
+vectors (T_{beta+e_i})_i, |beta| = d - 1 (support_columns).  An A in sp(E)
+is the quadratic B with A[i][m] = w_m M_{i m'} (M the symmetric matrix of
+B), so its S^2E coordinate at e_a e_b (a <= b) sits at (a, b') and again,
+times w_a w_b, at (b, a').  hksym holds an element of sp(E) as the tuple of
+these coordinates, and only this module knows their layout: s2e_matrix
+writes one out as a matrix by sign flips, and quadratic and s2e_coords go
+to B and back, on which j acts as tau: j A_B j^-1 = A_{tau B}.
 """
 
 from fractions import Fraction
@@ -425,25 +428,35 @@ def table_entry(table, k, l):
     return table[(k, l) if k <= l else (l, k)]
 
 
-def support(t):
-    """The support: span of all (d-1)-fold contractions read as vectors in E.
+def support_columns(t):
+    """Yield the nonzero vectors (alpha_i t_alpha)_i, alpha = beta + e_i, for
+    each beta of degree d - 1, in the order the betas first appear in t's
+    monomials: the coefficients of e^beta in the d_i t, or
+    (d!/beta!) (T_{beta+e_i})_i, which span the support (module docstring).
+    Each vector is read off the coefficients when it is asked for, so a
+    consumer that stops early skips the rest."""
+    seen = set()
+    for alpha in t.coeffs:
+        for beta in [alpha[:i] + (e - 1,) + alpha[i + 1:] for i, e in enumerate(alpha) if e]:
+            if beta not in seen:
+                seen.add(beta)
+                col = [t.coeffs.get(beta[:j] + (b + 1,) + beta[j + 1:], ZERO) for j, b in enumerate(beta)]
+                yield tuple(c if b == 0 else c * GaussRat(b + 1) for c, b in zip(col, beta))
 
-    Standard-basis tuples suffice by multilinearity; the result comes back
-    with an echelonized basis so it is deterministic.  For a quartic this is
-    the column span of its double contractions in lexicographic order, which
-    is how an InvariantQuartic carries it.
-    """
+
+def support(t):
+    """The support: the span of support_columns(t), with its canonical RREF
+    basis.  For a quartic it is how an InvariantQuartic carries it."""
     if t.degree < 2:
         raise ContractError("support needs degree >= 2")
-    sp = t.space
-    basis = [sp.basis_vector(k) for k in range(sp.dim)]
-    columns = []
-    for combo in combinations_with_replacement(range(sp.dim), t.degree - 2):
-        cur = t
-        for k in combo:
-            cur = contract(cur, basis[k])
-        columns += endo_of_quadratic(cur).transpose().data
-    return span(sp, columns)
+    return span(t.space, support_columns(t))
+
+
+def symmetric_square(sub):
+    """The S^2E coordinates of the products v_i v_j, i <= j in lexicographic
+    order, of the subspace's basis v: a basis of S^2(sub)."""
+    forms = [SymTensor.linear(sub.ambient, v) for v in sub.basis]
+    return [s2e_coords(a * b) for a, b in combinations_with_replacement(forms, 2)]
 
 
 def tau(t, j):

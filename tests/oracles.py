@@ -32,7 +32,10 @@ Gaussian-integer numerators over one common denominator: one GaussRat
 product and subtraction per term.  double_contractions_by_contraction is the
 table of double contractions before it was read off S's coefficients: two
 omega-contractions per entry, turned into an endomorphism by
-endo_of_quadratic.
+endo_of_quadratic.  support_columns_by_contraction are the vectors support
+spanned before it read them off the coefficients: every (d - 2)-fold
+contraction against basis vectors, turned into an endomorphism, and its
+columns.
 certify_invariance_all_entries is the invariance check before it
 skipped the entries in the span of earlier ones and before it accepted by
 the isotropic support: sp_action_reference on every entry of that table, then the
@@ -57,7 +60,7 @@ as a conjugated coefficient with its multinomial weight.
 
 import re as _re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import factorial, prod
 
 from hksym.exactnum import (
@@ -77,7 +80,14 @@ from hksym.exactnum import (
 )
 from hksym.generators import random_gaussrat
 from hksym.realform import _realify, _unrealify
-from hksym.symtensor import SymTensor, contract, double_contraction_endo, is_in_sp, table_entry
+from hksym.symtensor import (
+    SymTensor,
+    contract,
+    double_contraction_endo,
+    endo_of_quadratic,
+    is_in_sp,
+    table_entry,
+)
 from hksym.symplectic import SymplecticSpace, omega_sharp, span, standard_quaternionic
 
 # j_H on the plane H with omega_H(h, h') = 1: j_H h = h', j_H h' = -h
@@ -697,6 +707,19 @@ def double_contractions_by_contraction(s):
     for k in range(sp.dim):
         for l in range(k, sp.dim):
             yield (k, l), double_contraction_endo(s, basis[k], basis[l])
+
+
+def support_columns_by_contraction(t):
+    """The columns of endo_of_quadratic of t contracted against every
+    multiset of d - 2 basis vectors, in lexicographic order."""
+    sp = t.space
+    columns = []
+    for combo in combinations_with_replacement(range(sp.dim), t.degree - 2):
+        cur = t
+        for k in combo:
+            cur = contract(cur, sp.basis_vector(k))
+        columns += endo_of_quadratic(cur).transpose().data
+    return columns
 
 
 def certify_invariance_all_entries(s):

@@ -18,9 +18,13 @@ from hksym.exactnum import (
     from_parts,
     hermitian_inertia,
     inverse,
+    MODULUS,
     mat_vec,
+    modular_rank,
     rank_kernel,
     solve_linear,
+    triple,
+    unit_vec,
     vec_is_zero,
 )
 
@@ -382,6 +386,69 @@ class TestAgainstRrefReference:
                     assert inverse(m) == expected
                     assert m @ expected == Matrix.identity(n)
         assert singular > 0
+
+
+class TestModularRank:
+    """modular_rank: the rank in Z[i]/(P), P = 2^61 - 1, stopped at a target;
+    a lower bound on the rank over Q(i) that rank_kernel computes exactly."""
+
+    P = MODULUS
+
+    def test_prime_entry_drops_the_rank(self):
+        assert self.P == 2 ** 61 - 1 and self.P % 4 == 3
+        assert modular_rank([(ONE, ZERO), (ZERO, GaussRat(self.P))], 2) == 1
+        assert rank_kernel(Matrix([[ONE, ZERO], [ZERO, GaussRat(self.P)]]))[0] == 2
+
+    def test_prime_in_a_denominator(self):
+        # (1/P, 1) is scaled by its lcm P to (1, P), which reduces to (1, 0)
+        rows = [(GaussRat(Fraction(1, self.P)), ONE), (ONE, ZERO)]
+        assert modular_rank(rows, 2) == 1 and rank_kernel(Matrix(rows))[0] == 2
+
+    def test_gaussian_entries_of_300_bits(self):
+        # a rank-3 matrix of 300-bit entries: three random rows and their
+        # Gaussian combinations, real and imaginary coefficients included
+        rng = random.Random("modular-rank-300")
+        base = [tuple(_ref_operand(rng)[0] for _ in range(6)) for _ in range(3)]
+        assert max(triple(z)[2].bit_length() for row in base for z in row) > 250
+        combos = [tuple(a + I_UNIT * b - c for a, b, c in zip(*base)),
+                  tuple(GaussRat(Fraction(3, 7)) * a + b for a, b in zip(base[0], base[2]))]
+        rows = base + combos
+        assert rank_kernel(Matrix(rows))[0] == 3
+        assert modular_rank(rows, 5) == modular_rank(rows[::-1], 5) == 3
+
+    def test_zero_and_repeated_rows(self):
+        v, w = (ONE, I_UNIT, ZERO), (ZERO, GaussRat(Fraction(1, 3)), ONE)
+        zero = (ZERO,) * 3
+        assert modular_rank([zero, v, v, zero, tuple(-x for x in v), w, w], 3) == 2
+        assert modular_rank([zero, zero], 3) == 0
+        assert modular_rank([], 2) == 0
+
+    def test_stops_at_the_target(self):
+        consumed = []
+
+        def rows():
+            for k in range(4):
+                consumed.append(k)
+                yield unit_vec(4, k)
+
+        assert modular_rank(rows(), 2) == 2 and consumed == [0, 1]
+        assert modular_rank(rows(), 0) == 0
+        assert modular_rank(rows(), 9) == 4
+
+    def test_against_rank_kernel(self):
+        # dependent_rows gives zero, repeated and combined rows of 300-bit
+        # entries: never above the exact rank; random rows have full rank
+        rng = random.Random("modular-rank-vs-exact")
+        for nrows in range(1, 7):
+            for width in range(1, 7):
+                m = Matrix(dependent_rows(rng, nrows, width))
+                exact = rank_kernel(m)[0]
+                assert modular_rank(m.data, min(nrows, width)) <= exact
+                full = [tuple(_ref_operand(rng)[0] or ONE for _ in range(width))
+                        for _ in range(nrows)]
+                exact = rank_kernel(Matrix(full))[0]
+                assert exact == min(nrows, width)
+                assert modular_rank(full, width) == exact
 
 
 class TestMatrixConstruction:

@@ -8,6 +8,7 @@ import pytest
 from hksym.exactnum import (
     ContractError,
     GaussRat,
+    MODULUS,
     Matrix,
     ONE,
     TheoremViolationError,
@@ -29,6 +30,7 @@ from hksym.symtensor import (
     table_entry,
     transform,
 )
+import hksym.hkalgebra as hkalgebra
 from hksym.hkalgebra import (
     HolonomyData,
     NotHyperKahlerError,
@@ -155,6 +157,21 @@ def scrambled_lagrangian(n, seed):
     return transform(s, random_symplectic(s.space, rng, steps=3))
 
 
+def flat_factor():
+    """A quartic in p1, p2 on n = 4: a support of dimension 2 in dim E = 8."""
+    rng = random.Random("flat-factor")
+    sp = SymplecticSpace(4)
+    return SymTensor(sp, 4, {(a, 4 - a) + (0,) * 6: random_gaussrat(rng) for a in range(5)})
+
+
+def mod_p_trap():
+    """p1^4 + p2^4 + 6P p1^2 p2^2: its table has rank 3 over Q(i) but 2
+    modulo P, so the rank certificate fails and the table is eliminated."""
+    sp = SymplecticSpace(2)
+    p1, p2 = lin(sp, 0), lin(sp, 1)
+    return p1 ** 4 + p2 ** 4 + (p1 * p1 * p2 * p2).scale(GaussRat(6 * MODULUS))
+
+
 class TestInvarianceAgainstAllEntries:
     """certify_invariance accepts by an isotropic support with S in
     S^4(support) and acts on S only to find a rejection's witness; the
@@ -202,6 +219,49 @@ class TestInvarianceAgainstAllEntries:
             s = random_quartic_lagrangian(2, random.Random(seed))
             witness = self.same_certificate(s + SymTensor.monomial(s.space, alpha))
             assert witness not in (None, (0, 0))
+
+    # (input, whether the rank modulo P certifies h = S^2(support), dim h)
+    CERTIFICATE_CASES = {
+        "scrambled:2": (lambda: scrambled_lagrangian(2, 0), True, 3),
+        "scrambled:3": (lambda: scrambled_lagrangian(3, 2), True, 6),
+        "real-random:1": (lambda: make_generator("real-random:1", 3), True, 3),
+        "real-random:2": (lambda: make_generator("real-random:2", 3), True, 10),
+        "real-random:3": (lambda: make_generator("real-random:3", 3), True, 21),
+        "petrov:I": (lambda: make_generator("petrov:I", 0), False, 2),
+        "petrov:II": (lambda: make_generator("petrov:II", 0), True, 3),
+        "petrov:D": (lambda: make_generator("petrov:D", 0), True, 3),
+        "petrov:III": (lambda: make_generator("petrov:III", 0), False, 2),
+        "petrov:N": (lambda: make_generator("petrov:N", 0), True, 1),
+        "petrov:O": (lambda: make_generator("petrov:O", 0), True, 0),
+        "flat-factor": (flat_factor, True, 3),
+        "mod-p-trap": (mod_p_trap, False, 3),
+    }
+
+    @pytest.mark.parametrize("case", list(CERTIFICATE_CASES))
+    def test_rank_certificate(self, monkeypatch, case):
+        # h is S^2(support) exactly when the rank modulo P reaches its
+        # dimension, and then h_rows, built from the support's basis alone,
+        # are the reference's RREF of the whole table; otherwise the table
+        # itself is eliminated
+        make, by_rank, dim_h = self.CERTIFICATE_CASES[case]
+        s = make()
+        ranks = []
+        original = hkalgebra.modular_rank
+
+        def recorded(rows, target):
+            ranks.append((original(rows, target), target))
+            return ranks[-1][0]
+
+        monkeypatch.setattr(hkalgebra, "modular_rank", recorded)
+        assert self.same_certificate(s) is None
+        q = certify_invariance(s)
+        r = q.support.dim
+        (rank, target), again = ranks
+        assert again == (rank, target) and target == r * (r + 1) // 2
+        assert len(q.h_rows) == dim_h and rank <= dim_h <= target
+        assert (rank == target) == by_rank
+        if case.startswith("scrambled"):
+            assert all(sum(1 for c in v if c) > 1 for v in q.support.echelon())
 
     @staticmethod
     def seeded_inputs(n, rng):

@@ -5,21 +5,23 @@ holonomy matrices.
 Every table is read off symtensor.double_contractions, which hkalgebra and
 cli bind by name, so counting the entries that generator yields there counts
 the table entries computed: an accepted analysis on dim E = d computes the
-d(d+1)/2 entries once, and a rejection stops at its witness.  Each entry is
-read straight off S's coefficients, with no contraction, and reduced by an
-echelon of h in S^2E coordinates kept in place, and the columns of each
-entry that raises its rank by an echelon of the support: certify_invariance
-calls no echelon_basis and builds no SpanSolver.  Each column that raises
-the support's rank is paired by omega with the ones before it, once.  An
-isotropic support with S in S^4(support), certified by the one
+d(d+1)/2 entries once, and a rejection stops at its witness.  The support
+columns and each entry are read straight off S's coefficients, with no
+contraction, and the columns are reduced by an echelon of the support kept
+in place: certify_invariance calls no echelon_basis and builds no
+SpanSolver.  Each column that raises the support's rank is paired by omega
+with the ones before it, once.  An isotropic support with S in
+S^4(support), certified by the one
 tensor_in_subspace_power call of an analysis, implies invariance, so an
 accepted quartic makes no sp_action call; a rejection acts on S only the
 entries that raise the rank of h, up to its witness.  holonomy(q) reads the
 basis of h that certify_invariance eliminated on the way, without a second
 elimination.  [h, h] = 0 follows from the isotropy of the support, so
 holonomy(q) and both algebra builders make no matrix product at all.  The
-table is held in S^2E coordinates: certify_invariance writes an entry out
-as a matrix only when it raises the rank of h, for its support columns.
+table is held in S^2E coordinates, and an accepted quartic writes out no
+matrix: when the rank of the table modulo a prime certifies h = S^2(support),
+h is eliminated from the products of the support's basis and no table entry
+is reduced; otherwise (petrov:I) the table entries themselves are.
 The real form acts on sp(E) = S^2E by tau on quadratics, so it multiplies
 no matrices either.  The real holonomy is h^tau, read off that same basis
 by one elimination of 2 dim h rows, and only when the real algebra is
@@ -139,11 +141,22 @@ def test_late_witness_acts_on_the_independent_entries_only(monkeypatch):
 
 
 def test_dense_rejection_acts_once(monkeypatch, table_entries):
-    # a full quartic fails at its first entry (0, 0): one table entry, one
+    # a full quartic fails at its first entry (0, 0): two support columns
+    # (the second pairs with the first by omega), one table entry, one
     # action of it on S, and the action is the one the reference computes
     s = golden_quartic("full_4")
+    columns = []
+    original = symtensor.support_columns
+
+    def counted(t):
+        for col in original(t):
+            columns.append(col)
+            yield col
+
+    monkeypatch.setattr(hkalgebra, "support_columns", counted)
     actions = count_calls(monkeypatch, hkalgebra, "sp_action")
     assert check_invariance(s) == (False, (0, 0))
+    assert len(columns) == 2
     assert table_entries == [(0, 0)]
     assert len(actions) == 1
     (endo, _), = actions
@@ -220,15 +233,35 @@ def test_real_form_multiplies_no_matrices(monkeypatch, stem):
     assert len(products) == 0
 
 
-def test_certify_invariance_writes_out_the_rank_raising_entries_only(monkeypatch):
-    # the table stays in S^2E coordinates; each of the dim h = 6 entries
-    # that raise the rank of h becomes a matrix once, for its support
-    # columns, and the other 15 entries never do
-    s = make_generator("random-lagrangian:3", 7)
+@pytest.mark.parametrize("n", [3, 8])
+def test_accepting_writes_out_no_matrix_and_reduces_no_table_entry(monkeypatch, n):
+    # the rank modulo a prime certifies h = S^2(support): h is eliminated
+    # from the r(r + 1)/2 products of the support's basis, and no table entry
+    # becomes a matrix or goes through extend_rref
+    s = make_generator("random-lagrangian:%d" % n, 7)
     matrices = count_calls(monkeypatch, symtensor, "_trusted_matrix")
+    reductions = count_calls(monkeypatch, hkalgebra, "extend_rref")
     q = certify_invariance(s)
-    assert len(q.h_rows) == len(matrices) == 6
-    assert len(q.table) == table_size(s) == 21
+    r = q.support.dim
+    entries = set(q.table.values())
+    in_s2e = [v for _, _, v in reductions if len(v) == len(q.h_rows[0])]
+    assert len(matrices) == 0
+    assert len(q.h_rows) == len(in_s2e) == r * (r + 1) // 2
+    assert not any(v in entries for v in in_s2e)
+    assert len(q.table) == table_size(s)
+
+
+def test_petrov_i_takes_the_exact_echelon(monkeypatch):
+    # dim h = 2 < dim S^2(support) = 3: the rank modulo the prime stops
+    # short of the 3 products, and h is eliminated from every table entry
+    s = make_generator("petrov:I", 0)
+    ranks = count_calls(monkeypatch, hkalgebra, "modular_rank")
+    reductions = count_calls(monkeypatch, hkalgebra, "extend_rref")
+    q = certify_invariance(s)
+    assert [target for _, target in ranks] == [3]
+    in_s2e = [v for _, _, v in reductions if len(v) == 10]
+    assert len(in_s2e) == 3 + len(q.table) and in_s2e[3:] == list(q.table.values())
+    assert (q.support.dim, len(q.h_rows)) == (2, 2)
 
 
 @pytest.mark.parametrize("stem", ["real_2", "tau_fixed_full_2"])

@@ -38,6 +38,7 @@ from hksym.symtensor import (
     sp_action,
     _over_lcms,
     support,
+    support_columns,
     tau,
     tensor_in_subspace_power,
     transform,
@@ -57,6 +58,7 @@ from oracles import (
     polarization_inclusion_exclusion,
     random_vector,
     sp_action_reference,
+    support_columns_by_contraction,
     tau_reference,
     transform_reference,
 )
@@ -610,6 +612,22 @@ class TestSupport:
         sp = SymplecticSpace(1)
         with pytest.raises(ContractError):
             support(lin(sp, 0))
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_columns_span_the_contraction_columns(self, degree):
+        # full tensors, sums of powers of a few random linear forms (a proper
+        # support) and those sums plus a coordinate power, n = 1..3
+        rng = random.Random("support-columns-%d" % degree)
+        for n in (1, 2, 3):
+            sp = SymplecticSpace(n)
+            for _ in range(2):
+                forms = [SymTensor.linear(sp, random_vector(sp, rng)) for _ in range(rng.randint(1, n))]
+                powers = sum((f ** degree for f in forms[1:]), forms[0] ** degree)
+                assert support(powers).dim == len(forms)
+                for t in (random_tensor(sp, degree, rng), powers, powers + lin(sp, 0) ** degree):
+                    columns = list(support_columns(t))
+                    assert all(any(c) for c in columns)
+                    assert support(t) == span(sp, columns) == span(sp, support_columns_by_contraction(t))
 
 
 class TestTau:
