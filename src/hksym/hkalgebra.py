@@ -14,7 +14,7 @@ holonomy(q) reads the basis of h, find_lagrangian(q) extends the support,
 flat_decomposition(q, e_plus) splits off the flat factor, and
 build_complex_algebra(q, hol) reads the [m, m] brackets off the table.
 An element of sp(E) becomes a matrix (symtensor.s2e_matrix) only where it
-acts on E: the reject path, [h, m] and the report's basis.
+acts on E: the reject path, and the holonomy's basis, which acts as [h, m].
 
 H is the fixed plane with basis h, h', omega_H(h, h') = 1 and j_H h = h',
 j_H h' = -h, so H(x)E = E (+) E: an element of H(x)E is a flat tuple (x, y)
@@ -28,11 +28,11 @@ copies of E, and the bracket data is the one the quartic dictates:
   g((x, y), (x', y')) = omega(x, y') - omega(y, x')    (the metric on m),
   rho(x, y)           = (-jy, jx)                      (the real structure),
 so the real form is m = (H(x)E)^rho = {(x, jx)}.  As h = [m, m], the [m, m]
-brackets are the holonomy generators.  One builder, _build_model, assembles
-both the complex algebra and its real form (realform.build_real_algebra) from
-the S^2E coordinates of h's basis, the basis of m and its coordinates, and
-the [m, m] brackets its caller already holds: the table entries here, the
-generator table of check_reality there.
+brackets are the holonomy generators.  build_complex_algebra assembles the
+algebra from h's basis and the table, and certifies it with verify_model.
+The real form (realform.build_real_algebra) is this complex bracket in a
+real C-basis of g, so it inherits Jacobi, antisymmetry, grading and the
+metric's h-invariance from that one certificate.
 """
 
 from typing import NamedTuple, Optional
@@ -49,7 +49,6 @@ from .exactnum import (
     extend_rref,
     hermitian_inertia,
     inverse,
-    mat_vec,
     modular_rank,
     rank_kernel,
     unit_vec,
@@ -330,67 +329,48 @@ def verify_model(model):
     return True
 
 
-def _build_model(sp, labels, h_basis, flat, m_basis, m_coords, m_brackets):
-    """The bracket/metric skeleton of g = h + m with m inside H(x)E; verified.
+def build_complex_algebra(q, hol):
+    """The complex symmetric decomposition g = h + H(x)E of an InvariantQuartic,
+    certified by verify_model.
 
-    h_basis are the S^2E coordinates of h's basis, with reduced row echelon
-    rows flat(v) (v itself, or realified), in which one SpanSolver reads
-    m_brackets = {(t, t2): [m_t, m_t2]}, t < t2, S^2E coordinates as well
-    (pairs left out bracket to zero).  The basis acts on m as matrices,
-    written out once each.  m_basis are H(x)E tuples (x, y) and
-    m_coords(v) the coordinate dict of such a v.  [h, h] stays zero (see
+    h = holonomy(q) acts by hol.basis's matrices: [A, h_a (x) e_k] is column
+    k of A in copy a.  The [m, m] brackets [h(x)e_k, h'(x)e_l] = S_{e_k,e_l}
+    are read through one SpanSolver of q.h_rows.  [h, h] stays zero (see
     holonomy); verify_jacobi checks that zero independently, as each triple
     (A, B, m) evaluates [A, B]m against it.
     """
-    dim_e = sp.dim
-    dim_h, dim_m = len(h_basis), len(m_basis)
-    dim = dim_h + dim_m
-    brackets = [[{} for _ in range(dim)] for _ in range(dim)]
-    pairs = [(w[:dim_e], w[dim_e:]) for w in m_basis]
-    solver = SpanSolver([flat(a) for a in h_basis])
+    sp = q.s.space
+    dim_e, dim_h = sp.dim, hol.dimension
+    dim_m = 2 * dim_e
+    labels = ["k%d" % (i + 1) for i in range(dim_h)]
+    labels += ["h%d*%s" % (a, sp.basis_labels[k]) for a in (1, 2) for k in range(dim_e)]
+    brackets = [[{} for _ in range(dim_h + dim_m)] for _ in range(dim_h + dim_m)]
+    solver = SpanSolver(q.h_rows)
 
     def put(a, b, coords):
         brackets[a][b] = coords
         brackets[b][a] = _dict_neg(coords)
 
-    def h_coords(v):
-        c = solver.coords(flat(v))
-        if c is None:
-            raise TheoremViolationError("bracket value escaped the holonomy span (bug signal)")
-        return {i: v for i, v in enumerate(c) if v}
-
     # [h, m]: [A, (x, y)] = (Ax, Ay)
-    for i, v in enumerate(h_basis):
-        a_mat = s2e_matrix(v, dim_e)
-        for t, (x, y) in enumerate(pairs):
-            image = mat_vec(a_mat, x) + mat_vec(a_mat, y)
-            put(i, dim_h + t, {dim_h + r: c for r, c in m_coords(image).items()})
-    for (t, t2), c in m_brackets.items():
-        if any(c):
-            put(dim_h + t, dim_h + t2, h_coords(c))
-    # metric: g((x, y), (x', y')) = omega(x, y') - omega(y, x')
+    for i, a_mat in enumerate(hol.basis):
+        for t in range(dim_m):
+            copy, k = divmod(t, dim_e)
+            column = enumerate(a_mat.col(k), dim_h + copy * dim_e)
+            put(i, dim_h + t, {r: c for r, c in column if c})
+    for k in range(dim_e):
+        for l in range(dim_e):
+            coords = solver.coords(table_entry(q.table, k, l))
+            if coords is None:
+                raise TheoremViolationError("bracket value escaped the holonomy span (bug signal)")
+            if any(coords):
+                put(dim_h + k, dim_h + dim_e + l, {i: v for i, v in enumerate(coords) if v})
+    # metric: g((x, y), (x', y')) = omega(x, y') - omega(y, x'), on unit tuples
+    pairs = [(w[:dim_e], w[dim_e:]) for w in (unit_vec(dim_m, t) for t in range(dim_m))]
     metric = Matrix([[omega_pair(sp, x, y2) - omega_pair(sp, y, x2) for x2, y2 in pairs]
                      for x, y in pairs])
     model = LieAlgebraModel(labels, dim_h, dim_m, brackets, metric)
     verify_model(model)
     return model
-
-
-def build_complex_algebra(q, hol):
-    """The complex symmetric decomposition g = h + H(x)E of an InvariantQuartic,
-    with h = holonomy(q), whose basis is q.h_rows, and the unit tuples
-    h_a (x) e_k as m, whose only nonzero [m, m] brackets are
-    [h(x)e_k, h'(x)e_l] = S_{e_k,e_l}."""
-    sp = q.s.space
-    dim_e = sp.dim
-    labels = ["k%d" % (i + 1) for i in range(hol.dimension)]
-    for a in (1, 2):
-        labels += ["h%d*%s" % (a, sp.basis_labels[k]) for k in range(dim_e)]
-    m_basis = [unit_vec(2 * dim_e, i) for i in range(2 * dim_e)]
-    m_brackets = {(k, dim_e + l): table_entry(q.table, k, l)
-                  for k in range(dim_e) for l in range(dim_e)}
-    return _build_model(sp, labels, q.h_rows, lambda v: v, m_basis,
-                        lambda v: {i: c for i, c in enumerate(v) if c}, m_brackets)
 
 
 def curvature_ricci(model):
@@ -592,7 +572,10 @@ def analyze_quartic(s, j=None, real=False):
         }
         if rep.commutator_condition_ok:
             h_real = realform.real_holonomy(q, rep)
-            real_model = realform.build_real_algebra(q, rep, h_real)
+            # the complex bracket in a real C-basis of g: Jacobi and the
+            # metric's h-invariance are inherited from model's certificate,
+            # and only real-valuedness is checked here
+            real_model = realform.build_real_algebra(q, model, rep, h_real)
             p, n, z = hermitian_inertia(real_model.metric_on_m)
             if z:
                 raise TheoremViolationError("degenerate real metric")

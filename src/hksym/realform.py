@@ -11,13 +11,13 @@ the coordinates (Re x, Im x)), the generator table
 {(k, l): ([m_k, m_l], [m_k, m_{d+l}])}, k <= l, holds every [m, m] bracket:
   [m_k, m_l]     = [m_{d+k}, m_{d+l}] = J[l][k] - J[k][l],
   [m_k, m_{d+l}] = [m_l, m_{d+k}]     = -i (J[l][k] + J[k][l]).
-check_reality builds it once; the reality condition says every generator is
+check_reality builds it to read the reality condition: every generator is
 tau-fixed.  The real holonomy h_R = [m, m] is then h^tau: it lies in h^tau,
 and the generators span h over C (J[l][k] = (a + i b)/2 for the pair (a, b),
 and the je_k are a C-basis), so dim_R h_R >= dim_C h = dim_R h^tau.
-real_holonomy reads it off the complex basis of h, and build_real_algebra
-hands it, j and the table to the complex algebra's builder.  No matrix is
-multiplied here.
+real_holonomy reads it off the complex basis of h.  build_real_algebra
+writes the certified complex model in a real C-basis of g, so the real model
+inherits its Jacobi identity.  No matrix is multiplied here.
 """
 
 from typing import NamedTuple, Optional
@@ -25,13 +25,16 @@ from typing import NamedTuple, Optional
 from .exactnum import (
     ContractError,
     I_UNIT,
+    Matrix,
     ONE,
+    SpanSolver,
     ZERO,
     echelon_basis,
     from_parts,
+    inverse,
     unit_vec,
 )
-from .hkalgebra import TheoremViolationError, _build_model
+from .hkalgebra import LieAlgebraModel, TheoremViolationError, _add_into
 from .symtensor import SymTensor, quadratic, s2e_coords, table_entry, tau
 
 
@@ -43,10 +46,8 @@ class RealityReport(NamedTuple):
     commutator_condition_ok: bool
     tau_fixed: bool
     equivalent: bool
-    # the j the report was computed for and its generator table, as
-    # quadratics; not part of any serialized report
+    # the j the report was computed for; not part of any serialized report
     j: Optional[object] = None
-    generators: Optional[dict] = None
 
 
 def _generator_table(j, table):
@@ -89,7 +90,7 @@ def check_reality(s, j, table):
     gives [m_k, m_{d+l}]: both components of every generator pair must be
     tau-fixed quadratics.  tau-fixedness is tau(S) = S.  Their equivalence is
     a theorem, so disagreement raises instead of being reported as data.  The
-    report carries j and the table.
+    report carries j.
     """
     if s.degree != 4:
         raise ContractError("reality check needs a quartic")
@@ -105,7 +106,6 @@ def check_reality(s, j, table):
         tau_fixed=tau_fixed,
         equivalent=True,
         j=j,
-        generators=gens,
     )
 
 
@@ -148,40 +148,56 @@ def real_m_basis(j):
     return [x + j.apply(x) for x in xs]
 
 
-def build_real_algebra(q, rep, h_basis):
-    """The real symmetric decomposition g = h + m, m = (H(x)E)^rho = {(x, jx)}.
+def build_real_algebra(q, model, rep, h_basis):
+    """The real form g = h + m, m = (H(x)E)^rho = {(x, jx)}, as the complex
+    model = build_complex_algebra(q, holonomy(q)) written in a real basis.
 
-    q is the InvariantQuartic, rep = check_reality(q.s, j, q.table) and
-    h_basis = real_holonomy(q, rep), which refuses a failed report.  j is
-    read off the report and the [m, m] brackets are its generator table; m
-    has the basis real_m_basis(j) of real dimension 4n.  h's basis and the
-    brackets enter the builder as S^2E coordinates.
-    Coordinates in h are read off realified rows and so are real; m_coords
-    certifies that h preserves the real form, and the metric is certified
-    real afterwards.
+    rep = check_reality(q.s, j, q.table) and h_basis = real_holonomy(q, rep).
+    The basis, h_basis read over q.h_rows and then real_m_basis(j), is a
+    C-basis of g: tau-fixed R-independent elements are C-independent, and so
+    are the (x, jx), as j is antilinear.  So Jacobi, antisymmetry, grading
+    and the metric's h-invariance hold by model's certificate.  What is
+    checked is that the real form is closed and real: the h part of each
+    bracket has real coordinates over h_basis (read through one inverse), the
+    m part is some (x, jx), with coordinates (Re x, Im x), and the metric is
+    real.  [h, h] is zero in model and is not evaluated.
     """
-    sp, j = q.s.space, rep.j
-    dim_e = sp.dim
+    j, dh = rep.j, model.dim_h  # dh = len(h_basis), as real_holonomy certified
+    dim_e = q.s.space.dim
+    solver = SpanSolver(q.h_rows)
+    h_real = [solver.coords(s2e_coords(b)) for b in h_basis]
+    if None in h_real:
+        raise TheoremViolationError("real holonomy element is not in h (bug signal)")
+    # row i: the coordinates over h_basis of the i-th basis element of h
+    to_real = [{k: x for k, x in enumerate(row) if x}
+               for row in (inverse(Matrix(h_real)).data if dh else ())]
 
-    def m_coords(v):
-        if v[dim_e:] != j.apply(v[:dim_e]):
+    def real_coords(value):
+        h_part, m_part = {}, [ZERO] * model.dim_m
+        for i, c in value.items():
+            if i < dh:
+                _add_into(h_part, to_real[i], c)
+            else:
+                m_part[i - dh] = c
+        if not all(x.is_real for x in h_part.values()):
+            raise TheoremViolationError("bracket value escaped the holonomy span (bug signal)")
+        if tuple(m_part[dim_e:]) != j.apply(m_part[:dim_e]):
             raise TheoremViolationError("h does not preserve the real form (bug signal)")
-        return {i: c for i, c in enumerate(_realify(v[:dim_e])) if c}
+        h_part.update((k, c) for k, c in enumerate(_realify(m_part[:dim_e]), dh) if c)
+        return h_part
 
-    m_brackets = {}
-    for (k, l), pair in rep.generators.items():
-        a, b = map(s2e_coords, pair)
-        if k < l:
-            m_brackets[(k, l)] = m_brackets[(dim_e + k, dim_e + l)] = a
-            m_brackets[(l, dim_e + k)] = b
-        m_brackets[(k, dim_e + l)] = b
-    m_basis = real_m_basis(j)
-    labels = ["K%d" % (i + 1) for i in range(len(h_basis))]
-    labels += ["M%d" % (i + 1) for i in range(len(m_basis))]
-    model = _build_model(sp, labels, [s2e_coords(b) for b in h_basis], _realify,
-                         m_basis, m_coords, m_brackets)
-    for row in model.metric_on_m.data:
-        for g in row:
-            if not g.is_real:
-                raise TheoremViolationError("metric restriction is not real (bug signal)")
-    return model
+    m_basis = [{dh + t: c for t, c in enumerate(v) if c} for v in real_m_basis(j)]
+    basis = [{k: x for k, x in enumerate(row) if x} for row in h_real] + m_basis
+    brackets = [[{} for _ in basis] for _ in basis]
+    for a in range(len(basis)):
+        for b in range(max(a + 1, dh), len(basis)):
+            brackets[a][b] = real_coords(model.bracket_vectors(basis[a], basis[b]))
+            brackets[b][a] = {k: -c for k, c in brackets[a][b].items()}
+    g = model.metric_on_m
+    metric = Matrix([[sum((c * c2 * g.entry(t - dh, t2 - dh)
+                           for t, c in u.items() for t2, c2 in w.items()), ZERO)
+                      for w in m_basis] for u in m_basis])
+    if not all(x.is_real for row in metric.data for x in row):
+        raise TheoremViolationError("metric restriction is not real (bug signal)")
+    labels = ["K%d" % (i + 1) for i in range(dh)] + ["M%d" % (t + 1) for t in range(len(m_basis))]
+    return LieAlgebraModel(labels, dh, len(m_basis), brackets, metric)

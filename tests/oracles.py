@@ -56,6 +56,11 @@ added into the result term by term.  tau_reference is the real structure
 before it was a push-forward along j: a sweep over the tree of polarization
 contractions against j applied to the omega-dual basis, each leaf read back
 as a conjugated coefficient with its multinomial weight.
+real_algebra_by_generators is the real form before it was the certified
+complex model written in a real basis: the algebra assembled again from
+h^tau's basis, real_m_basis(j) and the [m, m] brackets of check_reality's
+generator table, read through the realified rows of h^tau, and verified by
+its own verify_model (Jacobi included).
 """
 
 import re as _re
@@ -71,6 +76,8 @@ from hksym.exactnum import (
     ONE,
     ScalarError,
     ZERO,
+    SpanSolver,
+    TheoremViolationError,
     echelon_basis,
     inverse,
     mat_vec,
@@ -79,16 +86,25 @@ from hksym.exactnum import (
     unit_vec,
 )
 from hksym.generators import random_gaussrat
-from hksym.realform import _realify, _unrealify
+from hksym.hkalgebra import LieAlgebraModel, verify_model
+from hksym.realform import _generator_table, _realify, _unrealify, real_m_basis
 from hksym.symtensor import (
     SymTensor,
     contract,
     double_contraction_endo,
     endo_of_quadratic,
     is_in_sp,
+    s2e_coords,
+    s2e_matrix,
     table_entry,
 )
-from hksym.symplectic import SymplecticSpace, omega_sharp, span, standard_quaternionic
+from hksym.symplectic import (
+    SymplecticSpace,
+    omega_pair,
+    omega_sharp,
+    span,
+    standard_quaternionic,
+)
 
 # j_H on the plane H with omega_H(h, h') = 1: j_H h = h', j_H h' = -h
 J_H = standard_quaternionic(SymplecticSpace(1))
@@ -863,3 +879,61 @@ def tau_reference(t, j):
 
     sweep(t, 0, [0] * sp.dim, 0)
     return SymTensor(sp, d, out)
+
+
+def real_algebra_by_generators(q, j, h_basis):
+    """The real form g = h^tau + (H(x)E)^rho of an InvariantQuartic q for j,
+    with h_basis = real_holonomy(q, check_reality(q.s, j, q.table)), built
+    from the generator table and verified by verify_model.
+
+    [h, m] acts each element of h_basis as a matrix on real_m_basis(j);
+    the [m, m] brackets are the generator table's, read through a SpanSolver
+    of h_basis's realified S^2E rows; the metric is omega on the pairs (x, y)
+    and is checked real.
+    """
+    sp = q.s.space
+    dim_e = sp.dim
+
+    def m_coords(v):
+        if v[dim_e:] != j.apply(v[:dim_e]):
+            raise TheoremViolationError("h does not preserve the real form (bug signal)")
+        return {i: c for i, c in enumerate(_realify(v[:dim_e])) if c}
+
+    m_brackets = {}
+    for (k, l), pair in _generator_table(j, q.table).items():
+        a, b = map(s2e_coords, pair)
+        if k < l:
+            m_brackets[(k, l)] = m_brackets[(dim_e + k, dim_e + l)] = a
+            m_brackets[(l, dim_e + k)] = b
+        m_brackets[(k, dim_e + l)] = b
+    m_basis = real_m_basis(j)
+    h_rows = [s2e_coords(b) for b in h_basis]
+    dim_h, dim_m = len(h_rows), len(m_basis)
+    dim = dim_h + dim_m
+    labels = ["K%d" % (i + 1) for i in range(dim_h)] + ["M%d" % (i + 1) for i in range(dim_m)]
+    brackets = [[{} for _ in range(dim)] for _ in range(dim)]
+    pairs = [(w[:dim_e], w[dim_e:]) for w in m_basis]
+    solver = SpanSolver([_realify(v) for v in h_rows])
+
+    def put(a, b, coords):
+        brackets[a][b] = coords
+        brackets[b][a] = {k: -c for k, c in coords.items()}
+
+    for i, v in enumerate(h_rows):
+        a_mat = s2e_matrix(v, dim_e)
+        for t, (x, y) in enumerate(pairs):
+            image = mat_vec(a_mat, x) + mat_vec(a_mat, y)
+            put(i, dim_h + t, {dim_h + r: c for r, c in m_coords(image).items()})
+    for (t, t2), c in m_brackets.items():
+        if any(c):
+            coords = solver.coords(_realify(c))
+            if coords is None:
+                raise TheoremViolationError("bracket value escaped the holonomy span (bug signal)")
+            put(dim_h + t, dim_h + t2, {i: x for i, x in enumerate(coords) if x})
+    metric = Matrix([[omega_pair(sp, x, y2) - omega_pair(sp, y, x2) for x2, y2 in pairs]
+                     for x, y in pairs])
+    model = LieAlgebraModel(labels, dim_h, dim_m, brackets, metric)
+    verify_model(model)
+    if not all(g.is_real for row in metric.data for g in row):
+        raise TheoremViolationError("metric restriction is not real (bug signal)")
+    return model

@@ -220,7 +220,8 @@ def test_criterion_6_signature_theorem():
         for s, j in _tau_fixed_full_support(m, count, "c6-m%d" % m):
             q = certify_invariance(s)
             rep = check_reality(s, j, q.table)
-            model = build_real_algebra(q, rep, real_holonomy(q, rep))
+            complex_model = build_complex_algebra(q, holonomy(q))
+            model = build_real_algebra(q, complex_model, rep, real_holonomy(q, rep))
             assert model.dim_m == 8 * m
             assert hermitian_inertia(model.metric_on_m) == want
             assert verify_jacobi(model) == (True, None)

@@ -243,6 +243,69 @@ class TestAnalyze:
         assert run_cli(capsys, "analyze", path) == (
             3, "", "internal error: bracket value escaped the holonomy span (bug signal)\n")
 
+    @pytest.fixture
+    def real_file(self, tmp_path, capsys):
+        path = str(tmp_path / "real.json")
+        assert run_cli(capsys, "generate", "real-random:1", "--seed", "2", "-o", path)[0] == 0
+        return path
+
+    def test_real_holonomy_outside_h_exits_3(self, capsys, monkeypatch, real_file):
+        # the real basis is read over h's basis: an h^tau element outside h
+        # (here the quadratic with every S^2E coordinate 1) is a bug signal
+        import hksym.realform as realform
+        from hksym.exactnum import ONE
+
+        honest = realform.real_holonomy
+
+        def outside(q, rep):
+            basis = honest(q, rep)
+            return [symtensor.quadratic(q.s.space, (ONE,) * len(q.h_rows[0]))] + basis[1:]
+
+        monkeypatch.setattr(realform, "real_holonomy", outside)
+        assert run_cli(capsys, "analyze", real_file, "--real") == (
+            3, "", "internal error: real holonomy element is not in h (bug signal)\n")
+
+    def test_h_not_preserving_the_real_form_exits_3(self, capsys, monkeypatch, real_file):
+        # i B for a tau-fixed B does not commute with j, so [iB, (x, jx)] is
+        # no longer of the form (x', jx')
+        import hksym.realform as realform
+        from hksym.exactnum import I_UNIT
+
+        honest = realform.real_holonomy
+        monkeypatch.setattr(realform, "real_holonomy",
+                            lambda q, rep: [b.scale(I_UNIT) for b in honest(q, rep)])
+        assert run_cli(capsys, "analyze", real_file, "--real") == (
+            3, "", "internal error: h does not preserve the real form (bug signal)\n")
+
+    def test_real_bracket_outside_the_real_holonomy_exits_3(self, capsys, monkeypatch, real_file):
+        # with the change of basis to h^tau scaled by i, every [m, m] value
+        # has imaginary coordinates: it leaves the real span of h^tau
+        import hksym.exactnum as exactnum
+        import hksym.realform as realform
+
+        monkeypatch.setattr(realform, "inverse",
+                            lambda m: exactnum.inverse(m).scale(exactnum.I_UNIT))
+        assert run_cli(capsys, "analyze", real_file, "--real") == (
+            3, "", "internal error: bracket value escaped the holonomy span (bug signal)\n")
+
+    def test_non_real_metric_exits_3(self, capsys, monkeypatch, real_file):
+        # the real metric is the complex one restricted to the real basis: a
+        # complex metric scaled by i after its certificate restricts to an
+        # imaginary one
+        import hksym.hkalgebra as hkalgebra
+        from hksym.exactnum import I_UNIT
+
+        honest = hkalgebra.build_complex_algebra
+
+        def scaled(q, hol):
+            model = honest(q, hol)
+            model.metric_on_m = model.metric_on_m.scale(I_UNIT)
+            return model
+
+        monkeypatch.setattr(hkalgebra, "build_complex_algebra", scaled)
+        assert run_cli(capsys, "analyze", real_file, "--real") == (
+            3, "", "internal error: metric restriction is not real (bug signal)\n")
+
     @pytest.mark.parametrize("failing_call, message", [
         (2, "extend_to_lagrangian produced a non-isotropic subspace"),
         (4, "lagrangian_complement produced a non-isotropic complement"),

@@ -33,8 +33,8 @@ from hksym.symtensor import (
 import hksym.hkalgebra as hkalgebra
 from hksym.hkalgebra import (
     HolonomyData,
+    InvariantQuartic,
     NotHyperKahlerError,
-    _build_model,
     analyze_quartic,
     build_complex_algebra,
     certify_invariance,
@@ -414,19 +414,14 @@ class TestHolonomy:
         sp = SymplecticSpace(1)
         s = (lin(sp, 0) ** 3) * lin(sp, 1)
         table = dict(double_contractions(s))
-        h_rows = echelon_basis(table.values())
+        h_rows = tuple(map(tuple, echelon_basis(table.values())))
         assert len(h_rows) == span_of_double_contractions(s).dimension == 2
-        d = sp.dim
-        labels = ["k%d" % (i + 1) for i in range(len(h_rows))]
-        labels += ["m%d" % (t + 1) for t in range(2 * d)]
-        m_brackets = {(k, d + l): table_entry(table, k, l) for k in range(d) for l in range(d)}
+        forged = InvariantQuartic(s, table, h_rows, None)
         with pytest.raises(TheoremViolationError) as info:
-            _build_model(sp, labels, h_rows, lambda v: v,
-                         [unit_vec(2 * d, t) for t in range(2 * d)],
-                         lambda v: {i: c for i, c in enumerate(v) if c}, m_brackets)
+            build_complex_algebra(forged, holonomy(forged))
         kind, witness = str(info.value).split(": ", 1)
         assert kind == "jacobi failed"
-        assert [label[0] for label in ast.literal_eval(witness)] == ["k", "k", "m"]
+        assert [label[0] for label in ast.literal_eval(witness)] == ["k", "k", "h"]
 
     def test_double_contractions_strictly_triangular(self, rng):
         # for S = lambda p^4 + p^3 w0 + p^2 B + p C + D in the splitting

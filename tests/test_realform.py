@@ -64,6 +64,7 @@ from oracles import (
     kronecker_apply,
     kronecker_gram,
     mm_bracket_walk,
+    real_algebra_by_generators,
     real_holonomy_from_generators,
     real_holonomy_generators,
     rho_candidate_sweep,
@@ -90,7 +91,7 @@ def real_holonomy_of(s, j):
 def real_model(s, j):
     q = certify_invariance(s)
     rep = check_reality(s, j, q.table)
-    return build_real_algebra(q, rep, real_holonomy(q, rep))
+    return build_real_algebra(q, build_complex_algebra(q, holonomy(q)), rep, real_holonomy(q, rep))
 
 
 def complex_holonomy(s):
@@ -185,9 +186,8 @@ class TestCheckReality:
         s, _ = random_tau_fixed(1, rng)
         q = certify_invariance(s)
         rep = check_reality(s, j, q.table)
-        assert rep.generators == _generator_table(j, q.table)
         assert rep.j is j
-        gens = endos(g for pair in rep.generators.values() for g in pair)
+        gens = endos(g for pair in _generator_table(j, q.table).values() for g in pair)
         assert endos(real_holonomy(q, rep)) == real_holonomy_from_generators(gens, j)
         q_failed = certify_invariance(s.scale(I_UNIT))
         failed = check_reality(q_failed.s, j, q_failed.table)
@@ -501,10 +501,11 @@ def _models_with_bases(s, j):
     rep = check_reality(s, j, q.table)
     h_real = real_holonomy(q, rep)
     hol = holonomy(q)
+    model = build_complex_algebra(q, hol)
     units = [unit_vec(2 * s.space.dim, i) for i in range(2 * s.space.dim)]
     return [
-        (build_real_algebra(q, rep, h_real), endos(h_real), real_m_basis(j), True),
-        (build_complex_algebra(q, hol), hol.basis, units, False),
+        (build_real_algebra(q, model, rep, h_real), endos(h_real), real_m_basis(j), True),
+        (model, hol.basis, units, False),
     ]
 
 
@@ -589,8 +590,9 @@ REAL_KINDS = sorted(REAL_GOLDEN) + ["definite-zero", "real-random:1", "real-rand
 
 
 class TestBracketsAgainstWalk:
-    """The [m, m] brackets each caller hands the builder, against the
-    bilinear walk over the table that the builder used to make itself."""
+    """The [m, m] brackets of the complex model and of its real form,
+    against the bilinear walk over the table that the builder used to make
+    itself."""
 
     @pytest.mark.parametrize("kind", WALK_KINDS)
     def test_mm_brackets_equal_the_walk(self, kind):
@@ -604,7 +606,7 @@ class TestBracketsAgainstWalk:
         else:
             rep = check_reality(s, j, q.table)
             h_real, m_basis = real_holonomy(q, rep), real_m_basis(j)
-            model = build_real_algebra(q, rep, h_real)
+            model = build_real_algebra(q, build_complex_algebra(q, holonomy(q)), rep, h_real)
             h_basis = endos(h_real)
         walk = mm_bracket_walk({pair: s2e_matrix(v, d) for pair, v in q.table.items()}, m_basis)
         dh = model.dim_h
@@ -628,5 +630,38 @@ class TestBracketsAgainstWalk:
         q = certify_invariance(s)
         rep = check_reality(s, j, q.table)
         assert endos(real_holonomy(q, rep)) == expected
-        gens = endos(g for pair in rep.generators.values() for g in pair)
+        gens = endos(g for pair in _generator_table(j, q.table).values() for g in pair)
         assert real_holonomy_from_generators(gens, j) == expected
+
+
+# seeded real-random draws at m = 1, 2, 3, and the golden real cases
+REFERENCE_CASES = ([("real-random:%d" % m, seed) for m in (1, 2, 3) for seed in (0, 3, 11)]
+                   + [(stem, None) for stem in ("real_1", "real_2", "non_coordinate_j")])
+
+
+class TestRealFormAgainstReference:
+    """The real form as the certified complex model in a real basis, against
+    the algebra assembled again from the generator table and verified on its
+    own."""
+
+    @pytest.mark.parametrize("kind,seed", REFERENCE_CASES,
+                             ids=["%s-%s" % case if case[1] is not None else case[0]
+                                  for case in REFERENCE_CASES])
+    def test_equals_the_generator_table_build(self, kind, seed):
+        if seed is None:
+            s, j = golden_case(GOLDEN / ("%s.json" % kind))
+        else:
+            s = make_generator(kind, seed)
+            j = standard_split_j(s.space)
+        q = certify_invariance(s)
+        rep = check_reality(s, j, q.table)
+        h_real = real_holonomy(q, rep)
+        model = build_real_algebra(q, build_complex_algebra(q, holonomy(q)), rep, h_real)
+        reference = real_algebra_by_generators(q, j, h_real)
+        assert verify_jacobi(reference) == (True, None)
+        assert model.basis_labels == reference.basis_labels
+        assert (model.dim_h, model.dim_m) == (reference.dim_h, reference.dim_m)
+        for a in range(model.dim):
+            for b in range(model.dim):
+                assert model.brackets[a][b] == reference.brackets[a][b], (a, b)
+        assert model.metric_on_m == reference.metric_on_m

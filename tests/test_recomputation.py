@@ -28,9 +28,11 @@ by one elimination of 2 dim h rows, and only when the real algebra is
 built: a reality verdict alone eliminates nothing.  The table takes no matrix product
 or transpose, a span is eliminated once, and restricting a quartic to a
 basis expands each symmetric power of the basis once.  The real form reads
-the table once, into its J table S_{je_k,e_l}: the real algebra takes its
-[m, m] brackets from that, and the complex algebra reads each [m, m] bracket
-S_{e_k,e_l} once.  classify8 certifies S in S^4 of a plane once, in
+the table once, into its J table S_{je_k,e_l}, for the reality verdict; the
+complex algebra reads each [m, m] bracket S_{e_k,e_l} once, and takes [h, m]
+from the matrices holonomy(q) wrote out.  The real algebra reads no table
+entry: it evaluates the complex model's bracket on a real basis and inherits
+its Jacobi certificate, so an analysis checks Jacobi once.  classify8 certifies S in S^4 of a plane once, in
 certify_invariance: dim8 leaves S in S^4(e_plus) to restrict_to_basis, which
 solves for S on e_plus exactly.
 """
@@ -197,10 +199,33 @@ def test_real_analysis_reads_the_j_table_once(monkeypatch):
     q = certify_invariance(s)
     rep = check_reality(s, standard_split_j(s.space), q.table)
     h_real = real_holonomy(q, rep)
+    model = build_complex_algebra(q, holonomy(q))
     for calls in reads.values():
         calls.clear()
-    build_real_algebra(q, rep, h_real)
+    build_real_algebra(q, model, rep, h_real)
     assert {name: len(calls) for name, calls in reads.items()} == {"hkalgebra": 0, "realform": 0}
+
+
+def test_analysis_writes_out_each_holonomy_matrix_once(monkeypatch):
+    # dim h = 6: holonomy(q) writes h's basis out as matrices, and the
+    # complex algebra reads [h, m] off those same matrices
+    s = make_generator("random-lagrangian:3", 7)
+    matrices = count_calls(monkeypatch, hkalgebra, "s2e_matrix")
+    report = analyze_quartic(s)
+    assert report.holonomy.dimension == 6
+    assert len(matrices) == 6
+
+
+@pytest.mark.parametrize("kind", ["real-random:1", "real-random:2"])
+def test_real_analysis_checks_jacobi_once(monkeypatch, kind):
+    # the real model is the complex bracket in a real basis: it inherits the
+    # complex model's Jacobi certificate and is not checked again
+    s = make_generator(kind, 3)
+    checks = count_calls(monkeypatch, hkalgebra, "verify_jacobi")
+    models = count_calls(monkeypatch, hkalgebra, "verify_model")
+    report = analyze_quartic(s, real=True)
+    assert report.jacobi_ok and report.signature == (2 * s.space.n,) * 2
+    assert len(checks) == len(models) == 1
 
 
 @pytest.mark.parametrize("kind", ["real-random:1", "real-random:2"])
@@ -211,8 +236,8 @@ def test_holonomy_and_algebras_multiply_no_matrices(monkeypatch, kind):
     h_real = real_holonomy(q, rep)
     products = count_calls(monkeypatch, Matrix, "__matmul__")
     hol = holonomy(q)
-    build_complex_algebra(q, hol)
-    build_real_algebra(q, rep, h_real)
+    model = build_complex_algebra(q, hol)
+    build_real_algebra(q, model, rep, h_real)
     assert hol.derived_series_lengths == (hol.dimension, 0)
     assert len(products) == 0
 
@@ -226,9 +251,10 @@ def test_real_form_multiplies_no_matrices(monkeypatch, stem):
     j = (symplectic.quaternionic_from_json(json.loads(j_path.read_text(encoding="utf-8")), s.space)
          if j_path.exists() else standard_split_j(s.space))
     q = certify_invariance(s)
+    model = build_complex_algebra(q, holonomy(q))
     products = count_calls(monkeypatch, Matrix, "__matmul__")
     rep = check_reality(s, j, q.table)
-    build_real_algebra(q, rep, real_holonomy(q, rep))
+    build_real_algebra(q, model, rep, real_holonomy(q, rep))
     assert rep.commutator_condition_ok
     assert len(products) == 0
 
