@@ -374,12 +374,16 @@ def mat_vec(m, v):
     the nonzero entries of v."""
     if m.ncols != len(v):
         raise ContractError("mat_vec dimension mismatch")
-    out = [ZERO] * m.nrows
-    for k, b in enumerate(v):
-        if b:
-            for i, r in enumerate(m.data):
-                if r[k]:
-                    out[i] = out[i] + r[k] * b
+    return lincomb(((b, enumerate(m.col(k))) for k, b in enumerate(v) if b), m.nrows)
+
+
+def lincomb(terms, n):
+    """sum c v over the (c, v) of terms, each v as (position, entry) pairs."""
+    out = [ZERO] * n
+    for c, v in terms:
+        for p, x in v:
+            if x:
+                out[p] = out[p] + c * x
     return tuple(out)
 
 

@@ -2,22 +2,22 @@
 m = (H(x)E)^rho = {(x, jx)}, exact over Q by realification: a complex object
 is split into real and imaginary coordinate blocks and eliminated over Q.
 
-j = C conj acts on sp(E) by the antilinear involution A -> j A j^-1, and
-on S^2E = sp(E) that is tau: j A_B j^-1 = A_{tau B}, so A commutes with j
-exactly when its quadratic is tau-fixed.  With J[k][l] = S_{je_k,e_l} =
-sum_m (je_k)_m S_{e_m,e_l}, summed as quadratics, m_k = (e_k, je_k) and
-m_{d+k} = (ie_k, -i je_k) (the basis real_m_basis(j), in which (x, jx) has
-the coordinates (Re x, Im x)), the generator table
-{(k, l): ([m_k, m_l], [m_k, m_{d+l}])}, k <= l, holds every [m, m] bracket:
-  [m_k, m_l]     = [m_{d+k}, m_{d+l}] = J[l][k] - J[k][l],
-  [m_k, m_{d+l}] = [m_l, m_{d+k}]     = -i (J[l][k] + J[k][l]).
-check_reality builds it to read the reality condition: every generator is
-tau-fixed.  The real holonomy h_R = [m, m] is then h^tau: it lies in h^tau,
-and the generators span h over C (J[l][k] = (a + i b)/2 for the pair (a, b),
-and the je_k are a C-basis), so dim_R h_R >= dim_C h = dim_R h^tau.
-real_holonomy reads it off the complex basis of h.  build_real_algebra
-writes the certified complex model in a real C-basis of g, so the real model
-inherits its Jacobi identity.  No matrix is multiplied here.
+j = C conj acts on sp(E) by the antilinear involution A -> j A j^-1, which on
+S^2E = sp(E) is tau, j A_B j^-1 = A_{tau B}, and on S^2E coordinates the map
+symtensor.s2e_tau(j).  Write J[k][l] = S_{je_k,e_l} = sum_m (je_k)_m S_{e_m,e_l},
+m_k = (e_k, je_k) and m_{d+k} = (ie_k, -i je_k), the basis real_m_basis(j) in
+which (x, jx) has the coordinates (Re x, Im x).  For a = J[l][k], b = J[k][l]:
+  [m_k, m_l]     = [m_{d+k}, m_{d+l}] = a - b,
+  [m_k, m_{d+l}] = [m_l, m_{d+k}]     = -i (a + b).
+As tau is antilinear, both are tau-fixed exactly when tau(a) - tau(b) = a - b
+and tau(a) + tau(b) = -(a + b), that is when tau(a) = -b and tau(b) = -a: the
+commutator condition is tau(J[k][l]) = -J[l][k] for all k, l.  The real
+holonomy h_R = [m, m] is then h^tau: it lies in h^tau, and as 2a =
+[m_k, m_l] + i [m_k, m_{d+l}] and the je_k are a C-basis, h_R spans h over C,
+so dim_R h_R >= dim_C h = dim_R h^tau; real_holonomy reads it off the complex
+basis of h.  build_real_algebra writes the certified complex model in a real
+C-basis of g, so the real model inherits its Jacobi identity.  No matrix is
+multiplied here.
 """
 
 from typing import NamedTuple, Optional
@@ -32,10 +32,11 @@ from .exactnum import (
     echelon_basis,
     from_parts,
     inverse,
+    lincomb,
     unit_vec,
 )
 from .hkalgebra import LieAlgebraModel, TheoremViolationError, _add_into
-from .symtensor import SymTensor, quadratic, s2e_coords, table_entry, tau
+from .symtensor import s2e_tau, table_entry, tau
 
 
 class RealityError(Exception):
@@ -46,23 +47,9 @@ class RealityReport(NamedTuple):
     commutator_condition_ok: bool
     tau_fixed: bool
     equivalent: bool
-    # the j the report was computed for; not part of any serialized report
+    # the j the report was computed for and s2e_tau(j); not serialized
     j: Optional[object] = None
-
-
-def _generator_table(j, table):
-    """{(k, l): ([m_k, m_l], [m_k, m_{d+l}])} for k <= l as quadratics, from
-    J[k][l] = S_{je_k,e_l} = sum_m (je_k)_m S_{e_m,e_l}."""
-    sp = j.ambient
-    d = sp.dim
-    entries = {pair: quadratic(sp, v) for pair, v in table.items()}
-    jt = []
-    for k in range(d):
-        jk = j.apply(sp.basis_vector(k))
-        jt.append([sum((table_entry(entries, m, l).scale(c) for m, c in enumerate(jk) if c),
-                       SymTensor.zero(sp, 2)) for l in range(d)])
-    return {(k, l): (jt[l][k] - jt[k][l], (jt[l][k] + jt[k][l]).scale(-I_UNIT))
-            for k in range(d) for l in range(k, d)}
+    tau_map: Optional[object] = None
 
 
 def _realify(v):
@@ -87,45 +74,40 @@ def check_reality(s, j, table):
     InvariantQuartic's table, or dict(double_contractions(s)) for any
     quartic.  The commutator condition [S_{je,e'} - S_{e,je'}, j] = 0 for all
     e, e' in E is real bilinear, and (e_l, e_k) gives [m_k, m_l], (ie_l, e_k)
-    gives [m_k, m_{d+l}]: both components of every generator pair must be
-    tau-fixed quadratics.  tau-fixedness is tau(S) = S.  Their equivalence is
-    a theorem, so disagreement raises instead of being reported as data.  The
-    report carries j.
+    gives [m_k, m_{d+l}]: by the antilinearity of tau alone (module
+    docstring) it is tau(J[k][l]) = -J[l][k], J summed as coordinate tuples.
+    Its equivalence with tau(S) = S is a theorem, so disagreement raises
+    instead of being reported as data.  The report carries j and s2e_tau(j).
     """
     if s.degree != 4:
         raise ContractError("reality check needs a quartic")
-    gens = _generator_table(j, table)
-    commutator_ok = all(tau(g, j) == g for pair in gens.values() for g in pair)
+    sp, tau_map = j.ambient, s2e_tau(j)
+    je = [list(enumerate(j.apply(sp.basis_vector(k)))) for k in range(sp.dim)]
+    jt = [[lincomb(((c, enumerate(table_entry(table, m, l))) for m, c in je[k] if c),
+                   sp.dim * (sp.dim + 1) // 2) for l in range(sp.dim)] for k in range(sp.dim)]
+    commutator_ok = all(not any(x + y for x, y in zip(tau_map(jt[k][l]), jt[l][k]))
+                        for k in range(sp.dim) for l in range(sp.dim))
     tau_fixed = tau(s, j) == s
     if commutator_ok != tau_fixed:
-        raise TheoremViolationError(
-            "commutator condition and tau-fixedness disagree (bug signal)"
-        )
-    return RealityReport(
-        commutator_condition_ok=commutator_ok,
-        tau_fixed=tau_fixed,
-        equivalent=True,
-        j=j,
-    )
+        raise TheoremViolationError("commutator condition and tau-fixedness disagree (bug signal)")
+    return RealityReport(commutator_condition_ok=commutator_ok, tau_fixed=tau_fixed,
+                         equivalent=True, j=j, tau_map=tau_map)
 
 
 def real_holonomy(q, rep):
-    """Echelonized basis of h^tau as quadratics: the real span of B + tau(B)
-    and i(B - tau(B)) over the quadratics B of the basis q.h_rows of h, for
-    rep = check_reality(q.s, j, q.table); a failed report raises RealityError.
-    The rows are eliminated in realified S^2E coordinates.  The basis is
-    certified tau-fixed and of real dimension dim_C h.
-    """
+    """Echelonized basis of h^tau as S^2E coordinate tuples: the real span of
+    v + tau(v) and i(v - tau(v)) over the basis q.h_rows of h, eliminated
+    realified, for rep = check_reality(q.s, j, q.table) (RealityError if it
+    failed), certified tau-fixed and of real dimension dim_C h."""
     if not rep.commutator_condition_ok:
         raise RealityError("quartic fails the reality condition for this j")
-    j, sp = rep.j, q.s.space
-    rows = []
+    tau_map, rows = rep.tau_map, []
     for v in q.h_rows:
-        b = quadratic(sp, v)
-        tb = tau(b, j)
-        rows += [_realify(s2e_coords(b + tb)), _realify(s2e_coords((b - tb).scale(I_UNIT)))]
-    basis = [quadratic(sp, _unrealify(v)) for v in echelon_basis(rows)]
-    if any(tau(b, j) != b for b in basis):
+        tv = tau_map(v)
+        rows += [_realify([x + y for x, y in zip(v, tv)]),
+                 _realify([(x - y) * I_UNIT for x, y in zip(v, tv)])]
+    basis = [_unrealify(v) for v in echelon_basis(rows)]
+    if any(tau_map(b) != b for b in basis):
         raise TheoremViolationError("real holonomy element is not tau-fixed (bug signal)")
     if len(basis) != len(q.h_rows):
         raise TheoremViolationError("real holonomy dimension %d is not dim_C h = %d "
@@ -165,7 +147,7 @@ def build_real_algebra(q, model, rep, h_basis):
     j, dh = rep.j, model.dim_h  # dh = len(h_basis), as real_holonomy certified
     dim_e = q.s.space.dim
     solver = SpanSolver(q.h_rows)
-    h_real = [solver.coords(s2e_coords(b)) for b in h_basis]
+    h_real = [solver.coords(v) for v in h_basis]
     if None in h_real:
         raise TheoremViolationError("real holonomy element is not in h (bug signal)")
     # row i: the coordinates over h_basis of the i-th basis element of h

@@ -29,8 +29,8 @@ is the quadratic B with A[i][m] = w_m M_{i m'} (M the symmetric matrix of
 B), so its S^2E coordinate at e_a e_b (a <= b) sits at (a, b') and again,
 times w_a w_b, at (b, a').  hksym holds an element of sp(E) as the tuple of
 these coordinates, and only this module knows their layout: s2e_matrix
-writes one out as a matrix by sign flips, and quadratic and s2e_coords go
-to B and back, on which j acts as tau: j A_B j^-1 = A_{tau B}.
+writes one out as a matrix by sign flips, quadratic and s2e_coords go to B
+and back, and j acts as tau, j A_B j^-1 = A_{tau B}, on them as s2e_tau(j).
 """
 
 from fractions import Fraction
@@ -47,8 +47,10 @@ from .exactnum import (
     ZERO,
     _trusted_matrix,
     from_triple,
+    lincomb,
     solve_linear,
     triple,
+    unit_vec,
 )
 from .symplectic import (
     SymplecticSpace,
@@ -471,6 +473,17 @@ def tau(t, j):
         raise ContractError("tau needs even degree")
     conj = SymTensor(t.space, t.degree, {a: c.conjugate() for a, c in t.coeffs.items()})
     return transform(conj, j.c_matrix)
+
+
+def s2e_tau(j):
+    """tau on S^2E coordinates, v -> sum_p conj(v_p) tau(u_p) with the columns
+    tau(u_p) kept as their nonzeros: s2e_tau(j)(s2e_coords(b)) =
+    s2e_coords(tau(b, j)).  u_p = quadratic(sp, unit tuple at p) is real, so
+    tau(u_p) is its push-forward along C."""
+    n = len(_s2e_layout(j.ambient.dim)[0])
+    units = [quadratic(j.ambient, unit_vec(n, p)) for p in range(n)]
+    cols = [[(q, c) for q, c in enumerate(s2e_coords(transform(u, j.c_matrix))) if c] for u in units]
+    return lambda v: lincomb(((c.conjugate(), col) for c, col in zip(v, cols) if c), n)
 
 
 def tensor_in_subspace_power(t, sub):

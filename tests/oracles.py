@@ -56,11 +56,18 @@ added into the result term by term.  tau_reference is the real structure
 before it was a push-forward along j: a sweep over the tree of polarization
 contractions against j applied to the omega-dual basis, each leaf read back
 as a conjugated coefficient with its multinomial weight.
+_generator_table is the commutator condition before it was read on S^2E
+coordinates: the brackets [m_k, m_l] = a - b and [m_k, m_{d+l}] = -i(a + b),
+a = J[l][k] and b = J[k][l], summed as quadratics for k <= l, each to be
+tested tau-fixed.  As tau is antilinear, a pair is tau-fixed exactly when
+tau(a) - tau(b) = a - b and tau(a) + tau(b) = -(a + b), that is when
+tau(a) = -b and tau(b) = -a, which is what check_reality now tests as
+tau(J[k][l]) = -J[l][k].
 real_algebra_by_generators is the real form before it was the certified
 complex model written in a real basis: the algebra assembled again from
-h^tau's basis, real_m_basis(j) and the [m, m] brackets of check_reality's
-generator table, read through the realified rows of h^tau, and verified by
-its own verify_model (Jacobi included).
+h^tau's basis, real_m_basis(j) and the [m, m] brackets of _generator_table,
+read through the realified rows of h^tau, and verified by its own
+verify_model (Jacobi included).
 """
 
 import re as _re
@@ -87,13 +94,14 @@ from hksym.exactnum import (
 )
 from hksym.generators import random_gaussrat
 from hksym.hkalgebra import LieAlgebraModel, verify_model
-from hksym.realform import _generator_table, _realify, _unrealify, real_m_basis
+from hksym.realform import _realify, _unrealify, real_m_basis
 from hksym.symtensor import (
     SymTensor,
     contract,
     double_contraction_endo,
     endo_of_quadratic,
     is_in_sp,
+    quadratic,
     s2e_coords,
     s2e_matrix,
     table_entry,
@@ -649,6 +657,22 @@ def mm_bracket_walk(table, m_basis):
     return out
 
 
+def _generator_table(j, table):
+    """{(k, l): ([m_k, m_l], [m_k, m_{d+l}])} for k <= l as quadratics, from
+    J[k][l] = S_{je_k,e_l} = sum_m (je_k)_m S_{e_m,e_l}, summed as quadratics:
+    [m_k, m_l] = J[l][k] - J[k][l] and [m_k, m_{d+l}] = -i (J[l][k] + J[k][l])."""
+    sp = j.ambient
+    d = sp.dim
+    entries = {pair: quadratic(sp, v) for pair, v in table.items()}
+    jt = []
+    for k in range(d):
+        jk = j.apply(sp.basis_vector(k))
+        jt.append([sum((table_entry(entries, m, l).scale(c) for m, c in enumerate(jk) if c),
+                       SymTensor.zero(sp, 2)) for l in range(d)])
+    return {(k, l): (jt[l][k] - jt[k][l], (jt[l][k] + jt[k][l]).scale(-I_UNIT))
+            for k in range(d) for l in range(k, d)}
+
+
 def real_holonomy_generators(jt):
     """S_{je_k,e_l} - S_{e_k,je_l} and i(S_{je_k,e_l} + S_{e_k,je_l}) for
     k <= l, from the table jt[k][l] = S_{je_k,e_l}."""
@@ -907,7 +931,7 @@ def real_algebra_by_generators(q, j, h_basis):
             m_brackets[(l, dim_e + k)] = b
         m_brackets[(k, dim_e + l)] = b
     m_basis = real_m_basis(j)
-    h_rows = [s2e_coords(b) for b in h_basis]
+    h_rows = list(h_basis)
     dim_h, dim_m = len(h_rows), len(m_basis)
     dim = dim_h + dim_m
     labels = ["K%d" % (i + 1) for i in range(dim_h)] + ["M%d" % (i + 1) for i in range(dim_m)]

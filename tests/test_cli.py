@@ -251,15 +251,14 @@ class TestAnalyze:
 
     def test_real_holonomy_outside_h_exits_3(self, capsys, monkeypatch, real_file):
         # the real basis is read over h's basis: an h^tau element outside h
-        # (here the quadratic with every S^2E coordinate 1) is a bug signal
+        # (here the tuple with every S^2E coordinate 1) is a bug signal
         import hksym.realform as realform
         from hksym.exactnum import ONE
 
         honest = realform.real_holonomy
 
         def outside(q, rep):
-            basis = honest(q, rep)
-            return [symtensor.quadratic(q.s.space, (ONE,) * len(q.h_rows[0]))] + basis[1:]
+            return [(ONE,) * len(q.h_rows[0])] + honest(q, rep)[1:]
 
         monkeypatch.setattr(realform, "real_holonomy", outside)
         assert run_cli(capsys, "analyze", real_file, "--real") == (
@@ -273,7 +272,7 @@ class TestAnalyze:
 
         honest = realform.real_holonomy
         monkeypatch.setattr(realform, "real_holonomy",
-                            lambda q, rep: [b.scale(I_UNIT) for b in honest(q, rep)])
+                            lambda q, rep: [tuple(I_UNIT * x for x in v) for v in honest(q, rep)])
         assert run_cli(capsys, "analyze", real_file, "--real") == (
             3, "", "internal error: h does not preserve the real form (bug signal)\n")
 

@@ -328,7 +328,7 @@ class TestAbelianAgainstDerivedSeries:
         if not rep.commutator_condition_ok:
             return 0
         h_real = real_holonomy(q, rep)
-        brackets, series = derived_series_reference([endo_of_quadratic(b) for b in h_real])
+        brackets, series = derived_series_reference([s2e_matrix(v, s.space.dim) for v in h_real])
         assert brackets == {}
         r = len(h_real)
         assert series == ((r, 0) if r else (0,))

@@ -26,9 +26,11 @@ from hksym.symtensor import (
     double_contraction_endo,
     double_contractions,
     endo_of_quadratic,
+    quadratic,
     quartic_from_dict,
     s2e_coords,
     s2e_matrix,
+    s2e_tau,
     support,
     tau,
 )
@@ -41,7 +43,6 @@ from hksym.hkalgebra import (
 )
 from hksym.realform import (
     RealityError,
-    _generator_table,
     _realify,
     _unrealify,
     build_real_algebra,
@@ -60,6 +61,7 @@ from hksym.generators import (
 from hksym.hkalgebra import holonomy
 
 from oracles import (
+    _generator_table,
     flatten,
     kronecker_apply,
     kronecker_gram,
@@ -99,18 +101,24 @@ def complex_holonomy(s):
 
 
 def endos(quadratics):
-    """The matrices in sp(E) of quadratics, such as real_holonomy's basis."""
+    """The matrices in sp(E) of quadratics, such as the generator table's."""
     return [endo_of_quadratic(b) for b in quadratics]
 
 
-def non_coordinate_split(sp, rng):
-    """A Lagrangian split moved off the coordinate axes, and its symplectic map."""
+def s2e_matrices(coords, dim):
+    """The matrices in sp(E) of S^2E coordinate tuples, such as real_holonomy's basis."""
+    return [s2e_matrix(v, dim) for v in coords]
+
+
+def non_coordinate_split(sp, rng, steps=6):
+    """A Lagrangian split moved off the coordinate axes by a product of steps
+    symplectic transvections, and that symplectic map."""
     from hksym.exactnum import mat_vec
     from hksym.generators import random_symplectic
 
-    t_mat = random_symplectic(sp, rng)
-    e_plus = span(sp, [mat_vec(t_mat, sp.basis_vector(0)), mat_vec(t_mat, sp.basis_vector(1))])
-    e_minus = span(sp, [mat_vec(t_mat, sp.basis_vector(2)), mat_vec(t_mat, sp.basis_vector(3))])
+    t_mat = random_symplectic(sp, rng, steps)
+    e_plus = span(sp, [mat_vec(t_mat, sp.basis_vector(k)) for k in range(sp.n)])
+    e_minus = span(sp, [mat_vec(t_mat, sp.basis_vector(k)) for k in range(sp.n, sp.dim)])
     return (e_plus, e_minus), t_mat
 
 
@@ -180,15 +188,16 @@ class TestCheckReality:
                 assert endo_of_quadratic(b) == bracket(m[k], m[d + l]) == bracket(m[l], m[d + k])
 
     def test_report_carries_real_holonomy(self, dim4, rng):
-        # the report carries j and the generator table the real holonomy and
-        # algebra are read from; real_holonomy refuses a failed report
+        # the report carries j and tau on S^2E coordinates, which the real
+        # holonomy is read with; real_holonomy refuses a failed report
         sp, j = dim4
         s, _ = random_tau_fixed(1, rng)
         q = certify_invariance(s)
         rep = check_reality(s, j, q.table)
         assert rep.j is j
+        assert all(rep.tau_map(v) == s2e_coords(tau(quadratic(sp, v), j)) for v in q.h_rows)
         gens = endos(g for pair in _generator_table(j, q.table).values() for g in pair)
-        assert endos(real_holonomy(q, rep)) == real_holonomy_from_generators(gens, j)
+        assert s2e_matrices(real_holonomy(q, rep), sp.dim) == real_holonomy_from_generators(gens, j)
         q_failed = certify_invariance(s.scale(I_UNIT))
         failed = check_reality(q_failed.s, j, q_failed.table)
         assert not failed.commutator_condition_ok
@@ -263,9 +272,9 @@ class TestRealHolonomy:
         c = j.c_matrix
         basis = real_holonomy_of(s, j)
         assert basis
-        for b in basis:
-            a = endo_of_quadratic(b)
-            assert tau(b, j) == b
+        for v in basis:
+            a = s2e_matrix(v, sp.dim)
+            assert tau(quadratic(sp, v), j) == quadratic(sp, v)
             assert sigma_reference(a, j) == a
             assert a @ c == c @ a.conj()
 
@@ -322,7 +331,7 @@ class TestRealHolonomy:
     def test_pairwise_commuting_for_lagrangian_support(self, dim4, rng):
         sp, j = dim4
         s, _ = random_tau_fixed(1, rng)
-        basis = endos(real_holonomy_of(s, j))
+        basis = s2e_matrices(real_holonomy_of(s, j), sp.dim)
         for i in range(len(basis)):
             for k in range(i + 1, len(basis)):
                 assert (basis[i] @ basis[k] - basis[k] @ basis[i]).is_zero()
@@ -355,6 +364,74 @@ class TestSigmaIsTau:
                                   for alpha in full.coeffs if rng.random() < 0.5})
             a = s2e_matrix(s2e_coords(b), sp.dim)
             assert s2e_matrix(s2e_coords(tau(b, j)), sp.dim) == sigma_reference(a, j)
+
+
+def _j_of_kind(n, kind, rng):
+    """The split, definite or non-coordinate j on dim E = 2n; the split kinds
+    need even n.  The non-coordinate split is moved off the axes by one
+    transvection, which keeps C's coefficients short at n = 4."""
+    sp = SymplecticSpace(n)
+    if kind == "split":
+        return standard_split_j(sp)
+    if kind == "definite":
+        return standard_quaternionic(sp)
+    return standard_quaternionic(sp, non_coordinate_split(sp, rng, steps=1)[0])
+
+
+J_KINDS_UP_TO_3 = [(1, "definite"), (2, "split"), (2, "definite"), (2, "non-coordinate"),
+                   (3, "definite")]
+
+
+class TestS2ETau:
+    """s2e_tau(j) is tau on S^2E coordinates: on seeded tuples with
+    coefficients of up to 300 bits, half of them zero, it is tau on their
+    quadratics, it is antilinear and it is an involution."""
+
+    @pytest.mark.parametrize("n,kind", J_KINDS_UP_TO_3)
+    def test_is_tau_on_the_quadratics(self, n, kind):
+        rng = random.Random("s2e-tau-%d-%s" % (n, kind))
+        j = _j_of_kind(n, kind, rng)
+        sp, tau_map = j.ambient, s2e_tau(j)
+        for _ in range(4):
+            v = tuple(random_height_gaussrat(rng, rng.choice((4, 64, 300))) if rng.random() < 0.5
+                      else ZERO for _ in range(sp.dim * (sp.dim + 1) // 2))
+            assert tau_map(v) == s2e_coords(tau(quadratic(sp, v), j))
+            assert tau_map(tuple(I_UNIT * x for x in v)) == tuple(-I_UNIT * x for x in tau_map(v))
+            assert tau_map(tau_map(v)) == v
+
+
+def generators_tau_fixed(s, j):
+    """The reference verdict: both brackets of every pair of the generator
+    table, summed as quadratics, are tau-fixed."""
+    table = dict(double_contractions(s))
+    return all(tau(g, j) == g for pair in _generator_table(j, table).values() for g in pair)
+
+
+class TestCommutatorConditionAgainstGeneratorTable:
+    """check_reality reads the commutator condition as tau(J[k][l]) =
+    -J[l][k] on coordinate tuples; its verdict equals the generator table's."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("kind", ["split", "definite", "non-coordinate"])
+    def test_seeded_quartics(self, kind, n):
+        # tau-symmetrized, i times tau-fixed, random full and zero quartics
+        rng = random.Random("commutator-%d-%s" % (n, kind))
+        j = _j_of_kind(n, kind, rng)
+        sp = j.ambient
+        fixed = symmetrize_real(random_quartic_full(sp, rng), j)
+        verdicts = []
+        for s in (fixed, fixed.scale(I_UNIT), random_quartic_full(sp, rng), SymTensor.zero(sp, 4)):
+            verdicts.append(reality(s, j).commutator_condition_ok)
+            assert verdicts[-1] == generators_tau_fixed(s, j)
+        assert verdicts == [True, False, False, True]
+
+    @pytest.mark.parametrize("stem,real", [("non_coordinate_j", True),
+                                           ("unreal_non_coordinate_j", False),
+                                           ("tau_fixed_full_2", True), ("real_1", True),
+                                           ("real_2", True)])
+    def test_goldens(self, stem, real):
+        s, j = golden_case(GOLDEN / ("%s.json" % stem))
+        assert reality(s, j).commutator_condition_ok == generators_tau_fixed(s, j) == real
 
 
 class TestSymmetrize:
@@ -504,7 +581,8 @@ def _models_with_bases(s, j):
     model = build_complex_algebra(q, hol)
     units = [unit_vec(2 * s.space.dim, i) for i in range(2 * s.space.dim)]
     return [
-        (build_real_algebra(q, model, rep, h_real), endos(h_real), real_m_basis(j), True),
+        (build_real_algebra(q, model, rep, h_real), s2e_matrices(h_real, s.space.dim),
+         real_m_basis(j), True),
         (model, hol.basis, units, False),
     ]
 
@@ -607,7 +685,7 @@ class TestBracketsAgainstWalk:
             rep = check_reality(s, j, q.table)
             h_real, m_basis = real_holonomy(q, rep), real_m_basis(j)
             model = build_real_algebra(q, build_complex_algebra(q, holonomy(q)), rep, h_real)
-            h_basis = endos(h_real)
+            h_basis = s2e_matrices(h_real, d)
         walk = mm_bracket_walk({pair: s2e_matrix(v, d) for pair, v in q.table.items()}, m_basis)
         dh = model.dim_h
         for (t, t2), expected in walk.items():
@@ -621,7 +699,8 @@ class TestBracketsAgainstWalk:
     def test_real_holonomy_is_the_rref_of_the_old_generators(self, kind):
         # h^sigma read off the complex basis against the elimination of every
         # realified generator: of the J table contracted directly, and of
-        # check_reality's generator table
+        # the generator table check_reality built before it read tau on
+        # S^2E coordinates
         s, j = _walk_case(kind)
         sp = s.space
         jt = [[double_contraction_endo(s, j.apply(sp.basis_vector(k)), sp.basis_vector(l))
@@ -629,7 +708,7 @@ class TestBracketsAgainstWalk:
         expected = real_holonomy_from_generators(real_holonomy_generators(jt), j)
         q = certify_invariance(s)
         rep = check_reality(s, j, q.table)
-        assert endos(real_holonomy(q, rep)) == expected
+        assert s2e_matrices(real_holonomy(q, rep), sp.dim) == expected
         gens = endos(g for pair in _generator_table(j, q.table).values() for g in pair)
         assert real_holonomy_from_generators(gens, j) == expected
 

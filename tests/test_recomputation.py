@@ -22,10 +22,16 @@ table is held in S^2E coordinates, and an accepted quartic writes out no
 matrix: when the rank of the table modulo a prime certifies h = S^2(support),
 h is eliminated from the products of the support's basis and no table entry
 is reduced; otherwise (petrov:I) the table entries themselves are.
-The real form acts on sp(E) = S^2E by tau on quadratics, so it multiplies
-no matrices either.  The real holonomy is h^tau, read off that same basis
-by one elimination of 2 dim h rows, and only when the real algebra is
-built: a reality verdict alone eliminates nothing.  The table takes no matrix product
+The real form acts on sp(E) = S^2E by tau on S^2E coordinates, the map
+s2e_tau(j) that check_reality builds once per analysis, so it multiplies no
+matrices either: the commutator condition is tau(J[k][l]) = -J[l][k] for all
+k, l (both [m, m] brackets of a pair (k, l), J[l][k] - J[k][l] and
+-i (J[l][k] + J[k][l]), are tau-fixed exactly when tau(a) - tau(b) = a - b
+and tau(a) + tau(b) = -(a + b) for a = J[l][k], b = J[k][l], as tau is
+antilinear), and the quartic tau runs once, on S, for tau(S) = S.  The real
+holonomy is h^tau, read off that same basis by one elimination of 2 dim h
+rows, and only when the real algebra is built: a reality verdict alone
+eliminates nothing.  The table takes no matrix product
 or transpose, a span is eliminated once, and restricting a quartic to a
 basis expands each symmetric power of the basis once.  The real form reads
 the table once, into its J table S_{je_k,e_l}, for the reality verdict; the
@@ -206,6 +212,26 @@ def test_real_analysis_reads_the_j_table_once(monkeypatch):
     assert {name: len(calls) for name, calls in reads.items()} == {"hkalgebra": 0, "realform": 0}
 
 
+@pytest.mark.parametrize("stem", ["real_1", "real_2"])
+def test_real_analysis_calls_tau_once_on_s(monkeypatch, capsys, stem):
+    # the commutator condition and h^tau read one tau map on S^2E
+    # coordinates; the tau of a tensor runs only for tau(S) = S
+    taus = []
+    honest = symtensor.tau
+
+    def counted(t, j):
+        taus.append(t)
+        return honest(t, j)
+
+    for module in (symtensor, realform, dim8):
+        monkeypatch.setattr(module, "tau", counted)
+    maps = count_calls(monkeypatch, realform, "s2e_tau")
+    assert main(["analyze", str(GOLDEN / ("%s.json" % stem)), "--real"]) == 0
+    assert "signature" in capsys.readouterr().out
+    assert taus == [golden_quartic(stem)]
+    assert len(maps) == 1
+
+
 def test_analysis_writes_out_each_holonomy_matrix_once(monkeypatch):
     # dim h = 6: holonomy(q) writes h's basis out as matrices, and the
     # complex algebra reads [h, m] off those same matrices
@@ -244,7 +270,7 @@ def test_holonomy_and_algebras_multiply_no_matrices(monkeypatch, kind):
 
 @pytest.mark.parametrize("stem", ["real_1", "real_2", "non_coordinate_j"])
 def test_real_form_multiplies_no_matrices(monkeypatch, stem):
-    # j acts on sp(E) = S^2E as tau on the quadratics: the commutator
+    # j acts on sp(E) = S^2E as tau on S^2E coordinates: the commutator
     # condition, h^tau and the real algebra take no matrix product
     s = golden_quartic(stem)
     j_path = GOLDEN / ("%s.j.json" % stem)
