@@ -21,7 +21,8 @@ from .exactnum import (
     ZERO,
     inverse,
 )
-from .symtensor import restrict_to_basis, tau
+from .symplectic import Subspace, lagrangian_complement
+from .symtensor import tau, transform
 from .hkalgebra import TheoremViolationError, certify_invariance, find_lagrangian
 from .realform import RealityError
 
@@ -87,12 +88,23 @@ class BinaryQuartic:
 
     @classmethod
     def from_symtensor(cls, s, basis_pair):
-        """Restrict a quartic tensor supported on span(basis_pair) to 2 variables;
-        ContractError (from restrict_to_basis) when it is not supported there."""
-        coeffs = restrict_to_basis(s, list(basis_pair))
+        """The quartic s on span(basis_pair), in the variables basis_pair.
+
+        P = lagrangian_complement(Subspace(space, basis_pair)) is the
+        Darboux frame whose first two columns are basis_pair, so
+        transform(p^beta, P) = prod basis_pair[i]^beta_i and s = P . s' for
+        s' = transform(s, inverse(P)).  s' is in p_1, p_2 alone exactly when
+        s is supported in the plane, and its coefficient at p_1^a p_2^b is
+        the plain coefficient at x^a y^b.  ContractError when the pair does
+        not span a Lagrangian plane (from lagrangian_complement) or s is not
+        supported there.
+        """
+        frame = lagrangian_complement(Subspace(s.space, basis_pair))
         plain = [ZERO] * 5
-        for beta, c in coeffs.items():
-            plain[beta[1]] = c
+        for alpha, c in transform(s, inverse(frame)).coeffs.items():
+            if alpha[2] or alpha[3]:
+                raise ContractError("tensor is not supported in the given subspace")
+            plain[alpha[1]] = c
         return cls.from_plain(plain)
 
 
@@ -334,8 +346,9 @@ def classify_complex8(s, e_plus):
 
     The output is independent of the chosen e_plus basis: the pattern is a
     root structure and (I^3 : J^2) is weight-0 under GL(2) (I and J scale by
-    det^4 and det^6).  A quartic not supported in e_plus raises ContractError
-    from restrict_to_basis, which solves for it on e_plus exactly.
+    det^4 and det^6).  A quartic not supported in e_plus, or an e_plus that
+    is not Lagrangian, raises ContractError from BinaryQuartic.from_symtensor,
+    which reads the quartic off e_plus's Darboux frame exactly.
     """
     if s.space.dim != 4:
         raise ContractError("complex dim-8 classification needs dim E = 4")
@@ -417,7 +430,8 @@ def classify_real8(s, j, e_plus):
     restriction of the invariant form, hence orthogonally diagonalizable, and
     its characteristic data (p, q) is the complete positive-scaling rotation
     invariant.  A quartic that is not tau-fixed for j raises RealityError,
-    and one not supported in e_plus ContractError (from restrict_to_basis).
+    and one not supported in e_plus ContractError (from
+    BinaryQuartic.from_symtensor).
     """
     if s.space.dim != 4:
         raise ContractError("real dim-8 classification needs dim E = 4")

@@ -395,10 +395,6 @@ def vec_is_zero(v):
     return all(not a for a in v)
 
 
-def zero_vec(n):
-    return (ZERO,) * n
-
-
 def unit_vec(n, k):
     return tuple(ONE if i == k else ZERO for i in range(n))
 

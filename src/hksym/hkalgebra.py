@@ -55,6 +55,7 @@ from .exactnum import (
 )
 from .symplectic import (
     Subspace,
+    SymplecticSpace,
     extend_to_lagrangian,
     lagrangian_complement,
     omega_pair,
@@ -408,56 +409,45 @@ def find_lagrangian(q):
 def flat_decomposition(q, e_plus):
     """Split E = E^1 (+) E^0 with the flat directions in E^0.
 
-    e_plus is the Lagrangian find_lagrangian(q).  E^1_+ is the support, E^0_+
-    a deterministic complement of it inside E_+, and the minus-halves are cut
-    out of the dual Lagrangian complement by the annihilator conditions.
+    e_plus is the Lagrangian find_lagrangian(q).  Its adapted basis is the
+    support, then the greedy completion inside E_+, and P is the Darboux
+    frame lagrangian_complement completes it to: E^1 is spanned by the
+    support's columns of P and their duals, E^0 by the rest.  P^t Omega P =
+    Omega, certified there, makes P invertible, gives each piece the standard
+    Gram and makes the two pieces omega-orthogonal, so the split needs no
+    certificate of its own; E^1_+ is the support, so S in S^4 E^1_+ is the
+    InvariantQuartic's own certificate.
     Returns (e1, e0, flat_complex_dim) where the flat complex dimension counts
     the H (x) E^0 block, i.e. 2 dim E^0.
     """
     sigma = q.support
     sp = q.s.space
+    n, r = sp.n, sigma.dim
     # adapted basis of E_+: the support, then the greedy completion, i.e.
     # each candidate that raises the rank of the ones kept before it
     rows, pivots = [], []
     adapted = [v for v in sigma.echelon() + e_plus.echelon() if extend_rref(rows, pivots, v)]
-    e_plus_adapted = Subspace(sp, adapted)
-    _, g = lagrangian_complement(e_plus_adapted)
-    r = sigma.dim
-    e1_vectors = adapted[:r] + g[:r]
-    e0_vectors = adapted[r:] + g[r:]
-    e1 = Subspace(sp, e1_vectors)
-    e0 = Subspace(sp, e0_vectors)
-    # certificates: complementary and omega-nondegenerate; E^1_+ is the
-    # support, so S in S^4 E^1_+ is the InvariantQuartic's own certificate
-    if e1.dim + e0.dim != sp.dim:
-        raise TheoremViolationError("flat splitting is not complementary")
-    if len(echelon_basis(list(e1.basis) + list(e0.basis))) != sp.dim:
-        raise TheoremViolationError("flat splitting overlaps")
-    for part in (e1, e0):
-        if part.dim:
-            gram = Matrix([[omega_pair(sp, u, v) for v in part.basis] for u in part.basis])
-            rank, _, _ = rank_kernel(gram)
-            if rank != part.dim:
-                raise TheoremViolationError("flat splitting piece is omega-degenerate")
+    cols = lagrangian_complement(Subspace(sp, adapted)).transpose().data
+    e1 = Subspace(sp, cols[:r] + cols[n:n + r])
+    e0 = Subspace(sp, cols[r:n] + cols[n + r:])
     return e1, e0, 2 * e0.dim
 
 
-def embed_gl_eplus(e_plus, a_small):
+def embed_gl_eplus(frame, a_small):
     """Canonical embedding gl(E_+) -> sp(E): A on E_+, -A^t on the dual complement.
 
-    The complement is the deterministic dual Lagrangian (omega(f_i, g_j) =
-    delta_ij); in those bases the extension is blockdiag(A, -A^t), which is
-    verified to preserve omega before returning.
+    frame is the Darboux frame P = lagrangian_complement(e_plus), whose first
+    n columns are e_plus's basis and whose last n are their omega-duals; in
+    those bases the extension is blockdiag(A, -A^t), so the embedding is
+    P blockdiag(A, -A^t) P^{-1}, verified to preserve omega before returning.
     """
-    n = e_plus.dim
+    n = frame.nrows // 2
     if a_small.nrows != n or a_small.ncols != n:
         raise ContractError("gl(E_+) matrix has wrong size")
-    _, g = lagrangian_complement(e_plus)
-    basis_mat = Matrix([list(v) for v in e_plus.basis] + [list(v) for v in g]).transpose()
     block = [list(row) + [ZERO] * n for row in a_small.data]
     block += [[ZERO] * n + list(row) for row in (-a_small.transpose()).data]
-    embedded = basis_mat @ Matrix(block) @ inverse(basis_mat)
-    if not is_in_sp(e_plus.ambient, embedded):
+    embedded = frame @ Matrix(block) @ inverse(frame)
+    if not is_in_sp(SymplecticSpace(n), embedded):
         raise TheoremViolationError("gl(E_+) embedding failed to preserve omega")
     return embedded
 
@@ -466,17 +456,19 @@ def compute_aut(s, e_plus):
     """Echelonized basis of aut(S) = {A in gl(E_+) | A . S = 0}.
 
     The returned matrices are n x n in the coordinates of the e_plus basis;
-    embed_gl_eplus lifts them to sp(E).
+    embed_gl_eplus lifts them to sp(E) through the one Darboux frame of
+    e_plus.
     """
     if not tensor_in_subspace_power(s, e_plus):
         raise ContractError("S is not supported in the given subspace")
     n = e_plus.dim
+    frame = lagrangian_complement(e_plus)
     images = []
     for flat_index in range(n * n):
         i, j = divmod(flat_index, n)
         small = [[ZERO] * n for _ in range(n)]
         small[i][j] = ONE
-        images.append(sp_action(embed_gl_eplus(e_plus, Matrix(small)), s))
+        images.append(sp_action(embed_gl_eplus(frame, Matrix(small)), s))
     monomials = sorted(set(a for img in images for a in img.coeffs))
     index = {m: i for i, m in enumerate(monomials)}
     height = max(len(monomials), 1)

@@ -8,8 +8,9 @@ Conventions fixed here and inherited by everything downstream:
   So omega(x, .) is the covector (-x_q, x_p), and omega is applied only
   through omega_flat(x) = omega(x, .) and its inverse omega_sharp; the
   dense matrix Omega (row k is omega_flat(e_k)) is kept only for matrix
-  identities: C^t Omega C = conj(Omega), C = Omega^t for the standard j and
-  the Gram matrix of gamma.
+  identities: C^t Omega C = conj(Omega), C = Omega^t for the standard j,
+  the Gram matrix of gamma and P^t Omega P = Omega for the Darboux frame P
+  of lagrangian_complement.
 * E is the only symplectic space here.  The plane H of g = h + H(x)E is
   written out as formulas on pairs (x, y) in E (+) E in hkalgebra.
 * The pairing <v, omega x> := omega(x, v), so that the coordinate p paired
@@ -36,7 +37,6 @@ from .exactnum import (
     solve_linear,
     unit_vec,
     vec_conj,
-    zero_vec,
 )
 
 
@@ -197,12 +197,13 @@ def extend_to_lagrangian(sub):
 
 
 def lagrangian_complement(lag):
-    """Deterministic Lagrangian complement of a Lagrangian, as a dual basis.
+    """The deterministic Darboux frame that completes a Lagrangian's basis.
 
-    Returns (subspace, g) where g[i] satisfies omega(f_i, g_j) = delta_ij for
-    the given basis f of the input and omega(g_i, g_j) = 0.  Existence is the
-    classical completion of a partial symplectic family; each g_k is the
-    canonical solution of the corresponding exact linear system.
+    Returns the 2n x 2n matrix P whose columns are the given basis f of the
+    input, unchanged, and then its dual basis g: omega(f_i, g_j) = delta_ij
+    and omega(g_i, g_j) = 0, so span(g) is a Lagrangian complement.  Each g_k
+    is the canonical solution of the corresponding exact linear system, and
+    the frame is certified once by P^t Omega P = Omega.
     """
     sp = lag.ambient
     n = sp.n
@@ -219,10 +220,10 @@ def lagrangian_complement(lag):
         if sol is None:
             raise ContractError("symplectic completion failed (corrupt input)")
         g.append(sol)
-    comp = Subspace(sp, g)
-    if not is_isotropic(comp):
-        raise TheoremViolationError("lagrangian_complement produced a non-isotropic complement")
-    return comp, g
+    frame = Matrix(f + g).transpose()
+    if frame.transpose() @ sp.omega @ frame != sp.omega:
+        raise TheoremViolationError("lagrangian_complement produced a non-symplectic frame")
+    return frame
 
 
 class QuaternionicStructure:
@@ -276,14 +277,8 @@ def standard_quaternionic(sp, lagrangian_split=None):
         pinv = inverse(pairing)
     except ContractError:
         raise ContractError("split parts are not complementary")
-    g = []
-    for j in range(m2):
-        col = pinv.col(j)
-        acc = zero_vec(dim)
-        for c_coef, gv in zip(col, e_minus.basis):
-            acc = tuple(a + c_coef * b for a, b in zip(acc, gv))
-        g.append(acc)
-    basis_cols = Matrix([list(v) for v in (f + g)]).transpose()
+    g = (Matrix(e_minus.basis).transpose() @ pinv).transpose().data
+    basis_cols = Matrix(f + list(g)).transpose()
     k_rows = []
     for i in range(dim):
         row = [ZERO] * dim

@@ -42,13 +42,11 @@ from operator import mul
 from .exactnum import (
     ContractError,
     GaussRat,
-    Matrix,
     ONE,
     ZERO,
     _trusted_matrix,
     from_triple,
     lincomb,
-    solve_linear,
     triple,
     unit_vec,
 )
@@ -542,49 +540,6 @@ def _exponents(code, base, dim):
         code, e = divmod(code, base)
         alpha.append(e)
     return tuple(alpha)
-
-
-def restrict_to_basis(t, vectors):
-    """Coefficients of t in the symmetric powers of the given vectors.
-
-    Solves the exact linear system expressing t as sum_b c_b * prod v_i^b_i
-    over multi-indices b of degree t.degree; ContractError when t is not in
-    the span (i.e. not supported in the subspace).
-    """
-    sp = t.space
-    r = len(vectors)
-    betas = []
-    for combo in combinations_with_replacement(range(r), t.degree):
-        beta = [0] * r
-        for k in combo:
-            beta[k] += 1
-        betas.append(tuple(beta))
-    # e_i -> v_i for i < r, every other generator -> 0
-    onto = Matrix([[v[l] for v in vectors] + [ZERO] * (sp.dim - r) for l in range(sp.dim)])
-    pad = (0,) * (sp.dim - r)
-    expansions = [transform(SymTensor.monomial(sp, b + pad), onto) for b in betas]
-    monomials = sorted(set(t.coeffs).union(*(poly.coeffs for poly in expansions)))
-    index = {a: i for i, a in enumerate(monomials)}
-    cols = []
-    for poly in expansions:
-        col = [ZERO] * len(monomials)
-        for a, c in poly.coeffs.items():
-            col[index[a]] = c
-        cols.append(col)
-    rhs = [ZERO] * len(monomials)
-    for a, c in t.coeffs.items():
-        rhs[index[a]] = c
-    sol = solve_linear(Matrix(cols).transpose(), tuple(rhs))
-    if sol is None:
-        raise ContractError("tensor is not supported in the given subspace")
-    # certify: the parametrized expansion reproduces t exactly
-    check = SymTensor.zero(sp, t.degree)
-    for poly, c in zip(expansions, sol):
-        if c:
-            check = check + poly.scale(c)
-    if check != t:
-        raise ContractError("restriction certification failed")
-    return dict(zip(betas, sol))
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,11 @@ complex model written in a real basis: the algebra assembled again from
 h^tau's basis, real_m_basis(j) and the [m, m] brackets of _generator_table,
 read through the realified rows of h^tau, and verified by its own
 verify_model (Jacobi included).
+restrict_to_basis is the restriction of a tensor to a basis before
+BinaryQuartic.from_symtensor read it off the Darboux frame of the basis: an
+exact linear solve for the coefficients of the symmetric powers of the
+vectors, each power expanded by transform, and the solution re-expanded as a
+check.
 """
 
 import re as _re
@@ -105,6 +110,7 @@ from hksym.symtensor import (
     s2e_coords,
     s2e_matrix,
     table_entry,
+    transform,
 )
 from hksym.symplectic import (
     SymplecticSpace,
@@ -239,8 +245,6 @@ def aut_dimension_bruteforce(s, e_plus):
     matching the package-wide sign convention (minus the derivation).  The
     kernel dimension of the stacked action matrix is dim aut(S).
     """
-    from hksym.symtensor import restrict_to_basis
-
     n = e_plus.dim
     restricted = {
         beta: c for beta, c in restrict_to_basis(s, list(e_plus.basis)).items() if c
@@ -518,16 +522,15 @@ def random_invertible(n, rng):
 
 def embed_gl_group(e_plus, t_small):
     """Extension of an invertible T in GL(E_+) to Sp(E): blockdiag(T, (T^t)^-1)
-    in the basis of e_plus followed by its omega-dual Lagrangian complement.
-    Symplectic by construction; checked."""
+    in the Darboux frame of e_plus: its basis followed by the omega-dual
+    Lagrangian complement.  Symplectic by construction; checked."""
     from hksym.symplectic import lagrangian_complement
 
     n = e_plus.dim
-    _, g = lagrangian_complement(e_plus)
-    basis_mat = Matrix([list(v) for v in e_plus.basis] + [list(v) for v in g]).transpose()
+    frame = lagrangian_complement(e_plus)
     block = [list(row) + [ZERO] * n for row in t_small.data]
     block += [[ZERO] * n + list(row) for row in inverse(t_small.transpose()).data]
-    embedded = basis_mat @ Matrix(block) @ inverse(basis_mat)
+    embedded = frame @ Matrix(block) @ inverse(frame)
     omega = e_plus.ambient.omega
     assert embedded.transpose() @ omega @ embedded == omega
     return embedded
@@ -961,3 +964,46 @@ def real_algebra_by_generators(q, j, h_basis):
     if not all(g.is_real for row in metric.data for g in row):
         raise TheoremViolationError("metric restriction is not real (bug signal)")
     return model
+
+
+def restrict_to_basis(t, vectors):
+    """Coefficients of t in the symmetric powers of the given vectors.
+
+    Solves the exact linear system expressing t as sum_b c_b * prod v_i^b_i
+    over multi-indices b of degree t.degree; ContractError when t is not in
+    the span (i.e. not supported in the subspace).
+    """
+    sp = t.space
+    r = len(vectors)
+    betas = []
+    for combo in combinations_with_replacement(range(r), t.degree):
+        beta = [0] * r
+        for k in combo:
+            beta[k] += 1
+        betas.append(tuple(beta))
+    # e_i -> v_i for i < r, every other generator -> 0
+    onto = Matrix([[v[l] for v in vectors] + [ZERO] * (sp.dim - r) for l in range(sp.dim)])
+    pad = (0,) * (sp.dim - r)
+    expansions = [transform(SymTensor.monomial(sp, b + pad), onto) for b in betas]
+    monomials = sorted(set(t.coeffs).union(*(poly.coeffs for poly in expansions)))
+    index = {a: i for i, a in enumerate(monomials)}
+    cols = []
+    for poly in expansions:
+        col = [ZERO] * len(monomials)
+        for a, c in poly.coeffs.items():
+            col[index[a]] = c
+        cols.append(col)
+    rhs = [ZERO] * len(monomials)
+    for a, c in t.coeffs.items():
+        rhs[index[a]] = c
+    sol = solve_linear(Matrix(cols).transpose(), tuple(rhs))
+    if sol is None:
+        raise ContractError("tensor is not supported in the given subspace")
+    # certify: the parametrized expansion reproduces t exactly
+    check = SymTensor.zero(sp, t.degree)
+    for poly, c in zip(expansions, sol):
+        if c:
+            check = check + poly.scale(c)
+    if check != t:
+        raise ContractError("restriction certification failed")
+    return dict(zip(betas, sol))

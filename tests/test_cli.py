@@ -305,28 +305,32 @@ class TestAnalyze:
         assert run_cli(capsys, "analyze", real_file, "--real") == (
             3, "", "internal error: metric restriction is not real (bug signal)\n")
 
-    @pytest.mark.parametrize("failing_call, message", [
-        (2, "extend_to_lagrangian produced a non-isotropic subspace"),
-        (4, "lagrangian_complement produced a non-isotropic complement"),
+    @pytest.mark.parametrize("target, message, calls_made", [
+        ("is_isotropic", "extend_to_lagrangian produced a non-isotropic subspace", 2),
+        ("solve_linear", "lagrangian_complement produced a non-symplectic frame", 1),
     ], ids=["extend", "complement"])
     def test_symplectic_postcondition_exits_3(self, capsys, monkeypatch, dim4_file,
-                                               failing_call, message):
-        # analyze on p^4 checks isotropy inside symplectic four times: the
-        # input, then the result, of extend_to_lagrangian and of
-        # lagrangian_complement; failing a result check is a bug signal
+                                               target, message, calls_made):
+        # analyze on p^4 checks isotropy inside symplectic on the input, then
+        # the result, of extend_to_lagrangian, and lagrangian_complement
+        # certifies its Darboux frame by P^t Omega P = Omega; failing a
+        # result check is a bug signal.  The second isotropy check fails, or
+        # the one dual vector solved for comes out doubled
         import hksym.symplectic as symplectic
 
-        honest = symplectic.is_isotropic
+        honest = getattr(symplectic, target)
         calls = []
 
-        def fails_once(sub):
-            calls.append(sub)
-            return honest(sub) and len(calls) != failing_call
+        def perturbed(*args):
+            calls.append(args)
+            if target == "is_isotropic":
+                return honest(*args) and len(calls) != 2
+            return tuple(c + c for c in honest(*args))
 
-        monkeypatch.setattr(symplectic, "is_isotropic", fails_once)
+        monkeypatch.setattr(symplectic, target, perturbed)
         code, out, err = run_cli(capsys, "analyze", dim4_file)
         assert (code, out, err) == (3, "", "internal error: %s\n" % message)
-        assert len(calls) == failing_call
+        assert len(calls) == calls_made
 
     def test_non_isotropic_support_without_witness_exits_3(self, capsys, monkeypatch, tmp_path):
         # a full quartic has a non-isotropic support, so some entry must fail

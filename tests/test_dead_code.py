@@ -1,10 +1,13 @@
 """Dead-code guard for src/hksym, read with the standard library's ast only.
 
-Two kinds of leftover fail it: a module that imports a name it never uses
-(the package __init__ is exempt, since its imports are the public API), and
-a module-level _private function that no src/hksym module references outside
-its own body.  Tests, oracles and the benchmark do not count as users: a
-private helper that only they reach belongs with them.
+Three kinds of leftover fail it: a module that imports a name it never uses
+(the package __init__ is exempt, since its imports are the public API), a
+module-level _private function that no src/hksym module references outside
+its own body, and a public module-level function that the package __init__
+does not export and no src/hksym module references outside its own body.
+Tests, oracles and the benchmark do not count as users: a helper that only
+they reach belongs with them.  generators is exempt from the public check,
+as a public module: the benchmark's corpus imports its functions.
 """
 
 import ast
@@ -65,6 +68,14 @@ def test_every_private_function_is_referenced(module):
                if isinstance(stmt, ast.FunctionDef)
                and stmt.name.startswith("_") and not stmt.name.startswith("__")]
     assert [name for name in private if not references(name, module, name)] == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in ("__init__", "generators")])
+def test_every_public_function_is_used(module):
+    # an export by the package __init__ is a reference there
+    public = [stmt.name for stmt in MODULES[module].body
+              if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")]
+    assert [name for name in public if not references(name, module, name)] == []
 
 
 def test_guard_sees_a_leftover():

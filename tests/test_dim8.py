@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from fractions import Fraction
 
-from hksym.exactnum import ContractError, GaussRat, Matrix, ONE, ZERO
+from hksym.exactnum import ContractError, GaussRat, Matrix, ONE, ZERO, mat_vec
 from hksym.symplectic import SymplecticSpace, span
 from hksym.symtensor import SymTensor, support, transform
 from hksym.dim8 import (
@@ -19,7 +21,7 @@ from hksym.dim8 import (
     real_class_of_symmetric,
     real_orbit_class_from_char,
 )
-from hksym.generators import random_gaussrat, random_tau_fixed, standard_split_j
+from hksym.generators import random_gaussrat, random_symplectic, random_tau_fixed, standard_split_j
 from hksym.realform import RealityError
 
 from oracles import (
@@ -27,6 +29,7 @@ from oracles import (
     embed_gl_group,
     petrov_from_matrix,
     random_invertible,
+    restrict_to_basis,
     root_pattern_gcd_chain,
 )
 
@@ -229,6 +232,42 @@ class TestSymTensorConversion:
             s = binary_quartic_tensor(q, sp, pair)
             assert BinaryQuartic.from_symtensor(s, pair) == q
 
+    def test_matches_restriction_oracle(self):
+        # seeded differential test against the linear-solve restriction:
+        # coordinate Lagrangian planes, their images under products of 1-6
+        # transvections, and (v, jv) bases of the planes the split j keeps
+        rng = random.Random(23)
+        sp = SymplecticSpace(2)
+        e = [sp.basis_vector(k) for k in range(4)]
+        j = standard_split_j(sp)
+        coordinate = [(e[0], e[1]), (e[0], e[3]), (e[2], e[1]), (e[2], e[3])]
+        pairs = list(coordinate)
+        for steps in range(1, 7):
+            t = random_symplectic(sp, rng, steps=steps)
+            a, b = rng.choice(coordinate)
+            pairs.append((mat_vec(t, a), mat_vec(t, b)))
+        for half in (e[:2], e[2:]):
+            for _ in range(3):
+                a, b = random_gaussrat(rng), random_gaussrat(rng)
+                v = tuple(a * x + b * y for x, y in zip(*half))
+                if any(v):
+                    pairs.append((v, j.apply(v)))
+        for pair in pairs:
+            q = BinaryQuartic.from_plain([random_gaussrat(rng) for _ in range(5)])
+            s = binary_quartic_tensor(q, sp, pair)
+            plain = [ZERO] * 5
+            for beta, c in restrict_to_basis(s, list(pair)).items():
+                plain[beta[1]] = c
+            assert BinaryQuartic.from_symtensor(s, pair) == BinaryQuartic.from_plain(plain) == q
+            # a quartic with a term off the plane is refused by both
+            outside = next(w for w in e if not span(sp, pair).contains(w))
+            bad = s + SymTensor.linear(sp, outside) ** 4
+            with pytest.raises(ContractError) as ours:
+                BinaryQuartic.from_symtensor(bad, pair)
+            with pytest.raises(ContractError) as theirs:
+                restrict_to_basis(bad, list(pair))
+            assert str(ours.value) == str(theirs.value) == "tensor is not supported in the given subspace"
+
 
 class TestClassifyComplex8:
     def test_examples(self):
@@ -267,6 +306,13 @@ class TestClassifyComplex8:
         e_plus = span(sp, [sp.basis_vector(0), sp.basis_vector(1)])
         with pytest.raises(ContractError, match="not supported in the given subspace"):
             classify_complex8(lin(sp, 2) ** 4, e_plus)
+
+    def test_requires_isotropic_plane(self):
+        # p_1^4 lies in S^4 span(p_1, q_1), but that plane is not Lagrangian
+        sp = SymplecticSpace(2)
+        plane = span(sp, [sp.basis_vector(0), sp.basis_vector(2)])
+        with pytest.raises(ContractError, match="needs a Lagrangian input"):
+            classify_complex8(lin(sp, 0) ** 4, plane)
 
 
 class TestRealClass:

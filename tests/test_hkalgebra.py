@@ -18,7 +18,13 @@ from hksym.exactnum import (
     mat_vec,
     unit_vec,
 )
-from hksym.symplectic import SymplecticSpace, is_isotropic, quaternionic_from_json, span
+from hksym.symplectic import (
+    SymplecticSpace,
+    is_isotropic,
+    lagrangian_complement,
+    quaternionic_from_json,
+    span,
+)
 from hksym.symtensor import (
     SymTensor,
     double_contraction_endo,
@@ -657,7 +663,7 @@ class TestAut:
         sp = SymplecticSpace(2)
         e_plus = span(sp, [sp.basis_vector(0), sp.basis_vector(1)])
         a = Matrix([[GaussRat(1), GaussRat(2, 1)], [GaussRat(0, 1), GaussRat(-1)]])
-        emb = embed_gl_eplus(e_plus, a)
+        emb = embed_gl_eplus(lagrangian_complement(e_plus), a)
         assert is_in_sp(sp, emb)
         # abstract brute force over sp(E) stabilizers agrees with the embedding
         for v in e_plus.basis:

@@ -33,14 +33,15 @@ holonomy is h^tau, read off that same basis by one elimination of 2 dim h
 rows, and only when the real algebra is built: a reality verdict alone
 eliminates nothing.  The table takes no matrix product
 or transpose, a span is eliminated once, and restricting a quartic to a
-basis expands each symmetric power of the basis once.  The real form reads
+plane pushes it forward once, along the inverse of the plane's Darboux frame.  The real form reads
 the table once, into its J table S_{je_k,e_l}, for the reality verdict; the
 complex algebra reads each [m, m] bracket S_{e_k,e_l} once, and takes [h, m]
 from the matrices holonomy(q) wrote out.  The real algebra reads no table
 entry: it evaluates the complex model's bracket on a real basis and inherits
 its Jacobi certificate, so an analysis checks Jacobi once.  classify8 certifies S in S^4 of a plane once, in
-certify_invariance: dim8 leaves S in S^4(e_plus) to restrict_to_basis, which
-solves for S on e_plus exactly.
+certify_invariance: dim8 leaves S in S^4(e_plus) to the quartic it reads off
+e_plus's Darboux frame, built once per classification.  compute_aut builds
+the Darboux frame of E_+ once, not once per elementary matrix of gl(E_+).
 """
 
 import json
@@ -404,24 +405,36 @@ def test_span_eliminates_once(monkeypatch, rng):
 def test_classify8_certifies_membership_once(monkeypatch, tmp_path, capsys, flags):
     # certify_invariance certifies S in S^4(support) once; dim8 makes no
     # tensor_in_subspace_power call of its own and leaves S in S^4(e_plus)
-    # to restrict_to_basis, which solves for S on e_plus exactly
+    # to the quartic it reads off e_plus's Darboux frame, one frame per
+    # classification
     path = str(tmp_path / "petrov_i.json")
     assert main(["generate", "petrov:I", "-o", path]) == 0
     assert not hasattr(dim8, "tensor_in_subspace_power")
     memberships = count_calls(monkeypatch, hkalgebra, "tensor_in_subspace_power")
     perps = count_calls(monkeypatch, symtensor, "omega_perp")
-    restrictions = count_calls(monkeypatch, dim8, "restrict_to_basis")
+    frames = count_calls(monkeypatch, dim8, "lagrangian_complement")
     assert main(["classify8", path, *flags]) == 0
     assert capsys.readouterr().out.startswith("type: I\n")
     assert (len(memberships), len(perps)) == (1, 1)
-    assert len(restrictions) == 1 + len(flags)
+    assert len(frames) == 1 + len(flags)
 
 
 def test_restriction_expands_each_power_once(monkeypatch, tmp_path, capsys):
     path = str(tmp_path / "petrov_i.json")
     assert main(["generate", "petrov:I", "-o", path]) == 0
-    expansions = count_calls(monkeypatch, symtensor, "transform")
+    expansions = [count_calls(monkeypatch, module, "transform") for module in (symtensor, dim8)]
     assert main(["classify8", path]) == 0
     assert capsys.readouterr().out.startswith("type: I\n")
-    # one push-forward per beta of degree 4 in two variables, and no other
-    assert len(expansions) == 5
+    # one push-forward of S, along the inverse of e_plus's Darboux frame,
+    # and no other
+    assert [len(calls) for calls in expansions] == [0, 1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_compute_aut_builds_the_frame_once(monkeypatch, n):
+    sp = SymplecticSpace(n)
+    e_plus = span(sp, [sp.basis_vector(k) for k in range(n)])
+    s = make_generator("random-lagrangian:%d" % n, 7)
+    frames = count_calls(monkeypatch, hkalgebra, "lagrangian_complement")
+    hkalgebra.compute_aut(s, e_plus)
+    assert len(frames) == 1

@@ -127,13 +127,13 @@ class TestSubspaces:
         t = random_symplectic(sp, rng)
         from hksym.exactnum import mat_vec
 
-        lag = span(sp, [mat_vec(t, sp.basis_vector(k)) for k in range(3)])
-        comp, g = lagrangian_complement(lag)
-        assert comp.dim == 3 and is_isotropic(comp)
-        for i, f in enumerate(lag.basis):
-            for j, gv in enumerate(g):
-                expected = ONE if i == j else ZERO
-                assert omega_pair(sp, f, gv) == expected
+        # the images of p_1..p_3 under a generic symplectic map, which are
+        # not in reduced row echelon form
+        lag = Subspace(sp, [mat_vec(t, sp.basis_vector(k)) for k in range(3)])
+        assert lag.basis != lag.echelon()
+        frame = lagrangian_complement(lag)
+        assert frame.transpose() @ sp.omega @ frame == sp.omega
+        assert [frame.col(k) for k in range(3)] == list(lag.basis)
 
 
 class TestQuaternionic:
