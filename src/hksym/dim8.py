@@ -6,7 +6,9 @@ A binary quartic is kept in the classical weighted form
 a0 x^4 + 4 a1 x^3 y + 6 a2 x^2 y^2 + 4 a3 x y^3 + a4 y^4, so the two classical
 invariants are I = a0 a4 - 4 a1 a3 + 3 a2^2 and
 J = a0 a2 a4 + 2 a1 a2 a3 - a0 a3^2 - a1^2 a4 - a2^3.  Root multiplicities are
-found by exact gcd chains (Yun), never by extracting roots.
+found by exact gcd chains (Yun), never by extracting roots.  A quartic on
+dim E = 4 becomes a binary quartic in the Darboux frame of its Lagrangian
+plane (symtensor.in_frame), with no solve.
 """
 
 from fractions import Fraction
@@ -22,7 +24,7 @@ from .exactnum import (
     inverse,
 )
 from .symplectic import Subspace, lagrangian_complement
-from .symtensor import tau, transform
+from .symtensor import in_frame, tau
 from .hkalgebra import TheoremViolationError, certify_invariance, find_lagrangian
 from .realform import RealityError
 
@@ -91,19 +93,15 @@ class BinaryQuartic:
         """The quartic s on span(basis_pair), in the variables basis_pair.
 
         P = lagrangian_complement(Subspace(space, basis_pair)) is the
-        Darboux frame whose first two columns are basis_pair, so
-        transform(p^beta, P) = prod basis_pair[i]^beta_i and s = P . s' for
-        s' = transform(s, inverse(P)).  s' is in p_1, p_2 alone exactly when
-        s is supported in the plane, and its coefficient at p_1^a p_2^b is
-        the plain coefficient at x^a y^b.  ContractError when the pair does
-        not span a Lagrangian plane (from lagrangian_complement) or s is not
-        supported there.
+        Darboux frame whose first two columns are basis_pair, and
+        in_frame(s, P) is s in its coordinates: its coefficient at
+        p_1^a p_2^b is the plain coefficient at x^a y^b.  ContractError when
+        the pair does not span a Lagrangian plane (from
+        lagrangian_complement) or s is not supported there (from in_frame).
         """
         frame = lagrangian_complement(Subspace(s.space, basis_pair))
         plain = [ZERO] * 5
-        for alpha, c in transform(s, inverse(frame)).coeffs.items():
-            if alpha[2] or alpha[3]:
-                raise ContractError("tensor is not supported in the given subspace")
+        for alpha, c in in_frame(s, frame).coeffs.items():
             plain[alpha[1]] = c
         return cls.from_plain(plain)
 

@@ -287,10 +287,6 @@ class Matrix:
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls([[ZERO] * ncols for _ in range(nrows)])
-
-    @classmethod
     def from_strings(cls, rows):
         return cls([[GaussRat.parse(e) for e in row] for row in rows])
 

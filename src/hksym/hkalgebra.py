@@ -11,8 +11,10 @@ modulo a prime, or eliminates the table.  It returns an InvariantQuartic:
 the quartic, the table, the basis of h and the support.
 The stages take that certificate (or what they consume of it) explicitly:
 holonomy(q) reads the basis of h, find_lagrangian(q) extends the support,
-flat_decomposition(q, e_plus) splits off the flat factor, and
-build_complex_algebra(q, hol) reads the [m, m] brackets off the table.
+flat_decomposition(q) splits off the flat factor along the Darboux frame of
+that extension, and build_complex_algebra(q, hol) reads the [m, m] brackets
+off the table.  compute_aut(s, e_plus) lets gl(E_+) act on S written in the
+Darboux frame of E_+ (symtensor.in_frame).
 An element of sp(E) becomes a matrix (symtensor.s2e_matrix) only where it
 acts on E: the reject path, and the holonomy's basis, which acts as [h, m].
 
@@ -48,14 +50,11 @@ from .exactnum import (
     echelon_basis,
     extend_rref,
     hermitian_inertia,
-    inverse,
     modular_rank,
     rank_kernel,
-    unit_vec,
 )
 from .symplectic import (
     Subspace,
-    SymplecticSpace,
     extend_to_lagrangian,
     lagrangian_complement,
     omega_pair,
@@ -63,12 +62,11 @@ from .symplectic import (
 )
 from .symtensor import (
     double_contractions,
-    is_in_sp,
+    in_frame,
     s2e_matrix,
     sp_action,
     support_columns,
     symmetric_square,
-    table_entry,
     tensor_in_subspace_power,
 )
 
@@ -336,9 +334,11 @@ def build_complex_algebra(q, hol):
 
     h = holonomy(q) acts by hol.basis's matrices: [A, h_a (x) e_k] is column
     k of A in copy a.  The [m, m] brackets [h(x)e_k, h'(x)e_l] = S_{e_k,e_l}
-    are read through one SpanSolver of q.h_rows.  [h, h] stays zero (see
-    holonomy); verify_jacobi checks that zero independently, as each triple
-    (A, B, m) evaluates [A, B]m against it.
+    are read through one SpanSolver of q.h_rows, once per table key k <= l,
+    as S_{e_k,e_l} = S_{e_l,e_k}.  The metric is the block matrix
+    [[0, Omega], [-Omega, 0]] of g((x, y), (x', y')) = x^t Omega y' - y^t Omega x'.
+    [h, h] stays zero (see holonomy); verify_jacobi checks that zero
+    independently, as each triple (A, B, m) evaluates [A, B]m against it.
     """
     sp = q.s.space
     dim_e, dim_h = sp.dim, hol.dimension
@@ -358,17 +358,17 @@ def build_complex_algebra(q, hol):
             copy, k = divmod(t, dim_e)
             column = enumerate(a_mat.col(k), dim_h + copy * dim_e)
             put(i, dim_h + t, {r: c for r, c in column if c})
-    for k in range(dim_e):
-        for l in range(dim_e):
-            coords = solver.coords(table_entry(q.table, k, l))
-            if coords is None:
-                raise TheoremViolationError("bracket value escaped the holonomy span (bug signal)")
-            if any(coords):
-                put(dim_h + k, dim_h + dim_e + l, {i: v for i, v in enumerate(coords) if v})
-    # metric: g((x, y), (x', y')) = omega(x, y') - omega(y, x'), on unit tuples
-    pairs = [(w[:dim_e], w[dim_e:]) for w in (unit_vec(dim_m, t) for t in range(dim_m))]
-    metric = Matrix([[omega_pair(sp, x, y2) - omega_pair(sp, y, x2) for x2, y2 in pairs]
-                     for x, y in pairs])
+    for (k, l), v in q.table.items():
+        coords = solver.coords(v)
+        if coords is None:
+            raise TheoremViolationError("bracket value escaped the holonomy span (bug signal)")
+        if any(coords):
+            coords = {i: c for i, c in enumerate(coords) if c}
+            put(dim_h + k, dim_h + dim_e + l, coords)
+            put(dim_h + l, dim_h + dim_e + k, coords)
+    zero = (ZERO,) * dim_e
+    metric = Matrix([zero + row for row in sp.omega.data]
+                    + [tuple(-c for c in row) + zero for row in sp.omega.data])
     model = LieAlgebraModel(labels, dim_h, dim_m, brackets, metric)
     verify_model(model)
     return model
@@ -406,83 +406,51 @@ def find_lagrangian(q):
     return extend_to_lagrangian(q.support)
 
 
-def flat_decomposition(q, e_plus):
+def flat_decomposition(q):
     """Split E = E^1 (+) E^0 with the flat directions in E^0.
 
-    e_plus is the Lagrangian find_lagrangian(q).  Its adapted basis is the
-    support, then the greedy completion inside E_+, and P is the Darboux
-    frame lagrangian_complement completes it to: E^1 is spanned by the
-    support's columns of P and their duals, E^0 by the rest.  P^t Omega P =
-    Omega, certified there, makes P invertible, gives each piece the standard
-    Gram and makes the two pieces omega-orthogonal, so the split needs no
-    certificate of its own; E^1_+ is the support, so S in S^4 E^1_+ is the
-    InvariantQuartic's own certificate.
+    find_lagrangian(q) extends the support's basis, so the Darboux frame P
+    lagrangian_complement completes it to starts with the support: E^1 is
+    spanned by the support's columns of P and their duals, E^0 by the rest.
+    P^t Omega P = Omega, certified there, makes P invertible, gives each
+    piece the standard Gram and makes the two pieces omega-orthogonal, so
+    the split needs no certificate of its own; E^1_+ is the support, so S in
+    S^4 E^1_+ is the InvariantQuartic's own certificate.
     Returns (e1, e0, flat_complex_dim) where the flat complex dimension counts
     the H (x) E^0 block, i.e. 2 dim E^0.
     """
-    sigma = q.support
     sp = q.s.space
-    n, r = sp.n, sigma.dim
-    # adapted basis of E_+: the support, then the greedy completion, i.e.
-    # each candidate that raises the rank of the ones kept before it
-    rows, pivots = [], []
-    adapted = [v for v in sigma.echelon() + e_plus.echelon() if extend_rref(rows, pivots, v)]
-    cols = lagrangian_complement(Subspace(sp, adapted)).transpose().data
+    n, r = sp.n, q.support.dim
+    cols = lagrangian_complement(find_lagrangian(q)).transpose().data
     e1 = Subspace(sp, cols[:r] + cols[n:n + r])
     e0 = Subspace(sp, cols[r:n] + cols[n + r:])
     return e1, e0, 2 * e0.dim
 
 
-def embed_gl_eplus(frame, a_small):
-    """Canonical embedding gl(E_+) -> sp(E): A on E_+, -A^t on the dual complement.
-
-    frame is the Darboux frame P = lagrangian_complement(e_plus), whose first
-    n columns are e_plus's basis and whose last n are their omega-duals; in
-    those bases the extension is blockdiag(A, -A^t), so the embedding is
-    P blockdiag(A, -A^t) P^{-1}, verified to preserve omega before returning.
-    """
-    n = frame.nrows // 2
-    if a_small.nrows != n or a_small.ncols != n:
-        raise ContractError("gl(E_+) matrix has wrong size")
-    block = [list(row) + [ZERO] * n for row in a_small.data]
-    block += [[ZERO] * n + list(row) for row in (-a_small.transpose()).data]
-    embedded = frame @ Matrix(block) @ inverse(frame)
-    if not is_in_sp(SymplecticSpace(n), embedded):
-        raise TheoremViolationError("gl(E_+) embedding failed to preserve omega")
-    return embedded
-
-
 def compute_aut(s, e_plus):
-    """Echelonized basis of aut(S) = {A in gl(E_+) | A . S = 0}.
+    """Echelonized basis of aut(S) = {A in gl(E_+) | A . S = 0}, as n x n
+    matrices in the coordinates of the e_plus basis.
 
-    The returned matrices are n x n in the coordinates of the e_plus basis;
-    embed_gl_eplus lifts them to sp(E) through the one Darboux frame of
-    e_plus.
+    With P = lagrangian_complement(e_plus), A acts on S' = in_frame(s, P)
+    as blockdiag(A, -A^t) in sp(E).  As sp_action(P B P^-1, S) =
+    P . sp_action(B, S') and P . is injective, that is the kernel of A on S
+    through the extension P blockdiag(A, -A^t) P^-1, and the echelon basis
+    of a kernel is canonical.  ContractError (from in_frame) when S is not
+    supported in e_plus.
     """
-    if not tensor_in_subspace_power(s, e_plus):
-        raise ContractError("S is not supported in the given subspace")
     n = e_plus.dim
-    frame = lagrangian_complement(e_plus)
+    restricted = in_frame(s, lagrangian_complement(e_plus))
     images = []
-    for flat_index in range(n * n):
-        i, j = divmod(flat_index, n)
-        small = [[ZERO] * n for _ in range(n)]
-        small[i][j] = ONE
-        images.append(sp_action(embed_gl_eplus(frame, Matrix(small)), s))
-    monomials = sorted(set(a for img in images for a in img.coeffs))
-    index = {m: i for i, m in enumerate(monomials)}
-    height = max(len(monomials), 1)
-    cols = []
-    for img in images:
-        col = [ZERO] * height
-        for a, c in img.coeffs.items():
-            col[index[a]] = c
-        cols.append(col)
-    _, kernel, _ = rank_kernel(Matrix(cols).transpose())
-    basis = []
-    for v in echelon_basis(kernel):
-        basis.append(Matrix([list(v[i * n:(i + 1) * n]) for i in range(n)]))
-    return basis
+    for i in range(n):
+        for j in range(n):
+            block = [[ZERO] * (2 * n) for _ in range(2 * n)]
+            block[i][j], block[n + j][n + i] = ONE, MINUS_ONE
+            images.append(sp_action(Matrix(block), restricted))
+    # one row per monomial of the images (one zero row if there is none)
+    monomials = sorted(set(a for img in images for a in img.coeffs)) or [None]
+    rows = [[img.coeffs.get(a, ZERO) for img in images] for a in monomials]
+    _, kernel, _ = rank_kernel(Matrix(rows))
+    return [Matrix([v[i * n:(i + 1) * n] for i in range(n)]) for v in echelon_basis(kernel)]
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +502,10 @@ def analyze_quartic(s, j=None, real=False):
     """Run the full verification pipeline; reality/signature only when real=True.
 
     The report mirrors the pipeline: invariance -> holonomy -> support and
-    Lagrangian -> flat splitting -> algebra (Jacobi) -> Ricci -> optionally
-    reality, real algebra, signature -> dim-8 classification when n = 2.
+    Lagrangian -> algebra (Jacobi) -> Ricci -> optionally reality, real
+    algebra, signature -> dim-8 classification when n = 2.  The flat
+    factor's dimension is counted off the support, with no split built, so
+    an analysis builds a Darboux frame only for the classification.
     """
     try:
         q = certify_invariance(s)
@@ -543,7 +513,6 @@ def analyze_quartic(s, j=None, real=False):
         return AnalysisReport(invariance_ok=False, invariance_witness=exc.witness)
     hol = holonomy(q)
     e_plus = find_lagrangian(q)
-    _, _, flat_dim = flat_decomposition(q, e_plus)
     # verify_model certifies Jacobi and the metric (or raises) while the
     # algebra is built, so jacobi_ok holds once the model exists
     model = build_complex_algebra(q, hol)
@@ -585,7 +554,8 @@ def analyze_quartic(s, j=None, real=False):
         # certify_invariance raised unless the support is isotropic
         support_isotropic=True,
         lagrangian_found=e_plus,
-        flat_complex_dim=flat_dim,
+        # 2 dim E^0 of every flat split, with dim E^0 = 2(n - dim support)
+        flat_complex_dim=4 * (s.space.n - q.support.dim),
         jacobi_ok=True,
         ricci_zero=ricci.is_zero(),
         reality=reality,

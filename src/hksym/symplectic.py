@@ -9,8 +9,9 @@ Conventions fixed here and inherited by everything downstream:
   through omega_flat(x) = omega(x, .) and its inverse omega_sharp; the
   dense matrix Omega (row k is omega_flat(e_k)) is kept only for matrix
   identities: C^t Omega C = conj(Omega), C = Omega^t for the standard j,
-  the Gram matrix of gamma and P^t Omega P = Omega for the Darboux frame P
-  of lagrangian_complement.
+  the Gram matrix of gamma, P^t Omega P = Omega for the Darboux frame P
+  of lagrangian_complement, and the metric [[0, Omega], [-Omega, 0]] on
+  H(x)E in hkalgebra.
 * E is the only symplectic space here.  The plane H of g = h + H(x)E is
   written out as formulas on pairs (x, y) in E (+) E in hkalgebra.
 * The pairing <v, omega x> := omega(x, v), so that the coordinate p paired
@@ -161,7 +162,8 @@ def omega_perp(sub):
 
 
 def extend_to_lagrangian(sub):
-    """Greedy deterministic extension of an isotropic subspace to a Lagrangian.
+    """Greedy deterministic extension of an isotropic subspace to a Lagrangian,
+    whose basis starts with the input's basis, unchanged.
 
     Standard basis vectors are tried in order first and kept when they
     preserve isotropy and independence.  For non-coordinate inputs that sweep
@@ -336,9 +338,13 @@ def record_fields(data, record, keys):
 
 
 # the largest n a quartic may have (dim E = 2n): analyze on
-# random-lagrangian:n (seed 7) takes about 3-3.6 s, 6-8 s and 14-16 s at
-# n = 12, 14 and 16 on a 2-vCPU VM, most of it in the Jacobi check, which
-# grows about as n^6, so a larger quartic is refused outright
+# random-lagrangian:n (seed 7) takes about 2.5 s, 6-7 s and 10-12.5 s at
+# n = 12, 14 and 16 on a 2-vCPU Xeon VM, most of it in the Jacobi check,
+# which grows about as n^6, so a larger quartic is refused outright.  The
+# bound was timed on random-lagrangian inputs only: at the same n a
+# scrambled quartic (dense, with tall coefficients) takes far longer, about
+# 10.5 s against 0.2 s at n = 6 after 3 transvections, and real-random:6
+# with --real about 5 s at n = 12
 MAX_N = 16
 
 

@@ -31,6 +31,8 @@ times w_a w_b, at (b, a').  hksym holds an element of sp(E) as the tuple of
 these coordinates, and only this module knows their layout: s2e_matrix
 writes one out as a matrix by sign flips, quadratic and s2e_coords go to B
 and back, and j acts as tau, j A_B j^-1 = A_{tau B}, on them as s2e_tau(j).
+in_frame(t, P) writes t in the coordinates of a Darboux frame P = (f, g),
+refusing a t outside S^d(span f); the dim-8 restriction and aut(S) read it.
 """
 
 from fractions import Fraction
@@ -46,6 +48,7 @@ from .exactnum import (
     ZERO,
     _trusted_matrix,
     from_triple,
+    inverse,
     lincomb,
     triple,
     unit_vec,
@@ -531,6 +534,18 @@ def transform(t, m):
     terms = [(tuple(k for k, e in enumerate(alpha) for _ in range(e)), c)
              for alpha, c in t.coeffs.items()]
     return SymTensor(sp, d, {_exponents(code, base, dim): c for code, c in horner(terms, 0).items()})
+
+
+def in_frame(t, frame):
+    """t in the coordinates of a Darboux frame P = (f, g): the tensor t' with
+    t = transform(t', P), that is transform(t, inverse(P)).  Its monomials
+    are in the f coordinates p_1..p_n alone exactly when t lies in
+    S^d(span f); ContractError when one has an exponent on a g coordinate."""
+    out = transform(t, inverse(frame))
+    n = t.space.n
+    if any(any(alpha[n:]) for alpha in out.coeffs):
+        raise ContractError("tensor is not supported in the given subspace")
+    return out
 
 
 def _exponents(code, base, dim):

@@ -45,7 +45,12 @@ d x d rows (flatten).  derived_series_reference is the holonomy's derived series
 basis as a dense matrix product AB - BA, then the span of the brackets
 eliminated, step by step.  embed_gl_group and binary_quartic_tensor carry
 group elements and binary quartics into E for equivariance and round-trip
-tests; random_vector and random_invertible draw their operands.
+tests; random_vector and random_invertible draw their operands, and zeros
+is the zero matrix they start from.
+embed_gl_eplus and aut_basis_by_embedding are aut(S) before compute_aut read
+S in the Darboux frame P of E_+: each elementary matrix A of gl(E_+) lifted
+to P blockdiag(A, -A^t) P^-1 in sp(E), with P inverted per lift, and acted
+on S itself.
 rref_reference is the dense column sweep that echelon_basis, rank_kernel,
 solve_linear and inverse ran before every RREF was grown one vector at a
 time by extend_rref: each pivot found by scanning its column, its row
@@ -109,6 +114,7 @@ from hksym.symtensor import (
     quadratic,
     s2e_coords,
     s2e_matrix,
+    sp_action,
     table_entry,
     transform,
 )
@@ -313,7 +319,7 @@ def inertia_by_char_poly(h):
 
     n = h.nrows
     ident = Matrix.identity(n)
-    m = Matrix.zeros(n, n)
+    m = zeros(n, n)
     coeffs = [GaussRat(1)]  # leading coefficient of t^n
     for k in range(1, n + 1):
         m = h @ (m + ident.scale(coeffs[-1]))
@@ -534,6 +540,48 @@ def embed_gl_group(e_plus, t_small):
     omega = e_plus.ambient.omega
     assert embedded.transpose() @ omega @ embedded == omega
     return embedded
+
+
+def zeros(nrows, ncols):
+    return Matrix([[ZERO] * ncols for _ in range(nrows)])
+
+
+def embed_gl_eplus(frame, a_small):
+    """Canonical embedding gl(E_+) -> sp(E): A on E_+, -A^t on the dual
+    complement, i.e. P blockdiag(A, -A^t) P^-1 for the Darboux frame P of
+    E_+; checked to preserve omega."""
+    n = frame.nrows // 2
+    assert a_small.nrows == a_small.ncols == n
+    block = [list(row) + [ZERO] * n for row in a_small.data]
+    block += [[ZERO] * n + list(row) for row in (-a_small.transpose()).data]
+    embedded = frame @ Matrix(block) @ inverse(frame)
+    assert is_in_sp(SymplecticSpace(n), embedded)
+    return embedded
+
+
+def aut_basis_by_embedding(s, e_plus):
+    """The echelon basis of {A in gl(E_+) | A . S = 0}, A . S taken as
+    sp_action of embed_gl_eplus(P, A) on S, over the elementary matrices."""
+    from hksym.symplectic import lagrangian_complement
+
+    n = e_plus.dim
+    frame = lagrangian_complement(e_plus)
+    images = []
+    for i in range(n):
+        for j in range(n):
+            small = [[ZERO] * n for _ in range(n)]
+            small[i][j] = ONE
+            images.append(sp_action(embed_gl_eplus(frame, Matrix(small)), s))
+    monomials = sorted(set(a for img in images for a in img.coeffs))
+    index = {m: i for i, m in enumerate(monomials)}
+    cols = []
+    for img in images:
+        col = [ZERO] * max(len(monomials), 1)
+        for a, c in img.coeffs.items():
+            col[index[a]] = c
+        cols.append(col)
+    _, kernel, _ = rank_kernel(Matrix(cols).transpose())
+    return [Matrix([list(v[i * n:(i + 1) * n]) for i in range(n)]) for v in echelon_basis(kernel)]
 
 
 def binary_quartic_tensor(q, space, basis_pair):

@@ -230,16 +230,20 @@ class TestAnalyze:
         assert err.count("\n") == 1
 
     def test_bracket_outside_the_holonomy_exits_3(self, capsys, monkeypatch, tmp_path):
-        # the [m, m] brackets are table entries, read in the span of h: an
-        # entry that leaves it is a bug signal of the algebra builder
+        # the [m, m] brackets are table entries, read in the span of h by
+        # the algebra builder's solver: an entry that leaves it is a bug
+        # signal of the algebra builder
         import hksym.hkalgebra as hkalgebra
         from hksym.exactnum import ONE
 
         path = str(tmp_path / "lagrangian_2.json")
         run_cli(capsys, "generate", "random-lagrangian:2", "--seed", "1", "-o", path)
-        honest = hkalgebra.table_entry
-        monkeypatch.setattr(hkalgebra, "table_entry",
-                            lambda table, k, l: honest(table, k, l)[:-1] + (ONE,))
+
+        class Forged(hkalgebra.SpanSolver):
+            def coords(self, t):
+                return super().coords(t[:-1] + (ONE,))
+
+        monkeypatch.setattr(hkalgebra, "SpanSolver", Forged)
         assert run_cli(capsys, "analyze", path) == (
             3, "", "internal error: bracket value escaped the holonomy span (bug signal)\n")
 
@@ -305,18 +309,25 @@ class TestAnalyze:
         assert run_cli(capsys, "analyze", real_file, "--real") == (
             3, "", "internal error: metric restriction is not real (bug signal)\n")
 
-    @pytest.mark.parametrize("target, message, calls_made", [
-        ("is_isotropic", "extend_to_lagrangian produced a non-isotropic subspace", 2),
-        ("solve_linear", "lagrangian_complement produced a non-symplectic frame", 1),
+    @pytest.mark.parametrize("target, command, message, calls_made", [
+        ("is_isotropic", ("analyze", "dim4"),
+         "extend_to_lagrangian produced a non-isotropic subspace", 2),
+        ("solve_linear", ("classify8", "petrov:I"),
+         "lagrangian_complement produced a non-symplectic frame", 2),
     ], ids=["extend", "complement"])
-    def test_symplectic_postcondition_exits_3(self, capsys, monkeypatch, dim4_file,
-                                               target, message, calls_made):
-        # analyze on p^4 checks isotropy inside symplectic on the input, then
-        # the result, of extend_to_lagrangian, and lagrangian_complement
-        # certifies its Darboux frame by P^t Omega P = Omega; failing a
-        # result check is a bug signal.  The second isotropy check fails, or
-        # the one dual vector solved for comes out doubled
+    def test_symplectic_postcondition_exits_3(self, capsys, monkeypatch, tmp_path,
+                                               target, command, message, calls_made):
+        # extend_to_lagrangian checks isotropy inside symplectic on the
+        # input, then the result, and lagrangian_complement certifies its
+        # Darboux frame by P^t Omega P = Omega; failing a result check is a
+        # bug signal.  analyze on p^4 builds no frame, so the frame is
+        # reached through classify8 on a dim-8 quartic.  The second isotropy
+        # check fails, or both dual vectors solved for come out doubled
         import hksym.symplectic as symplectic
+
+        verb, kind = command
+        path = str(tmp_path / "input.json")
+        assert run_cli(capsys, "generate", kind, "-o", path)[0] == 0
 
         honest = getattr(symplectic, target)
         calls = []
@@ -328,7 +339,7 @@ class TestAnalyze:
             return tuple(c + c for c in honest(*args))
 
         monkeypatch.setattr(symplectic, target, perturbed)
-        code, out, err = run_cli(capsys, "analyze", dim4_file)
+        code, out, err = run_cli(capsys, verb, path)
         assert (code, out, err) == (3, "", "internal error: %s\n" % message)
         assert len(calls) == calls_made
 

@@ -1,10 +1,12 @@
 """Dead-code guard for src/hksym, read with the standard library's ast only.
 
-Three kinds of leftover fail it: a module that imports a name it never uses
+Four kinds of leftover fail it: a module that imports a name it never uses
 (the package __init__ is exempt, since its imports are the public API), a
 module-level _private function that no src/hksym module references outside
-its own body, and a public module-level function that the package __init__
-does not export and no src/hksym module references outside its own body.
+its own body, a public module-level function that the package __init__
+does not export and no src/hksym module references outside its own body,
+and a method of a src/hksym class, dunders aside, that no src/hksym module
+references outside its own body.
 Tests, oracles and the benchmark do not count as users: a helper that only
 they reach belongs with them.  generators is exempt from the public check,
 as a public module: the benchmark's corpus imports its functions.
@@ -38,20 +40,27 @@ def loaded_names(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-def references(name, skip_module, skip_def):
-    """Where name is read as a bare name, an attribute or an imported name,
-    leaving out the body of skip_def in skip_module."""
-    found = []
-    for module, tree in MODULES.items():
-        for stmt in tree.body:
-            if module == skip_module and isinstance(stmt, ast.FunctionDef) and stmt.name == skip_def:
-                continue
-            for node in ast.walk(stmt):
-                if (isinstance(node, ast.Name) and node.id == name
-                        or isinstance(node, ast.Attribute) and node.attr == name
-                        or isinstance(node, ast.alias) and node.name == name):
-                    found.append((module, node))
-    return found
+def read_name(node):
+    """The name node reads as a bare name, an attribute or an imported name."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+READS = {}
+for _tree in MODULES.values():
+    for _node in ast.walk(_tree):
+        READS.setdefault(read_name(_node), []).append(_node)
+
+
+def references(name, skip):
+    """Where name is read in src/hksym, leaving out the body of the definition skip."""
+    inside = {id(node) for node in ast.walk(skip)}
+    return [node for node in READS.get(name, ()) if id(node) not in inside]
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "__init__"])
@@ -64,18 +73,26 @@ def test_every_import_is_used(module):
 
 @pytest.mark.parametrize("module", list(MODULES))
 def test_every_private_function_is_referenced(module):
-    private = [stmt.name for stmt in MODULES[module].body
+    private = [stmt for stmt in MODULES[module].body
                if isinstance(stmt, ast.FunctionDef)
                and stmt.name.startswith("_") and not stmt.name.startswith("__")]
-    assert [name for name in private if not references(name, module, name)] == []
+    assert [stmt.name for stmt in private if not references(stmt.name, stmt)] == []
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m not in ("__init__", "generators")])
 def test_every_public_function_is_used(module):
     # an export by the package __init__ is a reference there
-    public = [stmt.name for stmt in MODULES[module].body
+    public = [stmt for stmt in MODULES[module].body
               if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")]
-    assert [name for name in public if not references(name, module, name)] == []
+    assert [stmt.name for stmt in public if not references(stmt.name, stmt)] == []
+
+
+@pytest.mark.parametrize("module", list(MODULES))
+def test_every_method_is_used(module):
+    methods = [(cls.name, stmt) for cls in MODULES[module].body if isinstance(cls, ast.ClassDef)
+               for stmt in cls.body
+               if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__")]
+    assert ["%s.%s" % (cls, stmt.name) for cls, stmt in methods if not references(stmt.name, stmt)] == []
 
 
 def test_guard_sees_a_leftover():

@@ -31,6 +31,7 @@ from oracles import (
     random_invertible,
     restrict_to_basis,
     root_pattern_gcd_chain,
+    zeros,
 )
 
 
@@ -157,8 +158,8 @@ class TestPetrovDictionary:
 
 class TestMatrixDictionary:
     def test_zero_matrix(self):
-        assert matrix_to_quartic(TracelessSym3(Matrix.zeros(3, 3))).is_zero()
-        assert petrov_from_matrix(TracelessSym3(Matrix.zeros(3, 3))) == "O"
+        assert matrix_to_quartic(TracelessSym3(zeros(3, 3))).is_zero()
+        assert petrov_from_matrix(TracelessSym3(zeros(3, 3))) == "O"
 
     def test_roundtrip_on_random_traceless(self, rng):
         for _ in range(50):
@@ -317,7 +318,7 @@ class TestClassifyComplex8:
 
 class TestRealClass:
     def test_zero_class(self):
-        assert real_class_of_symmetric(Matrix.zeros(3, 3)).kind == "zero"
+        assert real_class_of_symmetric(zeros(3, 3)).kind == "zero"
 
     def diag(self, *entries):
         rows = [[GaussRat(entries[i]) if i == j else ZERO for j in range(3)] for i in range(3)]

@@ -47,7 +47,6 @@ from hksym.hkalgebra import (
     check_invariance,
     compute_aut,
     curvature_ricci,
-    embed_gl_eplus,
     find_lagrangian,
     flat_decomposition,
     holonomy,
@@ -66,10 +65,12 @@ from hksym.generators import (
 from hksym.realform import check_reality, real_holonomy
 
 from oracles import (
+    aut_basis_by_embedding,
     aut_dimension_bruteforce,
     certify_invariance_all_entries,
     derived_series_reference,
     double_contractions_by_contraction,
+    embed_gl_eplus,
     embed_gl_group,
     flatten,
     random_invertible,
@@ -88,8 +89,7 @@ def complex_model(s):
 
 
 def flat_split(s):
-    q = certify_invariance(s)
-    return flat_decomposition(q, find_lagrangian(q))
+    return flat_decomposition(certify_invariance(s))
 
 
 def span_of_double_contractions(s):
@@ -669,6 +669,29 @@ class TestAut:
         for v in e_plus.basis:
             assert e_plus.contains(mat_vec(emb, v))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_embedding_reference(self, n):
+        # S moved off the axes by 1-6 transvections, E_+ the Lagrangian
+        # find_lagrangian extends its support to.  Two draws are dense; the
+        # sparse ones (S on the first half of the variables, and two
+        # monomials, or zero at n = 1) have a nontrivial aut(S).  The bases
+        # agree exactly, not only in dimension
+        dims = []
+        for seed in range(4):
+            rng = random.Random(100 * n + seed)
+            s = random_quartic_lagrangian(n, rng)
+            if seed == 2:
+                half = (n + 1) // 2
+                s = SymTensor(s.space, 4, {a: c for a, c in s.coeffs.items() if not any(a[half:n])})
+            elif seed == 3:
+                s = SymTensor(s.space, 4, dict(sorted(s.coeffs.items())[:2]) if n > 1 else {})
+            s = transform(s, random_symplectic(s.space, rng, steps=rng.randint(1, 6)))
+            e_plus = find_lagrangian(certify_invariance(s))
+            basis = compute_aut(s, e_plus)
+            assert basis == aut_basis_by_embedding(s, e_plus)
+            dims.append(len(basis))
+        assert dims == {1: [0, 0, 0, 1], 2: [0, 0, 2, 1], 3: [0, 0, 3, 4], 4: [0, 0, 8, 9]}[n]
+
 
 class TestGLEquivariance:
     def test_invariants_stable_under_gl_eplus(self, rng):
@@ -705,6 +728,12 @@ class TestAnalyze:
         report = analyze_quartic(s)
         assert not report.invariance_ok
         assert report.invariance_witness == (0, 1)
+
+    @pytest.mark.parametrize("path", ACCEPTED_GOLDEN, ids=lambda p: p.stem)
+    def test_flat_dimension_counts_the_split(self, path):
+        # analyze counts 2 dim E^0 = 4(n - dim support) and builds no split
+        s = quartic_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        assert analyze_quartic(s).flat_complex_dim == flat_split(s)[2]
 
     def test_report_field_consistency(self, rng):
         # flat_complex_dim = 0 exactly when the support fills a Lagrangian

@@ -73,6 +73,7 @@ from oracles import (
     rho_reference,
     sigma_reference,
     unflatten,
+    zeros,
 )
 from test_hkalgebra import REAL_GOLDEN, golden_case
 from test_symtensor import random_height_gaussrat
@@ -689,11 +690,11 @@ class TestBracketsAgainstWalk:
         walk = mm_bracket_walk({pair: s2e_matrix(v, d) for pair, v in q.table.items()}, m_basis)
         dh = model.dim_h
         for (t, t2), expected in walk.items():
-            got = Matrix.zeros(d, d)
+            got = zeros(d, d)
             for a, c in model.brackets[dh + t][dh + t2].items():
                 assert a < dh
                 got = got + h_basis[a].scale(c)
-            assert got == (Matrix.zeros(d, d) if expected is None else expected)
+            assert got == (zeros(d, d) if expected is None else expected)
 
     @pytest.mark.parametrize("kind", REAL_KINDS)
     def test_real_holonomy_is_the_rref_of_the_old_generators(self, kind):

@@ -33,15 +33,19 @@ holonomy is h^tau, read off that same basis by one elimination of 2 dim h
 rows, and only when the real algebra is built: a reality verdict alone
 eliminates nothing.  The table takes no matrix product
 or transpose, a span is eliminated once, and restricting a quartic to a
-plane pushes it forward once, along the inverse of the plane's Darboux frame.  The real form reads
+Darboux frame (symtensor.in_frame) pushes it forward once, along the
+inverse of the frame.  The real form reads
 the table once, into its J table S_{je_k,e_l}, for the reality verdict; the
-complex algebra reads each [m, m] bracket S_{e_k,e_l} once, and takes [h, m]
+complex algebra reads each table entry S_{e_k,e_l} = S_{e_l,e_k} once, for
+both of its [m, m] brackets, and takes [h, m]
 from the matrices holonomy(q) wrote out.  The real algebra reads no table
 entry: it evaluates the complex model's bracket on a real basis and inherits
 its Jacobi certificate, so an analysis checks Jacobi once.  classify8 certifies S in S^4 of a plane once, in
 certify_invariance: dim8 leaves S in S^4(e_plus) to the quartic it reads off
-e_plus's Darboux frame, built once per classification.  compute_aut builds
-the Darboux frame of E_+ once, not once per elementary matrix of gl(E_+).
+e_plus's Darboux frame, built once per classification.  An analysis counts
+the flat factor off the support and builds a Darboux frame only for the
+dim-8 classification.  compute_aut builds and inverts the Darboux frame of
+E_+ once, not once per elementary matrix of gl(E_+).
 """
 
 import json
@@ -194,23 +198,25 @@ def test_reality_of_a_non_invariant_quartic_computes_the_table_once(table_entrie
 
 
 def test_real_analysis_reads_the_j_table_once(monkeypatch):
-    # dim E = 8 and the split j has one nonzero entry per je_k: the complex
-    # [m, m] brackets read d^2 = 64 entries and J reads 64 more; the real
-    # algebra reads none
+    # dim E = 8 and the split j has one nonzero entry per je_k: J reads
+    # d^2 = 64 table entries; the complex [m, m] brackets read each of the
+    # d(d + 1)/2 = 36 entries once, through the solver of h, for both
+    # orientations; the real algebra reads none
     s = make_generator("real-random:2", 3)
-    reads = {name: count_calls(monkeypatch, module, "table_entry")
-             for name, module in (("hkalgebra", hkalgebra), ("realform", realform))}
+    assert not hasattr(hkalgebra, "table_entry")
+    reads = count_calls(monkeypatch, realform, "table_entry")
     report = analyze_quartic(s, real=True)
     assert report.signature == (8, 8)
-    assert {name: len(calls) for name, calls in reads.items()} == {"hkalgebra": 64, "realform": 64}
+    assert len(reads) == 64
     q = certify_invariance(s)
     rep = check_reality(s, standard_split_j(s.space), q.table)
     h_real = real_holonomy(q, rep)
+    solves = count_calls(monkeypatch, exactnum.SpanSolver, "coords")
     model = build_complex_algebra(q, holonomy(q))
-    for calls in reads.values():
-        calls.clear()
+    assert [v for _, v in solves] == list(q.table.values()) and len(solves) == 36
+    reads.clear()
     build_real_algebra(q, model, rep, h_real)
-    assert {name: len(calls) for name, calls in reads.items()} == {"hkalgebra": 0, "realform": 0}
+    assert len(reads) == 0
 
 
 @pytest.mark.parametrize("stem", ["real_1", "real_2"])
@@ -422,12 +428,14 @@ def test_classify8_certifies_membership_once(monkeypatch, tmp_path, capsys, flag
 def test_restriction_expands_each_power_once(monkeypatch, tmp_path, capsys):
     path = str(tmp_path / "petrov_i.json")
     assert main(["generate", "petrov:I", "-o", path]) == 0
-    expansions = [count_calls(monkeypatch, module, "transform") for module in (symtensor, dim8)]
+    assert not hasattr(dim8, "transform")
+    restrictions = count_calls(monkeypatch, dim8, "in_frame")
+    expansions = count_calls(monkeypatch, symtensor, "transform")
     assert main(["classify8", path]) == 0
     assert capsys.readouterr().out.startswith("type: I\n")
     # one push-forward of S, along the inverse of e_plus's Darboux frame,
     # and no other
-    assert [len(calls) for calls in expansions] == [0, 1]
+    assert (len(restrictions), len(expansions)) == (1, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -436,5 +444,21 @@ def test_compute_aut_builds_the_frame_once(monkeypatch, n):
     e_plus = span(sp, [sp.basis_vector(k) for k in range(n)])
     s = make_generator("random-lagrangian:%d" % n, 7)
     frames = count_calls(monkeypatch, hkalgebra, "lagrangian_complement")
+    inverses = count_calls(monkeypatch, symtensor, "inverse")
     hkalgebra.compute_aut(s, e_plus)
-    assert len(frames) == 1
+    assert not hasattr(hkalgebra, "inverse")
+    assert (len(frames), len(inverses)) == (1, 1)
+
+
+@pytest.mark.parametrize("kind,frames_built", [
+    ("random-lagrangian:3", 0),
+    ("petrov:I", 1),
+])
+def test_analysis_builds_a_frame_only_to_classify(monkeypatch, kind, frames_built):
+    # flat_complex_dim = 4(n - dim support) needs no split; at n = 2 the
+    # classification reads S off e_plus's Darboux frame
+    s = make_generator(kind, 7)
+    frames = [count_calls(monkeypatch, module, "lagrangian_complement") for module in (hkalgebra, dim8)]
+    report = analyze_quartic(s)
+    assert report.flat_complex_dim == 4 * (s.space.n - report.support_dim)
+    assert sum(map(len, frames)) == frames_built

@@ -28,6 +28,7 @@ from hksym.symtensor import (
     double_contractions,
     endo_of_quadratic,
     eval_on_vectors,
+    in_frame,
     is_in_sp,
     quartic_from_dict,
     quartic_to_dict,
@@ -695,6 +696,20 @@ class TestSubspaceMembership:
         q1 = lin(sp, 2)
         with pytest.raises(ContractError, match="tensor is not supported in the given subspace"):
             BinaryQuartic.from_symtensor(q1 ** 4, [sp.basis_vector(0), sp.basis_vector(1)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_in_frame_is_the_push_forward_along_the_inverse(self, n):
+        # a random symplectic P is the Darboux frame of its first n columns;
+        # S = P . S0 with S0 on the p's is S0 in that frame, and a term on
+        # a g coordinate (the image of q_1^4) is refused
+        rng = random.Random(n)
+        s0 = random_quartic_lagrangian(n, rng)
+        frame = random_symplectic(s0.space, rng, steps=3)
+        s = transform(s0, frame)
+        assert in_frame(s, frame) == transform(s, inverse(frame)) == s0
+        off = transform(lin(s0.space, n) ** 4, frame)
+        with pytest.raises(ContractError, match="^tensor is not supported in the given subspace$"):
+            in_frame(s + off, frame)
 
     def test_membership_in_non_isotropic_subspace(self):
         # the omega-perp criterion works for non-Lagrangian subspaces too
