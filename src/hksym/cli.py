@@ -80,8 +80,7 @@ def _emit(args, payload, human_lines):
 
 def cmd_analyze(args):
     s, digest = _read_quartic(args.file)
-    j = _load_j(args, s.space) if args.real else None
-    report = analyze_quartic(s, j=j, real=args.real)
+    report = analyze_quartic(s, j=_load_j(args, s.space) if args.real else None)
     payload = {"tool_version": __version__, "input_sha256": digest}
     payload.update(report.to_dict())
     lines = []

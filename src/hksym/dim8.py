@@ -1,14 +1,17 @@
 """Orbit classification in dimensions 4 and 8: binary quartic invariants,
-square-free multiplicity patterns, the quartic <-> traceless 3x3 dictionary,
-and the real positive-scaling rotation invariants.
+the quartic <-> traceless 3x3 dictionary, and the Petrov types and real
+positive-scaling rotation invariants read off its operator.
 
 A binary quartic is kept in the classical weighted form
 a0 x^4 + 4 a1 x^3 y + 6 a2 x^2 y^2 + 4 a3 x y^3 + a4 y^4, so the two classical
 invariants are I = a0 a4 - 4 a1 a3 + 3 a2^2 and
-J = a0 a2 a4 + 2 a1 a2 a3 - a0 a3^2 - a1^2 a4 - a2^3.  Root multiplicities are
-found by exact gcd chains (Yun), never by extracting roots.  A quartic on
-dim E = 4 becomes a binary quartic in the Darboux frame of its Lagrangian
-plane (symtensor.in_frame), with no solve.
+J = a0 a2 a4 + 2 a1 a2 a3 - a0 a3^2 - a1^2 a4 - a2^3.  The operator G^{-1} A
+of quartic_to_matrix has characteristic polynomial t^3 - I t - 2J; its
+Jordan type is the Petrov letter, which fixes the root-multiplicity pattern,
+and over the reals the same polynomial is the complete orbit invariant, so
+both classes are read off one operator, exactly and with no root extracted.
+A quartic on dim E = 4 becomes a binary quartic in the Darboux frame of its
+Lagrangian plane (symtensor.in_frame), with no solve.
 """
 
 from fractions import Fraction
@@ -47,13 +50,14 @@ GRAM = Matrix([
 ])
 GRAM_INV = inverse(GRAM)  # the covariant form: [[0,0,1],[0,-1/2,0],[1,0,0]]
 
-_PATTERN_TO_TYPE = {
-    (1, 1, 1, 1): "I",
-    (2, 1, 1): "II",
-    (2, 2): "D",
-    (3, 1): "III",
-    (4,): "N",
-    (): "O",
+# root multiplicities of each Petrov type on the projective line
+_TYPE_TO_PATTERN = {
+    "I": (1, 1, 1, 1),
+    "II": (2, 1, 1),
+    "D": (2, 2),
+    "III": (3, 1),
+    "N": (4,),
+    "O": (),
 }
 
 
@@ -106,90 +110,14 @@ class BinaryQuartic:
         return cls.from_plain(plain)
 
 
-# ---------------------------------------------------------------------------
-# Exact univariate helpers over Q(i) (dense low-to-high coefficient lists).
-# ---------------------------------------------------------------------------
+def _invariants_and_type(q):
+    """I, J and the Petrov letter of q, read off the operator G^{-1} A.
 
-
-def _poly_strip(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_deg(p):
-    return len(p) - 1
-
-
-def _poly_divmod(p, q):
-    if not q:
-        raise ContractError("polynomial division by zero")
-    p = list(p)
-    quot = [ZERO] * max(len(p) - len(q) + 1, 0)
-    inv_lead = q[-1].inverse()
-    while p and len(p) >= len(q):
-        f = p[-1] * inv_lead
-        k = len(p) - len(q)
-        quot[k] = f
-        for i, b in enumerate(q):
-            p[k + i] = p[k + i] - f * b
-        _poly_strip(p)
-    return _poly_strip(quot), p
-
-
-def _poly_monic(p):
-    if not p:
-        return p
-    inv = p[-1].inverse()
-    return [c * inv for c in p]
-
-
-def _poly_gcd(p, q):
-    p, q = list(p), list(q)
-    while q:
-        _, r = _poly_divmod(p, q)
-        p, q = q, r
-    return _poly_monic(p)
-
-
-def _poly_diff(p):
-    return _poly_strip([GaussRat(k) * c for k, c in enumerate(p)][1:])
-
-
-def _poly_sub(p, q):
-    n = max(len(p), len(q))
-    return _poly_strip([a - b for a, b in zip(p + [ZERO] * (n - len(p)), q + [ZERO] * (n - len(q)))])
-
-
-def _yun_squarefree(p):
-    """Yun's square-free decomposition; returns [(multiplicity, degree), ...]."""
-    out = []
-    g = _poly_gcd(p, _poly_diff(p))
-    if _poly_deg(g) == 0:
-        if _poly_deg(p) > 0:
-            out.append((1, _poly_deg(p)))
-        return out
-    w, _ = _poly_divmod(p, g)
-    y, _ = _poly_divmod(_poly_diff(p), g)
-    z = _poly_sub(y, _poly_diff(w))
-    i = 1
-    while _poly_deg(w) > 0:
-        gi = _poly_gcd(w, z)
-        if _poly_deg(gi) > 0:
-            out.append((i, _poly_deg(gi)))
-        w, _ = _poly_divmod(w, gi)
-        y, _ = _poly_divmod(z, gi)
-        z = _poly_sub(y, _poly_diff(w))
-        i += 1
-    return out
-
-
-def quartic_invariants(q):
-    """The classical invariants I, J and the exact root-multiplicity pattern.
-
-    The pattern is the sorted multiset of root multiplicities on the
-    projective line (the point at infinity contributes 4 - deg of the
-    dehomogenization), computed by Yun gcd chains over Q(i).
+    The operator's characteristic polynomial is t^3 - I t - 2J, with
+    discriminant 4 (I^3 - 27 J^2): three distinct eigenvalues give I.  When
+    I = 0 (so J = 0) the operator is nilpotent, and its square separates N
+    from III; otherwise the double eigenvalue is -3J/I, and the operator is
+    diagonalizable (D) exactly when (op - lam)(op + 2 lam) = 0, else II.
     """
     a0, a1, a2, a3, a4 = q.a
     three = GaussRat(3)
@@ -197,18 +125,26 @@ def quartic_invariants(q):
     two = GaussRat(2)
     inv_i = a0 * a4 - four * a1 * a3 + three * a2 * a2
     inv_j = a0 * a2 * a4 + two * a1 * a2 * a3 - a0 * a3 * a3 - a1 * a1 * a4 - a2 * a2 * a2
-    if q.is_zero():
-        return inv_i, inv_j, ()
-    plain = q.plain()
-    # dehomogenize at y = 1: p(t) = sum plain[k] t^(4-k)
-    p = _poly_strip([plain[4 - d] for d in range(5)])
-    mults = []
-    for multiplicity, degree in _yun_squarefree(p):
-        mults.extend([multiplicity] * degree)
-    inf_mult = 4 - _poly_deg(p)
-    if inf_mult:
-        mults.append(inf_mult)
-    return inv_i, inv_j, tuple(sorted(mults, reverse=True))
+    op = quartic_to_matrix(q).operator()
+    if op.is_zero():
+        tag = "O"
+    elif inv_i * inv_i * inv_i != GaussRat(27) * inv_j * inv_j:
+        tag = "I"
+    elif not inv_i:
+        tag = "N" if (op @ op).is_zero() else "III"
+    else:
+        lam = -(three * inv_j) / inv_i
+        ident = Matrix.identity(3)
+        split = (op - ident.scale(lam)) @ (op + ident.scale(two * lam))
+        tag = "D" if split.is_zero() else "II"
+    return inv_i, inv_j, tag
+
+
+def quartic_invariants(q):
+    """The classical invariants I, J and the sorted root multiplicities on
+    the projective line, looked up from the Petrov letter."""
+    inv_i, inv_j, tag = _invariants_and_type(q)
+    return inv_i, inv_j, _TYPE_TO_PATTERN[tag]
 
 
 class PetrovClass(NamedTuple):
@@ -228,18 +164,11 @@ class PetrovClass(NamedTuple):
         }
 
 
-def _petrov_from_pattern(pattern):
-    try:
-        return _PATTERN_TO_TYPE[tuple(pattern)]
-    except KeyError:
-        raise ContractError("impossible multiplicity pattern %r" % (pattern,))
-
-
 def classify_quartic(q):
-    """PetrovClass of a binary quartic: pattern type plus, for type I, the
-    canonical projective pair (I^3 : J^2) scaled so its first nonzero entry is 1."""
-    inv_i, inv_j, pattern = quartic_invariants(q)
-    tag = _petrov_from_pattern(pattern)
+    """PetrovClass of a binary quartic: its Petrov letter and pattern plus,
+    for type I, the canonical projective pair (I^3 : J^2) scaled so its first
+    nonzero entry is 1."""
+    inv_i, inv_j, tag = _invariants_and_type(q)
     proj = None
     if tag == "I":
         i3 = inv_i * inv_i * inv_i
@@ -248,7 +177,7 @@ def classify_quartic(q):
             proj = (ONE, j2 / i3)
         else:
             proj = (ZERO, ONE)  # "at infinity"
-    return PetrovClass(tag, pattern, proj)
+    return PetrovClass(tag, _TYPE_TO_PATTERN[tag], proj)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +207,8 @@ class TracelessSym3:
         raise AttributeError("TracelessSym3 is immutable")
 
     def operator(self):
-        """The endomorphism G^{-1} A of the 3-space; its Jordan type is the class."""
+        """The endomorphism G^{-1} A of the 3-space; for a binary quartic its
+        characteristic polynomial is t^3 - I t - 2J, its Jordan type the class."""
         return GRAM_INV @ self.a
 
     def __eq__(self, other):
@@ -457,21 +387,18 @@ def classify_real8(s, j, e_plus):
     return real_class_of_symmetric(op_r)
 
 
-def isomorphic8(s1, s2, mode="complex", j=None):
+def isomorphic8(s1, s2, j=None):
     """Whether two quartics define isomorphic dim-8 symmetric spaces.
 
     Classifies both (deriving each Lagrangian from the support) and compares
-    the full classification records.
+    the full classification records, and the real classes for j when j is
+    given.
     """
-    if mode not in ("complex", "real"):
-        raise ContractError("mode must be 'complex' or 'real'")
-    if mode == "real" and j is None:
-        raise ContractError("real mode needs a quaternionic structure")
     records = []
     for s in (s1, s2):
         q = certify_invariance(s)
         record = classify_complex8(s, find_lagrangian(q))
-        if mode == "real":
+        if j is not None:
             record = (record, classify_real8(s, j, q.support))
         records.append(record)
     return records[0] == records[1]

@@ -58,7 +58,6 @@ from .symplectic import (
     extend_to_lagrangian,
     lagrangian_complement,
     omega_pair,
-    standard_split_j,
 )
 from .symtensor import (
     double_contractions,
@@ -498,8 +497,8 @@ class AnalysisReport(NamedTuple):
         }
 
 
-def analyze_quartic(s, j=None, real=False):
-    """Run the full verification pipeline; reality/signature only when real=True.
+def analyze_quartic(s, j=None):
+    """Run the full verification pipeline; reality/signature only for a given j.
 
     The report mirrors the pipeline: invariance -> holonomy -> support and
     Lagrangian -> algebra (Jacobi) -> Ricci -> optionally reality, real
@@ -518,11 +517,9 @@ def analyze_quartic(s, j=None, real=False):
     model = build_complex_algebra(q, hol)
     ricci = curvature_ricci(model)
     reality = signature = classification = None
-    if real:
+    if j is not None:
         from . import realform
 
-        if j is None:
-            j = standard_split_j(s.space)
         rep = realform.check_reality(s, j, q.table)
         reality = {
             "commutator_condition_ok": rep.commutator_condition_ok,

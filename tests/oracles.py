@@ -4,15 +4,15 @@ Each one deliberately avoids the code path it checks: the polarization oracle
 evaluates polynomials at covector sums with inclusion-exclusion (no iterated
 contraction), the automorphism oracle builds the gl(E_+) action matrix by raw
 monomial calculus (no sp-embedding, no contraction machinery), and the root
-pattern oracle uses the derivative gcd chain instead of Yun's algorithm.
+pattern oracle counts root multiplicities by the derivative gcd chain over
+its own univariate polynomial helpers (_poly_*) instead of reading the
+Petrov type off the Jordan type of the operator G^{-1} A, as dim8 does.
 RefGaussRat is the original Fraction-pair scalar, the slow reference for the
 integer-triple GaussRat, and dense_matmul the column-by-column product, the
 reference for the row-sparse Matrix product.  The dense-Omega formulas apply
 omega through its 2n x 2n Gram matrix, built here from the definition
 omega(p_a, q_b) = delta_ab, as the reference for the package's omega_flat
-path.
-petrov_from_matrix reads the Petrov type off the Jordan structure of the
-3x3 operator, not off root multiplicities.  The H(x)E references work on
+path.  The H(x)E references work on
 flat tuples (index a * dim E + k holds h_a (x) e_k) through the Kronecker
 products of the 2 x 2 data of H with the data of E, not through the pair
 formulas of hkalgebra: rho_reference applies j_H (x) j_E, rho_candidate_sweep
@@ -24,7 +24,9 @@ from its callers: the pair formula summed bilinearly over the table of
 double contractions, and the generators S_{je,e'} -/+ S_{e,je'} over basis
 pairs.  real_holonomy_from_generators is the real holonomy before it was
 read off the complex basis as h^sigma: the realified generators eliminated
-over Q, each basis element checked to commute with j as A C = C conj(A).
+over Q, each basis element checked to commute with j as A C = C conj(A);
+realify and unrealify write complex tuples as real rows [Re v | Im v] and
+back for those eliminations.
 sigma_reference is j's action A -> j A j^-1 = C conj(A) C^-1 on sp(E) as
 matrix products, before it was tau on S^2E.
 sp_action_reference is the action of sp(E) on tensors before it summed
@@ -96,6 +98,7 @@ from hksym.exactnum import (
     SpanSolver,
     TheoremViolationError,
     echelon_basis,
+    from_parts,
     inverse,
     mat_vec,
     rank_kernel,
@@ -104,7 +107,7 @@ from hksym.exactnum import (
 )
 from hksym.generators import random_gaussrat
 from hksym.hkalgebra import LieAlgebraModel, verify_model
-from hksym.realform import _realify, _unrealify, real_m_basis
+from hksym.realform import real_m_basis
 from hksym.symtensor import (
     SymTensor,
     contract,
@@ -274,14 +277,69 @@ def aut_dimension_bruteforce(s, e_plus):
     return len(kernel)
 
 
+def _poly_strip(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_deg(p):
+    return len(p) - 1
+
+
+def _poly_divmod(p, q):
+    if not q:
+        raise ContractError("polynomial division by zero")
+    p = list(p)
+    quot = [ZERO] * max(len(p) - len(q) + 1, 0)
+    inv_lead = q[-1].inverse()
+    while p and len(p) >= len(q):
+        f = p[-1] * inv_lead
+        k = len(p) - len(q)
+        quot[k] = f
+        for i, b in enumerate(q):
+            p[k + i] = p[k + i] - f * b
+        _poly_strip(p)
+    return _poly_strip(quot), p
+
+
+def _poly_monic(p):
+    if not p:
+        return p
+    inv = p[-1].inverse()
+    return [c * inv for c in p]
+
+
+def _poly_gcd(p, q):
+    p, q = list(p), list(q)
+    while q:
+        _, r = _poly_divmod(p, q)
+        p, q = q, r
+    return _poly_monic(p)
+
+
+def _poly_diff(p):
+    return _poly_strip([GaussRat(k) * c for k, c in enumerate(p)][1:])
+
+
+# the Petrov letter of each root-multiplicity pattern on the projective line
+PETROV_OF_PATTERN = {
+    (1, 1, 1, 1): "I",
+    (2, 1, 1): "II",
+    (2, 2): "D",
+    (3, 1): "III",
+    (4,): "N",
+    (): "O",
+}
+
+
 def root_pattern_gcd_chain(plain_coeffs):
     """Multiplicity pattern of a binary quartic by the derivative gcd chain.
 
     deg gcd(p, p', .., p^(k)) = sum over roots of max(mult - k, 0); successive
-    differences count the roots of each multiplicity.  Independent of Yun.
+    differences count the roots of each multiplicity.  The quartic is
+    dehomogenized at y = 1, and the point at infinity contributes 4 - deg p.
     """
-    from hksym.dim8 import _poly_deg, _poly_diff, _poly_gcd, _poly_strip
-
     p = _poly_strip([plain_coeffs[4 - d] for d in range(5)])
     if not p:
         return ()
@@ -595,38 +653,16 @@ def binary_quartic_tensor(q, space, basis_pair):
     return out
 
 
-def petrov_from_matrix(m):
-    """Type letter from the Jordan structure of the operator G^{-1} A.
+def realify(v):
+    """A complex tuple as one real row [Re v | Im v]."""
+    return (tuple(z.real_part() for z in v)
+            + tuple(ZERO if z.is_real else z.imag_part() for z in v))
 
-    Exact over Q(i): the discriminant of the (traceless) characteristic
-    polynomial separates I; p = q = 0 gives the nilpotent types split by the
-    square; otherwise the double eigenvalue -3q/(2p) is rational and the
-    degree-2 minimal polynomial test separates D from II.
-    """
-    from hksym.dim8 import _char_poly_3
 
-    op = m.operator()
-    if op.is_zero():
-        return "O"
-    q0, p1, c2 = _char_poly_3(op)
-    if c2:
-        raise ContractError("operator is not traceless")
-    p, q = p1, q0
-    four = GaussRat(4)
-    disc = -(four * p * p * p) - GaussRat(27) * q * q
-    if disc:
-        return "I"
-    if not p and not q:
-        if (op @ op).is_zero():
-            return "N"
-        return "III"
-    lam = -(GaussRat(3) * q) / (GaussRat(2) * p)
-    ident = Matrix.identity(3)
-    factor1 = op - ident.scale(lam)
-    factor2 = op + ident.scale(GaussRat(2) * lam)
-    if (factor1 @ factor2).is_zero():
-        return "D"
-    return "II"
+def unrealify(row):
+    """Inverse of realify: the complex tuple whose real row is row."""
+    half = len(row) // 2
+    return tuple(from_parts(x, y) for x, y in zip(row[:half], row[half:]))
 
 
 def rho_reference(j_e, v):
@@ -741,8 +777,8 @@ def real_holonomy_from_generators(gens, j):
     over Q as [Re | Im] rows; asserts that every element commutes with j."""
     dim = j.ambient.dim
     c = j.c_matrix
-    rows = [_realify(flatten(g)) for g in gens if not g.is_zero()]
-    basis = [unflatten(_unrealify(v), dim) for v in echelon_basis(rows)]
+    rows = [realify(flatten(g)) for g in gens if not g.is_zero()]
+    basis = [unflatten(unrealify(v), dim) for v in echelon_basis(rows)]
     for a in basis:
         assert a @ c == c @ a.conj(), "real holonomy element does not commute with j"
     return basis
@@ -972,7 +1008,7 @@ def real_algebra_by_generators(q, j, h_basis):
     def m_coords(v):
         if v[dim_e:] != j.apply(v[:dim_e]):
             raise TheoremViolationError("h does not preserve the real form (bug signal)")
-        return {i: c for i, c in enumerate(_realify(v[:dim_e])) if c}
+        return {i: c for i, c in enumerate(realify(v[:dim_e])) if c}
 
     m_brackets = {}
     for (k, l), pair in _generator_table(j, q.table).items():
@@ -988,7 +1024,7 @@ def real_algebra_by_generators(q, j, h_basis):
     labels = ["K%d" % (i + 1) for i in range(dim_h)] + ["M%d" % (i + 1) for i in range(dim_m)]
     brackets = [[{} for _ in range(dim)] for _ in range(dim)]
     pairs = [(w[:dim_e], w[dim_e:]) for w in m_basis]
-    solver = SpanSolver([_realify(v) for v in h_rows])
+    solver = SpanSolver([realify(v) for v in h_rows])
 
     def put(a, b, coords):
         brackets[a][b] = coords
@@ -1001,7 +1037,7 @@ def real_algebra_by_generators(q, j, h_basis):
             put(i, dim_h + t, {dim_h + r: c for r, c in m_coords(image).items()})
     for (t, t2), c in m_brackets.items():
         if any(c):
-            coords = solver.coords(_realify(c))
+            coords = solver.coords(realify(c))
             if coords is None:
                 raise TheoremViolationError("bracket value escaped the holonomy span (bug signal)")
             put(dim_h + t, dim_h + t2, {i: x for i, x in enumerate(coords) if x})

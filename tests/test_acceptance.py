@@ -38,7 +38,7 @@ from hksym.hkalgebra import (
     verify_metric,
 )
 from hksym.realform import build_real_algebra, check_reality, real_holonomy, symmetrize_real
-from hksym.dim8 import classify_complex8, classify_quartic, isomorphic8, quartic_to_matrix
+from hksym.dim8 import classify_complex8, classify_quartic, isomorphic8
 from hksym.generators import (
     make_generator,
     random_quartic_full,
@@ -48,7 +48,13 @@ from hksym.generators import (
     standard_split_j,
 )
 
-from oracles import aut_dimension_bruteforce, embed_gl_group, petrov_from_matrix, random_invertible
+from oracles import (
+    PETROV_OF_PATTERN,
+    aut_dimension_bruteforce,
+    embed_gl_group,
+    random_invertible,
+    root_pattern_gcd_chain,
+)
 from test_dim8 import PATTERNS, random_pattern_quartic, transform_bq
 
 
@@ -240,13 +246,13 @@ def test_criterion_7_dim8_classification():
     for letter in ("I", "II", "D", "III", "N", "O"):
         s = make_generator("petrov:%s" % letter, 0)
         assert classify_complex8(s, e_plus).type_tag == letter
-    # 50 random quartics: pattern vs Segre cross-check
+    # 50 random quartics: the letter against the gcd-chain root pattern
     crosschecked = 0
     for k in range(10):
         rng = random.Random("c7-x-%d" % k)
         for pattern in PATTERNS:
             q = random_pattern_quartic(rng, pattern)
-            assert classify_quartic(q).type_tag == petrov_from_matrix(quartic_to_matrix(q))
+            assert classify_quartic(q).type_tag == PETROV_OF_PATTERN[root_pattern_gcd_chain(q.plain())]
             crosschecked += 1
     assert crosschecked == 50
     # classification invariant under 50 random GL(2) basis changes

@@ -10,6 +10,9 @@ references outside its own body.
 Tests, oracles and the benchmark do not count as users: a helper that only
 they reach belongs with them.  generators is exempt from the public check,
 as a public module: the benchmark's corpus imports its functions.
+A fifth check holds the other way round: tests/oracles.py imports no
+_private name from hksym, since a reference that borrows a production
+helper is not independent of the code it checks.
 """
 
 import ast
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hksym"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 MODULES = {p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
            for p in sorted(SRC.glob("*.py"))}
 
@@ -33,6 +37,13 @@ def imported_names(tree):
             for alias in node.names:
                 out[alias.asname or alias.name] = node.lineno
     return out
+
+
+def private_imports_from_hksym(tree):
+    """Every _private name the module imports from hksym, at any depth."""
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hksym"
+            for alias in node.names if alias.name.startswith("_")]
 
 
 def loaded_names(tree):
@@ -100,3 +111,14 @@ def test_guard_sees_a_leftover():
     tree = ast.parse("from dataclasses import dataclass, field\n\n"
                      "@dataclass\nclass A:\n    x: int\n")
     assert set(imported_names(tree)) - loaded_names(tree) == {"field"}
+
+
+def test_oracles_borrow_no_private_helper():
+    tree = ast.parse(ORACLES.read_text(encoding="utf-8"), filename=str(ORACLES))
+    assert private_imports_from_hksym(tree) == []
+
+
+def test_oracle_guard_sees_a_borrowed_helper():
+    tree = ast.parse("from hksym.exactnum import ZERO\n\n"
+                     "def f():\n    from hksym.dim8 import _char_poly_3\n")
+    assert private_imports_from_hksym(tree) == ["_char_poly_3"]

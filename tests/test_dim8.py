@@ -11,6 +11,7 @@ from hksym.dim8 import (
     GRAM,
     BinaryQuartic,
     TracelessSym3,
+    _char_poly_3,
     classify_complex8,
     classify_quartic,
     classify_real8,
@@ -25,9 +26,9 @@ from hksym.generators import random_gaussrat, random_symplectic, random_tau_fixe
 from hksym.realform import RealityError
 
 from oracles import (
+    PETROV_OF_PATTERN,
     binary_quartic_tensor,
     embed_gl_group,
-    petrov_from_matrix,
     random_invertible,
     restrict_to_basis,
     root_pattern_gcd_chain,
@@ -64,10 +65,13 @@ def product_quartic(forms_with_mult):
     return coeffs
 
 
-def random_pattern_quartic(rng, pattern):
-    """Random quartic with the prescribed root multiplicity pattern."""
+def random_pattern_quartic(rng, pattern, at_infinity=False):
+    """Random quartic with the prescribed root multiplicity pattern; with
+    at_infinity, its first (highest) multiplicity is forced onto y = 0."""
     while True:
         forms = [random_linear_form(rng) for _ in pattern]
+        if at_infinity:
+            forms[0] = (ZERO, ONE)
         ok = True
         for i in range(len(forms)):
             for j in range(i + 1, len(forms)):
@@ -114,12 +118,26 @@ class TestInvariants:
         assert quartic_invariants(bq(0, 1, 0, 0, 0))[2] == (3, 1)
 
     def test_patterns_against_gcd_chain_oracle(self, rng):
+        # roots in general position and with the highest multiplicity at
+        # infinity (a factor y^m, so a0 = 0), each with a GL(2)-moved and a
+        # scaled copy: the whole PetrovClass is invariant, and its letter
+        # and pattern are those of the independent gcd chain
         for _ in range(10):
             for pattern in PATTERNS:
-                q = random_pattern_quartic(rng, pattern)
-                _, _, got = quartic_invariants(q)
-                assert got == tuple(sorted(pattern, reverse=True))
-                assert got == root_pattern_gcd_chain(q.plain())
+                for at_infinity in (False, True):
+                    q = random_pattern_quartic(rng, pattern, at_infinity)
+                    assert not at_infinity or not q.a[0]
+                    want = root_pattern_gcd_chain(q.plain())
+                    assert want == tuple(sorted(pattern, reverse=True))
+                    cls = classify_quartic(q)
+                    assert (cls.type_tag, cls.multiplicity_pattern) == (PETROV_OF_PATTERN[want], want)
+                    assert quartic_invariants(q)[2] == want
+                    moved = transform_bq(q, random_invertible(2, rng))
+                    c = random_gaussrat(rng) or ONE
+                    scaled = BinaryQuartic.from_plain([c * x for x in q.plain()])
+                    for copy in (moved, scaled):
+                        assert root_pattern_gcd_chain(copy.plain()) == want
+                        assert classify_quartic(copy) == cls
 
 
 class TestPetrovDictionary:
@@ -158,14 +176,23 @@ class TestPetrovDictionary:
 
 class TestMatrixDictionary:
     def test_zero_matrix(self):
-        assert matrix_to_quartic(TracelessSym3(zeros(3, 3))).is_zero()
-        assert petrov_from_matrix(TracelessSym3(zeros(3, 3))) == "O"
+        q = matrix_to_quartic(TracelessSym3(zeros(3, 3)))
+        assert q.is_zero() and root_pattern_gcd_chain(q.plain()) == ()
+        assert classify_quartic(q).type_tag == "O"
 
     def test_roundtrip_on_random_traceless(self, rng):
         for _ in range(50):
             q = BinaryQuartic.from_plain([random_gaussrat(rng) for _ in range(5)])
             m = quartic_to_matrix(q)
             assert matrix_to_quartic(m) == q
+
+    def test_char_poly_is_t3_minus_i_t_minus_2j(self):
+        # the letter and the real class both rest on this identity
+        rng = random.Random(31)
+        for _ in range(50):
+            q = BinaryQuartic.from_plain([random_gaussrat(rng) for _ in range(5)])
+            i_, j_, _ = quartic_invariants(q)
+            assert _char_poly_3(quartic_to_matrix(q).operator()) == (GaussRat(-2) * j_, -i_, ZERO)
 
     def test_traceless_slice_enforced(self):
         bad = Matrix.identity(3)
@@ -176,7 +203,8 @@ class TestMatrixDictionary:
         for _ in range(10):
             for pattern in PATTERNS:
                 q = random_pattern_quartic(rng, pattern)
-                assert classify_quartic(q).type_tag == petrov_from_matrix(quartic_to_matrix(q))
+                want = root_pattern_gcd_chain(q.plain())
+                assert classify_quartic(q).type_tag == PETROV_OF_PATTERN[want]
 
     def test_equivariance_under_induced_rotations(self, rng):
         # R induced on (x^2, xy, y^2) by T in SL(2) preserves the module G
@@ -195,7 +223,8 @@ class TestMatrixDictionary:
                 moved = TracelessSym3(r @ a @ r.transpose())
                 assert matrix_to_quartic(moved) == transform_bq(q, t)
                 assert classify_quartic(matrix_to_quartic(moved)) == classify_quartic(q)
-                assert petrov_from_matrix(moved) == petrov_from_matrix(quartic_to_matrix(q))
+                assert root_pattern_gcd_chain(matrix_to_quartic(moved).plain()) == \
+                    classify_quartic(q).multiplicity_pattern
 
 
 def induced_on_sym2(t):
@@ -429,8 +458,8 @@ class TestIsomorphic8:
 
     def test_real_mode(self, rng):
         s, j = random_tau_fixed(1, rng)
-        assert isomorphic8(s, s.scale(GaussRat(4)), mode="real", j=j)
+        assert isomorphic8(s, s.scale(GaussRat(4)), j=j)
         zero = SymTensor.zero(s.space, 4)
-        assert isomorphic8(zero, zero, mode="real", j=j)
+        assert isomorphic8(zero, zero, j=j)
         if not s.is_zero():
-            assert not isomorphic8(s, zero, mode="real", j=j)
+            assert not isomorphic8(s, zero, j=j)

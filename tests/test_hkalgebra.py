@@ -720,7 +720,7 @@ class TestAnalyze:
         assert d["holonomy"]["is_abelian"] is True
         # dim E = 2 has no default quaternionic structure
         with pytest.raises(ContractError, match="not divisible by 4"):
-            analyze_quartic(p4, real=True)
+            standard_split_j(p4.space)
 
     def test_rejected_report(self):
         sp = SymplecticSpace(1)

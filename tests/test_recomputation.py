@@ -124,7 +124,7 @@ def test_complex_analysis_computes_the_table_once(table_entries):
 
 def test_real_analysis_computes_the_table_once(table_entries):
     s = make_generator("real-random:1", 3)
-    report = analyze_quartic(s, real=True)
+    report = analyze_quartic(s, j=standard_split_j(s.space))
     assert report.signature == (4, 4)
     assert len(table_entries) == table_size(s) == 10
 
@@ -205,7 +205,7 @@ def test_real_analysis_reads_the_j_table_once(monkeypatch):
     s = make_generator("real-random:2", 3)
     assert not hasattr(hkalgebra, "table_entry")
     reads = count_calls(monkeypatch, realform, "table_entry")
-    report = analyze_quartic(s, real=True)
+    report = analyze_quartic(s, j=standard_split_j(s.space))
     assert report.signature == (8, 8)
     assert len(reads) == 64
     q = certify_invariance(s)
@@ -256,7 +256,7 @@ def test_real_analysis_checks_jacobi_once(monkeypatch, kind):
     s = make_generator(kind, 3)
     checks = count_calls(monkeypatch, hkalgebra, "verify_jacobi")
     models = count_calls(monkeypatch, hkalgebra, "verify_model")
-    report = analyze_quartic(s, real=True)
+    report = analyze_quartic(s, j=standard_split_j(s.space))
     assert report.jacobi_ok and report.signature == (2 * s.space.n,) * 2
     assert len(checks) == len(models) == 1
 
@@ -359,7 +359,7 @@ def test_analysis_checks_support_isotropy_once(monkeypatch, kind, seed, real):
     assert len({(x, y) for _, x, y in pairs}) == len(pairs)
     assert not hasattr(hkalgebra, "is_isotropic")
     memberships = count_calls(monkeypatch, hkalgebra, "tensor_in_subspace_power")
-    report = analyze_quartic(s, real=real)
+    report = analyze_quartic(s, j=standard_split_j(s.space) if real else None)
     assert report.support_isotropic and report.support_dim == r
     assert len(memberships) == 1
 
