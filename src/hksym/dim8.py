@@ -6,10 +6,11 @@ A binary quartic is kept in the classical weighted form
 a0 x^4 + 4 a1 x^3 y + 6 a2 x^2 y^2 + 4 a3 x y^3 + a4 y^4, so the two classical
 invariants are I = a0 a4 - 4 a1 a3 + 3 a2^2 and
 J = a0 a2 a4 + 2 a1 a2 a3 - a0 a3^2 - a1^2 a4 - a2^3.  The operator G^{-1} A
-of quartic_to_matrix has characteristic polynomial t^3 - I t - 2J; its
-Jordan type is the Petrov letter, which fixes the root-multiplicity pattern,
-and over the reals the same polynomial is the complete orbit invariant, so
-both classes are read off one operator, exactly and with no root extracted.
+of quartic_to_matrix has characteristic polynomial t^3 - I t - 2J, so I and
+J are read off it; its Jordan type is the Petrov letter, which fixes the
+root-multiplicity pattern, and over the reals the same polynomial is the
+complete orbit invariant, so both classes are read off one operator,
+exactly and with no root extracted.
 A quartic on dim E = 4 becomes a binary quartic in the Darboux frame of its
 Lagrangian plane (symtensor.in_frame), with no solve.
 """
@@ -110,43 +111,6 @@ class BinaryQuartic:
         return cls.from_plain(plain)
 
 
-def _invariants_and_type(q):
-    """I, J and the Petrov letter of q, read off the operator G^{-1} A.
-
-    The operator's characteristic polynomial is t^3 - I t - 2J, with
-    discriminant 4 (I^3 - 27 J^2): three distinct eigenvalues give I.  When
-    I = 0 (so J = 0) the operator is nilpotent, and its square separates N
-    from III; otherwise the double eigenvalue is -3J/I, and the operator is
-    diagonalizable (D) exactly when (op - lam)(op + 2 lam) = 0, else II.
-    """
-    a0, a1, a2, a3, a4 = q.a
-    three = GaussRat(3)
-    four = GaussRat(4)
-    two = GaussRat(2)
-    inv_i = a0 * a4 - four * a1 * a3 + three * a2 * a2
-    inv_j = a0 * a2 * a4 + two * a1 * a2 * a3 - a0 * a3 * a3 - a1 * a1 * a4 - a2 * a2 * a2
-    op = quartic_to_matrix(q).operator()
-    if op.is_zero():
-        tag = "O"
-    elif inv_i * inv_i * inv_i != GaussRat(27) * inv_j * inv_j:
-        tag = "I"
-    elif not inv_i:
-        tag = "N" if (op @ op).is_zero() else "III"
-    else:
-        lam = -(three * inv_j) / inv_i
-        ident = Matrix.identity(3)
-        split = (op - ident.scale(lam)) @ (op + ident.scale(two * lam))
-        tag = "D" if split.is_zero() else "II"
-    return inv_i, inv_j, tag
-
-
-def quartic_invariants(q):
-    """The classical invariants I, J and the sorted root multiplicities on
-    the projective line, looked up from the Petrov letter."""
-    inv_i, inv_j, tag = _invariants_and_type(q)
-    return inv_i, inv_j, _TYPE_TO_PATTERN[tag]
-
-
 class PetrovClass(NamedTuple):
     type_tag: str
     multiplicity_pattern: tuple
@@ -165,19 +129,39 @@ class PetrovClass(NamedTuple):
 
 
 def classify_quartic(q):
-    """PetrovClass of a binary quartic: its Petrov letter and pattern plus,
-    for type I, the canonical projective pair (I^3 : J^2) scaled so its first
-    nonzero entry is 1."""
-    inv_i, inv_j, tag = _invariants_and_type(q)
+    """PetrovClass of a binary quartic, read off op = G^{-1} A.
+
+    The characteristic polynomial of op is t^3 - I t - 2J, with discriminant
+    4 (I^3 - 27 J^2).  Three distinct eigenvalues give type I, whose
+    invariant is the canonical projective pair (I^3 : J^2) scaled so its
+    first nonzero entry is 1.  When I = 0 (so J = 0) op is nilpotent, and it
+    and its square separate O, N and III; otherwise the double eigenvalue is
+    lam = -3J/I, and op is diagonalizable (D) exactly when
+    (op - lam)(op + 2 lam) = 0, else II.
+    """
+    op = quartic_to_matrix(q).operator()
+    c0, c1, _ = _char_poly_3(op)
+    inv_i, inv_j = -c1, -c0 * _HALF
+    i3, j2 = inv_i * inv_i * inv_i, inv_j * inv_j
     proj = None
-    if tag == "I":
-        i3 = inv_i * inv_i * inv_i
-        j2 = inv_j * inv_j
-        if i3:
-            proj = (ONE, j2 / i3)
-        else:
-            proj = (ZERO, ONE)  # "at infinity"
+    if i3 != GaussRat(27) * j2:
+        tag = "I"
+        proj = (ONE, j2 / i3) if i3 else (ZERO, ONE)  # (0 : 1) is "at infinity"
+    elif not inv_i:
+        tag = "O" if op.is_zero() else "N" if (op @ op).is_zero() else "III"
+    else:
+        lam = -(GaussRat(3) * inv_j) / inv_i
+        ident = Matrix.identity(3)
+        split = (op - ident.scale(lam)) @ (op + ident.scale(GaussRat(2) * lam))
+        tag = "D" if split.is_zero() else "II"
     return PetrovClass(tag, _TYPE_TO_PATTERN[tag], proj)
+
+
+def quartic_invariants(q):
+    """The classical invariants I, J and the sorted root multiplicities on
+    the projective line, read off the operator G^{-1} A (classify_quartic)."""
+    c0, c1, _ = _char_poly_3(quartic_to_matrix(q).operator())
+    return -c1, -c0 * _HALF, classify_quartic(q).multiplicity_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +235,7 @@ def quartic_to_matrix(q):
 def _char_poly_3(m):
     """t^3 + c2 t^2 + c1 t + c0 of a 3x3 matrix, exactly."""
     tr = m.entry(0, 0) + m.entry(1, 1) + m.entry(2, 2)
-    m2 = m @ m
-    tr2 = m2.entry(0, 0) + m2.entry(1, 1) + m2.entry(2, 2)
+    tr2 = sum((m.entry(r, k) * m.entry(k, r) for r in range(3) for k in range(3)), ZERO)
     det = (
         m.entry(0, 0) * (m.entry(1, 1) * m.entry(2, 2) - m.entry(1, 2) * m.entry(2, 1))
         - m.entry(0, 1) * (m.entry(1, 0) * m.entry(2, 2) - m.entry(1, 2) * m.entry(2, 0))

@@ -137,6 +137,11 @@ class TestAnalyze:
         assert code == 2
         assert json.loads(out)["reality"]["tau_fixed"] is False
 
+    def test_real_mode_without_a_default_j_exits_1(self, capsys, dim4_file):
+        code, out, err = run_cli(capsys, "analyze", dim4_file, "--real")
+        assert (code, out) == (1, "")
+        assert "dim E = 2 is not divisible by 4 (supply --j)" in err
+
     def test_malformed_json_exits_1(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -187,12 +187,17 @@ class TestMatrixDictionary:
             assert matrix_to_quartic(m) == q
 
     def test_char_poly_is_t3_minus_i_t_minus_2j(self):
-        # the letter and the real class both rest on this identity
+        # the class and the real class both rest on this identity; I and J
+        # here come from the classical formulas in the weighted coefficients
         rng = random.Random(31)
         for _ in range(50):
             q = BinaryQuartic.from_plain([random_gaussrat(rng) for _ in range(5)])
-            i_, j_, _ = quartic_invariants(q)
+            a0, a1, a2, a3, a4 = q.a
+            i_ = a0 * a4 - GaussRat(4) * a1 * a3 + GaussRat(3) * a2 * a2
+            j_ = (a0 * a2 * a4 + GaussRat(2) * a1 * a2 * a3
+                  - a0 * a3 * a3 - a1 * a1 * a4 - a2 * a2 * a2)
             assert _char_poly_3(quartic_to_matrix(q).operator()) == (GaussRat(-2) * j_, -i_, ZERO)
+            assert quartic_invariants(q)[:2] == (i_, j_)
 
     def test_traceless_slice_enforced(self):
         bad = Matrix.identity(3)

@@ -718,9 +718,6 @@ class TestAnalyze:
         assert report.jacobi_ok and report.ricci_zero
         d = report.to_dict()
         assert d["holonomy"]["is_abelian"] is True
-        # dim E = 2 has no default quaternionic structure
-        with pytest.raises(ContractError, match="not divisible by 4"):
-            standard_split_j(p4.space)
 
     def test_rejected_report(self):
         sp = SymplecticSpace(1)
