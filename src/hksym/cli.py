@@ -162,7 +162,10 @@ def cmd_classify8(args):
     if s.space.n != 2:
         raise ContractError("classify8 needs a quartic on dim E = 4 (n = 2)")
     q = certify_invariance(s)
-    cls = classify_complex8(s, find_lagrangian(q))
+    if args.real:
+        cls, rc = classify_real8(s, _load_j(args, s.space), q.support)
+    else:
+        cls = classify_complex8(s, find_lagrangian(q))
     payload = {"tool_version": __version__, "input_sha256": digest}
     payload.update(cls.to_dict())
     payload["mode"] = "real" if args.real else "complex"
@@ -172,7 +175,6 @@ def cmd_classify8(args):
         shown = "at infinity" if not first else str(second)
         lines.append("invariant (I^3 : J^2): %s" % shown)
     if args.real:
-        rc = classify_real8(s, _load_j(args, s.space), q.support)
         payload["real_class"] = rc.to_dict()
         lines.append("real class: %s" % rc.to_dict())
     _emit(args, payload, lines)

@@ -129,7 +129,12 @@ class PetrovClass(NamedTuple):
 
 
 def classify_quartic(q):
-    """PetrovClass of a binary quartic, read off op = G^{-1} A.
+    """PetrovClass of a binary quartic, read off op = G^{-1} A (_petrov_class)."""
+    return _petrov_class(quartic_to_matrix(q).operator())
+
+
+def _petrov_class(op):
+    """PetrovClass of the operator op = G^{-1} A of a binary quartic.
 
     The characteristic polynomial of op is t^3 - I t - 2J, with discriminant
     4 (I^3 - 27 J^2).  Three distinct eigenvalues give type I, whose
@@ -139,7 +144,6 @@ def classify_quartic(q):
     lam = -3J/I, and op is diagonalizable (D) exactly when
     (op - lam)(op + 2 lam) = 0, else II.
     """
-    op = quartic_to_matrix(q).operator()
     c0, c1, _ = _char_poly_3(op)
     inv_i, inv_j = -c1, -c0 * _HALF
     i3, j2 = inv_i * inv_i * inv_i, inv_j * inv_j
@@ -331,29 +335,33 @@ def _adapted_j_basis(e_plus, j):
 
 
 def classify_real8(s, j, e_plus):
-    """Complete real orbit invariant of a tau-fixed quartic at m = 1.
+    """(PetrovClass, RealOrbitClass) of a tau-fixed quartic at m = 1, both
+    read off one operator.
 
     The quartic is rewritten in a j-adapted basis (v, jv) of e_plus and
-    carried to the operator on W = S^2 e_plus.  tau-fixedness makes the
-    operator commute with the induced real structure on W, so it restricts to
-    a real matrix on the real slice spanned by (x^2 + y^2, i(x^2 - y^2), ixy)
-    (certified exactly).  There it is self-adjoint for the positive definite
-    restriction of the invariant form, hence orthogonally diagonalizable, and
-    its characteristic data (p, q) is the complete positive-scaling rotation
-    invariant.  A quartic that is not tau-fixed for j raises RealityError,
-    and one not supported in e_plus ContractError (from
-    BinaryQuartic.from_symtensor).
+    carried to the operator on W = S^2 e_plus.  Its PetrovClass is the one
+    classify_complex8 reads in any other basis of e_plus: the letter and
+    pattern are root structures and (I^3 : J^2) has weight 0.
+    tau-fixedness makes the operator commute with the induced real
+    structure on W, so it restricts to a real matrix on the real slice
+    spanned by (x^2 + y^2, i(x^2 - y^2), ixy) (certified exactly).  There it
+    is self-adjoint for the positive definite restriction of the invariant
+    form, hence orthogonally diagonalizable, and its characteristic data
+    (p, q) is the complete positive-scaling rotation invariant.  A quartic
+    that is not tau-fixed for j raises RealityError, and one not supported
+    in e_plus ContractError (from BinaryQuartic.from_symtensor).  The zero
+    quartic, zero in every basis, needs no e_plus.
     """
     if s.space.dim != 4:
         raise ContractError("real dim-8 classification needs dim E = 4")
     if tau(s, j) != s:
         raise RealityError("real classification needs a tau-fixed quartic")
     if s.is_zero():
-        return RealOrbitClass(kind="zero")
-    if e_plus.dim != 2:
+        bq = BinaryQuartic(*(ZERO,) * 5)
+    elif e_plus.dim != 2:
         raise ContractError("e_plus must be 2-dimensional")
-    v1, v2 = _adapted_j_basis(e_plus, j)
-    bq = BinaryQuartic.from_symtensor(s, [v1, v2])
+    else:
+        bq = BinaryQuartic.from_symtensor(s, _adapted_j_basis(e_plus, j))
     op = quartic_to_matrix(bq).operator()
     # columns: r1 = u1 + u3, r2 = i u1 - i u3, r3 = i u2
     b_cols = Matrix([
@@ -367,7 +375,7 @@ def classify_real8(s, j, e_plus):
             if not e.is_real:
                 raise TheoremViolationError("operator of a tau-fixed quartic does not "
                                             "restrict to the real slice (bug signal)")
-    return real_class_of_symmetric(op_r)
+    return _petrov_class(op), real_class_of_symmetric(op_r)
 
 
 def isomorphic8(s1, s2, j=None):
@@ -380,8 +388,6 @@ def isomorphic8(s1, s2, j=None):
     records = []
     for s in (s1, s2):
         q = certify_invariance(s)
-        record = classify_complex8(s, find_lagrangian(q))
-        if j is not None:
-            record = (record, classify_real8(s, j, q.support))
-        records.append(record)
+        records.append(classify_complex8(s, find_lagrangian(q)) if j is None
+                       else classify_real8(s, j, q.support))
     return records[0] == records[1]

@@ -26,8 +26,6 @@ class TheoremViolationError(Exception):
     """An internal consistency guarantee failed (bug signal, not a data state)."""
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 _new = object.__new__
 
 
@@ -37,6 +35,17 @@ def _frac(x):
     if isinstance(x, int):
         return Fraction(x)
     raise ScalarError("rational component must be int or Fraction, got %r" % (x,))
+
+
+def _ratio(part, text):
+    """(numerator, denominator) of a signed rational literal "a" or "a/q",
+    read as ints; ScalarError naming text for a zero denominator."""
+    num, _, den = part.partition("/")
+    num = int(num)
+    den = int(den) if den else 1
+    if not den:
+        raise ScalarError("zero denominator in %r" % text)
+    return num, den
 
 
 def from_triple(a, b, d):
@@ -114,29 +123,30 @@ class GaussRat:
         """Parse "a/b" with optional "+c/d i" imaginary part, e.g. "-3/4+1/2i".
 
         Whitespace-insensitive; accepts the unicode minus sign.  Zero
-        denominators and non-rational syntax raise ScalarError.
+        denominators and non-rational syntax raise ScalarError.  The digit
+        strings are read by int() straight into one canonical triple, so a
+        literal past the interpreter's digit limit for int() raises its
+        ValueError.
         """
         if not isinstance(text, str):
             raise ScalarError("rational literal must be a string, got %r" % (text,))
-        s = "".join(text.split()).replace("−", "-")
-        m = cls._RE_BOTH.match(s) or cls._RE_IMAG.match(s) or cls._RE_REAL.match(s)
+        literal = "".join(text.split()).replace("−", "-")
+        m = cls._RE_BOTH.match(literal) or cls._RE_IMAG.match(literal) or cls._RE_REAL.match(literal)
         if m is None:
             raise ScalarError("cannot parse rational literal %r" % text)
         groups = m.groupdict()
-        try:
-            re_part = Fraction(groups["re"]) if groups.get("re") else _F0
-            im_text = groups.get("im")
-            if im_text is None:
-                im_part = _F0
-            elif im_text in ("", "+"):
-                im_part = _F1
-            elif im_text == "-":
-                im_part = -_F1
-            else:
-                im_part = Fraction(im_text)
-        except ZeroDivisionError:
-            raise ScalarError("zero denominator in %r" % text)
-        return cls(re_part, im_part)
+        a, q = _ratio(groups.get("re") or "0", text)
+        im = groups.get("im")
+        if im is None:
+            b, s = 0, 1
+        elif im in ("", "+"):
+            b, s = 1, 1
+        elif im == "-":
+            b, s = -1, 1
+        else:
+            b, s = _ratio(im, text)
+        # a/q + (b/s) i = (a s + b q i)/(q s)
+        return from_triple(a * s, b * q, q * s)
 
     def __str__(self):
         def rat(f):
@@ -427,19 +437,30 @@ def rank_kernel(m):
 MODULUS = 2 ** 61 - 1
 
 
+def residues(values):
+    """The values times the lcm of their denominators, Gaussian integers,
+    reduced into Z[i]/(P) = F_{P^2}, P = MODULUS, as (re, im) pairs.
+
+    Reduction is a ring map on Z[i], so an integer polynomial in the scaled
+    values that vanishes has a zero residue too: a nonzero residue proves
+    it nonzero, even when P divides a denominator."""
+    values = list(values)
+    den = lcm(*(z._d for z in values))
+    p = MODULUS
+    return [(z._a * (den // z._d) % p, z._b * (den // z._d) % p) for z in values]
+
+
 def modular_rank(rows, target):
     """The rank of the rows modulo P = MODULUS, read until it reaches target.
 
-    Each row is scaled to Gaussian integers by the lcm of its denominators
-    and reduced into Z[i]/(P) = F_{P^2}.  That is a ring map, so the result
-    never exceeds the rank over Q(i), even when P divides a denominator."""
+    Each row is reduced by residues, so the result never exceeds the rank
+    over Q(i), even when P divides a denominator."""
     p = MODULUS
     tails = {}  # pivot c -> its row from c on as (re, im) pairs, leading with 1
     for row in rows if target else ():
         if not any(row):
             continue
-        den = lcm(*(z._d for z in row))
-        v = [(z._a * (den // z._d) % p, z._b * (den // z._d) % p) for z in row]
+        v = residues(row)
         for c in sorted(tails):
             fr, fi = v[c][0] % p, v[c][1] % p  # v is reduced only here and at the end
             if fr or fi:

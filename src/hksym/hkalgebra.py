@@ -4,10 +4,12 @@ splitting and the automorphism algebra.
 
 Every object here is read off S's coefficients.  certify_invariance(s)
 certifies invariance by an isotropic support Sigma with S in S^4(Sigma) (or
-finds the first S_{e_k,e_l} with S_{e_k,e_l} . S != 0), reads the table of
-double contractions S_{e_k,e_l} (S's middle catalecticant, see symtensor) as
-S^2E coordinates, and certifies h = span of the table = S^2(Sigma) by a rank
-modulo a prime, or eliminates the table.  It returns an InvariantQuartic:
+finds the first S_{e_k,e_l} with S_{e_k,e_l} . S != 0: a nonzero value of
+the action modulo a prime at one point certifies it, and the exact action
+decides where that value is zero), reads the table of double contractions
+S_{e_k,e_l} (S's middle catalecticant, see symtensor) as S^2E coordinates,
+and certifies h = span of the table = S^2(Sigma) by a rank modulo a prime,
+or eliminates the table.  It returns an InvariantQuartic:
 the quartic, the table, the basis of h and the support.
 The stages take that certificate (or what they consume of it) explicitly:
 holonomy(q) reads the basis of h, find_lagrangian(q) extends the support,
@@ -16,7 +18,8 @@ that extension, and build_complex_algebra(q, hol) reads the [m, m] brackets
 off the table.  compute_aut(s, e_plus) lets gl(E_+) act on S written in the
 Darboux frame of E_+ (symtensor.in_frame).
 An element of sp(E) becomes a matrix (symtensor.s2e_matrix) only where it
-acts on E: the reject path, and the holonomy's basis, which acts as [h, m].
+acts: the reject path, which evaluates it on S, and the holonomy's basis,
+which acts as [h, m].
 
 H is the fixed plane with basis h, h', omega_H(h, h') = 1 and j_H h = h',
 j_H h' = -h, so H(x)E = E (+) E: an element of H(x)E is a flat tuple (x, y)
@@ -60,7 +63,9 @@ from .symplectic import (
     omega_pair,
 )
 from .symtensor import (
+    action_residue,
     double_contractions,
+    gradient_residues,
     in_frame,
     s2e_matrix,
     sp_action,
@@ -148,12 +153,20 @@ def certify_invariance(s):
 
 
 def _reject(s, entries):
-    """Raise NotHyperKahlerError at the first failing entry, acting on S only
-    the entries that raise the rank of those before them (A . S is linear)."""
+    """Raise NotHyperKahlerError at the first failing entry, testing on S
+    only the entries that raise the rank of those before them (A . S is
+    linear).  Each such A is first evaluated modulo P at one point
+    (symtensor.action_residue, from the gradient of S there, computed once):
+    a nonzero residue proves A . S != 0, and only a zero residue leaves the
+    verdict to the exact action sp_action(A, S)."""
+    dim = s.space.dim
+    gradient = gradient_residues(s)
     rows, pivots = [], []
     for pair, v in entries:
-        if extend_rref(rows, pivots, v) and not sp_action(s2e_matrix(v, s.space.dim), s).is_zero():
-            raise NotHyperKahlerError(pair)
+        if extend_rref(rows, pivots, v):
+            a = s2e_matrix(v, dim)
+            if any(action_residue(a, gradient)) or not sp_action(a, s).is_zero():
+                raise NotHyperKahlerError(pair)
     raise TheoremViolationError("support of an invariant quartic is not isotropic")
 
 

@@ -350,12 +350,13 @@ class TestAnalyze:
 
     def test_non_isotropic_support_without_witness_exits_3(self, capsys, monkeypatch, tmp_path):
         # a full quartic has a non-isotropic support, so some entry must fail
-        # S_{e_k,e_l} . S = 0; with every action read as zero none does, which
-        # the structure theorem rules out
+        # S_{e_k,e_l} . S = 0; with every residue and every exact action read
+        # as zero none does, which the structure theorem rules out
         import hksym.hkalgebra as hkalgebra
 
         s = generators.random_quartic_full(SymplecticSpace(2), random.Random(5))
         path = write_quartic(tmp_path, "full.json", symtensor.quartic_to_dict(s))
+        monkeypatch.setattr(hkalgebra, "action_residue", lambda a, gradient: (0, 0))
         monkeypatch.setattr(hkalgebra, "sp_action", lambda a, t: symtensor.SymTensor.zero(t.space, 4))
         code, out, err = run_cli(capsys, "analyze", path)
         assert (code, out, err) == (
@@ -377,6 +378,19 @@ class TestAnalyze:
             "coeffs": [{"monomial": [4, 0], "value": "1"}],
         })
         assert run_cli(capsys, "analyze", path)[0] == 1
+
+    def test_overlong_literal_exits_1_as_the_fraction_parser_fails(self, capsys, tmp_path):
+        # int() refuses a 5000-digit string, as Fraction did: the same
+        # ValueError text, exit 1
+        from oracles import RefGaussRat
+
+        literal = "1" * 5000
+        with pytest.raises(ValueError) as ref:
+            RefGaussRat.parse(literal)
+        path = write_quartic(tmp_path, "long.json", {
+            "n": 1, "degree": 4, "coeffs": [{"monomial": [4, 0], "value": literal}],
+        })
+        assert run_cli(capsys, "analyze", path) == (1, "", "error: %s\n" % ref.value)
 
     def test_missing_file_exits_1(self, capsys):
         assert run_cli(capsys, "analyze", "/nonexistent/q.json")[0] == 1

@@ -108,6 +108,41 @@ class TestParsing:
             v = rand_gauss(rng)
             assert GaussRat.parse(str(v)) == v
 
+    def test_against_the_fraction_parser(self):
+        # the integer-triple parser against RefGaussRat.parse, which reads
+        # each part through Fraction: unreduced fractions, both signs, the
+        # unicode minus and whitespace anywhere
+        rng = random.Random(4300)
+
+        def sign(leading):
+            return rng.choice(("", "+", "-", "−") if leading else ("+", "-", "−"))
+
+        def rational():
+            g = rng.randrange(1, 10 ** 6)  # a factor left in both parts
+            num = rng.randrange(10 ** rng.randint(1, 25)) * g
+            if rng.random() < 0.3:
+                return str(num)
+            return "%d/%d" % (num, rng.randrange(1, 10 ** rng.randint(1, 25)) * g)
+
+        for _ in range(2000):
+            shape = rng.randrange(4)
+            text = sign(True) + ("" if shape == 2 else rational())
+            if shape in (1, 2):
+                text += "i"
+            elif shape == 3:
+                text += sign(False) + rng.choice(("", rational())) + "i"
+            text = "".join(rng.choice(("", "", "", " ", "\t", "\n")) + c for c in text)
+            x, ref = GaussRat.parse(text), RefGaussRat.parse(text)
+            assert x == GaussRat(ref.re, ref.im) and str(x) == str(ref)
+
+    @pytest.mark.parametrize("bad", ["1/0", "3/0i", "0/0", "1/2+5/0i", "1/0-5/0i", "-i+1"])
+    def test_errors_match_the_fraction_parser(self, bad):
+        with pytest.raises(ScalarError) as got:
+            GaussRat.parse(bad)
+        with pytest.raises(ScalarError) as ref:
+            RefGaussRat.parse(bad)
+        assert str(got.value) == str(ref.value)
+
 
 class TestRankKernel:
     def test_identity(self):

@@ -40,8 +40,8 @@ CASES = (
         ("late_witness", None, "verify", ("--invariance",), 2),
         # random_quartic_full(SymplecticSpace(4), Random(3)): dense, 329
         # monomials, most coefficients complex and not integers; the first
-        # entry fails, witness (0, 0), so the rejection is one sp_action on
-        # a dense quartic
+        # entry fails, witness (0, 0), certified by one nonzero residue of
+        # its action modulo P, with no exact action on the dense quartic
         ("full_4", None, "analyze", (), 2),
         ("full_4", None, "verify", ("--invariance",), 2),
         # symmetrize_real of random_quartic_full(SymplecticSpace(2), Random(11))

@@ -13,8 +13,13 @@ SpanSolver.  Each column that raises the support's rank is paired by omega
 with the ones before it, once.  An isotropic support with S in
 S^4(support), certified by the one
 tensor_in_subspace_power call of an analysis, implies invariance, so an
-accepted quartic makes no sp_action call; a rejection acts on S only the
-entries that raise the rank of h, up to its witness.  holonomy(q) reads the
+accepted quartic makes no sp_action call and no modular test; a rejection
+tests on S only the entries that raise the rank of h, up to its witness.
+Each of those is first evaluated modulo a prime at one point
+(action_residue, from one gradient_residues of S per rejection); a nonzero
+residue certifies the witness, so sp_action runs only on an entry whose
+residue is zero: one that kills S, or, rarely, one whose action vanishes
+at that point modulo the prime.  holonomy(q) reads the
 basis of h that certify_invariance eliminated on the way, without a second
 elimination.  [h, h] = 0 follows from the isotropy of the support, so
 holonomy(q) and both algebra builders make no matrix product at all.  The
@@ -42,7 +47,9 @@ from the matrices holonomy(q) wrote out.  The real algebra reads no table
 entry: it evaluates the complex model's bracket on a real basis and inherits
 its Jacobi certificate, so an analysis checks Jacobi once.  classify8 certifies S in S^4 of a plane once, in
 certify_invariance: dim8 leaves S in S^4(e_plus) to the quartic it reads off
-e_plus's Darboux frame, built once per classification.  An analysis counts
+e_plus's Darboux frame, built once per classification; classify8 --real
+reads the complex class off the j-adapted quartic of the real class, and
+builds no second frame.  An analysis counts
 the flat factor off the support and builds a Darboux frame only for the
 dim-8 classification.  compute_aut builds and inverts the Darboux frame of
 E_+ once, not once per elementary matrix of gl(E_+).
@@ -139,24 +146,33 @@ def golden_quartic(stem):
 ], ids=["random-lagrangian:3", "scrambled_lagrangian_2"])
 def test_accepted_invariance_acts_on_nothing(monkeypatch, table_entries, s, dim_h):
     actions = count_calls(monkeypatch, hkalgebra, "sp_action")
+    residues = count_calls(monkeypatch, hkalgebra, "action_residue")
+    gradients = count_calls(monkeypatch, hkalgebra, "gradient_residues")
     q = certify_invariance(s)
     assert holonomy(q).dimension == dim_h
-    assert len(actions) == 0
+    assert (len(actions), len(residues), len(gradients)) == (0, 0, 0)
     assert len(table_entries) == len(q.table) == table_size(s)
 
 
 def test_late_witness_acts_on_the_independent_entries_only(monkeypatch):
     # the nonzero entries up to the witness (2, 3) are (0, 3), (2, 2) and
-    # (2, 3); (2, 2) lies in the span of (0, 3) and is not acted on S
+    # (2, 3); (2, 2) lies in the span of (0, 3) and is not tested on S.
+    # (0, 3) kills S, so its residue is zero and only the exact action
+    # passes it; the witness (2, 3) is certified by its nonzero residue
+    s = golden_quartic("late_witness")
+    residues = count_calls(monkeypatch, hkalgebra, "action_residue")
     actions = count_calls(monkeypatch, hkalgebra, "sp_action")
-    assert check_invariance(golden_quartic("late_witness")) == (False, (2, 3))
-    assert len(actions) == 2
+    assert check_invariance(s) == (False, (2, 3))
+    entry = {pair: symtensor.s2e_matrix(v, 4) for pair, v in symtensor.double_contractions(s)}
+    assert [a for a, _ in residues] == [entry[(0, 3)], entry[(2, 3)]]
+    assert [a for a, _ in actions] == [entry[(0, 3)]]
 
 
 def test_dense_rejection_acts_once(monkeypatch, table_entries):
     # a full quartic fails at its first entry (0, 0): two support columns
     # (the second pairs with the first by omega), one table entry, one
-    # action of it on S, and the action is the one the reference computes
+    # modular test of it on S, whose nonzero residue certifies the witness
+    # with no exact action; the reference action of that entry is nonzero
     s = golden_quartic("full_4")
     columns = []
     original = symtensor.support_columns
@@ -167,14 +183,29 @@ def test_dense_rejection_acts_once(monkeypatch, table_entries):
             yield col
 
     monkeypatch.setattr(hkalgebra, "support_columns", counted)
+    residues = count_calls(monkeypatch, hkalgebra, "action_residue")
     actions = count_calls(monkeypatch, hkalgebra, "sp_action")
     assert check_invariance(s) == (False, (0, 0))
     assert len(columns) == 2
     assert table_entries == [(0, 0)]
-    assert len(actions) == 1
-    (endo, _), = actions
+    assert len(actions) == 0
+    (endo, gradient), = residues
+    assert gradient == symtensor.gradient_residues(s)
     acted = symtensor.sp_action(endo, s)
     assert not acted.is_zero() and acted == sp_action_reference(endo, s)
+
+
+def test_zero_residues_fall_back_to_the_exact_action(monkeypatch, table_entries):
+    # full_4 scaled by P: every scaled numerator is a multiple of P, so
+    # every residue is zero, and the witness (0, 0) is reached through one
+    # exact action
+    s = golden_quartic("full_4").scale(exactnum.GaussRat(exactnum.MODULUS))
+    residues = count_calls(monkeypatch, hkalgebra, "action_residue")
+    actions = count_calls(monkeypatch, hkalgebra, "sp_action")
+    assert check_invariance(s) == (False, (0, 0))
+    assert table_entries == [(0, 0)]
+    assert [symtensor.action_residue(*args) for args in residues] == [(0, 0)]
+    assert len(actions) == 1
 
 
 def test_holonomy_eliminates_nothing(monkeypatch):
@@ -411,8 +442,8 @@ def test_span_eliminates_once(monkeypatch, rng):
 def test_classify8_certifies_membership_once(monkeypatch, tmp_path, capsys, flags):
     # certify_invariance certifies S in S^4(support) once; dim8 makes no
     # tensor_in_subspace_power call of its own and leaves S in S^4(e_plus)
-    # to the quartic it reads off e_plus's Darboux frame, one frame per
-    # classification
+    # to the quartic it reads off e_plus's Darboux frame; --real reads the
+    # complex class off its j-adapted quartic, so each run builds one frame
     path = str(tmp_path / "petrov_i.json")
     assert main(["generate", "petrov:I", "-o", path]) == 0
     assert not hasattr(dim8, "tensor_in_subspace_power")
@@ -422,7 +453,7 @@ def test_classify8_certifies_membership_once(monkeypatch, tmp_path, capsys, flag
     assert main(["classify8", path, *flags]) == 0
     assert capsys.readouterr().out.startswith("type: I\n")
     assert (len(memberships), len(perps)) == (1, 1)
-    assert len(frames) == 1 + len(flags)
+    assert len(frames) == 1
 
 
 def test_restriction_expands_each_power_once(monkeypatch, tmp_path, capsys):

@@ -23,11 +23,13 @@ from hksym.symplectic import (
 )
 from hksym.symtensor import (
     SymTensor,
+    action_residue,
     contract,
     double_contraction_endo,
     double_contractions,
     endo_of_quadratic,
     eval_on_vectors,
+    gradient_residues,
     in_frame,
     is_in_sp,
     quartic_from_dict,
@@ -44,6 +46,7 @@ from hksym.symtensor import (
     transform,
 )
 from hksym.generators import (
+    make_generator,
     random_gaussrat,
     random_quartic_full,
     random_quartic_lagrangian,
@@ -450,6 +453,56 @@ class TestOverLcms:
     def test_zeros_and_empty(self):
         assert _over_lcms([]) == ([1], [])
         assert _over_lcms([ZERO, GaussRat(3)]) == ([1], [(0, 0, 0), (0, 3, 0)])
+
+
+class TestActionResidue:
+    """action_residue: L_A L (A . t)(x) modulo P at one point x, from
+    gradient_residues(t).  A zero action gives a zero residue, so a nonzero
+    residue is a certificate that A . t != 0."""
+
+    @pytest.mark.parametrize("s", [
+        *(make_generator("random-lagrangian:%d" % n, 7) for n in range(1, 5)),
+        quartic_from_dict(json.loads(
+            (GOLDEN_INPUTS[0].parent / "scrambled_lagrangian_2.json").read_text(encoding="utf-8"))),
+        make_generator("real-random:2", 3),
+    ], ids=["random-lagrangian:%d" % n for n in range(1, 5)] + ["scrambled_lagrangian_2",
+                                                                 "real-random:2"])
+    def test_zero_on_every_entry_of_an_invariant_quartic(self, s):
+        gradient = gradient_residues(s)
+        for _, v in double_contractions(s):
+            a = s2e_matrix(v, s.space.dim)
+            assert sp_action_reference(a, s).is_zero()
+            assert action_residue(a, gradient) == (0, 0)
+
+    @pytest.mark.parametrize("n,acting", [(1, 3), (2, 10), (3, 21)])
+    def test_finds_every_nonzero_action_of_a_full_quartic(self, n, acting):
+        # every table entry of a full quartic acts on it, and every one of
+        # those actions has a nonzero residue
+        s = random_quartic_full(SymplecticSpace(n), random.Random(60 + n))
+        gradient = gradient_residues(s)
+        found = []
+        for _, v in double_contractions(s):
+            a = s2e_matrix(v, s.space.dim)
+            acts = not sp_action_reference(a, s).is_zero()
+            assert bool(any(action_residue(a, gradient))) == acts
+            found.append(acts)
+        assert sum(found) == len(found) == acting
+
+    @pytest.mark.parametrize("bits", [2, 300])
+    def test_large_denominators(self, bits):
+        # coefficients and entries each times its own random height factor
+        # (random_height_gaussrat), so that the lcms scaling them share few
+        # factors: the residue is still nonzero exactly where the action is
+        rng = random.Random(1500 + bits)
+        sp = SymplecticSpace(2)
+        for degree in range(5):
+            t = with_heights(random_tensor(sp, degree, rng), rng, bits)
+            gradient = gradient_residues(t)
+            for a in (random_sp_matrix(sp, rng, bits), endo_of_quadratic(with_heights(
+                    random_tensor(sp, 2, rng), rng, bits))):
+                acted = sp_action_reference(a, t)
+                assert bool(any(action_residue(a, gradient))) == (not acted.is_zero())
+                assert acted.is_zero() == (degree == 0)
 
 
 class TestCancellation:
