@@ -18,6 +18,11 @@ class ScalarError(Exception):
     """Invalid scalar operation: division by zero or an unparseable literal."""
 
 
+class LiteralTooLongError(ScalarError):
+    """A rational literal with a digit string over MAX_DIGITS digits; a
+    record reader names the field that held it."""
+
+
 class ContractError(Exception):
     """A documented precondition was violated (e.g. non-Hermitian input)."""
 
@@ -35,6 +40,19 @@ def _frac(x):
     if isinstance(x, int):
         return Fraction(x)
     raise ScalarError("rational component must be int or Fraction, got %r" % (x,))
+
+
+# the most digits a digit string of a literal may have: the interpreter's
+# default limit for int(), checked here so that what parses does not depend
+# on the interpreter's setting
+MAX_DIGITS = 4300
+
+_RAT = r"\d+(?:/\d+)?"
+# "a", "a+b i" or "b i" with a, b signed rationals; b may be left out of
+# "+i", "-i" and "i".  The three forms are disjoint, so one match says which
+_LITERAL = _re.compile(r"(?P<re>[+-]?%s)(?:(?P<im>[+-](?:%s)?)i)?|(?P<imag>[+-]?(?:%s)?)i"
+                       % (_RAT, _RAT, _RAT))
+_DIGITS = _re.compile(r"\d+")
 
 
 def _ratio(part, text):
@@ -113,30 +131,34 @@ class GaussRat:
 
     # -- parsing / formatting -------------------------------------------------
 
-    _RAT = r"\d+(?:/\d+)?"
-    _RE_BOTH = _re.compile(r"^(?P<re>[+-]?%s)(?P<im>[+-](?:%s)?)i$" % (_RAT, _RAT))
-    _RE_IMAG = _re.compile(r"^(?P<im>[+-]?(?:%s)?)i$" % _RAT)
-    _RE_REAL = _re.compile(r"^(?P<re>[+-]?%s)$" % _RAT)
-
     @classmethod
     def parse(cls, text):
         """Parse "a/b" with optional "+c/d i" imaginary part, e.g. "-3/4+1/2i".
 
         Whitespace-insensitive; accepts the unicode minus sign.  Zero
-        denominators and non-rational syntax raise ScalarError.  The digit
-        strings are read by int() straight into one canonical triple, so a
-        literal past the interpreter's digit limit for int() raises its
-        ValueError.
+        denominators and non-rational syntax raise ScalarError, and a digit
+        string over MAX_DIGITS digits raises LiteralTooLongError before int()
+        reads it.  The text is matched by one pattern as it stands, and only
+        a text that fails is cleared of whitespace and unicode minus signs
+        and matched again: the pattern holds neither, so a text that matches
+        as it stands is already clear.  The digit strings are read by int()
+        straight into one canonical triple.
         """
         if not isinstance(text, str):
             raise ScalarError("rational literal must be a string, got %r" % (text,))
-        literal = "".join(text.split()).replace("−", "-")
-        m = cls._RE_BOTH.match(literal) or cls._RE_IMAG.match(literal) or cls._RE_REAL.match(literal)
+        literal = text
+        m = _LITERAL.fullmatch(literal)
         if m is None:
-            raise ScalarError("cannot parse rational literal %r" % text)
-        groups = m.groupdict()
-        a, q = _ratio(groups.get("re") or "0", text)
-        im = groups.get("im")
+            literal = "".join(text.split()).replace("−", "-")
+            m = _LITERAL.fullmatch(literal)
+            if m is None:
+                raise ScalarError("cannot parse rational literal %r" % text)
+        if len(literal) > MAX_DIGITS and any(len(run) > MAX_DIGITS for run in _DIGITS.findall(literal)):
+            raise LiteralTooLongError("rational literal has a digit string over %d digits" % MAX_DIGITS)
+        re, im, imag = m.groups()
+        a, q = _ratio(re, text) if re is not None else (0, 1)
+        if imag is not None:
+            im = imag
         if im is None:
             b, s = 0, 1
         elif im in ("", "+"):
@@ -295,10 +317,6 @@ class Matrix:
     @classmethod
     def identity(cls, n):
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_strings(cls, rows):
-        return cls([[GaussRat.parse(e) for e in row] for row in rows])
 
     def to_strings(self):
         return [[str(e) for e in row] for row in self.data]

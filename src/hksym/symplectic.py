@@ -23,6 +23,8 @@ Conventions fixed here and inherited by everything downstream:
 
 from .exactnum import (
     ContractError,
+    GaussRat,
+    LiteralTooLongError,
     Matrix,
     ONE,
     SpanSolver,
@@ -374,4 +376,13 @@ def quaternionic_from_json(data, ambient):
     """The quaternionic structure on ambient whose c_matrix the record holds."""
     (c_matrix,) = record_fields(data, "quaternionic structure", ("c_matrix",))
     rows = record_rows(c_matrix, "quaternionic structure", "c_matrix")
-    return QuaternionicStructure(ambient, Matrix.from_strings(rows))
+    entries = []
+    try:
+        for r, row in enumerate(rows):
+            entries.append([])
+            for c, text in enumerate(row):
+                entries[-1].append(GaussRat.parse(text))
+    except LiteralTooLongError as exc:
+        raise ContractError("malformed quaternionic structure record: c_matrix[%d][%d]: %s"
+                            % (r, c, exc)) from None
+    return QuaternionicStructure(ambient, Matrix(entries))

@@ -37,13 +37,14 @@ refusing a t outside S^d(span f); the dim-8 restriction and aut(S) read it.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
-from math import factorial, lcm, prod
+from itertools import combinations_with_replacement, compress
+from math import lcm
 from operator import mul
 
 from .exactnum import (
     ContractError,
     GaussRat,
+    LiteralTooLongError,
     MODULUS,
     ONE,
     ZERO,
@@ -182,6 +183,18 @@ class SymTensor:
             ) or "1"
             parts.append("(%s)*%s" % (self.coeffs[alpha], mono))
         return " + ".join(parts)
+
+
+def _trusted_tensor(space, degree, coeffs):
+    """The SymTensor of a table that already holds only nonzero coefficients
+    at tuple multi-indices of length dim E and sum degree, as a checked
+    record does: SymTensor(...) checks every multi-index, this skips the
+    checks."""
+    t = object.__new__(SymTensor)
+    object.__setattr__(t, "space", space)
+    object.__setattr__(t, "degree", degree)
+    object.__setattr__(t, "coeffs", coeffs)
+    return t
 
 
 def contract(t, x):
@@ -386,37 +399,67 @@ def double_contractions(s):
 
     Every table of double contractions is read off this sequence.  Each
     entry is read straight off S's coefficients by the formula in the module
-    docstring, with no contraction: one pass over S files every monomial
-    under the pairs of indices it can be differentiated along, and entry
-    (k, l) reads the monomials filed under (k', l').  A consumer that stops
-    early never pays for the rest of the table.
+    docstring, with no contraction: entry (k, l) reads the monomials of S
+    that hold both k' and l'.  The table is filed row by row: before row k
+    is yielded, _file_row files the monomials that hold k' under each of
+    their other indices l' with l >= k.  Each (monomial, index pair) is thus
+    filed once over the whole table, and each monomial's T_alpha is computed
+    when a row first files it, so a consumer that stops early pays only for
+    the rows up to its last entry.
     """
     if s.degree != 4:
         raise ContractError("double contractions need a quartic")
     dim = s.space.dim
     dual, w = _duals(dim)
     layout, index = _s2e_layout(dim)
-    # (u, v) -> [(position of e_i e_j, T_{uvij})] over the monomials u v i j of S
-    filed = {}
+    # holders[u]: a [alpha, coefficient, None] record of each monomial of S
+    # that holds u, which _file_row completes when it first reads it
+    holders = [[] for _ in range(dim)]
     for alpha, c in s.coeffs.items():
-        idx = [k for k, e in enumerate(alpha) for _ in range(e)]
-        t = c * _WEIGHT[prod(factorial(e) for e in alpha)]
-        for u, v in set(combinations(idx, 2)):
-            rest = list(idx)
-            rest.remove(u)
-            rest.remove(v)
-            filed.setdefault((u, v), []).append((index[tuple(rest)], t))
+        term = [alpha, c, None]
+        for u in compress(range(dim), alpha):
+            holders[u].append(term)
     for k in range(dim):
+        filed = _file_row(k, holders[dual[k]], dual, index)
         for l in range(k, dim):
             coords = [ZERO] * len(layout)
             wkl = w[k] * w[l]
-            for pos, t in filed.get(tuple(sorted((dual[k], dual[l]))), ()):
+            for pos, t in filed[l]:
                 coords[pos] = t if wkl * layout[pos][4] > 0 else -t
             yield (k, l), tuple(coords)
 
 
-# alpha!/4! for the alpha! = 1, 2, 4, 6, 24 of a degree-4 multi-index
-_WEIGHT = {f: GaussRat(Fraction(f, 24)) for f in (1, 2, 4, 6, 24)}
+def _file_row(k, terms, dual, index):
+    """Row k of the table filed: a list whose entry l >= k holds
+    (position of e_i e_j, T_{k' l' i j}) over the monomials k' l' i j of S,
+    read off terms, the records of the monomials that hold k'
+    (double_contractions).  A record [alpha, S_alpha, None] read for the
+    first time becomes [alpha, T_alpha, sorted indices of alpha]."""
+    kd = dual[k]
+    filed = [[] for _ in dual]
+    for term in terms:
+        alpha, t, idx = term
+        if idx is None:
+            idx = term[2] = [u for u in compress(range(len(alpha)), alpha) for _ in range(alpha[u])]
+            a, b, c, d = idx
+            t = term[1] = t * _WEIGHT[a == b, b == c, c == d]
+        rest = list(idx)
+        rest.remove(kd)
+        for m in set(rest):
+            l = dual[m]
+            if l >= k:
+                pair = list(rest)
+                pair.remove(m)
+                filed[l].append((index[tuple(pair)], t))
+    return filed
+
+
+# alpha!/4! by which neighbours of alpha's sorted indices (a, b, c, d) are
+# equal, (a == b, b == c, c == d): each run of equal indices is an exponent
+_WEIGHT = {shape: GaussRat(Fraction(f, 24)) for shape, f in {
+    (False, False, False): 1, (True, False, False): 2, (False, True, False): 2,
+    (False, False, True): 2, (True, False, True): 4, (True, True, False): 6,
+    (False, True, True): 6, (True, True, True): 24}.items()}
 
 
 def _duals(dim):
@@ -629,7 +672,16 @@ def quartic_to_dict(t):
 
 def quartic_from_dict(data):
     """The quartic of a record {"n", "degree", "coeffs"}; ContractError on a
-    malformed one, and on n > MAX_N before anything of size n is built."""
+    malformed one, and on n > MAX_N before anything of size n is built.
+
+    Each monomial is checked in one pass: a list of dim E exponents of type
+    int (so no bool), of sum 4 and none negative, is taken as it stands, and
+    any other goes through record_int exponent by exponent, which names the
+    first fault.  A value whose literal has a digit string over MAX_DIGITS
+    digits is a malformed record naming its coeffs[k].  The table so checked
+    holds only nonzero values, so the quartic is built without a second
+    check (_trusted_tensor).
+    """
     n, degree, raw = record_fields(data, "quartic", ("n", "degree", "coeffs"))
     n = record_int(n, "quartic", "n")
     check_size(n)
@@ -639,18 +691,25 @@ def quartic_from_dict(data):
     if degree != 4:
         raise ContractError("quartic file must have degree 4")
     sp = SymplecticSpace(n)
+    dim = sp.dim
     coeffs = {}
-    for k, item in enumerate(raw):
-        if not (isinstance(item, dict) and isinstance(item.get("monomial"), list)
-                and isinstance(item.get("value"), str)):
-            raise ContractError("malformed quartic record: coeffs[%d] must be an object with "
-                                "a list 'monomial' and a string 'value'" % k)
-        alpha = tuple(record_int(a, "quartic", "monomial exponent") for a in item["monomial"])
-        if len(alpha) != sp.dim or any(a < 0 for a in alpha) or sum(alpha) != 4:
-            raise ContractError("bad monomial %r" % (alpha,))
-        value = GaussRat.parse(item["value"])
-        if alpha in coeffs:
-            raise ContractError("duplicate monomial %r" % (alpha,))
-        if value:
-            coeffs[alpha] = value
-    return SymTensor(sp, 4, coeffs)
+    try:
+        for k, item in enumerate(raw):
+            mono = item.get("monomial") if isinstance(item, dict) else None
+            if not (isinstance(mono, list) and isinstance(item.get("value"), str)):
+                raise ContractError("malformed quartic record: coeffs[%d] must be an object with "
+                                    "a list 'monomial' and a string 'value'" % k)
+            if len(mono) == dim and set(map(type, mono)) == {int} and sum(mono) == 4 and min(mono) >= 0:
+                alpha = tuple(mono)
+            else:
+                alpha = tuple(record_int(a, "quartic", "monomial exponent") for a in mono)
+                if len(alpha) != dim or any(a < 0 for a in alpha) or sum(alpha) != 4:
+                    raise ContractError("bad monomial %r" % (alpha,))
+            value = GaussRat.parse(item["value"])
+            if alpha in coeffs:
+                raise ContractError("duplicate monomial %r" % (alpha,))
+            if value:
+                coeffs[alpha] = value
+    except LiteralTooLongError as exc:
+        raise ContractError("malformed quartic record: coeffs[%d]: %s" % (k, exc)) from None
+    return _trusted_tensor(sp, 4, coeffs)

@@ -80,6 +80,10 @@ BinaryQuartic.from_symtensor read it off the Darboux frame of the basis: an
 exact linear solve for the coefficients of the symmetric powers of the
 vectors, each power expanded by transform, and the solution re-expanded as a
 check.
+quartic_from_dict_reference is the quartic record reader before it checked
+each monomial in one pass: every exponent through record_int, then the
+monomial's length, signs and degree, and the table built by the checking
+SymTensor constructor, which looks at every multi-index again.
 """
 
 import re as _re
@@ -123,8 +127,11 @@ from hksym.symtensor import (
 )
 from hksym.symplectic import (
     SymplecticSpace,
+    check_size,
     omega_pair,
     omega_sharp,
+    record_fields,
+    record_int,
     span,
     standard_quaternionic,
 )
@@ -1091,3 +1098,32 @@ def restrict_to_basis(t, vectors):
     if check != t:
         raise ContractError("restriction certification failed")
     return dict(zip(betas, sol))
+
+
+def quartic_from_dict_reference(data):
+    """The quartic of a record {"n", "degree", "coeffs"}, each exponent
+    checked by record_int and each multi-index again by SymTensor."""
+    n, degree, raw = record_fields(data, "quartic", ("n", "degree", "coeffs"))
+    n = record_int(n, "quartic", "n")
+    check_size(n)
+    degree = record_int(degree, "quartic", "degree")
+    if not isinstance(raw, list):
+        raise ContractError("malformed quartic record: coeffs must be a list")
+    if degree != 4:
+        raise ContractError("quartic file must have degree 4")
+    sp = SymplecticSpace(n)
+    coeffs = {}
+    for k, item in enumerate(raw):
+        if not (isinstance(item, dict) and isinstance(item.get("monomial"), list)
+                and isinstance(item.get("value"), str)):
+            raise ContractError("malformed quartic record: coeffs[%d] must be an object with "
+                                "a list 'monomial' and a string 'value'" % k)
+        alpha = tuple(record_int(a, "quartic", "monomial exponent") for a in item["monomial"])
+        if len(alpha) != sp.dim or any(a < 0 for a in alpha) or sum(alpha) != 4:
+            raise ContractError("bad monomial %r" % (alpha,))
+        value = GaussRat.parse(item["value"])
+        if alpha in coeffs:
+            raise ContractError("duplicate monomial %r" % (alpha,))
+        if value:
+            coeffs[alpha] = value
+    return SymTensor(sp, 4, coeffs)

@@ -10,6 +10,8 @@ import pytest
 import hksym.generators as generators
 import hksym.symtensor as symtensor
 from hksym.cli import main
+from hksym.exactnum import MAX_DIGITS
+from hksym.generators import standard_split_j
 from hksym.symplectic import MAX_N, SymplecticSpace
 from hksym.symtensor import quartic_from_dict
 
@@ -18,6 +20,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(int_max_str_digits, *argv):
+    """(exit code, stdout, stderr) of hksym run as its own process from
+    ./src, with PYTHONINTMAXSTRDIGITS set to int_max_str_digits (unset for
+    None)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    if int_max_str_digits is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = int_max_str_digits
+    out = subprocess.run([sys.executable, "-m", "hksym.cli", *argv], capture_output=True, text=True, env=env)
+    return out.returncode, out.stdout, out.stderr
 
 
 def write_quartic(tmp_path, name, data):
@@ -118,8 +134,6 @@ class TestAnalyze:
         assert data["signature"] == [4, 4]
 
     def test_real_mode_with_custom_j_file(self, capsys, tmp_path):
-        from hksym.generators import standard_split_j
-
         j_path = tmp_path / "j.json"
         j_path.write_text(json.dumps({"c_matrix": standard_split_j(SymplecticSpace(2)).c_matrix.to_strings()}))
         real = str(tmp_path / "real.json")
@@ -379,18 +393,35 @@ class TestAnalyze:
         })
         assert run_cli(capsys, "analyze", path)[0] == 1
 
-    def test_overlong_literal_exits_1_as_the_fraction_parser_fails(self, capsys, tmp_path):
-        # int() refuses a 5000-digit string, as Fraction did: the same
-        # ValueError text, exit 1
-        from oracles import RefGaussRat
+    @pytest.mark.parametrize("setting", [None, "0", "100000"], ids=["default", "unlimited", "raised"])
+    def test_overlong_literal_exits_1_naming_its_entry(self, tmp_path, setting):
+        # hksym bounds each digit string at 4300 digits, the interpreter's
+        # default limit for int(), before int() reads it: the same refusal,
+        # naming the record entry, whatever PYTHONINTMAXSTRDIGITS says; a
+        # literal of 4300-digit strings is read under every setting
+        ok = "1" * MAX_DIGITS + "/" + "3" * MAX_DIGITS + "+" + "7" * MAX_DIGITS + "i"
+        refused = (1, "", "error: malformed quartic record: coeffs[1]: "
+                          "rational literal has a digit string over 4300 digits\n")
+        for value, expected in [
+            ("1" * (MAX_DIGITS + 1), refused),
+            ("2+1/" + "3" * (MAX_DIGITS + 1) + "i", refused),
+            (ok, (0, "invariance: pass\n", "")),
+        ]:
+            path = write_quartic(tmp_path, "long.json", {
+                "n": 2, "degree": 4, "coeffs": [{"monomial": [4, 0, 0, 0], "value": "1"},
+                                                {"monomial": [0, 4, 0, 0], "value": value}],
+            })
+            assert run_cli_process(setting, "verify", path, "--invariance") == expected
 
-        literal = "1" * 5000
-        with pytest.raises(ValueError) as ref:
-            RefGaussRat.parse(literal)
-        path = write_quartic(tmp_path, "long.json", {
-            "n": 1, "degree": 4, "coeffs": [{"monomial": [4, 0], "value": literal}],
-        })
-        assert run_cli(capsys, "analyze", path) == (1, "", "error: %s\n" % ref.value)
+    def test_overlong_j_entry_exits_1_naming_its_entry(self, capsys, tmp_path):
+        real = str(tmp_path / "real.json")
+        run_cli(capsys, "generate", "real-random:1", "--seed", "2", "-o", real)
+        rows = standard_split_j(SymplecticSpace(2)).c_matrix.to_strings()
+        rows[2][1] = "-" + "9" * (MAX_DIGITS + 1)
+        j_path = write_quartic(tmp_path, "j.json", {"c_matrix": rows})
+        assert run_cli(capsys, "verify", real, "--reality", "--j", j_path) == (
+            1, "", "error: malformed quaternionic structure record: c_matrix[2][1]: "
+                   "rational literal has a digit string over 4300 digits\n")
 
     def test_missing_file_exits_1(self, capsys):
         assert run_cli(capsys, "analyze", "/nonexistent/q.json")[0] == 1
@@ -527,10 +558,6 @@ class TestSizeGuard:
 
 def test_console_script_installed():
     # runs from a clean checkout too: the package is found in ./src
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-m", "hksym.cli", "--version"],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 0
-    assert "hksym" in out.stdout
+    code, out, _ = run_cli_process(None, "--version")
+    assert code == 0
+    assert "hksym" in out

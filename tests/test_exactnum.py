@@ -7,6 +7,8 @@ from hksym.exactnum import (
     ContractError,
     GaussRat,
     I_UNIT,
+    LiteralTooLongError,
+    MAX_DIGITS,
     Matrix,
     MINUS_ONE,
     ONE,
@@ -134,6 +136,22 @@ class TestParsing:
             text = "".join(rng.choice(("", "", "", " ", "\t", "\n")) + c for c in text)
             x, ref = GaussRat.parse(text), RefGaussRat.parse(text)
             assert x == GaussRat(ref.re, ref.im) and str(x) == str(ref)
+
+    def test_digit_strings_are_bounded(self):
+        # a digit string may have MAX_DIGITS = 4300 digits, the interpreter's
+        # default limit for int(); a longer one is refused before int()
+        # reads it, whatever the interpreter's setting
+        ok, seven = "1" * MAX_DIGITS, "7" * MAX_DIGITS
+        assert MAX_DIGITS == 4300
+        assert GaussRat.parse(ok) == GaussRat(int(ok))
+        assert GaussRat.parse("-%s/%s+%s/3i" % (ok, seven, seven)) == from_parts(
+            GaussRat(-int(ok)) / GaussRat(int(seven)), GaussRat(int(seven)) / GaussRat(3))
+        for bad in ["1" * (MAX_DIGITS + 1), "0" * MAX_DIGITS + "1", "1/" + "2" * (MAX_DIGITS + 1),
+                    "5-%s7i" % seven, "%s %s" % ("3" * 3000, "3" * 1301), "−" + seven + "9i"]:
+            with pytest.raises(LiteralTooLongError) as exc:
+                GaussRat.parse(bad)
+            assert str(exc.value) == "rational literal has a digit string over 4300 digits"
+        assert issubclass(LiteralTooLongError, ScalarError)
 
     @pytest.mark.parametrize("bad", ["1/0", "3/0i", "0/0", "1/2+5/0i", "1/0-5/0i", "-i+1"])
     def test_errors_match_the_fraction_parser(self, bad):

@@ -5,8 +5,11 @@ holonomy matrices.
 Every table is read off symtensor.double_contractions, which hkalgebra and
 cli bind by name, so counting the entries that generator yields there counts
 the table entries computed: an accepted analysis on dim E = d computes the
-d(d+1)/2 entries once, and a rejection stops at its witness.  The support
-columns and each entry are read straight off S's coefficients, with no
+d(d+1)/2 entries once, and a rejection stops at its witness.  The table is
+filed row by row (symtensor._file_row), so a rejection files only the rows
+up to its witness, and a whole table files each (monomial, index pair)
+once.  The support columns and each entry are read straight off S's
+coefficients, with no
 contraction, and the columns are reduced by an echelon of the support kept
 in place: certify_invariance calls no echelon_basis and builds no
 SpanSolver.  Each column that raises the support's rank is paired by omega
@@ -214,6 +217,55 @@ def test_holonomy_eliminates_nothing(monkeypatch):
     eliminations = count_calls(monkeypatch, hkalgebra, "echelon_basis")
     assert [holonomy(q).dimension for q in qs] == [6, 3]
     assert len(eliminations) == 0
+
+
+@pytest.fixture
+def rows_filed(monkeypatch):
+    """(row k, monomials read, (monomial, index pair) filings) for each row
+    double_contractions files, in order."""
+    rows = []
+    original = symtensor._file_row
+
+    def counted(k, terms, dual, index):
+        filed = original(k, terms, dual, index)
+        rows.append((k, len(terms), sum(map(len, filed))))
+        return filed
+
+    monkeypatch.setattr(symtensor, "_file_row", counted)
+    return rows
+
+
+def index_pairs(alpha):
+    """The distinct pairs {u, v} of indices of the monomial alpha."""
+    idx = [k for k, e in enumerate(alpha) for _ in range(e)]
+    return {(idx[i], idx[j]) for i in range(4) for j in range(i + 1, 4)}
+
+
+def test_dense_rejection_files_one_row(rows_filed):
+    # the witness (0, 0) of full_4 is in row 0, which reads only the
+    # monomials that hold q1, the omega-dual of p1 (119 of 329), and files
+    # each under its index pairs that hold q1
+    s = golden_quartic("full_4")
+    q1 = s.space.n
+    assert check_invariance(s) == (False, (0, 0))
+    holding = [alpha for alpha in s.coeffs if alpha[q1]]
+    assert (len(s.coeffs), len(holding)) == (329, 119)
+    filings = sum(q1 in pair for alpha in holding for pair in index_pairs(alpha))
+    assert rows_filed == [(0, 119, filings)]
+
+
+def test_late_rejection_files_the_rows_up_to_its_witness(rows_filed):
+    s = golden_quartic("late_witness")
+    assert check_invariance(s) == (False, (2, 3))
+    assert [k for k, _, _ in rows_filed] == [0, 1, 2]
+
+
+def test_accepted_table_files_each_monomial_pair_once(rows_filed):
+    s = make_generator("random-lagrangian:3", 7)
+    q = certify_invariance(s)
+    assert len(q.table) == table_size(s)
+    assert [k for k, _, _ in rows_filed] == list(range(s.space.dim))
+    assert sum(filings for _, _, filings in rows_filed) == sum(map(len, map(index_pairs, s.coeffs)))
 
 
 def test_rejection_stops_at_the_first_witness(table_entries):

@@ -138,7 +138,7 @@ class TestSubspaces:
 
 class TestQuaternionic:
     def test_jh_constant(self):
-        assert J_H.c_matrix == Matrix.from_strings([["0", "-1"], ["1", "0"]])
+        assert J_H.c_matrix == Matrix([[ZERO, GaussRat(-1)], [ONE, ZERO]])
         assert gamma_signature(J_H) == (2, 0, 0)
 
     def test_invariants_enforced(self):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hksym.exactnum import (
     I_UNIT,
     Matrix,
     ONE,
+    ScalarError,
     ZERO,
     inverse,
 )
@@ -60,6 +62,7 @@ from oracles import (
     endo_by_contraction,
     flatten,
     polarization_inclusion_exclusion,
+    quartic_from_dict_reference,
     random_vector,
     sp_action_reference,
     support_columns_by_contraction,
@@ -584,13 +587,32 @@ class TestTableOffTheCoefficients:
     def assert_same_table(s):
         entries = list(double_contractions(s))
         assert all(type(v) is tuple for _, v in entries)
-        assert ([(pair, s2e_matrix(v, s.space.dim)) for pair, v in entries]
-                == list(double_contractions_by_contraction(s)))
+        reference = list(double_contractions_by_contraction(s))
+        assert [(pair, s2e_matrix(v, s.space.dim)) for pair, v in entries] == reference
+        # the table is filed row by row, so a prefix is read on its own
+        dim = s.space.dim
+        for stop in sorted({1, 2, dim - 1, dim, dim + 1, len(entries) // 2}):
+            prefix = list(islice(double_contractions(s), stop))
+            assert [(pair, s2e_matrix(v, dim)) for pair, v in prefix] == reference[:stop]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_random_full_quartics(self, n):
         for seed in range(3):
             self.assert_same_table(random_quartic_full(SymplecticSpace(n), random.Random(seed)))
+
+    @pytest.mark.parametrize("kind", ["full:4", "scrambled:2", "real-random:2"])
+    def test_dense_scrambled_and_real_quartics(self, kind):
+        # every monomial of a full quartic at n = 4, a Lagrangian quartic
+        # moved off the axes, and a tau-fixed one
+        if kind == "full:4":
+            s = random_quartic_full(SymplecticSpace(4), random.Random(5))
+        elif kind == "scrambled:2":
+            sp = SymplecticSpace(2)
+            s = transform(random_quartic_lagrangian(2, random.Random(2)),
+                          random_symplectic(sp, random.Random(3), steps=4))
+        else:
+            s = make_generator(kind, 3)
+        self.assert_same_table(s)
 
     @pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
     def test_golden_inputs(self, path):
@@ -855,7 +877,87 @@ class TestPushForwardAgainstReference:
         assert moved >= 2 * 2 * len(js)
 
 
+def _exponent_type(coeffs, rng, k):
+    mono = coeffs[k]["monomial"]
+    mono[rng.randrange(len(mono))] = rng.choice([True, False, 1.0, 0.5, "1", None])
+
+
+def _wrong_length(coeffs, rng, k):
+    mono = coeffs[k]["monomial"]
+    if rng.random() < 0.5:
+        mono.append(0)
+    else:
+        mono.pop()
+
+
+def _negative_exponent(coeffs, rng, k):
+    # still of sum 4
+    mono = coeffs[k]["monomial"]
+    i, j = rng.sample(range(len(mono)), 2)
+    mono[j] += mono[i] + 1
+    mono[i] = -1
+
+
+def _monomial_not_a_list(coeffs, rng, k):
+    coeffs[k]["monomial"] = rng.choice(["p1^4", {"p1": 4}, 4, None])
+
+
+def _item_not_an_object(coeffs, rng, k):
+    coeffs[k] = rng.choice([[4, 0], "1", None, 7])
+
+
+def _duplicate_monomial(coeffs, rng, k):
+    coeffs.insert(rng.randrange(len(coeffs) + 1), dict(coeffs[k], value=rng.choice(["1", "0", "-2/3i"])))
+
+
+def _zero_value(coeffs, rng, k):
+    coeffs[k]["value"] = rng.choice(["0", "-0/7", "0+0i", "0i", " 0 "])
+
+
+def _bad_literal(coeffs, rng, k):
+    coeffs[k]["value"] = rng.choice(["0.5", "1/0", "x", "", "1+", "3/0i", 5, None])
+
+
+RECORD_FAULTS = [_exponent_type, _wrong_length, _negative_exponent, _monomial_not_a_list,
+                 _item_not_an_object, _duplicate_monomial, _zero_value, _bad_literal]
+
+
+def _read(reader, data):
+    """reader's quartic, or the class and message of what it raised."""
+    try:
+        return reader(data)
+    except (ContractError, ScalarError) as exc:
+        return type(exc), str(exc)
+
+
 class TestQuarticFiles:
+    def test_against_the_reference_reader(self):
+        # seeded records with zero to three faults each, at random entries:
+        # the one-pass reader raises what the reference raises, the same
+        # class with the same message, or reads the same quartic
+        rng = random.Random(2634)
+        faults = {fault: 0 for fault in RECORD_FAULTS}
+        outcomes = {"read": 0, "refused": 0}
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            sp = SymplecticSpace(n)
+            s = random_quartic_full(sp, rng) if rng.random() < 0.5 else random_quartic_lagrangian(n, rng)
+            data = json.loads(json.dumps(quartic_to_dict(s)))
+            coeffs = data["coeffs"]
+            for _ in range(rng.choice((0, 1, 1, 1, 2, 3))):
+                # each fault goes to an entry that is still an object with
+                # a monomial list of two or more exponents
+                entries = [k for k, item in enumerate(coeffs) if isinstance(item, dict)
+                           and isinstance(item.get("monomial"), list) and len(item["monomial"]) > 1]
+                if entries:
+                    fault = rng.choice(RECORD_FAULTS)
+                    fault(coeffs, rng, rng.choice(entries))
+                    faults[fault] += 1
+            got, ref = _read(quartic_from_dict, data), _read(quartic_from_dict_reference, data)
+            assert got == ref
+            outcomes["read" if isinstance(ref, SymTensor) else "refused"] += 1
+        assert min(faults.values()) >= 20 and min(outcomes.values()) >= 50
+
     def test_roundtrip(self, rng):
         s = random_quartic_lagrangian(2, rng)
         data = json.loads(json.dumps(quartic_to_dict(s)))
