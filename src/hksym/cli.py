@@ -1,19 +1,26 @@
 """Command line interface: parse quartic files, run analyses and verifications,
 classify dim-8 cases and generate example quartics.
 
+The real mode follows the library's rule: a quaternionic structure j selects
+it.  j is the --j file when one is given, else the default split j under
+--real (analyze, classify8) or --reality (verify); with neither flag nor file
+the command runs in complex mode.  The argument parser is built once per
+process, so main only parses.
+
 Exit codes: 0 all requested checks pass; 2 the quartic is mathematically
-rejected (fails invariance, or reality in --real mode); 1 operational failure
+rejected (fails invariance, or reality in real mode); 1 operational failure
 (I/O, malformed input, bad flags); 3 internal error (a certified guarantee
 failed, TheoremViolationError: a bug in hksym, not a property of the input).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 
 from . import __version__
-from .exactnum import ContractError, ScalarError, TheoremViolationError
+from .exactnum import MAX_DIGITS, ContractError, ScalarError, TheoremViolationError
 from .symplectic import quaternionic_from_json, standard_split_j
 from .symtensor import double_contractions, quartic_from_dict, quartic_to_dict
 from .hkalgebra import (
@@ -26,19 +33,19 @@ from .hkalgebra import (
 )
 from .realform import RealityError, check_reality
 from .dim8 import classify_complex8, classify_real8
-from .generators import make_generator
+from .generators import GENERATOR_KINDS, make_generator
 
-GENERATOR_KINDS = (
-    "dim4",
-    "petrov:I", "petrov:II", "petrov:D", "petrov:III", "petrov:N", "petrov:O",
-    "random-lagrangian:<n>",
-    "real-random:<m>",
-)
+# only a text with a run of more than MAX_DIGITS digits needs the parse_int
+# hook, which costs a call per integer; the run is found as a run of zeros
+# in the text with every digit read as 0 (a tenth of a regex scan's time)
+_DIGITS_AS_ZERO = str.maketrans("0123456789", "0" * 10)
+_LONG_RUN = "0" * (MAX_DIGITS + 1)
 
 
 def _parse_json(raw, record):
-    """json.loads, refusing a repeated key and nesting too deep for the parser
-    as a malformed record."""
+    """json.loads, refusing a repeated key, an integer of more than
+    MAX_DIGITS digits and nesting too deep for the parser as a malformed
+    record."""
 
     def unique_keys(pairs):
         out = {}
@@ -48,8 +55,16 @@ def _parse_json(raw, record):
             out[key] = value
         return out
 
+    def bounded_int(digits):
+        # refused before int() reads it, whatever PYTHONINTMAXSTRDIGITS says
+        if len(digits.lstrip("-")) > MAX_DIGITS:
+            raise ContractError("malformed %s record: an integer has a digit string over %d digits"
+                                % (record, MAX_DIGITS))
+        return int(digits)
+
+    hooks = {"parse_int": bounded_int} if _LONG_RUN in raw.translate(_DIGITS_AS_ZERO) else {}
     try:
-        return json.loads(raw, object_pairs_hook=unique_keys)
+        return json.loads(raw, object_pairs_hook=unique_keys, **hooks)
     except RecursionError:
         raise ContractError("malformed %s record: JSON nested too deeply" % record) from None
 
@@ -63,11 +78,16 @@ def _read_quartic(path):
 
 
 def _load_j(args, sp):
-    if getattr(args, "j", None):
+    """The quaternionic structure that selects the real mode, or None for the
+    complex mode: the --j file if one is given, else the default split j
+    under --real (--reality for verify), else None."""
+    if args.j:
         with open(args.j, "r", encoding="utf-8") as fh:
             data = _parse_json(fh.read(), "quaternionic structure")
         return quaternionic_from_json(data, ambient=sp)
-    return standard_split_j(sp)
+    if args.real:
+        return standard_split_j(sp)
+    return None
 
 
 def _emit(args, payload, human_lines):
@@ -80,7 +100,7 @@ def _emit(args, payload, human_lines):
 
 def cmd_analyze(args):
     s, digest = _read_quartic(args.file)
-    report = analyze_quartic(s, j=_load_j(args, s.space) if args.real else None)
+    report = analyze_quartic(s, j=_load_j(args, s.space))
     payload = {"tool_version": __version__, "input_sha256": digest}
     payload.update(report.to_dict())
     lines = []
@@ -99,8 +119,8 @@ def cmd_analyze(args):
     lines.append("jacobi: %s" % ("pass" if report.jacobi_ok else "FAIL"))
     lines.append("ricci zero: %s" % ("pass" if report.ricci_zero else "FAIL"))
     exit_code = 0
-    if args.real:
-        rl = report.reality
+    rl = report.reality
+    if rl is not None:
         lines.append(
             "reality: commutator=%s tau-fixed=%s"
             % (rl["commutator_condition_ok"], rl["tau_fixed"])
@@ -140,8 +160,8 @@ def cmd_verify(args):
         checks["jacobi"] = {"ok": invariant, "witness": witness_field}
         lines.append("jacobi: %s" % ("pass" if invariant else "FAIL (witness %s)" % (witness,)))
     failed = (args.invariance or args.jacobi) and not invariant
-    if args.reality:
-        j = _load_j(args, s.space)
+    j = _load_j(args, s.space)
+    if j is not None:
         table = q.table if invariant else dict(double_contractions(s))
         rep = check_reality(s, j, table)
         ok = rep.commutator_condition_ok and rep.tau_fixed
@@ -162,19 +182,20 @@ def cmd_classify8(args):
     if s.space.n != 2:
         raise ContractError("classify8 needs a quartic on dim E = 4 (n = 2)")
     q = certify_invariance(s)
-    if args.real:
-        cls, rc = classify_real8(s, _load_j(args, s.space), q.support)
+    j = _load_j(args, s.space)
+    if j is not None:
+        cls, rc = classify_real8(s, j, q.support)
     else:
         cls = classify_complex8(s, find_lagrangian(q))
     payload = {"tool_version": __version__, "input_sha256": digest}
     payload.update(cls.to_dict())
-    payload["mode"] = "real" if args.real else "complex"
+    payload["mode"] = "complex" if j is None else "real"
     lines = ["type: %s" % cls.type_tag, "pattern: %s" % (list(cls.multiplicity_pattern),)]
     if cls.projective_invariant is not None:
         first, second = cls.projective_invariant
         shown = "at infinity" if not first else str(second)
         lines.append("invariant (I^3 : J^2): %s" % shown)
-    if args.real:
+    if j is not None:
         payload["real_class"] = rc.to_dict()
         lines.append("real class: %s" % rc.to_dict())
     _emit(args, payload, lines)
@@ -192,7 +213,9 @@ def cmd_generate(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The hksym argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hksym",
         description="Exact analysis of hyper-Kahler symmetric spaces defined by quartics.",
@@ -200,27 +223,31 @@ def build_parser():
     parser.add_argument("--version", action="version", version="hksym %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", help="run the full verification pipeline on a quartic file")
+    reports = argparse.ArgumentParser(add_help=False)
+    reports.add_argument("--j", help="JSON file with a custom quaternionic structure; "
+                                     "selects the real mode")
+    reports.add_argument("--json", action="store_true", help="emit a JSON report")
+    real = argparse.ArgumentParser(add_help=False)
+    real.add_argument("--real", action="store_true",
+                      help="real mode with the default quaternionic structure")
+
+    pa = sub.add_parser("analyze", parents=[real, reports],
+                        help="run the full verification pipeline on a quartic file")
     pa.add_argument("file")
-    pa.add_argument("--real", action="store_true", help="also check reality and the real form")
-    pa.add_argument("--j", help="JSON file with a custom quaternionic structure")
-    pa.add_argument("--json", action="store_true", help="emit a JSON report")
     pa.set_defaults(func=cmd_analyze)
 
-    pv = sub.add_parser("verify", help="run selected checks only")
+    pv = sub.add_parser("verify", parents=[reports], help="run selected checks only")
     pv.add_argument("file")
     pv.add_argument("--invariance", action="store_true")
     pv.add_argument("--jacobi", action="store_true")
-    pv.add_argument("--reality", action="store_true")
-    pv.add_argument("--j", help="JSON file with a custom quaternionic structure")
-    pv.add_argument("--json", action="store_true")
+    # dest real: _load_j reads --reality as the other commands' --real
+    pv.add_argument("--reality", dest="real", action="store_true",
+                    help="check reality, with the default quaternionic structure")
     pv.set_defaults(func=cmd_verify)
 
-    pc = sub.add_parser("classify8", help="classify a dim-8 case (quartic on dim E = 4)")
+    pc = sub.add_parser("classify8", parents=[real, reports],
+                        help="classify a dim-8 case (quartic on dim E = 4)")
     pc.add_argument("file")
-    pc.add_argument("--real", action="store_true")
-    pc.add_argument("--j", help="JSON file with a custom quaternionic structure")
-    pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_classify8)
 
     pg = sub.add_parser(
@@ -238,7 +265,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify" and not (args.invariance or args.jacobi or args.reality):
+        if args.command == "verify" and not (args.invariance or args.jacobi or args.real or args.j):
             parser.error("verify requires at least one of --invariance, --jacobi, --reality")
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for mathematical

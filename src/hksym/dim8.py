@@ -51,6 +51,15 @@ GRAM = Matrix([
 ])
 GRAM_INV = inverse(GRAM)  # the covariant form: [[0,0,1],[0,-1/2,0],[1,0,0]]
 
+# the real slice of W for the real structure a j-adapted basis induces, as
+# columns r1 = u1 + u3, r2 = i u1 - i u3, r3 = i u2 (classify_real8)
+REAL_SLICE = Matrix([
+    [ONE, I_UNIT, ZERO],
+    [ZERO, ZERO, I_UNIT],
+    [ONE, -I_UNIT, ZERO],
+])
+REAL_SLICE_INV = inverse(REAL_SLICE)
+
 # root multiplicities of each Petrov type on the projective line
 _TYPE_TO_PATTERN = {
     "I": (1, 1, 1, 1),
@@ -363,13 +372,7 @@ def classify_real8(s, j, e_plus):
     else:
         bq = BinaryQuartic.from_symtensor(s, _adapted_j_basis(e_plus, j))
     op = quartic_to_matrix(bq).operator()
-    # columns: r1 = u1 + u3, r2 = i u1 - i u3, r3 = i u2
-    b_cols = Matrix([
-        [ONE, I_UNIT, ZERO],
-        [ZERO, ZERO, I_UNIT],
-        [ONE, -I_UNIT, ZERO],
-    ])
-    op_r = inverse(b_cols) @ op @ b_cols
+    op_r = REAL_SLICE_INV @ op @ REAL_SLICE
     for row in op_r.data:
         for e in row:
             if not e.is_real:

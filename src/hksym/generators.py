@@ -89,11 +89,18 @@ def random_tau_fixed(m, rng):
     return symmetrize_real(t, j), j
 
 
-def make_generator(kind, seed):
-    """Quartic for a named generator kind; deterministic for a fixed seed.
+# the kinds make_generator dispatches on; real-random:<m> is on n = 2m
+GENERATOR_KINDS = (
+    "dim4",
+    "petrov:I", "petrov:II", "petrov:D", "petrov:III", "petrov:N", "petrov:O",
+    "random-lagrangian:<n>",
+    "real-random:<m>",
+)
 
-    Kinds: dim4; petrov:I|II|D|III|N|O; random-lagrangian:n; real-random:m
-    (on n = 2m).  A quartic on n > MAX_N is refused before it is built.
+
+def make_generator(kind, seed):
+    """Quartic for a named generator kind (GENERATOR_KINDS); deterministic for
+    a fixed seed.  A quartic on n > MAX_N is refused before it is built.
     """
     rng = random.Random(seed)
     if kind == "dim4":

@@ -300,16 +300,24 @@ def standard_quaternionic(sp, lagrangian_split=None):
 
 
 def standard_split_j(sp):
-    """The default quaternionic structure: the split E_+ = span(p), E_- = span(q)."""
+    """The default quaternionic structure: the split E_+ = span(p), E_- = span(q).
+
+    It is standard_quaternionic(sp, (span(p), span(q))) written down: q is
+    already omega-dual to p, so j pairs consecutive coordinates of each half
+    by (z1, z2) -> (-conj(z2), conj(z1)), and C is the signed permutation
+    C[k][k+1] = -1, C[k+1][k] = 1 for even k.  QuaternionicStructure still
+    checks j^2 = -1 and the omega compatibility.
+    """
     if sp.dim % 4 != 0:
         raise ContractError(
             "no compatible default quaternionic structure: dim E = %d is not "
             "divisible by 4 (supply --j)" % sp.dim
         )
-    half = sp.n
-    e_plus = span(sp, [sp.basis_vector(k) for k in range(half)])
-    e_minus = span(sp, [sp.basis_vector(half + k) for k in range(half)])
-    return standard_quaternionic(sp, (e_plus, e_minus))
+    rows = [[ZERO] * sp.dim for _ in range(sp.dim)]
+    for k in range(0, sp.dim, 2):
+        rows[k][k + 1] = -ONE
+        rows[k + 1][k] = ONE
+    return QuaternionicStructure(sp, Matrix(rows))
 
 
 def gamma_gram(j):

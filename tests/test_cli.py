@@ -15,6 +15,8 @@ from hksym.generators import standard_split_j
 from hksym.symplectic import MAX_N, SymplecticSpace
 from hksym.symtensor import quartic_from_dict
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -413,6 +415,20 @@ class TestAnalyze:
             })
             assert run_cli_process(setting, "verify", path, "--invariance") == expected
 
+    @pytest.mark.parametrize("setting", [None, "0", "100000"], ids=["default", "unlimited", "raised"])
+    def test_overlong_json_integer_exits_1(self, tmp_path, setting):
+        # a JSON integer is bounded like a literal's digit string: refused
+        # before int() reads it, without echoing its digits
+        refused = (1, "", "error: malformed quartic record: an integer has a digit string "
+                          "over 4300 digits\n")
+        long = "1" * (MAX_DIGITS + 1)
+        for text in [
+            '{"n": %s, "degree": 4, "coeffs": []}' % long,
+            '{"n": 1, "degree": 4, "coeffs": [{"monomial": [4, -%s], "value": "1"}]}' % long,
+        ]:
+            path = write_quartic(tmp_path, "long.json", text)
+            assert run_cli_process(setting, "verify", path, "--invariance") == refused
+
     def test_overlong_j_entry_exits_1_naming_its_entry(self, capsys, tmp_path):
         real = str(tmp_path / "real.json")
         run_cli(capsys, "generate", "real-random:1", "--seed", "2", "-o", real)
@@ -506,12 +522,41 @@ class TestClassify8:
 
     def test_real_mode_rejects_non_tau_fixed(self, capsys):
         # an invariant quartic that is not tau-fixed for the default j
-        path = str(Path(__file__).resolve().parent / "golden" / "lagrangian_2.json")
+        path = str(GOLDEN / "lagrangian_2.json")
         code, out, err = run_cli(capsys, "classify8", path, "--real", "--json")
         assert code == 2
         assert out == ""
         assert err.startswith("rejected: ")
         assert err.count("\n") == 1
+
+
+class TestRealModeFromJ:
+    """A --j file selects the real mode as --real (--reality) with that file
+    does: the same stdout, stderr and exit code."""
+
+    @pytest.mark.parametrize("stem,command,flag", [
+        ("non_coordinate_j", "analyze", "--real"),
+        ("non_coordinate_j", "classify8", "--real"),
+        ("unreal_non_coordinate_j", "analyze", "--real"),
+        ("non_coordinate_j", "verify", "--reality"),
+        ("unreal_non_coordinate_j", "verify", "--reality"),
+    ])
+    def test_j_alone_matches_the_flag(self, capsys, stem, command, flag):
+        argv = [command, str(GOLDEN / ("%s.json" % stem)), "--j", str(GOLDEN / ("%s.j.json" % stem))]
+        alone = run_cli(capsys, *argv)
+        assert alone == run_cli(capsys, *argv, flag)
+        assert alone[0] == (2 if stem.startswith("unreal") else 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],
+        ["classify8"],
+        ["verify", "--invariance"],
+    ])
+    def test_missing_j_file_exits_1(self, capsys, argv):
+        path = str(GOLDEN / "non_coordinate_j.json")
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:], "--j", "/nonexistent/j.json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSizeGuard:

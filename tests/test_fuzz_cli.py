@@ -125,7 +125,7 @@ def j_texts(draw, n):
 def test_cli_exits_cleanly_on_hostile_files(data):
     n, text = data.draw(quartic_texts())
     command = data.draw(st.sampled_from(COMMANDS))
-    j_text = data.draw(j_texts(n)) if command != ["analyze"] else None
+    j_text = data.draw(j_texts(n))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "q.json"
         path.write_text(text, encoding="utf-8")

@@ -55,9 +55,12 @@ reads the complex class off the j-adapted quartic of the real class, and
 builds no second frame.  An analysis counts
 the flat factor off the support and builds a Darboux frame only for the
 dim-8 classification.  compute_aut builds and inverts the Darboux frame of
-E_+ once, not once per elementary matrix of gl(E_+).
+E_+ once, not once per elementary matrix of gl(E_+).  The command line
+builds its argument parser once per process, and the default j is written
+down, with no span, inverse or standard_quaternionic call.
 """
 
+import argparse
 import json
 import random
 from pathlib import Path
@@ -95,9 +98,9 @@ def count_calls(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
@@ -545,3 +548,42 @@ def test_analysis_builds_a_frame_only_to_classify(monkeypatch, kind, frames_buil
     report = analyze_quartic(s)
     assert report.flat_complex_dim == 4 * (s.space.n - report.support_dim)
     assert sum(map(len, frames)) == frames_built
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # the argument tree is built once per process; a later main call only
+    # parses
+    path = str(GOLDEN / "real_1.json")
+    assert main(["verify", path, "--invariance"]) == 0
+    parsers = count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
+    assert main(["classify8", path, "--real", "--json"]) == 0
+    assert main(["generate", "dim4"]) == 0
+    assert main(["verify", path]) == 1
+    capsys.readouterr()
+    assert len(parsers) == 0
+
+
+def symplectic_calls(monkeypatch, capsys, argv):
+    """(span, inverse, standard_quaternionic) calls in symplectic during one
+    main call on golden real_1."""
+    calls = [count_calls(monkeypatch, symplectic, name)
+             for name in ("span", "inverse", "standard_quaternionic")]
+    assert main([argv[0], str(GOLDEN / "real_1.json"), *argv[1:]]) == 0
+    capsys.readouterr()
+    counts = list(map(len, calls))
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("real,complex_", [
+    (["analyze", "--real"], ["analyze"]),
+    (["classify8", "--real"], ["classify8"]),
+    (["verify", "--reality"], None),
+])
+def test_default_j_is_written_down(monkeypatch, capsys, real, complex_):
+    # the default j is a signed permutation, built without the general
+    # split construction: the real mode adds no span, inverse or
+    # standard_quaternionic call to the complex run (omega_perp's span in
+    # find_lagrangian), and verify makes none
+    expected = [0, 0, 0] if complex_ is None else symplectic_calls(monkeypatch, capsys, complex_)
+    assert symplectic_calls(monkeypatch, capsys, real) == expected

@@ -194,6 +194,20 @@ class TestQuaternionic:
         with pytest.raises(ContractError, match="not divisible by 4"):
             standard_split_j(sp)
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_default_j_is_the_coordinate_split(self, n):
+        # the written-down default j against the general split construction
+        sp = SymplecticSpace(n)
+        split = (span(sp, basis(sp)[:n]), span(sp, basis(sp)[n:]))
+        assert standard_split_j(sp).c_matrix == standard_quaternionic(sp, split).c_matrix
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_default_j_refused_off_dim_4m(self, n):
+        with pytest.raises(ContractError) as info:
+            standard_split_j(SymplecticSpace(n))
+        assert str(info.value) == ("no compatible default quaternionic structure: dim E = %d "
+                                   "is not divisible by 4 (supply --j)" % (2 * n))
+
     def test_split_on_scrambled_lagrangians(self, rng):
         # the construction must work for non-coordinate Lagrangian pairs
         sp = SymplecticSpace(2)
