@@ -266,7 +266,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.command == "verify" and not (args.invariance or args.jacobi or args.real or args.j):
-            parser.error("verify requires at least one of --invariance, --jacobi, --reality")
+            parser.error("verify requires at least one of --invariance, --jacobi, --reality, --j")
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for mathematical
         # rejection, so usage problems map to the operational code 1

@@ -84,6 +84,9 @@ quartic_from_dict_reference is the quartic record reader before it checked
 each monomial in one pass: every exponent through record_int, then the
 monomial's length, signs and degree, and the table built by the checking
 SymTensor constructor, which looks at every multi-index again.
+verify_jacobi_reference is the Jacobi check before it skipped the triples
+whose three brackets vanish: every triple a < b < c evaluated, in
+lexicographic order.
 """
 
 import re as _re
@@ -95,6 +98,7 @@ from hksym.exactnum import (
     ContractError,
     GaussRat,
     I_UNIT,
+    MINUS_ONE,
     Matrix,
     ONE,
     ScalarError,
@@ -1127,3 +1131,19 @@ def quartic_from_dict_reference(data):
         if value:
             coeffs[alpha] = value
     return SymTensor(sp, 4, coeffs)
+
+
+def verify_jacobi_reference(model):
+    """Exhaustive exact Jacobi check over every triple a < b < c, in
+    lexicographic order; returns (ok, witness_triple_labels) at the first
+    nonzero Jacobiator [a, [b, c]] - [b, [a, c]] + [c, [a, b]]."""
+    for a, b, c in combinations(range(model.dim), 3):
+        acc = {}
+        for f, u, v in ((ONE, a, model.brackets[b][c]),
+                        (MINUS_ONE, b, model.brackets[a][c]),
+                        (ONE, c, model.brackets[a][b])):
+            for k, x in model.bracket_vectors({u: ONE}, v).items():
+                acc[k] = acc.get(k, ZERO) + f * x
+        if any(acc.values()):
+            return False, tuple(model.basis_labels[i] for i in (a, b, c))
+    return True, None

@@ -456,7 +456,8 @@ class TestVerify:
     def test_requires_a_check_flag(self, capsys, dim4_file):
         code, _, err = run_cli(capsys, "verify", dim4_file)
         assert code == 1
-        assert "requires at least one" in err
+        assert err.endswith("error: verify requires at least one of "
+                            "--invariance, --jacobi, --reality, --j\n")
 
     def test_jacobi_pass(self, capsys, dim4_file):
         code, out, _ = run_cli(capsys, "verify", dim4_file, "--jacobi", "--invariance")

@@ -40,6 +40,7 @@ import hksym.hkalgebra as hkalgebra
 from hksym.hkalgebra import (
     HolonomyData,
     InvariantQuartic,
+    LieAlgebraModel,
     NotHyperKahlerError,
     analyze_quartic,
     build_complex_algebra,
@@ -76,6 +77,7 @@ from oracles import (
     random_invertible,
     ricci_by_adjoint_matrices,
     unflatten,
+    verify_jacobi_reference,
 )
 
 
@@ -536,6 +538,63 @@ class TestJacobi:
         sp = SymplecticSpace(1)
         model = complex_model(SymTensor.zero(sp, 4))
         assert verify_jacobi(model) == (True, None)
+
+
+# the accepted inputs of the differential Jacobi test, besides scrambled:2
+JACOBI_KINDS = (["random-lagrangian:%d" % n for n in (1, 2, 3, 4)]
+                + ["real-random:1", "real-random:2"]
+                + ["petrov:" + t for t in ("I", "II", "D", "III", "N", "O")])
+
+
+def perturbed(model, a, b, coords):
+    """model with [x_a, x_b] = coords and [x_b, x_a] = -coords, the rest
+    shared."""
+    brackets = [list(row) for row in model.brackets]
+    brackets[a][b] = coords
+    brackets[b][a] = {k: -c for k, c in coords.items()}
+    return LieAlgebraModel(model.basis_labels, model.dim_h, model.dim_m, brackets,
+                           model.metric_on_m)
+
+
+def perturbations(model, rng):
+    """Models with one structure constant changed, with its antisymmetric
+    partner: a zero bracket made nonzero, a nonzero bracket zeroed, and one
+    coordinate of a nonzero bracket changed, three of each."""
+    dim = model.dim
+    pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    zero = [p for p in pairs if not model.brackets[p[0]][p[1]]]
+    nonzero = [p for p in pairs if model.brackets[p[0]][p[1]]]
+    for _ in range(3):
+        if zero:
+            a, b = rng.choice(zero)
+            yield perturbed(model, a, b, {rng.randrange(dim): random_gaussrat(rng)})
+        if nonzero:
+            a, b = rng.choice(nonzero)
+            yield perturbed(model, a, b, {})
+            coords = dict(model.brackets[a][b])
+            k = rng.choice(sorted(coords))
+            coords[k] = coords[k] + random_gaussrat(rng)
+            yield perturbed(model, a, b, {k: c for k, c in coords.items() if c})
+
+
+class TestJacobiSkip:
+    """verify_jacobi evaluates only the triples whose brackets do not all
+    vanish; it must agree with the walk over every triple, witness included."""
+
+    @pytest.mark.parametrize("kind", JACOBI_KINDS + ["scrambled:2"])
+    def test_same_verdict_as_every_triple(self, kind):
+        s = scrambled_lagrangian(2, 0) if kind == "scrambled:2" else make_generator(kind, 7)
+        model = complex_model(s)
+        assert verify_jacobi(model) == verify_jacobi_reference(model) == (True, None)
+        rng = random.Random("jacobi-skip " + kind)
+        failures = 0
+        for bad in perturbations(model, rng):
+            found = verify_jacobi(bad)
+            assert found == verify_jacobi_reference(bad)
+            failures += not found[0]
+        # one changed bracket of the abelian petrov:O model is still a Lie
+        # algebra; on every other model some change breaks Jacobi
+        assert failures or not model.dim_h
 
 
 class TestRicci:

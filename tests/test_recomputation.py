@@ -48,8 +48,9 @@ complex algebra reads each table entry S_{e_k,e_l} = S_{e_l,e_k} once, for
 both of its [m, m] brackets, and takes [h, m]
 from the matrices holonomy(q) wrote out.  The real algebra reads no table
 entry: it evaluates the complex model's bracket on a real basis and inherits
-its Jacobi certificate, so an analysis checks Jacobi once.  classify8 certifies S in S^4 of a plane once, in
-certify_invariance: dim8 leaves S in S^4(e_plus) to the quartic it reads off
+its Jacobi certificate, so an analysis checks Jacobi once, and that check
+evaluates only the triples whose three brackets do not all vanish.
+classify8 certifies S in S^4 of a plane once, in certify_invariance: dim8 leaves S in S^4(e_plus) to the quartic it reads off
 e_plus's Darboux frame, built once per classification; classify8 --real
 reads the complex class off the j-adapted quartic of the real class, and
 builds no second frame.  An analysis counts
@@ -63,6 +64,7 @@ down, with no span, inverse or standard_quaternionic call.
 import argparse
 import json
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -78,11 +80,13 @@ from hksym.cli import main
 from hksym.exactnum import Matrix
 from hksym.generators import make_generator, random_quartic_full
 from hksym.hkalgebra import (
+    LieAlgebraModel,
     analyze_quartic,
     build_complex_algebra,
     certify_invariance,
     check_invariance,
     holonomy,
+    verify_jacobi,
 )
 from hksym.realform import build_real_algebra, check_reality, real_holonomy
 from hksym.symplectic import SymplecticSpace, span, standard_split_j
@@ -345,6 +349,18 @@ def test_real_analysis_checks_jacobi_once(monkeypatch, kind):
     report = analyze_quartic(s, j=standard_split_j(s.space))
     assert report.jacobi_ok and report.signature == (2 * s.space.n,) * 2
     assert len(checks) == len(models) == 1
+
+
+def test_jacobi_evaluates_only_the_triples_that_can_fail(monkeypatch):
+    # each evaluated triple makes 3 bracket_vectors calls; every triple
+    # a < b < c would make 3 C(dim g, 3) = 2448 of them on this model
+    s = make_generator("random-lagrangian:3", 7)
+    q = certify_invariance(s)
+    model = build_complex_algebra(q, holonomy(q))
+    assert model.dim == 18
+    calls = count_calls(monkeypatch, LieAlgebraModel, "bracket_vectors")
+    assert verify_jacobi(model) == (True, None)
+    assert len(calls) <= 1008 < 3 * comb(model.dim, 3)
 
 
 @pytest.mark.parametrize("kind", ["real-random:1", "real-random:2"])
