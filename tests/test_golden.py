@@ -70,6 +70,12 @@ CASES = (
         # quartic it has not certified
         ("unreal_non_coordinate_j", None, "analyze", ("--real", "--j"), 2),
         ("unreal_non_coordinate_j", None, "verify", ("--reality", "--j"), 2),
+        # complex classify8 on a coordinate quartic, on a type I quartic
+        # whose (I^3 : J^2) is off the axes, and on a support of dim 1 off
+        # the axes
+        ("petrov_I", ("petrov:I", 0), "classify8", (), 0),
+        ("scrambled_lagrangian_2", None, "classify8", (), 0),
+        ("scrambled_p4", None, "classify8", (), 0),
     ]
 )
 
