@@ -28,7 +28,6 @@ from .hkalgebra import (
     analyze_quartic,
     build_complex_algebra,
     certify_invariance,
-    find_lagrangian,
     holonomy,
 )
 from .realform import RealityError, check_reality
@@ -184,9 +183,9 @@ def cmd_classify8(args):
     q = certify_invariance(s)
     j = _load_j(args, s.space)
     if j is not None:
-        cls, rc = classify_real8(s, j, q.support)
+        cls, rc = classify_real8(q, j)
     else:
-        cls = classify_complex8(s, find_lagrangian(q))
+        cls = classify_complex8(q)
     payload = {"tool_version": __version__, "input_sha256": digest}
     payload.update(cls.to_dict())
     payload["mode"] = "complex" if j is None else "real"

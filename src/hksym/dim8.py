@@ -11,11 +11,16 @@ J are read off it; its Jordan type is the Petrov letter, which fixes the
 root-multiplicity pattern, and over the reals the same polynomial is the
 complete orbit invariant, so both classes are read off one operator,
 exactly and with no root extracted.
-A quartic on dim E = 4 becomes a binary quartic in the Darboux frame of its
-Lagrangian plane (symtensor.in_frame), with no solve.
+A quartic on dim E = 4 is classified from the InvariantQuartic that
+certify_invariance returns, which has proved S in S^4 of the support.  The
+binary quartic is then read off S's own coefficients at the pivots of the
+support's RREF basis (support_quartic), with no frame, solve or
+push-forward; the real class rewrites it in a j-adapted basis (v, jv) by
+one substitution (adapted_quartic).
 """
 
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple, Optional
 
 from .exactnum import (
@@ -25,11 +30,11 @@ from .exactnum import (
     Matrix,
     ONE,
     ZERO,
+    _pivots,
     inverse,
 )
-from .symplectic import Subspace, lagrangian_complement
-from .symtensor import in_frame, tau
-from .hkalgebra import TheoremViolationError, certify_invariance, find_lagrangian
+from .symtensor import tau
+from .hkalgebra import TheoremViolationError, certify_invariance
 from .realform import RealityError
 
 
@@ -101,23 +106,6 @@ class BinaryQuartic:
 
     def is_zero(self):
         return all(not c for c in self.a)
-
-    @classmethod
-    def from_symtensor(cls, s, basis_pair):
-        """The quartic s on span(basis_pair), in the variables basis_pair.
-
-        P = lagrangian_complement(Subspace(space, basis_pair)) is the
-        Darboux frame whose first two columns are basis_pair, and
-        in_frame(s, P) is s in its coordinates: its coefficient at
-        p_1^a p_2^b is the plain coefficient at x^a y^b.  ContractError when
-        the pair does not span a Lagrangian plane (from
-        lagrangian_complement) or s is not supported there (from in_frame).
-        """
-        frame = lagrangian_complement(Subspace(s.space, basis_pair))
-        plain = [ZERO] * 5
-        for alpha, c in in_frame(s, frame).coeffs.items():
-            plain[alpha[1]] = c
-        return cls.from_plain(plain)
 
 
 class PetrovClass(NamedTuple):
@@ -265,21 +253,76 @@ def _char_poly_3(m):
 # ---------------------------------------------------------------------------
 
 
-def classify_complex8(s, e_plus):
-    """PetrovClass of a quartic supported in a 2-dimensional e_plus (dim E = 4).
+def support_quartic(q):
+    """The binary quartic of an InvariantQuartic q on its support, in the
+    variables of the support's RREF basis (v_1, v_2).
 
-    The output is independent of the chosen e_plus basis: the pattern is a
-    root structure and (I^3 : J^2) is weight-0 under GL(2) (I and J scale by
-    det^4 and det^6).  A quartic not supported in e_plus, or an e_plus that
-    is not Lagrangian, raises ContractError from BinaryQuartic.from_symtensor,
-    which reads the quartic off e_plus's Darboux frame exactly.
+    certify_invariance proved S = sum_b c_b v_1^(4-b) v_2^b, and that
+    expansion is unique.  Each v_i is 1 at its own pivot and 0 at the other
+    one, so only c_b reaches the monomial with exponent 4 - b on pivot 0 and
+    b on pivot 1: c_b is S's coefficient there.  A support of dim 1 gives
+    c x^4, read the same way, and one of dim 0 the zero quartic.  On
+    dim E = 4 the isotropic support has dim at most 2; any other dim E is
+    refused, as a larger support has no binary quartic to read.
     """
-    if s.space.dim != 4:
-        raise ContractError("complex dim-8 classification needs dim E = 4")
-    if e_plus.dim != 2:
-        raise ContractError("e_plus must be 2-dimensional")
-    bq = BinaryQuartic.from_symtensor(s, list(e_plus.basis))
-    return classify_quartic(bq)
+    if q.s.space.dim != 4:
+        raise ContractError("dim-8 classification needs dim E = 4")
+    plain = [ZERO] * 5
+    pivots = _pivots(q.support.basis)
+    for b in range(5 if len(pivots) == 2 else len(pivots)):
+        alpha = [0] * 4
+        alpha[pivots[0]] += 4 - b
+        if b:
+            alpha[pivots[1]] += b
+        plain[b] = q.s.coeffs.get(tuple(alpha), ZERO)
+    return BinaryQuartic.from_plain(plain)
+
+
+def adapted_quartic(q, j):
+    """The binary quartic of q on a j-invariant support of dim 2, in the
+    j-adapted basis (v_1, j v_1).
+
+    With j v_1 = alpha v_1 + beta v_2, alpha and beta read at the pivots,
+    v_2 = a v_1 + b (j v_1) for a = -alpha/beta and b = 1/beta, so the
+    support's quartic (support_quartic) is substituted by y -> a x + b y.
+    The zero quartic, zero in every basis, has the support {0} and needs no
+    adapted basis.  ContractError when the support is a line, or a plane
+    that j does not keep.
+    """
+    rows = q.support.basis
+    if not rows:
+        return support_quartic(q)
+    if len(rows) != 2:
+        raise ContractError("e_plus is not j-invariant")
+    jv1 = j.apply(rows[0])
+    alpha, beta = (jv1[p] for p in _pivots(rows))
+    if any(w != alpha * x + beta * y for w, x, y in zip(jv1, *rows)):
+        raise ContractError("e_plus is not j-invariant")
+    a, b = -alpha / beta, beta.inverse()
+    a_pow, b_pow = [ONE], [ONE]
+    for _ in range(4):
+        a_pow.append(a_pow[-1] * a)
+        b_pow.append(b_pow[-1] * b)
+    plain = [ZERO] * 5
+    for k, c in enumerate(support_quartic(q).plain()):
+        if c:
+            # c x^(4-k) (a x + b y)^k
+            for m in range(k + 1):
+                plain[m] = plain[m] + c * GaussRat(comb(k, m)) * a_pow[k - m] * b_pow[m]
+    return BinaryQuartic.from_plain(plain)
+
+
+def classify_complex8(q):
+    """PetrovClass of an InvariantQuartic q on dim E = 4.
+
+    The binary quartic is read off S's coefficients at the support's pivots
+    (support_quartic).  The output is independent of the basis it is read
+    in: the pattern is a root structure and (I^3 : J^2) is weight-0 under
+    GL(2) (I and J scale by det^4 and det^6).  Taking q, not a plane, means
+    S is certified to lie in S^4 of the support before it is read.
+    ContractError unless dim E = 4.
+    """
+    return classify_quartic(support_quartic(q))
 
 
 class RealOrbitClass(NamedTuple):
@@ -334,44 +377,29 @@ def real_class_of_symmetric(op):
     return cls
 
 
-def _adapted_j_basis(e_plus, j):
-    """Basis (v, jv) of a 2-dimensional j-invariant subspace."""
-    v1 = e_plus.basis[0]
-    v2 = j.apply(v1)
-    if not e_plus.contains(v2):
-        raise ContractError("e_plus is not j-invariant")
-    return v1, v2
+def classify_real8(q, j):
+    """(PetrovClass, RealOrbitClass) of a tau-fixed InvariantQuartic q at
+    m = 1, both read off one operator.
 
-
-def classify_real8(s, j, e_plus):
-    """(PetrovClass, RealOrbitClass) of a tau-fixed quartic at m = 1, both
-    read off one operator.
-
-    The quartic is rewritten in a j-adapted basis (v, jv) of e_plus and
-    carried to the operator on W = S^2 e_plus.  Its PetrovClass is the one
-    classify_complex8 reads in any other basis of e_plus: the letter and
-    pattern are root structures and (I^3 : J^2) has weight 0.
+    The quartic is read in a j-adapted basis (v, jv) of the support
+    (adapted_quartic) and carried to the operator on W = S^2 of it.  Its
+    PetrovClass is the one classify_complex8 reads in the support's RREF
+    basis: the letter and pattern are root structures and (I^3 : J^2) has
+    weight 0.
     tau-fixedness makes the operator commute with the induced real
     structure on W, so it restricts to a real matrix on the real slice
     spanned by (x^2 + y^2, i(x^2 - y^2), ixy) (certified exactly).  There it
     is self-adjoint for the positive definite restriction of the invariant
     form, hence orthogonally diagonalizable, and its characteristic data
     (p, q) is the complete positive-scaling rotation invariant.  A quartic
-    that is not tau-fixed for j raises RealityError, and one not supported
-    in e_plus ContractError (from BinaryQuartic.from_symtensor).  The zero
-    quartic, zero in every basis, needs no e_plus.
+    that is not tau-fixed for j raises RealityError.
     """
+    s = q.s
     if s.space.dim != 4:
         raise ContractError("real dim-8 classification needs dim E = 4")
     if tau(s, j) != s:
         raise RealityError("real classification needs a tau-fixed quartic")
-    if s.is_zero():
-        bq = BinaryQuartic(*(ZERO,) * 5)
-    elif e_plus.dim != 2:
-        raise ContractError("e_plus must be 2-dimensional")
-    else:
-        bq = BinaryQuartic.from_symtensor(s, _adapted_j_basis(e_plus, j))
-    op = quartic_to_matrix(bq).operator()
+    op = quartic_to_matrix(adapted_quartic(q, j)).operator()
     op_r = REAL_SLICE_INV @ op @ REAL_SLICE
     for row in op_r.data:
         for e in row:
@@ -384,13 +412,11 @@ def classify_real8(s, j, e_plus):
 def isomorphic8(s1, s2, j=None):
     """Whether two quartics define isomorphic dim-8 symmetric spaces.
 
-    Classifies both (deriving each Lagrangian from the support) and compares
-    the full classification records, and the real classes for j when j is
-    given.
+    Certifies both and compares the full classification records, and the
+    real classes for j when j is given.
     """
     records = []
     for s in (s1, s2):
         q = certify_invariance(s)
-        records.append(classify_complex8(s, find_lagrangian(q)) if j is None
-                       else classify_real8(s, j, q.support))
+        records.append(classify_complex8(q) if j is None else classify_real8(q, j))
     return records[0] == records[1]

@@ -633,9 +633,6 @@ class SpanSolver:
         c = tuple(t[p] for p in self.pivots)
         return c if vec_is_zero(_reduce(self.basis, self.pivots, list(t))) else None
 
-    def contains(self, t):
-        return self.coords(t) is not None
-
 
 def _reduce(rows, pivots, v):
     """The list v reduced in place by the RREF rows with the given pivot

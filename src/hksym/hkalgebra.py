@@ -14,9 +14,11 @@ the quartic, the table, the basis of h and the support.
 The stages take that certificate (or what they consume of it) explicitly:
 holonomy(q) reads the basis of h, find_lagrangian(q) extends the support,
 flat_decomposition(q) splits off the flat factor along the Darboux frame of
-that extension, and build_complex_algebra(q, hol) reads the [m, m] brackets
-off the table.  compute_aut(s, e_plus) lets gl(E_+) act on S written in the
-Darboux frame of E_+ (symtensor.in_frame).
+that extension, build_complex_algebra(q, hol) reads the [m, m] brackets
+off the table, and at n = 2 dim8.classify_complex8(q) reads the binary
+quartic off S's coefficients at the support's pivots, so an analysis builds
+no Darboux frame.  compute_aut(s, e_plus) lets gl(E_+) act on S written in
+the Darboux frame of E_+ (symtensor.in_frame).
 An element of sp(E) becomes a matrix (symtensor.s2e_matrix) only where it
 acts: the reject path, which evaluates it on S, and the holonomy's basis,
 which acts as [h, m].
@@ -532,8 +534,9 @@ def analyze_quartic(s, j=None):
     The report mirrors the pipeline: invariance -> holonomy -> support and
     Lagrangian -> algebra (Jacobi) -> Ricci -> optionally reality, real
     algebra, signature -> dim-8 classification when n = 2.  The flat
-    factor's dimension is counted off the support, with no split built, so
-    an analysis builds a Darboux frame only for the classification.
+    factor's dimension is counted off the support, with no split built, and
+    the classification reads the binary quartic off S's coefficients at the
+    support's pivots, so an analysis builds no Darboux frame.
     """
     try:
         q = certify_invariance(s)
@@ -572,7 +575,7 @@ def analyze_quartic(s, j=None):
     if s.space.n == 2:
         from . import dim8
 
-        classification = dim8.classify_complex8(s, e_plus).type_tag
+        classification = dim8.classify_complex8(q).type_tag
     return AnalysisReport(
         invariance_ok=True,
         holonomy=hol,

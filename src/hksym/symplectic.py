@@ -27,7 +27,6 @@ from .exactnum import (
     LiteralTooLongError,
     Matrix,
     ONE,
-    SpanSolver,
     TheoremViolationError,
     ZERO,
     echelon_basis,
@@ -118,9 +117,6 @@ class Subspace:
 
     def echelon(self):
         return self._echelon
-
-    def contains(self, v):
-        return SpanSolver(self._echelon).contains(tuple(v))
 
     def __eq__(self, other):
         return (
@@ -338,12 +334,16 @@ def gamma_signature(j):
 
 
 def record_fields(data, record, keys):
-    """The values of the required keys of a JSON object, in order."""
+    """The values of the keys of a JSON object, in order; the object must
+    hold every one of them and no other."""
     if not isinstance(data, dict):
         raise ContractError("malformed %s record: expected an object" % record)
     missing = [key for key in keys if key not in data]
     if missing:
         raise ContractError("malformed %s record: missing %s" % (record, ", ".join(missing)))
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ContractError("malformed %s record: unknown key %r" % (record, unknown[0]))
     return [data[key] for key in keys]
 
 

@@ -32,7 +32,7 @@ these coordinates, and only this module knows their layout: s2e_matrix
 writes one out as a matrix by sign flips, quadratic and s2e_coords go to B
 and back, and j acts as tau, j A_B j^-1 = A_{tau B}, on them as s2e_tau(j).
 in_frame(t, P) writes t in the coordinates of a Darboux frame P = (f, g),
-refusing a t outside S^d(span f); the dim-8 restriction and aut(S) read it.
+refusing a t outside S^d(span f); aut(S) reads it.
 """
 
 from fractions import Fraction
@@ -672,7 +672,8 @@ def quartic_to_dict(t):
 
 def quartic_from_dict(data):
     """The quartic of a record {"n", "degree", "coeffs"}; ContractError on a
-    malformed one, and on n > MAX_N before anything of size n is built.
+    malformed one (an unknown key included, in the record or in an entry of
+    coeffs), and on n > MAX_N before anything of size n is built.
 
     Each monomial is checked in one pass: a list of dim E exponents of type
     int (so no bool), of sum 4 and none negative, is taken as it stands, and
@@ -699,6 +700,9 @@ def quartic_from_dict(data):
             if not (isinstance(mono, list) and isinstance(item.get("value"), str)):
                 raise ContractError("malformed quartic record: coeffs[%d] must be an object with "
                                     "a list 'monomial' and a string 'value'" % k)
+            if len(item) != 2:
+                raise ContractError("malformed quartic record: coeffs[%d] has an unknown key %r"
+                                    % (k, next(key for key in item if key not in ("monomial", "value"))))
             if len(mono) == dim and set(map(type, mono)) == {int} and sum(mono) == 4 and min(mono) >= 0:
                 alpha = tuple(mono)
             else:

@@ -75,15 +75,21 @@ complex model written in a real basis: the algebra assembled again from
 h^tau's basis, real_m_basis(j) and the [m, m] brackets of _generator_table,
 read through the realified rows of h^tau, and verified by its own
 verify_model (Jacobi included).
-restrict_to_basis is the restriction of a tensor to a basis before
-BinaryQuartic.from_symtensor read it off the Darboux frame of the basis: an
-exact linear solve for the coefficients of the symmetric powers of the
-vectors, each power expanded by transform, and the solution re-expanded as a
-check.
+restrict_to_basis is the restriction of a tensor to a basis before it was
+read off the Darboux frame of the basis: an exact linear solve for the
+coefficients of the symmetric powers of the vectors, each power expanded by
+transform, and the solution re-expanded as a check.
+in_span(sub, v) is membership in a subspace by rank: v lies in sub exactly
+when adding it leaves the echelon basis as long as sub's.
+binary_quartic_by_frame is the dim-8 binary quartic before it was read off
+S's coefficients at the support's pivots: the Darboux frame that
+lagrangian_complement completes the basis pair to, and S pushed forward
+into it by in_frame.
 quartic_from_dict_reference is the quartic record reader before it checked
 each monomial in one pass: every exponent through record_int, then the
 monomial's length, signs and degree, and the table built by the checking
-SymTensor constructor, which looks at every multi-index again.
+SymTensor constructor, which looks at every multi-index again.  Like the
+reader, it refuses an entry with a key other than monomial and value.
 verify_jacobi_reference is the Jacobi check before it skipped the triples
 whose three brackets vanish: every triple a < b < c evaluated, in
 lexicographic order.
@@ -113,6 +119,7 @@ from hksym.exactnum import (
     solve_linear,
     unit_vec,
 )
+from hksym.dim8 import BinaryQuartic
 from hksym.generators import random_gaussrat
 from hksym.hkalgebra import LieAlgebraModel, verify_model
 from hksym.realform import real_m_basis
@@ -121,6 +128,7 @@ from hksym.symtensor import (
     contract,
     double_contraction_endo,
     endo_of_quadratic,
+    in_frame,
     is_in_sp,
     quadratic,
     s2e_coords,
@@ -130,8 +138,10 @@ from hksym.symtensor import (
     transform,
 )
 from hksym.symplectic import (
+    Subspace,
     SymplecticSpace,
     check_size,
+    lagrangian_complement,
     omega_pair,
     omega_sharp,
     record_fields,
@@ -664,6 +674,28 @@ def binary_quartic_tensor(q, space, basis_pair):
     return out
 
 
+def in_span(sub, v):
+    """Whether the vector v lies in the Subspace sub."""
+    return len(echelon_basis(list(sub.basis) + [tuple(v)])) == sub.dim
+
+
+def binary_quartic_by_frame(s, basis):
+    """The quartic s on span(basis), in the variables of the basis pair.
+
+    P = lagrangian_complement(Subspace(space, basis)) is the Darboux frame
+    whose first two columns are the pair, and in_frame(s, P) is s in its
+    coordinates: its coefficient at p_1^a p_2^b is the plain coefficient at
+    x^a y^b.  ContractError when the pair does not span a Lagrangian plane
+    (from lagrangian_complement) or s is not supported there (from
+    in_frame).
+    """
+    frame = lagrangian_complement(Subspace(s.space, basis))
+    plain = [ZERO] * 5
+    for alpha, c in in_frame(s, frame).coeffs.items():
+        plain[alpha[1]] = c
+    return BinaryQuartic.from_plain(plain)
+
+
 def realify(v):
     """A complex tuple as one real row [Re v | Im v]."""
     return (tuple(z.real_part() for z in v)
@@ -1122,6 +1154,10 @@ def quartic_from_dict_reference(data):
                 and isinstance(item.get("value"), str)):
             raise ContractError("malformed quartic record: coeffs[%d] must be an object with "
                                 "a list 'monomial' and a string 'value'" % k)
+        unknown = [key for key in item if key not in ("monomial", "value")]
+        if unknown:
+            raise ContractError("malformed quartic record: coeffs[%d] has an unknown key %r"
+                                % (k, unknown[0]))
         alpha = tuple(record_int(a, "quartic", "monomial exponent") for a in item["monomial"])
         if len(alpha) != sp.dim or any(a < 0 for a in alpha) or sum(alpha) != 4:
             raise ContractError("bad monomial %r" % (alpha,))

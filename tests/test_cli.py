@@ -236,6 +236,30 @@ class TestAnalyze:
         assert run_cli(capsys, "verify", real, "--reality", "--j", j_path) == (
             1, "", "error: malformed quaternionic structure record: duplicate key 'c_matrix'\n")
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["verify", "--invariance"], ["classify8"]], ids=["analyze", "verify", "classify8"])
+    @pytest.mark.parametrize("record, message", [
+        # an entry's extra key used to be dropped: this read as the quartic
+        # p1^4 and was analysed
+        ({"n": 2, "degree": 4, "coeffs": [{"monomial": [4, 0, 0, 0], "value": "1", "imag": "2"}]},
+         "coeffs[0] has an unknown key 'imag'"),
+        ({"n": 2, "degree": 4, "coeffs": [], "format": 2}, "unknown key 'format'"),
+    ], ids=["entry", "record"])
+    def test_unknown_key_names_the_key(self, capsys, tmp_path, command, record, message):
+        path = write_quartic(tmp_path, "extra.json", record)
+        assert run_cli(capsys, command[0], path, *command[1:]) == (
+            1, "", "error: malformed quartic record: %s\n" % message)
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["verify", "--reality"], ["classify8"]], ids=["analyze", "verify", "classify8"])
+    def test_unknown_j_key_names_the_key(self, capsys, tmp_path, command):
+        real = str(GOLDEN / "non_coordinate_j.json")
+        j_record = json.loads((GOLDEN / "non_coordinate_j.j.json").read_text(encoding="utf-8"))
+        j_record["signature"] = [2, 2]
+        j_path = write_quartic(tmp_path, "j.json", j_record)
+        assert run_cli(capsys, command[0], real, *command[1:], "--j", j_path) == (
+            1, "", "error: malformed quaternionic structure record: unknown key 'signature'\n")
+
     def test_real_holonomy_shortfall_exits_3(self, capsys, monkeypatch, tmp_path):
         # dim_R h_R = dim_C h is certified: an elimination that loses a row
         # is a bug signal, not a rejection of the quartic
@@ -333,17 +357,13 @@ class TestAnalyze:
     @pytest.mark.parametrize("target, command, message, calls_made", [
         ("is_isotropic", ("analyze", "dim4"),
          "extend_to_lagrangian produced a non-isotropic subspace", 2),
-        ("solve_linear", ("classify8", "petrov:I"),
-         "lagrangian_complement produced a non-symplectic frame", 2),
-    ], ids=["extend", "complement"])
+    ], ids=["extend"])
     def test_symplectic_postcondition_exits_3(self, capsys, monkeypatch, tmp_path,
                                                target, command, message, calls_made):
         # extend_to_lagrangian checks isotropy inside symplectic on the
-        # input, then the result, and lagrangian_complement certifies its
-        # Darboux frame by P^t Omega P = Omega; failing a result check is a
-        # bug signal.  analyze on p^4 builds no frame, so the frame is
-        # reached through classify8 on a dim-8 quartic.  The second isotropy
-        # check fails, or both dual vectors solved for come out doubled
+        # input, then the result; failing a result check is a bug signal.
+        # The second isotropy check fails.  The frame's check, which no
+        # command reaches, is test_frame_postcondition_is_a_bug_signal
         import hksym.symplectic as symplectic
 
         verb, kind = command
@@ -355,14 +375,35 @@ class TestAnalyze:
 
         def perturbed(*args):
             calls.append(args)
-            if target == "is_isotropic":
-                return honest(*args) and len(calls) != 2
-            return tuple(c + c for c in honest(*args))
+            return honest(*args) and len(calls) != 2
 
         monkeypatch.setattr(symplectic, target, perturbed)
         code, out, err = run_cli(capsys, verb, path)
         assert (code, out, err) == (3, "", "internal error: %s\n" % message)
         assert len(calls) == calls_made
+
+    def test_frame_postcondition_is_a_bug_signal(self, monkeypatch):
+        # lagrangian_complement certifies its Darboux frame by
+        # P^t Omega P = Omega.  No command builds a frame, so the check is
+        # reached through flat_decomposition, with both dual vectors solved
+        # for coming out doubled
+        import hksym.symplectic as symplectic
+        from hksym.exactnum import TheoremViolationError
+        from hksym.hkalgebra import certify_invariance, flat_decomposition
+
+        honest = symplectic.solve_linear
+        calls = []
+
+        def doubled(*args):
+            calls.append(args)
+            return tuple(c + c for c in honest(*args))
+
+        q = certify_invariance(generators.make_generator("petrov:I", 0))
+        monkeypatch.setattr(symplectic, "solve_linear", doubled)
+        with pytest.raises(TheoremViolationError,
+                           match="^lagrangian_complement produced a non-symplectic frame$"):
+            flat_decomposition(q)
+        assert len(calls) == 2
 
     def test_non_isotropic_support_without_witness_exits_3(self, capsys, monkeypatch, tmp_path):
         # a full quartic has a non-isotropic support, so some entry must fail

@@ -1,17 +1,26 @@
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from fractions import Fraction
-
-from hksym.exactnum import ContractError, GaussRat, Matrix, ONE, ZERO, mat_vec
-from hksym.symplectic import SymplecticSpace, span
-from hksym.symtensor import SymTensor, support, transform
+from hksym.exactnum import ContractError, GaussRat, Matrix, ONE, ZERO, inverse, mat_vec
+from hksym.hkalgebra import certify_invariance, find_lagrangian
+from hksym.symplectic import (
+    QuaternionicStructure,
+    SymplecticSpace,
+    quaternionic_from_json,
+    span,
+    standard_quaternionic,
+)
+from hksym.symtensor import SymTensor, tau, transform
 from hksym.dim8 import (
     GRAM,
     BinaryQuartic,
     TracelessSym3,
     _char_poly_3,
+    adapted_quartic,
     classify_complex8,
     classify_quartic,
     classify_real8,
@@ -21,14 +30,23 @@ from hksym.dim8 import (
     quartic_to_matrix,
     real_class_of_symmetric,
     real_orbit_class_from_char,
+    support_quartic,
 )
-from hksym.generators import random_gaussrat, random_symplectic, random_tau_fixed, standard_split_j
-from hksym.realform import RealityError
+from hksym.generators import (
+    make_generator,
+    random_gaussrat,
+    random_symplectic,
+    random_tau_fixed,
+    standard_split_j,
+)
+from hksym.realform import RealityError, symmetrize_real
 
 from oracles import (
     PETROV_OF_PATTERN,
+    binary_quartic_by_frame,
     binary_quartic_tensor,
     embed_gl_group,
+    in_span,
     random_invertible,
     restrict_to_basis,
     root_pattern_gcd_chain,
@@ -265,7 +283,7 @@ class TestSymTensorConversion:
         for _ in range(10):
             q = BinaryQuartic.from_plain([random_gaussrat(rng) for _ in range(5)])
             s = binary_quartic_tensor(q, sp, pair)
-            assert BinaryQuartic.from_symtensor(s, pair) == q
+            assert binary_quartic_by_frame(s, pair) == q
 
     def test_matches_restriction_oracle(self):
         # seeded differential test against the linear-solve restriction:
@@ -293,26 +311,30 @@ class TestSymTensorConversion:
             plain = [ZERO] * 5
             for beta, c in restrict_to_basis(s, list(pair)).items():
                 plain[beta[1]] = c
-            assert BinaryQuartic.from_symtensor(s, pair) == BinaryQuartic.from_plain(plain) == q
+            assert binary_quartic_by_frame(s, pair) == BinaryQuartic.from_plain(plain) == q
             # a quartic with a term off the plane is refused by both
-            outside = next(w for w in e if not span(sp, pair).contains(w))
+            outside = next(w for w in e if not in_span(span(sp, pair), w))
             bad = s + SymTensor.linear(sp, outside) ** 4
             with pytest.raises(ContractError) as ours:
-                BinaryQuartic.from_symtensor(bad, pair)
+                binary_quartic_by_frame(bad, pair)
             with pytest.raises(ContractError) as theirs:
                 restrict_to_basis(bad, list(pair))
             assert str(ours.value) == str(theirs.value) == "tensor is not supported in the given subspace"
+
+
+def classify(s):
+    return classify_complex8(certify_invariance(s))
 
 
 class TestClassifyComplex8:
     def test_examples(self):
         sp = SymplecticSpace(2)
         x, y = lin(sp, 0), lin(sp, 1)
-        e_plus = span(sp, [sp.basis_vector(0), sp.basis_vector(1)])
-        assert classify_complex8((x * x) * (y * y), e_plus).type_tag == "D"
-        assert classify_complex8((x ** 3) * y, e_plus).type_tag == "III"
-        assert classify_complex8(x ** 4, e_plus).type_tag == "N"
-        cls = classify_complex8((x ** 3) * y - x * (y ** 3), e_plus)
+        assert classify((x * x) * (y * y)).type_tag == "D"
+        assert classify((x ** 3) * y).type_tag == "III"
+        assert classify(x ** 4).type_tag == "N"
+        assert classify(SymTensor.zero(sp, 4)).type_tag == "O"
+        cls = classify((x ** 3) * y - x * (y ** 3))
         assert cls.type_tag == "I"
 
     def test_gl2_invariance(self, rng):
@@ -329,25 +351,12 @@ class TestClassifyComplex8:
             t_small = random_invertible(2, rng)
             big = embed_gl_group(e_plus, t_small)
             for s in samples:
-                assert classify_complex8(transform(s, big), e_plus) == classify_complex8(s, e_plus)
+                assert classify(transform(s, big)) == classify(s)
 
     def test_requires_dim4(self):
         sp = SymplecticSpace(1)
-        with pytest.raises(ContractError):
-            classify_complex8(lin(sp, 0) ** 4, span(sp, [sp.basis_vector(0)]))
-
-    def test_requires_support(self):
-        sp = SymplecticSpace(2)
-        e_plus = span(sp, [sp.basis_vector(0), sp.basis_vector(1)])
-        with pytest.raises(ContractError, match="not supported in the given subspace"):
-            classify_complex8(lin(sp, 2) ** 4, e_plus)
-
-    def test_requires_isotropic_plane(self):
-        # p_1^4 lies in S^4 span(p_1, q_1), but that plane is not Lagrangian
-        sp = SymplecticSpace(2)
-        plane = span(sp, [sp.basis_vector(0), sp.basis_vector(2)])
-        with pytest.raises(ContractError, match="needs a Lagrangian input"):
-            classify_complex8(lin(sp, 0) ** 4, plane)
+        with pytest.raises(ContractError, match="needs dim E = 4"):
+            classify(lin(sp, 0) ** 4)
 
 
 class TestRealClass:
@@ -399,43 +408,51 @@ class TestRealClass:
         assert real_orbit_class_from_char(p, q) != real_orbit_class_from_char(four * p, -eight * q)
 
 
+def classify_real(s, j):
+    return classify_real8(certify_invariance(s), j)
+
+
 class TestClassifyReal8:
     def test_full_pipeline(self, rng):
         s, j = random_tau_fixed(1, rng)
-        sigma = support(s)
-        assert sigma.dim == 2
-        cls = classify_real8(s, j, sigma)
+        q = certify_invariance(s)
+        assert q.support.dim == 2
+        cls = classify_real8(q, j)
         assert cls[1].kind in ("zero", "nonzero")
         # positive rational scaling preserves the class
-        assert classify_real8(s.scale(GaussRat(Fraction(9, 4))), j, sigma) == cls
+        assert classify_real(s.scale(GaussRat(Fraction(9, 4))), j) == cls
 
     def test_negation_detected_when_q_nonzero(self, rng):
         for _ in range(10):
             s, j = random_tau_fixed(1, rng)
-            sigma = support(s)
-            if sigma.dim != 2:
+            if certify_invariance(s).support.dim != 2:
                 continue
-            _, cls = classify_real8(s, j, sigma)
+            _, cls = classify_real(s, j)
             if cls.kind == "nonzero" and cls.sign_q:
-                _, neg = classify_real8(s.scale(GaussRat(-1)), j, sigma)
+                _, neg = classify_real(s.scale(GaussRat(-1)), j)
                 assert neg != cls
                 return
         pytest.skip("corpus produced no sign_q != 0 sample")
 
-    def test_requires_support(self, rng):
-        # tau-fixed and supported in span(p1, p2); span(q1, q2) is also
-        # j-invariant, so only the restriction to it can refuse
-        s, j = random_tau_fixed(1, rng)
-        sp = s.space
-        with pytest.raises(ContractError, match="not supported in the given subspace"):
-            classify_real8(s, j, span(sp, [sp.basis_vector(2), sp.basis_vector(3)]))
+    def test_zero_quartic(self):
+        sp = SymplecticSpace(2)
+        cls, real_cls = classify_real(SymTensor.zero(sp, 4), standard_split_j(sp))
+        assert (cls.type_tag, real_cls.kind) == ("O", "zero")
 
     def test_rejects_non_tau_fixed(self, rng):
         sp = SymplecticSpace(2)
         j = standard_split_j(sp)
-        s = lin(sp, 0) ** 4
         with pytest.raises(RealityError):
-            classify_real8(s, j, span(sp, [sp.basis_vector(0), sp.basis_vector(1)]))
+            classify_real(lin(sp, 0) ** 4, j)
+
+    @pytest.mark.parametrize("factors", [(0,), (0, 3)], ids=["p1", "p1-q2"])
+    def test_requires_j_invariant_support(self, factors):
+        # the split j keeps span(p_1, p_2); neither span(p_1) (no line is
+        # j-invariant) nor the isotropic span(p_1, q_2) is kept by it
+        sp = SymplecticSpace(2)
+        q = certify_invariance(sum((lin(sp, k) ** 4 for k in factors), SymTensor.zero(sp, 4)))
+        with pytest.raises(ContractError, match="^e_plus is not j-invariant$"):
+            adapted_quartic(q, standard_split_j(sp))
 
 
 class TestIsomorphic8:
@@ -468,3 +485,86 @@ class TestIsomorphic8:
         assert isomorphic8(zero, zero, j=j)
         if not s.is_zero():
             assert not isomorphic8(s, zero, j=j)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+KINDS = ["petrov:%s" % t for t in ("I", "II", "D", "III", "N", "O")] + [
+    "random-lagrangian:2", "real-random:1"]
+
+
+def swap_p2_q2(sp):
+    """The symplectic map p_2 -> q_2, q_2 -> -p_2, fixing p_1 and q_1."""
+    cols = [sp.basis_vector(k) for k in range(4)]
+    cols[1], cols[3] = sp.basis_vector(3), tuple(-c for c in sp.basis_vector(1))
+    return Matrix(cols).transpose()
+
+
+def pivot_read_inputs():
+    """The kinds at seeds 0-4, each as is, moved by swap_p2_q2 (support
+    pivots (0, 3)) and moved by 1-6 random transvections."""
+    rng = random.Random(3030)
+    sp = SymplecticSpace(2)
+    swap = swap_p2_q2(sp)
+    for kind in KINDS:
+        for seed in range(5):
+            s = make_generator(kind, seed)
+            yield s
+            yield transform(s, swap)
+            yield transform(s, random_symplectic(sp, rng, steps=rng.randint(1, 6)))
+
+
+def pivots(q):
+    return tuple(next(k for k, e in enumerate(v) if e) for v in q.support.basis)
+
+
+class TestPivotRead:
+    def test_support_quartic_matches_the_frame_read(self):
+        # the old read pushed S forward into the Darboux frame of the
+        # Lagrangian that extends the support's RREF basis
+        seen = set()
+        for s in pivot_read_inputs():
+            q = certify_invariance(s)
+            assert support_quartic(q) == binary_quartic_by_frame(s, find_lagrangian(q).basis)
+            seen.add(pivots(q))
+        assert seen == {(), (0,), (0, 1), (0, 3)}
+
+    def test_adapted_quartic_matches_the_frame_read(self):
+        # tau-fixed inputs whose support is j-invariant: for the split j,
+        # the real-random kind as it is and the tau-symmetrization of every
+        # kind, which stays in S^4 span(p); for the golden non_coordinate_j,
+        # the tau-symmetrization of every kind moved onto its E_+ by the
+        # map t that built it (its comment in test_golden).  Both j send the
+        # support's first RREF row to its second, so alpha = 0 there; the
+        # split j conjugated by 1-6 random transvections T, with the split
+        # inputs moved by T, gives alpha != 0
+        sp = SymplecticSpace(2)
+        split = standard_split_j(sp)
+        golden_j = quaternionic_from_json(
+            json.loads((GOLDEN / "non_coordinate_j.j.json").read_text(encoding="utf-8")), sp)
+        t = random_symplectic(sp, random.Random(31))
+        e_plus, e_minus = (span(sp, t.transpose().data[k:k + 2]) for k in (0, 2))
+        assert standard_quaternionic(sp, (e_plus, e_minus)).c_matrix == golden_j.c_matrix
+        kinds = [make_generator(kind, seed) for kind in KINDS for seed in range(5)]
+        fixed = [s for s in kinds if tau(s, split) == s] + [symmetrize_real(s, split) for s in kinds]
+        inputs = [(split, fixed),
+                  (golden_j, [symmetrize_real(transform(s, t), golden_j) for s in kinds])]
+        rng = random.Random(3031)
+        for steps in range(1, 7):
+            moved = random_symplectic(sp, rng, steps=steps)
+            j = QuaternionicStructure(sp, moved @ split.c_matrix @ inverse(moved).conj())
+            inputs.append((j, [transform(r, moved) for r in fixed[steps::6]]))
+        checked = [0] * len(inputs)
+        off_axis = 0
+        for k, (j, rs) in enumerate(inputs):
+            for r in rs:
+                q = certify_invariance(r)
+                if q.support.dim != 2:
+                    continue
+                v = q.support.basis[0]
+                bq = adapted_quartic(q, j)
+                assert bq == binary_quartic_by_frame(r, (v, j.apply(v)))
+                cls, _ = classify_real8(q, j)
+                assert cls == classify_quartic(bq) == classify_complex8(q)
+                checked[k] += 1
+                off_axis += bool(j.apply(v)[pivots(q)[0]])
+        assert min(checked[:2]) >= 35 and min(checked[2:]) >= 5 and off_axis == sum(checked[2:])

@@ -50,12 +50,13 @@ from the matrices holonomy(q) wrote out.  The real algebra reads no table
 entry: it evaluates the complex model's bracket on a real basis and inherits
 its Jacobi certificate, so an analysis checks Jacobi once, and that check
 evaluates only the triples whose three brackets do not all vanish.
-classify8 certifies S in S^4 of a plane once, in certify_invariance: dim8 leaves S in S^4(e_plus) to the quartic it reads off
-e_plus's Darboux frame, built once per classification; classify8 --real
-reads the complex class off the j-adapted quartic of the real class, and
-builds no second frame.  An analysis counts
-the flat factor off the support and builds a Darboux frame only for the
-dim-8 classification.  compute_aut builds and inverts the Darboux frame of
+classify8 certifies S in S^4 of its support once, in certify_invariance,
+and dim8 reads the binary quartic off S's coefficients at the pivots of the
+support's RREF basis: neither an analysis nor classify8 builds a Darboux
+frame, complex classify8 pushes no tensor forward, and classify8 --real
+pushes S forward once, for tau(S) = S, and reads the complex class off the
+j-adapted quartic of the real class.  An analysis counts the flat factor
+off the support.  compute_aut builds and inverts the Darboux frame of
 E_+ once, not once per elementary matrix of gl(E_+).  The command line
 builds its argument parser once per process, and the default j is written
 down, with no span, inverse or standard_quaternionic call.
@@ -509,35 +510,48 @@ def test_span_eliminates_once(monkeypatch, rng):
     assert len(eliminations) == 1
 
 
+def frames_built(monkeypatch):
+    """The lagrangian_complement calls of hkalgebra, the one module that
+    binds it; dim8 and cli bind none."""
+    assert not any(hasattr(module, "lagrangian_complement") for module in (dim8, cli))
+    return count_calls(monkeypatch, hkalgebra, "lagrangian_complement")
+
+
 @pytest.mark.parametrize("flags", [(), ("--real",)], ids=["complex", "real"])
 def test_classify8_certifies_membership_once(monkeypatch, tmp_path, capsys, flags):
     # certify_invariance certifies S in S^4(support) once; dim8 makes no
-    # tensor_in_subspace_power call of its own and leaves S in S^4(e_plus)
-    # to the quartic it reads off e_plus's Darboux frame; --real reads the
-    # complex class off its j-adapted quartic, so each run builds one frame
+    # tensor_in_subspace_power call of its own and reads the binary quartic
+    # off S's coefficients at the support's pivots, so no run builds a
+    # frame, and none extends the support to a Lagrangian
     path = str(tmp_path / "petrov_i.json")
     assert main(["generate", "petrov:I", "-o", path]) == 0
     assert not hasattr(dim8, "tensor_in_subspace_power")
     memberships = count_calls(monkeypatch, hkalgebra, "tensor_in_subspace_power")
     perps = count_calls(monkeypatch, symtensor, "omega_perp")
-    frames = count_calls(monkeypatch, dim8, "lagrangian_complement")
+    frames = frames_built(monkeypatch)
+    extensions = count_calls(monkeypatch, hkalgebra, "extend_to_lagrangian")
     assert main(["classify8", path, *flags]) == 0
     assert capsys.readouterr().out.startswith("type: I\n")
     assert (len(memberships), len(perps)) == (1, 1)
-    assert len(frames) == 1
+    assert (len(frames), len(extensions)) == (0, 0)
 
 
-def test_restriction_expands_each_power_once(monkeypatch, tmp_path, capsys):
-    path = str(tmp_path / "petrov_i.json")
-    assert main(["generate", "petrov:I", "-o", path]) == 0
-    assert not hasattr(dim8, "transform")
-    restrictions = count_calls(monkeypatch, dim8, "in_frame")
+@pytest.mark.parametrize("stem,flags,pushes", [
+    ("petrov_I", (), 0),
+    ("scrambled_lagrangian_2", (), 0),
+    ("real_1", ("--real",), 1),
+    ("non_coordinate_j", ("--j", str(GOLDEN / "non_coordinate_j.j.json")), 1),
+], ids=["petrov_I", "scrambled", "real", "non_coordinate_j"])
+def test_classify8_pushes_forward_only_for_tau(monkeypatch, capsys, stem, flags, pushes):
+    # complex classify8 pushes no tensor forward; the real one pushes S
+    # forward once, along j's matrix, for the test tau(S) = S, and writes
+    # S in no frame
+    assert not any(hasattr(dim8, name) for name in ("transform", "in_frame"))
+    restrictions = [count_calls(monkeypatch, module, "in_frame") for module in (symtensor, hkalgebra)]
     expansions = count_calls(monkeypatch, symtensor, "transform")
-    assert main(["classify8", path]) == 0
-    assert capsys.readouterr().out.startswith("type: I\n")
-    # one push-forward of S, along the inverse of e_plus's Darboux frame,
-    # and no other
-    assert (len(restrictions), len(expansions)) == (1, 1)
+    assert main(["classify8", str(GOLDEN / ("%s.json" % stem)), *flags]) == 0
+    capsys.readouterr()
+    assert (sum(map(len, restrictions)), len(expansions)) == (0, pushes)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -552,18 +566,15 @@ def test_compute_aut_builds_the_frame_once(monkeypatch, n):
     assert (len(frames), len(inverses)) == (1, 1)
 
 
-@pytest.mark.parametrize("kind,frames_built", [
-    ("random-lagrangian:3", 0),
-    ("petrov:I", 1),
-])
-def test_analysis_builds_a_frame_only_to_classify(monkeypatch, kind, frames_built):
-    # flat_complex_dim = 4(n - dim support) needs no split; at n = 2 the
-    # classification reads S off e_plus's Darboux frame
-    s = make_generator(kind, 7)
-    frames = [count_calls(monkeypatch, module, "lagrangian_complement") for module in (hkalgebra, dim8)]
+@pytest.mark.parametrize("stem", ["lagrangian_3", "petrov_I", "scrambled_p4", "scrambled_lagrangian_2"])
+def test_analysis_builds_no_frame(monkeypatch, stem):
+    # flat_complex_dim = 4(n - dim support) needs no split, and at n = 2 the
+    # classification reads S's coefficients at the support's pivots
+    s = quartic_from_dict(json.loads((GOLDEN / ("%s.json" % stem)).read_text(encoding="utf-8")))
+    frames = frames_built(monkeypatch)
     report = analyze_quartic(s)
     assert report.flat_complex_dim == 4 * (s.space.n - report.support_dim)
-    assert sum(map(len, frames)) == frames_built
+    assert len(frames) == 0
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):

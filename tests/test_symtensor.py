@@ -55,9 +55,8 @@ from hksym.generators import (
     random_symplectic,
     standard_split_j,
 )
-from hksym.dim8 import BinaryQuartic
-
 from oracles import (
+    binary_quartic_by_frame,
     double_contractions_by_contraction,
     endo_by_contraction,
     flatten,
@@ -759,7 +758,7 @@ class TestSubspaceMembership:
         sp = SymplecticSpace(2)
         s = random_quartic_lagrangian(2, rng)
         pair = [sp.basis_vector(0), sp.basis_vector(1)]
-        plain = BinaryQuartic.from_symtensor(s, pair).plain()
+        plain = binary_quartic_by_frame(s, pair).plain()
         x, y = lin(sp, 0), lin(sp, 1)
         rebuilt = SymTensor.zero(sp, 4)
         for k, c in enumerate(plain):
@@ -770,7 +769,7 @@ class TestSubspaceMembership:
         sp = SymplecticSpace(2)
         q1 = lin(sp, 2)
         with pytest.raises(ContractError, match="tensor is not supported in the given subspace"):
-            BinaryQuartic.from_symtensor(q1 ** 4, [sp.basis_vector(0), sp.basis_vector(1)])
+            binary_quartic_by_frame(q1 ** 4, [sp.basis_vector(0), sp.basis_vector(1)])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_in_frame_is_the_push_forward_along_the_inverse(self, n):
@@ -918,8 +917,13 @@ def _bad_literal(coeffs, rng, k):
     coeffs[k]["value"] = rng.choice(["0.5", "1/0", "x", "", "1+", "3/0i", 5, None])
 
 
+def _unknown_key(coeffs, rng, k):
+    coeffs[k][rng.choice(["imag", "weight", "Value"])] = rng.choice(["2", 1, None])
+
+
 RECORD_FAULTS = [_exponent_type, _wrong_length, _negative_exponent, _monomial_not_a_list,
-                 _item_not_an_object, _duplicate_monomial, _zero_value, _bad_literal]
+                 _item_not_an_object, _duplicate_monomial, _zero_value, _bad_literal,
+                 _unknown_key]
 
 
 def _read(reader, data):
