@@ -9,13 +9,10 @@ from .symplectic import (
     Subspace,
     SymplecticSpace,
     extend_to_lagrangian,
-    gamma_signature,
     is_isotropic,
     omega_flat,
     omega_pair,
-    omega_sharp,
     span,
-    standard_quaternionic,
     standard_split_j,
 )
 from .symtensor import (
@@ -24,7 +21,6 @@ from .symtensor import (
     double_contraction_endo,
     double_contractions,
     endo_of_quadratic,
-    eval_on_vectors,
     sp_action,
     support,
     tau,
@@ -62,7 +58,5 @@ from .dim8 import (
     classify_complex8,
     classify_real8,
     isomorphic8,
-    matrix_to_quartic,
-    quartic_invariants,
     quartic_to_matrix,
 )

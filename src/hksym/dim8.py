@@ -158,13 +158,6 @@ def _petrov_class(op):
     return PetrovClass(tag, _TYPE_TO_PATTERN[tag], proj)
 
 
-def quartic_invariants(q):
-    """The classical invariants I, J and the sorted root multiplicities on
-    the projective line, read off the operator G^{-1} A (classify_quartic)."""
-    c0, c1, _ = _char_poly_3(quartic_to_matrix(q).operator())
-    return -c1, -c0 * _HALF, classify_quartic(q).multiplicity_pattern
-
-
 # ---------------------------------------------------------------------------
 # The quartic <-> traceless symmetric 3x3 dictionary.
 # ---------------------------------------------------------------------------
@@ -200,22 +193,9 @@ class TracelessSym3:
         return isinstance(other, TracelessSym3) and self.a == other.a
 
 
-def matrix_to_quartic(m):
-    """Sum_ij A_ij u_i u_j with u = (x^2, xy, y^2), as a binary quartic."""
-    a = m.a
-    two = GaussRat(2)
-    plain = (
-        a.entry(0, 0),
-        two * a.entry(0, 1),
-        two * a.entry(0, 2) + a.entry(1, 1),
-        two * a.entry(1, 2),
-        a.entry(2, 2),
-    )
-    return BinaryQuartic.from_plain(plain)
-
-
 def quartic_to_matrix(q):
-    """Inverse of matrix_to_quartic onto the G-traceless slice (exact, unique).
+    """The G-traceless symmetric A with q = Sum_ij A_ij u_i u_j for
+    u = (x^2, xy, y^2) (exact, unique).
 
     The trace condition A22 = 4 A13 combined with 2 A13 + A22 = c2 forces
     A13 = c2/6 and A22 = 2c2/3; in weighted coefficients the slice matrix is
@@ -293,11 +273,11 @@ def adapted_quartic(q, j):
     if not rows:
         return support_quartic(q)
     if len(rows) != 2:
-        raise ContractError("e_plus is not j-invariant")
+        raise ContractError("support is not j-invariant")
     jv1 = j.apply(rows[0])
     alpha, beta = (jv1[p] for p in _pivots(rows))
     if any(w != alpha * x + beta * y for w, x, y in zip(jv1, *rows)):
-        raise ContractError("e_plus is not j-invariant")
+        raise ContractError("support is not j-invariant")
     a, b = -alpha / beta, beta.inverse()
     a_pow, b_pow = [ONE], [ONE]
     for _ in range(4):

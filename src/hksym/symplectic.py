@@ -6,19 +6,17 @@ Conventions fixed here and inherited by everything downstream:
 * (E, omega) is always in standard form: basis p_1..p_n, q_1..q_n with
   omega(p_a, q_b) = delta_ab and omega vanishing on p's and q's separately.
   So omega(x, .) is the covector (-x_q, x_p), and omega is applied only
-  through omega_flat(x) = omega(x, .) and its inverse omega_sharp; the
-  dense matrix Omega (row k is omega_flat(e_k)) is kept only for matrix
-  identities: C^t Omega C = conj(Omega), C = Omega^t for the standard j,
-  the Gram matrix of gamma, P^t Omega P = Omega for the Darboux frame P
-  of lagrangian_complement, and the metric [[0, Omega], [-Omega, 0]] on
-  H(x)E in hkalgebra.
+  through omega_flat(x) = omega(x, .); the dense matrix Omega (row k is
+  omega_flat(e_k)) is kept only for matrix identities: C^t Omega C =
+  conj(Omega), P^t Omega P = Omega for the Darboux frame P of
+  lagrangian_complement, and the metric [[0, Omega], [-Omega, 0]] on H(x)E
+  in hkalgebra.
 * E is the only symplectic space here.  The plane H of g = h + H(x)E is
   written out as formulas on pairs (x, y) in E (+) E in hkalgebra.
 * The pairing <v, omega x> := omega(x, v), so that the coordinate p paired
   against q gives p_q = omega(q, p) = -1.
 * A quaternionic structure j is the antilinear map v -> C . conj(v) with
-  C conj(C) = -1 and C^t Omega C = conj(Omega); the Hermitian form
-  gamma(x, y) = omega(x, j y) then has Gram matrix Omega C.
+  C conj(C) = -1 and C^t Omega C = conj(Omega).
 """
 
 from .exactnum import (
@@ -31,8 +29,6 @@ from .exactnum import (
     ZERO,
     echelon_basis,
     extend_rref,
-    hermitian_inertia,
-    inverse,
     is_rref,
     mat_vec,
     rank_kernel,
@@ -46,12 +42,6 @@ def omega_flat(x):
     """The covector omega(x, .) = (-x_q, x_p) of a vector x = (x_p, x_q)."""
     n = len(x) // 2
     return tuple(-c for c in x[n:]) + tuple(x[:n])
-
-
-def omega_sharp(xi):
-    """The vector u with omega(u, .) = xi, i.e. u = (xi_q, -xi_p)."""
-    n = len(xi) // 2
-    return tuple(xi[n:]) + tuple(-c for c in xi[:n])
 
 
 class SymplecticSpace:
@@ -249,60 +239,15 @@ class QuaternionicStructure:
         return mat_vec(self.c_matrix, vec_conj(v))
 
 
-def standard_quaternionic(sp, lagrangian_split=None):
-    """The standard compatible quaternionic structure on (E, omega).
-
-    Without a split: j p_k = q_k, j q_k = -p_k, whose gamma is positive
-    definite.  With a Lagrangian split (E_+, E_-) and dim E = 4m: j preserves
-    both halves, pairing consecutive coordinates by
-    (z1, z2) -> (-conj(z2), conj(z1)) in omega-dual-adapted bases.
-    """
-    dim = sp.dim
-    if lagrangian_split is None:
-        # j v = omega_flat(conj v), so C = Omega^t: j p_k = q_k, j q_k = -p_k
-        return QuaternionicStructure(sp, sp.omega.transpose())
-
-    e_plus, e_minus = lagrangian_split
-    if dim % 4 != 0:
-        raise ContractError("no compatible quaternionic structure for this split")
-    m2 = dim // 2
-    if e_plus.dim != m2 or e_minus.dim != m2:
-        raise ContractError("split parts must each have dimension %d" % m2)
-    if not (is_isotropic(e_plus) and is_isotropic(e_minus)):
-        raise ContractError("split parts must be Lagrangian")
-    f = list(e_plus.basis)
-    # normalize the minus-side basis to be omega-dual to f
-    pairing = Matrix([[omega_pair(sp, fi, gj) for gj in e_minus.basis] for fi in f])
-    try:
-        pinv = inverse(pairing)
-    except ContractError:
-        raise ContractError("split parts are not complementary")
-    g = (Matrix(e_minus.basis).transpose() @ pinv).transpose().data
-    basis_cols = Matrix(f + list(g)).transpose()
-    k_rows = []
-    for i in range(dim):
-        row = [ZERO] * dim
-        half = 0 if i < m2 else m2
-        local = i - half
-        if local % 2 == 0:
-            row[half + local + 1] = ONE
-        else:
-            row[half + local - 1] = -ONE
-        k_rows.append(row)
-    # antilinear pairing map in adapted coordinates: columns are j(adapted basis)
-    k = Matrix(k_rows).transpose()
-    c = basis_cols @ k @ inverse(basis_cols).conj()
-    return QuaternionicStructure(sp, c)
-
-
 def standard_split_j(sp):
     """The default quaternionic structure: the split E_+ = span(p), E_- = span(q).
 
-    It is standard_quaternionic(sp, (span(p), span(q))) written down: q is
-    already omega-dual to p, so j pairs consecutive coordinates of each half
-    by (z1, z2) -> (-conj(z2), conj(z1)), and C is the signed permutation
-    C[k][k+1] = -1, C[k+1][k] = 1 for even k.  QuaternionicStructure still
-    checks j^2 = -1 and the omega compatibility.
+    q is already omega-dual to p, so j pairs consecutive coordinates of each
+    half by (z1, z2) -> (-conj(z2), conj(z1)), and C is the signed
+    permutation C[k][k+1] = -1, C[k+1][k] = 1 for even k.
+    QuaternionicStructure still checks j^2 = -1 and the omega compatibility.
+    The tests check it against the oracle in tests/oracles.py that builds j
+    from any Lagrangian split, here (span(p), span(q)).
     """
     if sp.dim % 4 != 0:
         raise ContractError(
@@ -314,19 +259,6 @@ def standard_split_j(sp):
         rows[k][k + 1] = -ONE
         rows[k + 1][k] = ONE
     return QuaternionicStructure(sp, Matrix(rows))
-
-
-def gamma_gram(j):
-    """Gram matrix of gamma(x, y) = omega(x, j y); always Hermitian for valid j."""
-    return j.ambient.omega @ j.c_matrix
-
-
-def gamma_signature(j):
-    """Exact inertia (positive, negative, null) of gamma; null must be 0."""
-    p, n, z = hermitian_inertia(gamma_gram(j))
-    if z:
-        raise ContractError("gamma is degenerate: corrupted quaternionic structure")
-    return p, n, z
 
 
 # JSON records: a malformed record is refused with one ContractError naming

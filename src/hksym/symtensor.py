@@ -217,21 +217,6 @@ def contract(t, x):
     return SymTensor(sp, t.degree - 1, out).scale(inv_d)
 
 
-def eval_on_vectors(t, xs):
-    """Full polarization M_t(omega x_1, ..., omega x_d); symmetric in the xs.
-
-    Computed by iterated contraction, which agrees with the inclusion-
-    exclusion polarization because each contraction is one slot of the unique
-    symmetric multilinear form with diagonal t.
-    """
-    if len(xs) != t.degree:
-        raise ContractError("eval_on_vectors needs exactly %d vectors" % t.degree)
-    cur = t
-    for x in xs:
-        cur = contract(cur, x)
-    return cur.coeffs.get((0,) * t.space.dim, ZERO)
-
-
 def endo_of_quadratic(b):
     """The endomorphism x -> B_x attached to a quadratic B under sp(E) = S^2E.
 

@@ -10,9 +10,9 @@ import pytest
 
 from hksym.exactnum import GaussRat, I_UNIT
 from hksym.symplectic import SymplecticSpace, standard_split_j
-from hksym.symtensor import SymTensor, contract, endo_of_quadratic, eval_on_vectors, sp_action, tau
+from hksym.symtensor import SymTensor, contract, endo_of_quadratic, sp_action, tau
 
-from oracles import sigma_reference
+from oracles import eval_on_vectors, sigma_reference
 
 
 def linear(sp, k):

@@ -93,6 +93,16 @@ reader, it refuses an entry with a key other than monomial and value.
 verify_jacobi_reference is the Jacobi check before it skipped the triples
 whose three brackets vanish: every triple a < b < c evaluated, in
 lexicographic order.
+standard_quaternionic is the general construction of a compatible j: the
+definite C = Omega^t, or j from any Lagrangian split (E_+, E_-) through the
+omega-dual basis of E_-, the reference for the written-down default j
+symplectic.standard_split_j; gamma_gram and gamma_signature read the
+Hermitian form gamma(x, y) = omega(x, j y) through its Gram matrix
+Omega C.  eval_on_vectors is the full polarization by iterated contraction.
+classical_invariants are I and J of a binary quartic by the classical
+formulas, not read off the operator G^{-1} A as dim8 does, and
+matrix_to_quartic is the dictionary from traceless 3 x 3 matrices back to
+binary quartics, the reference for dim8.quartic_to_matrix.
 """
 
 import re as _re
@@ -113,6 +123,7 @@ from hksym.exactnum import (
     TheoremViolationError,
     echelon_basis,
     from_parts,
+    hermitian_inertia,
     inverse,
     mat_vec,
     rank_kernel,
@@ -138,17 +149,77 @@ from hksym.symtensor import (
     transform,
 )
 from hksym.symplectic import (
+    QuaternionicStructure,
     Subspace,
     SymplecticSpace,
     check_size,
+    is_isotropic,
     lagrangian_complement,
     omega_pair,
-    omega_sharp,
     record_fields,
     record_int,
     span,
-    standard_quaternionic,
 )
+
+
+def standard_quaternionic(sp, lagrangian_split=None):
+    """The standard compatible quaternionic structure on (E, omega).
+
+    Without a split: j p_k = q_k, j q_k = -p_k, whose gamma is positive
+    definite.  With a Lagrangian split (E_+, E_-) and dim E = 4m: j preserves
+    both halves, pairing consecutive coordinates by
+    (z1, z2) -> (-conj(z2), conj(z1)) in omega-dual-adapted bases.
+    """
+    dim = sp.dim
+    if lagrangian_split is None:
+        # j v = omega_flat(conj v), so C = Omega^t: j p_k = q_k, j q_k = -p_k
+        return QuaternionicStructure(sp, sp.omega.transpose())
+
+    e_plus, e_minus = lagrangian_split
+    if dim % 4 != 0:
+        raise ContractError("no compatible quaternionic structure for this split")
+    m2 = dim // 2
+    if e_plus.dim != m2 or e_minus.dim != m2:
+        raise ContractError("split parts must each have dimension %d" % m2)
+    if not (is_isotropic(e_plus) and is_isotropic(e_minus)):
+        raise ContractError("split parts must be Lagrangian")
+    f = list(e_plus.basis)
+    # normalize the minus-side basis to be omega-dual to f
+    pairing = Matrix([[omega_pair(sp, fi, gj) for gj in e_minus.basis] for fi in f])
+    try:
+        pinv = inverse(pairing)
+    except ContractError:
+        raise ContractError("split parts are not complementary")
+    g = (Matrix(e_minus.basis).transpose() @ pinv).transpose().data
+    basis_cols = Matrix(f + list(g)).transpose()
+    k_rows = []
+    for i in range(dim):
+        row = [ZERO] * dim
+        half = 0 if i < m2 else m2
+        local = i - half
+        if local % 2 == 0:
+            row[half + local + 1] = ONE
+        else:
+            row[half + local - 1] = -ONE
+        k_rows.append(row)
+    # antilinear pairing map in adapted coordinates: columns are j(adapted basis)
+    k = Matrix(k_rows).transpose()
+    c = basis_cols @ k @ inverse(basis_cols).conj()
+    return QuaternionicStructure(sp, c)
+
+
+def gamma_gram(j):
+    """Gram matrix of gamma(x, y) = omega(x, j y); always Hermitian for valid j."""
+    return j.ambient.omega @ j.c_matrix
+
+
+def gamma_signature(j):
+    """Exact inertia (positive, negative, null) of gamma; null must be 0."""
+    p, n, z = hermitian_inertia(gamma_gram(j))
+    if z:
+        raise ContractError("gamma is degenerate: corrupted quaternionic structure")
+    return p, n, z
+
 
 # j_H on the plane H with omega_H(h, h') = 1: j_H h = h', j_H h' = -h
 J_H = standard_quaternionic(SymplecticSpace(1))
@@ -217,6 +288,21 @@ def endo_by_contraction(b):
             col[alpha.index(1)] = c
         cols.append(col)
     return Matrix(cols).transpose()
+
+
+def eval_on_vectors(t, xs):
+    """Full polarization M_t(omega x_1, ..., omega x_d); symmetric in the xs.
+
+    Computed by iterated contraction, which agrees with the inclusion-
+    exclusion polarization because each contraction is one slot of the unique
+    symmetric multilinear form with diagonal t.
+    """
+    if len(xs) != t.degree:
+        raise ContractError("eval_on_vectors needs exactly %d vectors" % t.degree)
+    cur = t
+    for x in xs:
+        cur = contract(cur, x)
+    return cur.coeffs.get((0,) * t.space.dim, ZERO)
 
 
 def evaluate_at_covector(t, xi):
@@ -383,6 +469,30 @@ def root_pattern_gcd_chain(plain_coeffs):
     if inf_mult:
         pattern.append(inf_mult)
     return tuple(sorted(pattern, reverse=True))
+
+
+def classical_invariants(q):
+    """(I, J) of a binary quartic by the classical formulas in its weighted
+    coefficients a0..a4."""
+    a0, a1, a2, a3, a4 = q.a
+    i_ = a0 * a4 - GaussRat(4) * a1 * a3 + GaussRat(3) * a2 * a2
+    j_ = (a0 * a2 * a4 + GaussRat(2) * a1 * a2 * a3
+          - a0 * a3 * a3 - a1 * a1 * a4 - a2 * a2 * a2)
+    return i_, j_
+
+
+def matrix_to_quartic(m):
+    """Sum_ij A_ij u_i u_j with u = (x^2, xy, y^2), as a binary quartic."""
+    a = m.a
+    two = GaussRat(2)
+    plain = (
+        a.entry(0, 0),
+        two * a.entry(0, 1),
+        two * a.entry(0, 2) + a.entry(1, 1),
+        two * a.entry(1, 2),
+        a.entry(2, 2),
+    )
+    return BinaryQuartic.from_plain(plain)
 
 
 def inertia_by_char_poly(h):
@@ -1014,7 +1124,7 @@ def tau_reference(t, j):
         c = t.coeffs.get((0,) * sp.dim, ZERO)
         return SymTensor(sp, 0, {(0,) * sp.dim: c.conjugate()} if c else {})
     # j applied to the vector u_k with omega(u_k, .) the k-th coordinate
-    j_dual = [j.apply(omega_sharp(unit_vec(sp.dim, k))) for k in range(sp.dim)]
+    j_dual = [j.apply(omega_sharp_dense(unit_vec(sp.dim, k))) for k in range(sp.dim)]
     out = {}
 
     def sweep(node, start, alpha, depth):

@@ -17,7 +17,6 @@ from hksym.symtensor import (
     contract,
     double_contractions,
     endo_of_quadratic,
-    eval_on_vectors,
     sp_action,
     support,
     tensor_in_subspace_power,
@@ -53,6 +52,7 @@ from oracles import (
     aut_dimension_bruteforce,
     binary_quartic_by_frame,
     embed_gl_group,
+    eval_on_vectors,
     in_span,
     random_invertible,
     root_pattern_gcd_chain,

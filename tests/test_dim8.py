@@ -12,7 +12,6 @@ from hksym.symplectic import (
     SymplecticSpace,
     quaternionic_from_json,
     span,
-    standard_quaternionic,
 )
 from hksym.symtensor import SymTensor, tau, transform
 from hksym.dim8 import (
@@ -25,8 +24,6 @@ from hksym.dim8 import (
     classify_quartic,
     classify_real8,
     isomorphic8,
-    matrix_to_quartic,
-    quartic_invariants,
     quartic_to_matrix,
     real_class_of_symmetric,
     real_orbit_class_from_char,
@@ -45,11 +42,14 @@ from oracles import (
     PETROV_OF_PATTERN,
     binary_quartic_by_frame,
     binary_quartic_tensor,
+    classical_invariants,
     embed_gl_group,
     in_span,
+    matrix_to_quartic,
     random_invertible,
     restrict_to_basis,
     root_pattern_gcd_chain,
+    standard_quaternionic,
     zeros,
 )
 
@@ -103,37 +103,44 @@ def random_pattern_quartic(rng, pattern, at_infinity=False):
 PATTERNS = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
 
 
+def pattern_of(q):
+    return classify_quartic(q).multiplicity_pattern
+
+
 class TestInvariants:
+    # I and J by the classical formulas (classical_invariants), the root
+    # pattern as classify_quartic reads it off the operator
     def test_x4_plus_y4(self):
         q = bq(1, 0, 0, 0, 1)
-        i_, j_, pattern = quartic_invariants(q)
+        i_, j_ = classical_invariants(q)
         assert i_ == ONE and j_ == ZERO
-        assert pattern == (1, 1, 1, 1)
+        assert pattern_of(q) == (1, 1, 1, 1)
         disc = i_ * i_ * i_ - GaussRat(27) * j_ * j_
         assert disc == ONE
 
     def test_x2y2(self):
         q = bq(0, 0, 1, 0, 0)
-        i_, j_, pattern = quartic_invariants(q)
+        i_, j_ = classical_invariants(q)
         assert i_ == GaussRat(Fraction(1, 12))
         assert j_ == GaussRat(Fraction(-1, 216))
-        assert pattern == (2, 2)
+        assert pattern_of(q) == (2, 2)
         assert i_ * i_ * i_ == GaussRat(27) * j_ * j_
 
     def test_x4(self):
-        i_, j_, pattern = quartic_invariants(bq(1, 0, 0, 0, 0))
-        assert i_ == ZERO and j_ == ZERO
-        assert pattern == (4,)
+        q = bq(1, 0, 0, 0, 0)
+        assert classical_invariants(q) == (ZERO, ZERO)
+        assert pattern_of(q) == (4,)
 
     def test_zero(self):
-        i_, j_, pattern = quartic_invariants(bq(0, 0, 0, 0, 0))
-        assert pattern == ()
+        q = bq(0, 0, 0, 0, 0)
+        assert classical_invariants(q) == (ZERO, ZERO)
+        assert pattern_of(q) == ()
 
     def test_root_at_infinity(self):
         # y^4 has its single root at [1:0] of the t-line after dehomogenizing
-        assert quartic_invariants(bq(0, 0, 0, 0, 1))[2] == (4,)
+        assert pattern_of(bq(0, 0, 0, 0, 1)) == (4,)
         # x y^3: simple root 0 plus triple at infinity? (x = t factor)
-        assert quartic_invariants(bq(0, 1, 0, 0, 0))[2] == (3, 1)
+        assert pattern_of(bq(0, 1, 0, 0, 0)) == (3, 1)
 
     def test_patterns_against_gcd_chain_oracle(self, rng):
         # roots in general position and with the highest multiplicity at
@@ -149,7 +156,7 @@ class TestInvariants:
                     assert want == tuple(sorted(pattern, reverse=True))
                     cls = classify_quartic(q)
                     assert (cls.type_tag, cls.multiplicity_pattern) == (PETROV_OF_PATTERN[want], want)
-                    assert quartic_invariants(q)[2] == want
+                    assert pattern_of(q) == want
                     moved = transform_bq(q, random_invertible(2, rng))
                     c = random_gaussrat(rng) or ONE
                     scaled = BinaryQuartic.from_plain([c * x for x in q.plain()])
@@ -171,8 +178,8 @@ class TestPetrovDictionary:
         assert classify_quartic(bq(*plain)).type_tag == expected
 
     def test_type_iii_vs_n_despite_equal_invariants(self):
-        iii = quartic_invariants(bq(0, 1, 0, 0, 0))
-        n = quartic_invariants(bq(1, 0, 0, 0, 0))
+        iii = classical_invariants(bq(0, 1, 0, 0, 0))
+        n = classical_invariants(bq(1, 0, 0, 0, 0))
         assert iii[0] == n[0] == ZERO and iii[1] == n[1] == ZERO
         assert classify_quartic(bq(0, 1, 0, 0, 0)).type_tag == "III"
         assert classify_quartic(bq(1, 0, 0, 0, 0)).type_tag == "N"
@@ -186,9 +193,9 @@ class TestPetrovDictionary:
     def test_type_i_invariant_at_infinity(self):
         # x(x^3 - y^3): I = 0, J = -1/16, four distinct roots
         q = bq(1, 0, 0, -1, 0)
-        i_, j_, pattern = quartic_invariants(q)
-        assert i_ == ZERO and j_ != ZERO and pattern == (1, 1, 1, 1)
+        i_, j_ = classical_invariants(q)
         cls = classify_quartic(q)
+        assert i_ == ZERO and j_ != ZERO and cls.multiplicity_pattern == (1, 1, 1, 1)
         assert cls.projective_invariant == (ZERO, ONE)
 
 
@@ -210,12 +217,8 @@ class TestMatrixDictionary:
         rng = random.Random(31)
         for _ in range(50):
             q = BinaryQuartic.from_plain([random_gaussrat(rng) for _ in range(5)])
-            a0, a1, a2, a3, a4 = q.a
-            i_ = a0 * a4 - GaussRat(4) * a1 * a3 + GaussRat(3) * a2 * a2
-            j_ = (a0 * a2 * a4 + GaussRat(2) * a1 * a2 * a3
-                  - a0 * a3 * a3 - a1 * a1 * a4 - a2 * a2 * a2)
+            i_, j_ = classical_invariants(q)
             assert _char_poly_3(quartic_to_matrix(q).operator()) == (GaussRat(-2) * j_, -i_, ZERO)
-            assert quartic_invariants(q)[:2] == (i_, j_)
 
     def test_traceless_slice_enforced(self):
         bad = Matrix.identity(3)
@@ -451,7 +454,7 @@ class TestClassifyReal8:
         # j-invariant) nor the isotropic span(p_1, q_2) is kept by it
         sp = SymplecticSpace(2)
         q = certify_invariance(sum((lin(sp, k) ** 4 for k in factors), SymTensor.zero(sp, 4)))
-        with pytest.raises(ContractError, match="^e_plus is not j-invariant$"):
+        with pytest.raises(ContractError, match="^support is not j-invariant$"):
             adapted_quartic(q, standard_split_j(sp))
 
 

@@ -26,9 +26,11 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from hksym.cli import _read_quartic, main  # noqa: E402
-from hksym.symplectic import MAX_N, SymplecticSpace, standard_quaternionic  # noqa: E402
+from hksym.symplectic import MAX_N, SymplecticSpace  # noqa: E402
 from hksym.symtensor import quartic_from_dict, quartic_to_dict  # noqa: E402
 from hksym.generators import standard_split_j  # noqa: E402
+
+from oracles import standard_quaternionic  # noqa: E402
 
 # JSON values that are never a valid field, and never an integer
 JUNK = st.one_of(

@@ -19,7 +19,6 @@ from hksym.exactnum import (
 from hksym.symplectic import (
     SymplecticSpace,
     span,
-    standard_quaternionic,
 )
 from hksym.symtensor import (
     SymTensor,
@@ -63,6 +62,7 @@ from hksym.hkalgebra import holonomy
 from oracles import (
     _generator_table,
     flatten,
+    gamma_signature,
     in_span,
     kronecker_apply,
     kronecker_gram,
@@ -73,6 +73,7 @@ from oracles import (
     rho_candidate_sweep,
     rho_reference,
     sigma_reference,
+    standard_quaternionic,
     unflatten,
     zeros,
 )
@@ -234,8 +235,6 @@ class TestCheckReality:
     def test_equivalence_for_definite_j(self, rng):
         # the equivalence is a statement about any compatible j, including the
         # positive definite one with no invariant Lagrangian split
-        from hksym.symplectic import SymplecticSpace, standard_quaternionic
-
         for n in (1, 2):
             sp = SymplecticSpace(n)
             j = standard_quaternionic(sp)
@@ -510,7 +509,6 @@ class TestBuildRealAlgebra:
         # the rho sweep and the realified solves must all stay exact
         import random
 
-        from hksym.symplectic import SymplecticSpace, gamma_signature, standard_quaternionic
         from hksym.symtensor import support as supp
         from hksym.symtensor import tensor_in_subspace_power, transform
         from hksym.generators import random_quartic_lagrangian
@@ -560,7 +558,6 @@ def _h_formula_case(kind):
     import random
 
     from hksym.generators import random_quartic_lagrangian
-    from hksym.symplectic import standard_quaternionic
     from hksym.symtensor import transform
 
     if kind == "split":

@@ -59,7 +59,7 @@ j-adapted quartic of the real class.  An analysis counts the flat factor
 off the support.  compute_aut builds and inverts the Darboux frame of
 E_+ once, not once per elementary matrix of gl(E_+).  The command line
 builds its argument parser once per process, and the default j is written
-down, with no span, inverse or standard_quaternionic call.
+down, with no span call.
 """
 
 import argparse
@@ -590,16 +590,13 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert len(parsers) == 0
 
 
-def symplectic_calls(monkeypatch, capsys, argv):
-    """(span, inverse, standard_quaternionic) calls in symplectic during one
-    main call on golden real_1."""
-    calls = [count_calls(monkeypatch, symplectic, name)
-             for name in ("span", "inverse", "standard_quaternionic")]
+def span_calls(monkeypatch, capsys, argv):
+    """symplectic.span calls during one main call on golden real_1."""
+    calls = count_calls(monkeypatch, symplectic, "span")
     assert main([argv[0], str(GOLDEN / "real_1.json"), *argv[1:]]) == 0
     capsys.readouterr()
-    counts = list(map(len, calls))
     monkeypatch.undo()
-    return counts
+    return len(calls)
 
 
 @pytest.mark.parametrize("real,complex_", [
@@ -608,9 +605,8 @@ def symplectic_calls(monkeypatch, capsys, argv):
     (["verify", "--reality"], None),
 ])
 def test_default_j_is_written_down(monkeypatch, capsys, real, complex_):
-    # the default j is a signed permutation, built without the general
-    # split construction: the real mode adds no span, inverse or
-    # standard_quaternionic call to the complex run (omega_perp's span in
-    # find_lagrangian), and verify makes none
-    expected = [0, 0, 0] if complex_ is None else symplectic_calls(monkeypatch, capsys, complex_)
-    assert symplectic_calls(monkeypatch, capsys, real) == expected
+    # the default j is a signed permutation, built without spanning its
+    # split: the real mode adds no span call to the complex run (omega_perp's
+    # span in find_lagrangian), and verify makes none
+    expected = 0 if complex_ is None else span_calls(monkeypatch, capsys, complex_)
+    assert span_calls(monkeypatch, capsys, real) == expected

@@ -6,20 +6,25 @@ from hksym.symplectic import (
     Subspace,
     SymplecticSpace,
     extend_to_lagrangian,
-    gamma_gram,
-    gamma_signature,
     is_isotropic,
     lagrangian_complement,
     omega_pair,
     omega_perp,
     quaternionic_from_json,
     span,
-    standard_quaternionic,
     standard_split_j,
 )
 from hksym.generators import random_symplectic
 
-from oracles import J_H, in_span, random_vector, rho_reference
+from oracles import (
+    J_H,
+    gamma_gram,
+    gamma_signature,
+    in_span,
+    random_vector,
+    rho_reference,
+    standard_quaternionic,
+)
 
 
 def basis(sp):

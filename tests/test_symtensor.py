@@ -21,7 +21,6 @@ from hksym.symplectic import (
     SymplecticSpace,
     omega_pair,
     span,
-    standard_quaternionic,
 )
 from hksym.symtensor import (
     SymTensor,
@@ -30,7 +29,6 @@ from hksym.symtensor import (
     double_contraction_endo,
     double_contractions,
     endo_of_quadratic,
-    eval_on_vectors,
     gradient_residues,
     in_frame,
     is_in_sp,
@@ -59,11 +57,13 @@ from oracles import (
     binary_quartic_by_frame,
     double_contractions_by_contraction,
     endo_by_contraction,
+    eval_on_vectors,
     flatten,
     polarization_inclusion_exclusion,
     quartic_from_dict_reference,
     random_vector,
     sp_action_reference,
+    standard_quaternionic,
     support_columns_by_contraction,
     tau_reference,
     transform_reference,
@@ -709,8 +709,6 @@ class TestTau:
     def test_involution_random(self, rng):
         for n in (1, 2):
             sp = SymplecticSpace(n)
-            from hksym.symplectic import standard_quaternionic
-
             j = standard_quaternionic(sp)
             for _ in range(5):
                 t = random_tensor(sp, 4, rng)
