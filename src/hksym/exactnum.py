@@ -451,21 +451,23 @@ def rank_kernel(m):
     return rank, kernel, pivots
 
 
-# a prime = 3 (mod 4): -1 is no square modulo it, so Z[i]/(P) is a field
-MODULUS = 2 ** 61 - 1
+# a prime = 1 (mod 4) and a square root IOTA of -1 modulo it: a + bi ->
+# a + b*IOTA is a ring map Z[i] -> F_P, so a residue is one int
+MODULUS = 2 ** 61 - 31
+IOTA = 583529827753931384
 
 
 def residues(values):
     """The values times the lcm of their denominators, Gaussian integers,
-    reduced into Z[i]/(P) = F_{P^2}, P = MODULUS, as (re, im) pairs.
+    sent into F_P, P = MODULUS, by a + bi -> a + b*IOTA.
 
-    Reduction is a ring map on Z[i], so an integer polynomial in the scaled
+    That is a ring map on Z[i], so an integer polynomial in the scaled
     values that vanishes has a zero residue too: a nonzero residue proves
     it nonzero, even when P divides a denominator."""
     values = list(values)
     den = lcm(*(z._d for z in values))
     p = MODULUS
-    return [(z._a * (den // z._d) % p, z._b * (den // z._d) % p) for z in values]
+    return [(z._a + z._b * IOTA) * (den // z._d) % p for z in values]
 
 
 def modular_rank(rows, target):
@@ -474,23 +476,20 @@ def modular_rank(rows, target):
     Each row is reduced by residues, so the result never exceeds the rank
     over Q(i), even when P divides a denominator."""
     p = MODULUS
-    tails = {}  # pivot c -> its row from c on as (re, im) pairs, leading with 1
+    tails = {}  # pivot c -> its row from c on, leading with 1
     for row in rows if target else ():
         if not any(row):
             continue
         v = residues(row)
         for c in sorted(tails):
-            fr, fi = v[c][0] % p, v[c][1] % p  # v is reduced only here and at the end
-            if fr or fi:
-                v[c:] = [(x - fr * a + fi * b, y - fr * b - fi * a)
-                         for (x, y), (a, b) in zip(v[c:], tails[c])]
-        lead = next((c for c, (x, y) in enumerate(v) if x % p or y % p), None)
+            f = v[c] % p  # v is reduced only here and at the end
+            if f:
+                v[c:] = [x - f * a for x, a in zip(v[c:], tails[c])]
+        lead = next((c for c, x in enumerate(v) if x % p), None)
         if lead is None:
             continue
-        # scale by 1/(x + iy) = (x - iy)/(x^2 + y^2), as x^2 + y^2 != 0 mod P
-        x, y = v[lead]
-        u = pow(x * x + y * y, -1, p)
-        tails[lead] = [((a * x + b * y) * u % p, (b * x - a * y) * u % p) for a, b in v[lead:]]
+        u = pow(v[lead], -1, p)
+        tails[lead] = [x * u % p for x in v[lead:]]
         if len(tails) == target:
             break
     return len(tails)

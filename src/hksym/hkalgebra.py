@@ -167,7 +167,7 @@ def _reject(s, entries):
     for pair, v in entries:
         if extend_rref(rows, pivots, v):
             a = s2e_matrix(v, dim)
-            if any(action_residue(a, gradient)) or not sp_action(a, s).is_zero():
+            if action_residue(a, gradient) or not sp_action(a, s).is_zero():
                 raise NotHyperKahlerError(pair)
     raise TheoremViolationError("support of an invariant quartic is not isotropic")
 

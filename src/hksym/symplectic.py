@@ -280,13 +280,13 @@ def record_fields(data, record, keys):
 
 
 # the largest n a quartic may have (dim E = 2n): analyze on
-# random-lagrangian:n (seed 7) takes 1.9-2.7 s, 3.8-5.7 s and 8-13 s at
+# random-lagrangian:n (seed 7) takes 1.5-1.7 s, 3.1-3.5 s and 6.7-6.8 s at
 # n = 12, 14 and 16 on a 2-vCPU Xeon VM, most of it in the Jacobi check;
 # the time grows about fourfold from n = 12 to 16, so a larger quartic is
 # refused outright.  The bound was timed on random-lagrangian inputs only:
 # at the same n a scrambled quartic (dense, with tall coefficients) takes
-# far longer, about 10.5 s against 0.2 s at n = 6 after 3 transvections,
-# and real-random:6 with --real about 5 s at n = 12
+# far longer, 7.2-9.0 s against 0.12 s at n = 6 after 3 transvections,
+# and real-random:6 with --real 2.2-2.6 s at n = 12
 MAX_N = 16
 
 

@@ -320,7 +320,7 @@ def _over_lcms(values):
 
 @lru_cache(maxsize=None)
 def _residue_point(dim):
-    """The point x of Z[i]/(P), x_k = 3^(k+1) mod P, at which the residues
+    """The point x of F_P, x_k = 3^(k+1) mod P, at which the residues
     below are read: its coordinates are distinct and nonzero, and every
     monomial x^alpha is a power of 3 (gradient_residues relies on that)."""
     return tuple(pow(3, k + 1, MODULUS) for k in range(dim))
@@ -328,47 +328,37 @@ def _residue_point(dim):
 
 def gradient_residues(t):
     """The gradient of L t at the point x = _residue_point(dim) modulo P,
-    as (re, im) pairs, with L t the Gaussian-integer scaling of t that
-    exactnum.residues reads.  As x_k = 3^(k+1), x^alpha is 3 to the power
+    with L t the Gaussian-integer scaling of t that exactnum.residues
+    reads.  As x_k = 3^(k+1), x^alpha is 3 to the power
     w = sum_k (k+1) alpha_k, and d_k x^alpha = alpha_k x^alpha / x_k is
     alpha_k 3^(w-k-1), read off one table of powers of 3."""
     p = MODULUS
     dim = t.space.dim
     threes = [pow(3, w, p) for w in range(t.degree * dim + 1)]
     weights = range(1, dim + 1)
-    re_sums, im_sums = [0] * dim, [0] * dim
-    for alpha, (cr, ci) in zip(t.coeffs, residues(t.coeffs.values())):
+    sums = [0] * dim
+    for alpha, c in zip(t.coeffs, residues(t.coeffs.values())):
         w = sum(map(mul, alpha, weights))
         for k, e in enumerate(alpha):
             if e:
-                d = e * threes[w - k - 1]
-                re_sums[k] += d * cr
-                im_sums[k] += d * ci
-    return tuple((re % p, im % p) for re, im in zip(re_sums, im_sums))
+                sums[k] += e * threes[w - k - 1] * c
+    return tuple(g % p for g in sums)
 
 
 def action_residue(a, gradient):
-    """The residue modulo P of L_A L (A . t)(x), as an (re, im) pair, from
-    the gradient_residues of t at x, with L_A A the Gaussian-integer scaling
-    of A's entries (exactnum.residues).
+    """The residue modulo P of L_A L (A . t)(x) from the gradient_residues
+    of t at x, with L_A A the Gaussian-integer scaling of A's entries
+    (exactnum.residues).
 
     By the derivation of sp_action, (A . t)(x) = -sum_k d_k t(x) (A^t x)_k,
-    which costs O(dim^2).  Reduction modulo P is a ring map, so A . t = 0
-    gives (0, 0): a nonzero residue proves A . t != 0, and a zero one
-    proves nothing."""
-    p = MODULUS
+    which costs O(dim^2).  The map into F_P is a ring map, so A . t = 0
+    gives 0: a nonzero residue proves A . t != 0, and a zero one proves
+    nothing."""
     dim = a.nrows
     x = _residue_point(dim)
     entries = residues(e for row in a.data for e in row)
-    re = im = 0
-    for k, (gr, gi) in enumerate(gradient):
-        # (A^t x)_k = sum_l A_lk x_l
-        column = entries[k::dim]
-        ur = sum(ar * c for (ar, _), c in zip(column, x)) % p
-        ui = sum(ai * c for (_, ai), c in zip(column, x)) % p
-        re += ur * gr - ui * gi
-        im += ur * gi + ui * gr
-    return -re % p, -im % p
+    # (A^t x)_k = sum_l A_lk x_l
+    return -sum(g * sum(map(mul, entries[k::dim], x)) for k, g in enumerate(gradient)) % MODULUS
 
 
 def double_contraction_endo(s, e, f):

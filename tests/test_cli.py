@@ -413,7 +413,7 @@ class TestAnalyze:
 
         s = generators.random_quartic_full(SymplecticSpace(2), random.Random(5))
         path = write_quartic(tmp_path, "full.json", symtensor.quartic_to_dict(s))
-        monkeypatch.setattr(hkalgebra, "action_residue", lambda a, gradient: (0, 0))
+        monkeypatch.setattr(hkalgebra, "action_residue", lambda a, gradient: 0)
         monkeypatch.setattr(hkalgebra, "sp_action", lambda a, t: symtensor.SymTensor.zero(t.space, 4))
         code, out, err = run_cli(capsys, "analyze", path)
         assert (code, out, err) == (

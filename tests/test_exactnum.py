@@ -20,10 +20,12 @@ from hksym.exactnum import (
     from_parts,
     hermitian_inertia,
     inverse,
+    IOTA,
     MODULUS,
     mat_vec,
     modular_rank,
     rank_kernel,
+    residues,
     solve_linear,
     triple,
     unit_vec,
@@ -441,16 +443,66 @@ class TestAgainstRrefReference:
         assert singular > 0
 
 
+def is_prime(n):
+    """Miller-Rabin on the prime bases up to 37, deterministic for odd
+    n < 3.3e24 and for 2."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestResidues:
+    """residues: a + bi -> a + b IOTA, a ring map Z[i] -> F_P, P = MODULUS."""
+
+    P = MODULUS
+
+    def test_the_modulus_is_a_prime_with_a_square_root_of_minus_one(self):
+        assert is_prime(self.P) and self.P % 4 == 1
+        assert (IOTA * IOTA + 1) % self.P == 0 and 0 < IOTA < self.P
+        # 561 is a Carmichael number and 3215031751 a strong pseudoprime to
+        # the bases 2, 3, 5 and 7
+        candidates = (2, 3, 97, 2 ** 61 - 1, 2 ** 61 - 31, 561, 2 ** 61 - 29, 3215031751)
+        assert [n for n in candidates if is_prime(n)] == [2, 3, 97, 2 ** 61 - 1, 2 ** 61 - 31]
+
+    def test_additive_and_multiplicative(self):
+        rng = random.Random("residues-ring-map")
+        for _ in range(200):
+            z, w = (GaussRat(rng.randint(-2 ** 80, 2 ** 80), rng.randint(-2 ** 80, 2 ** 80))
+                    for _ in range(2))
+            rz, rw = residues([z, w])
+            assert residues([z + w, z * w, -z]) == [(rz + rw) % self.P, rz * rw % self.P,
+                                                    -rz % self.P]
+        assert residues([I_UNIT, ONE, MINUS_ONE]) == [IOTA, 1, self.P - 1]
+
+
 class TestModularRank:
-    """modular_rank: the rank in Z[i]/(P), P = 2^61 - 1, stopped at a target;
+    """modular_rank: the rank in F_P, P = 2^61 - 31, stopped at a target;
     a lower bound on the rank over Q(i) that rank_kernel computes exactly."""
 
     P = MODULUS
 
     def test_prime_entry_drops_the_rank(self):
-        assert self.P == 2 ** 61 - 1 and self.P % 4 == 3
+        assert self.P == 2 ** 61 - 31 and self.P % 4 == 1
         assert modular_rank([(ONE, ZERO), (ZERO, GaussRat(self.P))], 2) == 1
         assert rank_kernel(Matrix([[ONE, ZERO], [ZERO, GaussRat(self.P)]]))[0] == 2
+
+    def test_iota_minus_i_drops_the_rank(self):
+        # IOTA - i is no multiple of P but is sent to IOTA - IOTA = 0
+        assert modular_rank([(ONE, ZERO), (ZERO, GaussRat(IOTA, -1))], 2) == 1
+        assert rank_kernel(Matrix([[ONE, ZERO], [ZERO, GaussRat(IOTA, -1)]]))[0] == 2
 
     def test_prime_in_a_denominator(self):
         # (1/P, 1) is scaled by its lcm P to (1, P), which reduces to (1, 0)

@@ -8,6 +8,7 @@ import pytest
 from hksym.exactnum import (
     ContractError,
     GaussRat,
+    IOTA,
     MODULUS,
     Matrix,
     ONE,
@@ -173,12 +174,13 @@ def flat_factor():
     return SymTensor(sp, 4, {(a, 4 - a) + (0,) * 6: random_gaussrat(rng) for a in range(5)})
 
 
-def mod_p_trap():
-    """p1^4 + p2^4 + 6P p1^2 p2^2: its table has rank 3 over Q(i) but 2
-    modulo P, so the rank certificate fails and the table is eliminated."""
+def rank_trap(c):
+    """p1^4 + p2^4 + 6c p1^2 p2^2 for a c that residues sends to 0 (P, or
+    IOTA - i, which P does not divide): its table has rank 3 over Q(i) but
+    2 modulo P, so the rank certificate fails and the table is eliminated."""
     sp = SymplecticSpace(2)
     p1, p2 = lin(sp, 0), lin(sp, 1)
-    return p1 ** 4 + p2 ** 4 + (p1 * p1 * p2 * p2).scale(GaussRat(6 * MODULUS))
+    return p1 ** 4 + p2 ** 4 + (p1 * p1 * p2 * p2).scale(GaussRat(6) * c)
 
 
 class TestInvarianceAgainstAllEntries:
@@ -243,7 +245,8 @@ class TestInvarianceAgainstAllEntries:
         "petrov:N": (lambda: make_generator("petrov:N", 0), True, 1),
         "petrov:O": (lambda: make_generator("petrov:O", 0), True, 0),
         "flat-factor": (flat_factor, True, 3),
-        "mod-p-trap": (mod_p_trap, False, 3),
+        "mod-p-trap": (lambda: rank_trap(GaussRat(MODULUS)), False, 3),
+        "iota-trap": (lambda: rank_trap(GaussRat(IOTA, -1)), False, 3),
     }
 
     @pytest.mark.parametrize("case", list(CERTIFICATE_CASES))

@@ -206,16 +206,20 @@ def test_dense_rejection_acts_once(monkeypatch, table_entries):
     assert not acted.is_zero() and acted == sp_action_reference(endo, s)
 
 
-def test_zero_residues_fall_back_to_the_exact_action(monkeypatch, table_entries):
-    # full_4 scaled by P: every scaled numerator is a multiple of P, so
-    # every residue is zero, and the witness (0, 0) is reached through one
-    # exact action
-    s = golden_quartic("full_4").scale(exactnum.GaussRat(exactnum.MODULUS))
+@pytest.mark.parametrize("factor", [exactnum.GaussRat(exactnum.MODULUS),
+                                    exactnum.GaussRat(exactnum.IOTA, -1)],
+                         ids=["P", "iota-minus-i"])
+def test_zero_residues_fall_back_to_the_exact_action(monkeypatch, table_entries, factor):
+    # full_4 scaled by P, or by IOTA - i, which P does not divide but
+    # a + bi -> a + b IOTA sends to 0: every scaled numerator is a multiple
+    # of the factor, so every residue is zero, and the witness (0, 0) is
+    # reached through one exact action
+    s = golden_quartic("full_4").scale(factor)
     residues = count_calls(monkeypatch, hkalgebra, "action_residue")
     actions = count_calls(monkeypatch, hkalgebra, "sp_action")
     assert check_invariance(s) == (False, (0, 0))
     assert table_entries == [(0, 0)]
-    assert [symtensor.action_residue(*args) for args in residues] == [(0, 0)]
+    assert [symtensor.action_residue(*args) for args in residues] == [0]
     assert len(actions) == 1
 
 
