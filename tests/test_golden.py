@@ -70,6 +70,13 @@ CASES = (
         # quartic it has not certified
         ("unreal_non_coordinate_j", None, "analyze", ("--real", "--j"), 2),
         ("unreal_non_coordinate_j", None, "verify", ("--reality", "--j"), 2),
+        # the real_2 quartic moved off the axes with its j: with sp =
+        # SymplecticSpace(4) and P = random_symplectic(sp, Random(5),
+        # steps=1), the quartic is transform(real-random:2 seed 3, P) and
+        # real_2_off_axes.j.json holds C' = P C conj(P)^-1 for the split C,
+        # dense (64 nonzeros, 18-bit entries): tau on S^2E reads every
+        # column of a dense C
+        ("real_2_off_axes", None, "analyze", ("--real", "--j"), 0),
         # complex classify8 on a coordinate quartic, on a type I quartic
         # whose (I^3 : J^2) is off the axes, and on a support of dim 1 off
         # the axes

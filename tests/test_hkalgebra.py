@@ -304,7 +304,8 @@ class TestInvarianceAgainstAllEntries:
 # REAL_GOLDEN only
 ACCEPTED_GOLDEN = [p for p in GOLDEN_INPUTS
                    if p.stem not in ("full_4", "late_witness", "p3q", "tau_fixed_full_2")]
-REAL_GOLDEN = {"non_coordinate_j", "petrov_D", "petrov_I", "petrov_O", "real_1", "real_2"}
+REAL_GOLDEN = {"non_coordinate_j", "petrov_D", "petrov_I", "petrov_O", "real_1", "real_2",
+               "real_2_off_axes"}
 
 
 def golden_case(path):
