@@ -29,15 +29,15 @@ is the quadratic B with A[i][m] = w_m M_{i m'} (M the symmetric matrix of
 B), so its S^2E coordinate at e_a e_b (a <= b) sits at (a, b') and again,
 times w_a w_b, at (b, a').  hksym holds an element of sp(E) as the tuple of
 these coordinates, and only this module knows their layout: s2e_matrix
-writes one out as a matrix by sign flips, quadratic and s2e_coords go to B
-and back, and j acts as tau, j A_B j^-1 = A_{tau B}, on them as s2e_tau(j).
+writes one out as a matrix by sign flips, s2e_coords reads them off B, and j
+acts as tau, j A_B j^-1 = A_{tau B}, on them as s2e_tau(j).
 in_frame(t, P) writes t in the coordinates of a Darboux frame P = (f, g),
 refusing a t outside S^d(span f); aut(S) reads it.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, compress
+from itertools import combinations_with_replacement, compress, product
 from math import lcm
 from operator import mul
 
@@ -51,10 +51,8 @@ from .exactnum import (
     _trusted_matrix,
     from_triple,
     inverse,
-    lincomb,
     residues,
     triple,
-    unit_vec,
 )
 from .symplectic import (
     SymplecticSpace,
@@ -475,16 +473,6 @@ def s2e_matrix(v, dim):
     return _trusted_matrix(tuple(tuple(out[i * dim:(i + 1) * dim]) for i in range(dim)))
 
 
-def quadratic(space, v):
-    """The quadratic B in S^2E whose endomorphism A_B has S^2E coordinates v."""
-    coeffs = {}
-    for (_, second, _, alpha, w), c in zip(_s2e_layout(space.dim)[0], v):
-        if c:
-            c = c if w > 0 else -c
-            coeffs[alpha] = c if second is None else c + c
-    return SymTensor(space, 2, coeffs)
-
-
 def s2e_coords(b):
     """The S^2E coordinates of the quadratic b, as a tuple: the inverse of quadratic."""
     if b.degree != 2:
@@ -550,14 +538,47 @@ def tau(t, j):
 
 
 def s2e_tau(j):
-    """tau on S^2E coordinates, v -> sum_p conj(v_p) tau(u_p) with the columns
-    tau(u_p) kept as their nonzeros: s2e_tau(j)(s2e_coords(b)) =
-    s2e_coords(tau(b, j)).  u_p = quadratic(sp, unit tuple at p) is real, so
-    tau(u_p) is its push-forward along C."""
-    n = len(_s2e_layout(j.ambient.dim)[0])
-    units = [quadratic(j.ambient, unit_vec(n, p)) for p in range(n)]
-    cols = [[(q, c) for q, c in enumerate(s2e_coords(transform(u, j.c_matrix))) if c] for u in units]
-    return lambda v: lincomb(((c.conjugate(), col) for c, col in zip(v, cols) if c), n)
+    """tau on S^2E coordinates held as their nonzeros: the map {p: v_p} ->
+    {q: tau(v)_q}, v -> sum_p conj(v_p) tau(u_p) over the nonzeros of v, so
+    that it sends the nonzeros of s2e_coords(b) to those of
+    s2e_coords(tau(b, j)).
+
+    u_p is the real quadratic with S^2E coordinates the unit at p, so
+    tau(u_p) is its push-forward along C, and each column is read off the
+    nonzeros of C's columns a and b of the unit e_a e_b, with no
+    push-forward: u_p = w f x_a x_b, with w = w_p the sign layout keeps at
+    p and f = 2 off the diagonal, goes to w f (C_a . x)(C_b . x), whose
+    coordinate at q = e_l e_m is w w_q times its coefficient of x_l x_m,
+    halved off the diagonal.  Building costs one product per pair of
+    nonzeros of the two columns, one per unit for a signed permutation C;
+    applying costs one product per nonzero of v and of its column.
+    """
+    layout, index = _s2e_layout(j.ambient.dim)
+    c = j.c_matrix
+    col_nonzeros = [[(l, x) for l, x in enumerate(c.col(k)) if x] for k in range(c.ncols)]
+    cols = [None] * len(layout)
+    for (a, b), p in index.items():
+        pairs = (combinations_with_replacement(col_nonzeros[a], 2) if a == b
+                 else product(col_nonzeros[a], col_nonzeros[b]))
+        acc = {}
+        for (l, x), (m, y) in pairs:
+            q = index[(l, m) if l <= m else (m, l)]
+            xy = x * y
+            if l == m and a != b:
+                xy = xy + xy
+            acc[q] = acc[q] + xy if q in acc else xy
+        w = layout[p][4]
+        cols[p] = [(q, x if w * layout[q][4] > 0 else -x) for q, x in acc.items() if x]
+
+    def tau_map(v):
+        out = {}
+        for p, x in v.items():
+            x = x.conjugate()
+            for q, y in cols[p]:
+                out[q] = out[q] + x * y if q in out else x * y
+        return {q: x for q, x in out.items() if x}
+
+    return tau_map
 
 
 def tensor_in_subspace_power(t, sub):

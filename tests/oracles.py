@@ -103,6 +103,10 @@ classical_invariants are I and J of a binary quartic by the classical
 formulas, not read off the operator G^{-1} A as dim8 does, and
 matrix_to_quartic is the dictionary from traceless 3 x 3 matrices back to
 binary quartics, the reference for dim8.quartic_to_matrix.
+quadratic is the quadratic B with given S^2E coordinates, the inverse of
+s2e_coords, read off the matrix that s2e_matrix writes out; tau on such a
+quadratic is the reference for symtensor.s2e_tau, which reads its columns
+off C's columns and builds no quadratic.
 """
 
 import re as _re
@@ -141,7 +145,6 @@ from hksym.symtensor import (
     endo_of_quadratic,
     in_frame,
     is_in_sp,
-    quadratic,
     s2e_coords,
     s2e_matrix,
     sp_action,
@@ -945,6 +948,22 @@ def flatten(m):
 def unflatten(v, n):
     """The n x n matrix whose rows laid end to end are v: the inverse of flatten."""
     return Matrix([list(v[i * n:(i + 1) * n]) for i in range(n)])
+
+
+def quadratic(space, v):
+    """The quadratic B whose endomorphism A_B has S^2E coordinates v: with
+    A = s2e_matrix(v, dim E), A[i][m] = w_m M_{i m'} for the symmetric matrix
+    M of B (symtensor's module docstring), so M_{ik} = w_{k'} A[i][k'], and
+    B = sum_{i, k} M_{ik} e_i e_k."""
+    d, n = space.dim, space.n
+    a = s2e_matrix(v, d)
+    coeffs = {}
+    for i in range(d):
+        for k in range(i, d):
+            dual = (k + n) % d
+            m = a.entry(i, dual) if dual < n else -a.entry(i, dual)
+            coeffs[tuple((u == i) + (u == k) for u in range(d))] = m if i == k else m + m
+    return SymTensor(space, 2, coeffs)
 
 
 def sigma_reference(a, j):

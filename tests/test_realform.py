@@ -25,13 +25,13 @@ from hksym.symtensor import (
     double_contraction_endo,
     double_contractions,
     endo_of_quadratic,
-    quadratic,
     quartic_from_dict,
     s2e_coords,
     s2e_matrix,
     s2e_tau,
     support,
     tau,
+    transform,
 )
 from hksym.hkalgebra import (
     build_complex_algebra,
@@ -67,6 +67,7 @@ from oracles import (
     kronecker_apply,
     kronecker_gram,
     mm_bracket_walk,
+    quadratic,
     real_algebra_by_generators,
     real_holonomy_from_generators,
     real_holonomy_generators,
@@ -198,7 +199,7 @@ class TestCheckReality:
         q = certify_invariance(s)
         rep = check_reality(s, j, q.table)
         assert rep.j is j
-        assert all(rep.tau_map(v) == s2e_coords(tau(quadratic(sp, v), j)) for v in q.h_rows)
+        assert all(on_tuple(rep.tau_map, v) == s2e_coords(tau(quadratic(sp, v), j)) for v in q.h_rows)
         gens = endos(g for pair in _generator_table(j, q.table).values() for g in pair)
         assert s2e_matrices(real_holonomy(q, rep), sp.dim) == real_holonomy_from_generators(gens, j)
         q_failed = certify_invariance(s.scale(I_UNIT))
@@ -370,17 +371,44 @@ class TestSigmaIsTau:
 def _j_of_kind(n, kind, rng):
     """The split, definite or non-coordinate j on dim E = 2n; the split kinds
     need even n.  The non-coordinate split is moved off the axes by one
-    transvection, which keeps C's coefficients short at n = 4."""
+    transvection, which keeps C's coefficients short at n = 4.  "golden" is
+    the dense j of real_2_off_axes (n = 4), and "conjugated:k" the split j
+    conjugated by a product of k transvections P, C' = P C conj(P)^-1."""
     sp = SymplecticSpace(n)
     if kind == "split":
         return standard_split_j(sp)
     if kind == "definite":
         return standard_quaternionic(sp)
+    if kind == "golden":
+        return golden_case(GOLDEN / "real_2_off_axes.json")[1]
+    if kind.startswith("conjugated:"):
+        return conjugated_split_j(sp, rng, int(kind.split(":")[1]))[0]
     return standard_quaternionic(sp, non_coordinate_split(sp, rng, steps=1)[0])
+
+
+def conjugated_split_j(sp, rng, steps):
+    """The split j moved by P = random_symplectic(sp, rng, steps), j' = P j P^-1,
+    whose matrix is C' = P C conj(P)^-1, and P: transform(s, P) is tau-fixed
+    for j' exactly when s is for the split j."""
+    from hksym.exactnum import inverse
+    from hksym.generators import random_symplectic
+    from hksym.symplectic import QuaternionicStructure
+
+    p = random_symplectic(sp, rng, steps)
+    return QuaternionicStructure(sp, p @ standard_split_j(sp).c_matrix @ inverse(p.conj())), p
+
+
+def on_tuple(tau_map, v):
+    """tau_map, which reads and returns nonzeros, on a coordinate tuple."""
+    out = tau_map({p: x for p, x in enumerate(v) if x})
+    assert all(out.values())
+    return tuple(out.get(p, ZERO) for p in range(len(v)))
 
 
 J_KINDS_UP_TO_3 = [(1, "definite"), (2, "split"), (2, "definite"), (2, "non-coordinate"),
                    (3, "definite")]
+# n = 4: the golden dense j and the split j conjugated by 1 to 6 transvections
+J_KINDS_AT_4 = [(4, "golden")] + [(4, "conjugated:%d" % k) for k in range(1, 7)]
 
 
 class TestS2ETau:
@@ -388,7 +416,7 @@ class TestS2ETau:
     coefficients of up to 300 bits, half of them zero, it is tau on their
     quadratics, it is antilinear and it is an involution."""
 
-    @pytest.mark.parametrize("n,kind", J_KINDS_UP_TO_3)
+    @pytest.mark.parametrize("n,kind", J_KINDS_UP_TO_3 + J_KINDS_AT_4)
     def test_is_tau_on_the_quadratics(self, n, kind):
         rng = random.Random("s2e-tau-%d-%s" % (n, kind))
         j = _j_of_kind(n, kind, rng)
@@ -396,9 +424,20 @@ class TestS2ETau:
         for _ in range(4):
             v = tuple(random_height_gaussrat(rng, rng.choice((4, 64, 300))) if rng.random() < 0.5
                       else ZERO for _ in range(sp.dim * (sp.dim + 1) // 2))
-            assert tau_map(v) == s2e_coords(tau(quadratic(sp, v), j))
-            assert tau_map(tuple(I_UNIT * x for x in v)) == tuple(-I_UNIT * x for x in tau_map(v))
-            assert tau_map(tau_map(v)) == v
+            tv = on_tuple(tau_map, v)
+            assert tv == s2e_coords(tau(quadratic(sp, v), j))
+            assert on_tuple(tau_map, tuple(I_UNIT * x for x in v)) == tuple(-I_UNIT * x for x in tv)
+            assert on_tuple(tau_map, tv) == v
+
+    @pytest.mark.parametrize("n,kind", J_KINDS_UP_TO_3 + J_KINDS_AT_4)
+    def test_each_unit_is_the_pushed_quadratic(self, n, kind):
+        # the columns read off C's columns against the push-forward of each
+        # unit's quadratic along C
+        j = _j_of_kind(n, kind, random.Random("s2e-tau-%d-%s" % (n, kind)))
+        sp, tau_map = j.ambient, s2e_tau(j)
+        size = sp.dim * (sp.dim + 1) // 2
+        for p in range(size):
+            assert on_tuple(tau_map, unit_vec(size, p)) == s2e_coords(tau(quadratic(sp, unit_vec(size, p)), j))
 
 
 def generators_tau_fixed(s, j):
@@ -425,6 +464,35 @@ class TestCommutatorConditionAgainstGeneratorTable:
             verdicts.append(reality(s, j).commutator_condition_ok)
             assert verdicts[-1] == generators_tau_fixed(s, j)
         assert verdicts == [True, False, False, True]
+
+    @pytest.mark.parametrize("n,kind", J_KINDS_AT_4)
+    def test_quartics_moved_with_a_dense_j(self, n, kind):
+        # a quartic tau-fixed for the split j, moved by P with its j: every
+        # tau column, table entry and J[k][l] is dense; i times the golden
+        # one is not tau-fixed
+        rng = random.Random("commutator-%d-%s" % (n, kind))
+        if kind == "golden":
+            s, j = golden_case(GOLDEN / "real_2_off_axes.json")
+            cases = [(s, True), (s.scale(I_UNIT), False)]
+        else:
+            j, p = conjugated_split_j(SymplecticSpace(n), rng, int(kind.split(":")[1]))
+            cases = [(transform(random_tau_fixed(n // 2, rng)[0], p), True)]
+        for s, real in cases:
+            assert reality(s, j).commutator_condition_ok == generators_tau_fixed(s, j) == real
+
+    @pytest.mark.parametrize("alpha", [(0, 0, 4, 0), (0, 0, 0, 4)], ids=["q1^4", "q2^4"])
+    def test_one_perturbed_coefficient(self, alpha):
+        # real_1 with its zero coefficient at q1^4 or q2^4 set to 1/2: the
+        # mismatch lies only at keys that one side of tau(J[k][l]) =
+        # -J[l][k], k <= l, lacks (at q2^4, keys of tau(J[k][l]); at q1^4,
+        # keys of J[l][k]), so a comparison that walked only the other
+        # side's keys would pass it and then disagree with tau(S) != S
+        s, j = golden_case(GOLDEN / "real_1.json")
+        assert alpha not in s.coeffs
+        s = s + SymTensor.monomial(s.space, alpha, GaussRat(Fraction(1, 2)))
+        rep = reality(s, j)
+        assert (rep.commutator_condition_ok, rep.tau_fixed) == (False, False)
+        assert not generators_tau_fixed(s, j)
 
     @pytest.mark.parametrize("stem,real", [("non_coordinate_j", True),
                                            ("unreal_non_coordinate_j", False),
@@ -712,9 +780,12 @@ class TestBracketsAgainstWalk:
         assert real_holonomy_from_generators(gens, j) == expected
 
 
-# seeded real-random draws at m = 1, 2, 3, and the golden real cases
+# seeded real-random draws at m = 1, 2, 3 and one at m = 4, and the golden
+# real cases, real_2_off_axes with its dense j among them
 REFERENCE_CASES = ([("real-random:%d" % m, seed) for m in (1, 2, 3) for seed in (0, 3, 11)]
-                   + [(stem, None) for stem in ("real_1", "real_2", "non_coordinate_j")])
+                   + [("real-random:4", 0)]
+                   + [(stem, None) for stem in ("real_1", "real_2", "non_coordinate_j",
+                                                "real_2_off_axes")])
 
 
 class TestRealFormAgainstReference:

@@ -31,12 +31,13 @@ matrix: when the rank of the table modulo a prime certifies h = S^2(support),
 h is eliminated from the products of the support's basis and no table entry
 is reduced; otherwise (petrov:I) the table entries themselves are.
 The real form acts on sp(E) = S^2E by tau on S^2E coordinates, the map
-s2e_tau(j) that check_reality builds once per analysis, so it multiplies no
-matrices either: the commutator condition is tau(J[k][l]) = -J[l][k] for all
-k, l (both [m, m] brackets of a pair (k, l), J[l][k] - J[k][l] and
+s2e_tau(j) that check_reality builds once per analysis from C's columns, so
+it multiplies no matrices either and pushes no quadratic forward: the
+commutator condition is tau(J[k][l]) = -J[l][k] for all k, l (both [m, m] brackets of a pair (k, l), J[l][k] - J[k][l] and
 -i (J[l][k] + J[k][l]), are tau-fixed exactly when tau(a) - tau(b) = a - b
 and tau(a) + tau(b) = -(a + b) for a = J[l][k], b = J[k][l], as tau is
-antilinear), and the quartic tau runs once, on S, for tau(S) = S.  The real
+antilinear), and the quartic tau runs once, on S, for tau(S) = S, the one
+push-forward of an analysis --real.  The real
 holonomy is h^tau, read off that same basis by one elimination of 2 dim h
 rows, and only when the real algebra is built: a reality verdict alone
 eliminates nothing.  The table takes no matrix product
@@ -314,10 +315,12 @@ def test_real_analysis_reads_the_j_table_once(monkeypatch):
     assert len(reads) == 0
 
 
-@pytest.mark.parametrize("stem", ["real_1", "real_2"])
+@pytest.mark.parametrize("stem", ["real_1", "real_2", "real_2_off_axes"])
 def test_real_analysis_calls_tau_once_on_s(monkeypatch, capsys, stem):
     # the commutator condition and h^tau read one tau map on S^2E
-    # coordinates; the tau of a tensor runs only for tau(S) = S
+    # coordinates, whose columns are read off C's columns with no
+    # push-forward; the tau of a tensor runs only for tau(S) = S, and its
+    # push-forward along C is the one transform of the analysis
     taus = []
     honest = symtensor.tau
 
@@ -328,10 +331,14 @@ def test_real_analysis_calls_tau_once_on_s(monkeypatch, capsys, stem):
     for module in (symtensor, realform, dim8):
         monkeypatch.setattr(module, "tau", counted)
     maps = count_calls(monkeypatch, realform, "s2e_tau")
-    assert main(["analyze", str(GOLDEN / ("%s.json" % stem)), "--real"]) == 0
+    pushes = count_calls(monkeypatch, symtensor, "transform")
+    j_path = GOLDEN / ("%s.j.json" % stem)
+    j_args = ["--j", str(j_path)] if j_path.exists() else []
+    assert main(["analyze", str(GOLDEN / ("%s.json" % stem)), "--real"] + j_args) == 0
     assert "signature" in capsys.readouterr().out
     assert taus == [golden_quartic(stem)]
     assert len(maps) == 1
+    assert len(pushes) == 1
 
 
 def test_analysis_writes_out_each_holonomy_matrix_once(monkeypatch):

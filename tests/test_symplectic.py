@@ -1,6 +1,6 @@
 import pytest
 
-from hksym.exactnum import ContractError, GaussRat, Matrix, ONE, ZERO
+from hksym.exactnum import ContractError, GaussRat, Matrix, ONE, ZERO, mat_vec
 from hksym.symplectic import (
     QuaternionicStructure,
     Subspace,
@@ -151,12 +151,6 @@ class TestQuaternionic:
         with pytest.raises(ContractError):
             QuaternionicStructure(sp, Matrix.identity(2))
 
-    def test_standard_no_split(self):
-        for n in (1, 2, 3):
-            sp = SymplecticSpace(n)
-            j = standard_quaternionic(sp)
-            assert gamma_signature(j) == (sp.dim, 0, 0)
-
     def test_indefinite_gamma_structure(self):
         # flipping one coordinate pair of the standard j gives a compatible
         # structure with gamma signature (2n - 2, 2)
@@ -169,27 +163,6 @@ class TestQuaternionic:
         j = QuaternionicStructure(sp, Matrix(c))
         assert gamma_signature(j) == (2, 2, 0)
 
-    def test_split_j_dim4(self):
-        sp = SymplecticSpace(2)
-        p1, p2, q1, q2 = basis(sp)
-        e_plus = span(sp, [p1, p2])
-        e_minus = span(sp, [q1, q2])
-        j = standard_quaternionic(sp, (e_plus, e_minus))
-        for half in (e_plus, e_minus):
-            assert all(in_span(half, j.apply(v)) for v in half.basis)
-        assert gamma_signature(j) == (2, 2, 0)
-
-    def test_split_sign_flip_same_signature(self):
-        # swapping the sign convention of a pair is a congruence: same inertia
-        sp = SymplecticSpace(2)
-        p1, p2, q1, q2 = basis(sp)
-        neg = tuple(-c for c in p2)
-        e_plus = Subspace(sp, [p1, neg])
-        negq = tuple(-c for c in q2)
-        e_minus = Subspace(sp, [q1, negq])
-        j = standard_quaternionic(sp, (e_plus, e_minus))
-        assert gamma_signature(j) == (2, 2, 0)
-
     def test_split_requires_dim_divisible_by_4(self):
         sp = SymplecticSpace(1)
         e_plus = span(sp, [sp.basis_vector(0)])
@@ -198,6 +171,37 @@ class TestQuaternionic:
             standard_quaternionic(sp, (e_plus, e_minus))
         with pytest.raises(ContractError, match="not divisible by 4"):
             standard_split_j(sp)
+
+    def test_quaternionic_oracles(self, rng):
+        # the oracles that the default j and the golden non-coordinate j
+        # rest on: standard_quaternionic builds the definite j and a j from
+        # any Lagrangian split, coordinate, sign-flipped or moved off the
+        # axes, that preserves both halves; gamma_gram is Hermitian and
+        # gamma_signature reads its inertia
+        for n in (1, 2, 3):
+            sp = SymplecticSpace(n)
+            assert gamma_signature(standard_quaternionic(sp)) == (sp.dim, 0, 0)
+        sp = SymplecticSpace(2)
+        p1, p2, q1, q2 = basis(sp)
+        e_plus = span(sp, [p1, p2])
+        e_minus = span(sp, [q1, q2])
+        j = standard_quaternionic(sp, (e_plus, e_minus))
+        for half in (e_plus, e_minus):
+            assert all(in_span(half, j.apply(v)) for v in half.basis)
+        assert gamma_signature(j) == (2, 2, 0)
+        # swapping the sign convention of a pair is a congruence: same inertia
+        e_plus = Subspace(sp, [p1, tuple(-c for c in p2)])
+        e_minus = Subspace(sp, [q1, tuple(-c for c in q2)])
+        assert gamma_signature(standard_quaternionic(sp, (e_plus, e_minus))) == (2, 2, 0)
+        for _ in range(5):
+            t = random_symplectic(sp, rng)
+            e_plus = span(sp, [mat_vec(t, sp.basis_vector(0)), mat_vec(t, sp.basis_vector(1))])
+            e_minus = span(sp, [mat_vec(t, sp.basis_vector(2)), mat_vec(t, sp.basis_vector(3))])
+            j = standard_quaternionic(sp, (e_plus, e_minus))
+            assert all(in_span(e_plus, j.apply(v)) for v in e_plus.basis)
+            assert gamma_signature(j) == (2, 2, 0)
+        g = gamma_gram(standard_split_j(sp))
+        assert g == g.hermitian_transpose()
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_default_j_is_the_coordinate_split(self, n):
@@ -212,25 +216,6 @@ class TestQuaternionic:
             standard_split_j(SymplecticSpace(n))
         assert str(info.value) == ("no compatible default quaternionic structure: dim E = %d "
                                    "is not divisible by 4 (supply --j)" % (2 * n))
-
-    def test_split_on_scrambled_lagrangians(self, rng):
-        # the construction must work for non-coordinate Lagrangian pairs
-        sp = SymplecticSpace(2)
-        from hksym.exactnum import mat_vec
-
-        for _ in range(5):
-            t = random_symplectic(sp, rng)
-            e_plus = span(sp, [mat_vec(t, sp.basis_vector(0)), mat_vec(t, sp.basis_vector(1))])
-            e_minus = span(sp, [mat_vec(t, sp.basis_vector(2)), mat_vec(t, sp.basis_vector(3))])
-            j = standard_quaternionic(sp, (e_plus, e_minus))
-            assert all(in_span(e_plus, j.apply(v)) for v in e_plus.basis)
-            assert gamma_signature(j) == (2, 2, 0)
-
-    def test_gamma_gram_hermitian(self, rng):
-        sp = SymplecticSpace(2)
-        j = standard_split_j(sp)
-        g = gamma_gram(j)
-        assert g == g.hermitian_transpose()
 
     def test_rho_squared_identity(self):
         # rho = j_H (x) j_E is an involution: j_H^2 = j_E^2 = -1

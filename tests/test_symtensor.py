@@ -34,7 +34,6 @@ from hksym.symtensor import (
     is_in_sp,
     quartic_from_dict,
     quartic_to_dict,
-    quadratic,
     s2e_coords,
     s2e_matrix,
     sp_action,
@@ -60,6 +59,7 @@ from oracles import (
     eval_on_vectors,
     flatten,
     polarization_inclusion_exclusion,
+    quadratic,
     quartic_from_dict_reference,
     random_vector,
     sp_action_reference,
