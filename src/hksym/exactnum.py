@@ -411,6 +411,21 @@ def lincomb(terms, n):
     return tuple(out)
 
 
+def _dict_neg(d):
+    return {k: -v for k, v in d.items()}
+
+
+def _add_into(acc, v, f=ONE):
+    """acc += f * v on dicts of nonzero coordinates, in place, dropping zeros; returns acc."""
+    for k, c in v.items():
+        val = acc.get(k, ZERO) + f * c
+        if val:
+            acc[k] = val
+        elif k in acc:
+            del acc[k]
+    return acc
+
+
 def vec_conj(v):
     return tuple(a.conjugate() for a in v)
 

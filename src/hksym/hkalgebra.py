@@ -52,6 +52,8 @@ from .exactnum import (
     SpanSolver,
     TheoremViolationError,
     ZERO,
+    _add_into,
+    _dict_neg,
     echelon_basis,
     extend_rref,
     hermitian_inertia,
@@ -208,21 +210,6 @@ def holonomy(q):
 # ---------------------------------------------------------------------------
 # Lie algebra models.
 # ---------------------------------------------------------------------------
-
-
-def _dict_neg(d):
-    return {k: -v for k, v in d.items()}
-
-
-def _add_into(acc, v, f=ONE):
-    """acc += f * v on coordinate dicts, in place, dropping zeros; returns acc."""
-    for k, c in v.items():
-        val = acc.get(k, ZERO) + f * c
-        if val:
-            acc[k] = val
-        elif k in acc:
-            del acc[k]
-    return acc
 
 
 class LieAlgebraModel:

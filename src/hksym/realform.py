@@ -41,12 +41,14 @@ from .exactnum import (
     ONE,
     SpanSolver,
     ZERO,
+    _add_into,
+    _dict_neg,
     echelon_basis,
     from_parts,
     inverse,
     unit_vec,
 )
-from .hkalgebra import LieAlgebraModel, TheoremViolationError, _dict_neg
+from .hkalgebra import LieAlgebraModel, TheoremViolationError
 from .symtensor import s2e_tau, table_entry, tau
 
 
@@ -88,9 +90,8 @@ def _combine(terms):
     of nonzeros."""
     out = {}
     for c, v in terms:
-        for p, x in v.items():
-            out[p] = out[p] + c * x if p in out else c * x
-    return {p: x for p, x in out.items() if x}
+        _add_into(out, v, c)
+    return out
 
 
 def check_reality(s, j, table):

@@ -48,6 +48,7 @@ from .exactnum import (
     MODULUS,
     ONE,
     ZERO,
+    _add_into,
     _trusted_matrix,
     from_triple,
     inverse,
@@ -474,7 +475,7 @@ def s2e_matrix(v, dim):
 
 
 def s2e_coords(b):
-    """The S^2E coordinates of the quadratic b, as a tuple: the inverse of quadratic."""
+    """The S^2E coordinates of the quadratic b, as a tuple."""
     if b.degree != 2:
         raise ContractError("s2e_coords needs a quadratic")
     layout, index = _s2e_layout(b.space.dim)
@@ -568,15 +569,13 @@ def s2e_tau(j):
                 xy = xy + xy
             acc[q] = acc[q] + xy if q in acc else xy
         w = layout[p][4]
-        cols[p] = [(q, x if w * layout[q][4] > 0 else -x) for q, x in acc.items() if x]
+        cols[p] = {q: x if w * layout[q][4] > 0 else -x for q, x in acc.items() if x}
 
     def tau_map(v):
         out = {}
         for p, x in v.items():
-            x = x.conjugate()
-            for q, y in cols[p]:
-                out[q] = out[q] + x * y if q in out else x * y
-        return {q: x for q, x in out.items() if x}
+            _add_into(out, cols[p], x.conjugate())
+        return out
 
     return tau_map
 
