@@ -305,7 +305,17 @@ def verify_jacobi(model):
 
 
 def verify_metric(model):
-    """Metric on m must be symmetric, nondegenerate and h-invariant."""
+    """Metric G on m must be symmetric, nondegenerate and h-invariant.
+
+    h-invariance is certified as M_a = ad_a^t G + G ad_a = 0 on m for each
+    x_a of h's basis, M_a[x][y] = g([x_a, x], y) + g(x, [x_a, y]), read over
+    the nonzeros: each c at key k of [x_a, x] times each nonzero G[k][y] is
+    added at (x, y) and, as G is symmetric, at (y, x).  That is one product
+    per nonzero of ad_a and of G's row, so O(nnz(ad_h)) for the block metric
+    of build_complex_algebra, whose rows have one nonzero each.  The witness
+    is the smallest failing (x, y) of the smallest failing a; a key of
+    [x_a, x] in h (ad_a leaving m) fails every (x, y) and (y, x).
+    """
     g = model.metric_on_m
     if g.nrows != model.dim_m or g.ncols != model.dim_m:
         return False, "metric size"
@@ -315,18 +325,21 @@ def verify_metric(model):
     if rank != model.dim_m:
         return False, "metric degenerate"
     dh = model.dim_h
+    g_rows = [[(y, c) for y, c in enumerate(row) if c] for row in g.data]
     for a in range(dh):
-        for x in range(model.dim_m):
-            ax = model.brackets[a][dh + x]  # coordinates in m-part
-            for y in range(model.dim_m):
-                ay = model.brackets[a][dh + y]
-                s = ZERO
-                for k, c in ax.items():
-                    s = s + c * g.entry(k - dh, y)
-                for k, c in ay.items():
-                    s = s + c * g.entry(x, k - dh)
-                if s:
-                    return False, "metric not h-invariant at (%d, %d, %d)" % (a, x, y)
+        m_a, failing = {}, []
+        for x, ax in enumerate(model.brackets[a][dh:]):
+            for k, c in ax.items():
+                if k < dh:
+                    failing.append((0, x))
+                    continue
+                for y, gy in g_rows[k - dh]:
+                    t = c * gy
+                    m_a[x, y] = m_a.get((x, y), ZERO) + t
+                    m_a[y, x] = m_a.get((y, x), ZERO) + t
+        failing += [xy for xy, s in m_a.items() if s]
+        if failing:
+            return False, "metric not h-invariant at (%d, %d, %d)" % ((a,) + min(failing))
     return True, None
 
 

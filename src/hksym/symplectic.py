@@ -19,6 +19,8 @@ Conventions fixed here and inherited by everything downstream:
   C conj(C) = -1 and C^t Omega C = conj(Omega).
 """
 
+from functools import lru_cache
+
 from .exactnum import (
     ContractError,
     GaussRat,
@@ -239,13 +241,16 @@ class QuaternionicStructure:
         return mat_vec(self.c_matrix, vec_conj(v))
 
 
+@lru_cache(maxsize=None)
 def standard_split_j(sp):
     """The default quaternionic structure: the split E_+ = span(p), E_- = span(q).
 
     q is already omega-dual to p, so j pairs consecutive coordinates of each
     half by (z1, z2) -> (-conj(z2), conj(z1)), and C is the signed
     permutation C[k][k+1] = -1, C[k+1][k] = 1 for even k.
-    QuaternionicStructure still checks j^2 = -1 and the omega compatibility.
+    QuaternionicStructure still checks j^2 = -1 and the omega compatibility,
+    once per n: the result is built once per process for each n (spaces
+    compare by n) and shared, as QuaternionicStructure is immutable.
     The tests check it against the oracle in tests/oracles.py that builds j
     from any Lagrangian split, here (span(p), span(q)).
     """
@@ -280,13 +285,15 @@ def record_fields(data, record, keys):
 
 
 # the largest n a quartic may have (dim E = 2n): analyze on
-# random-lagrangian:n (seed 7) takes 1.5-1.7 s, 3.1-3.5 s and 6.7-6.8 s at
-# n = 12, 14 and 16 on a 2-vCPU Xeon VM, most of it in the Jacobi check;
-# the time grows about fourfold from n = 12 to 16, so a larger quartic is
-# refused outright.  The bound was timed on random-lagrangian inputs only:
-# at the same n a scrambled quartic (dense, with tall coefficients) takes
-# far longer, 7.2-9.0 s against 0.12 s at n = 6 after 3 transvections,
-# and real-random:6 with --real 2.2-2.6 s at n = 12
+# random-lagrangian:n (seed 7) takes 1.4-2.5 s, 3.6-4.1 s and 6.8-7.7 s at
+# n = 12, 14 and 16 on a 2-vCPU Xeon VM (Python 3.11, each run a fresh
+# process, three runs), most of it in the Jacobi check; the time grows
+# about fourfold from n = 12 to 16, so a larger quartic is refused
+# outright.  The bound was timed on random-lagrangian inputs only: at the
+# same n a scrambled quartic (dense, with tall coefficients) takes far
+# longer, 7.3-9.5 s against 0.06-0.07 s at n = 6 after 3 transvections
+# (random_symplectic(sp, Random(7), steps=3)), and real-random:6 (seed 3)
+# with --real 1.8-2.2 s at n = 12
 MAX_N = 16
 
 

@@ -93,6 +93,10 @@ reader, it refuses an entry with a key other than monomial and value.
 verify_jacobi_reference is the Jacobi check before it skipped the triples
 whose three brackets vanish: every triple a < b < c evaluated, in
 lexicographic order.
+verify_metric_reference is the metric check before it read h-invariance
+over the model's nonzeros: the same size, symmetry and rank checks, then
+g([x_a, x], y) + g(x, [x_a, y]) summed for every (a, x, y) of h x m x m, in
+lexicographic order, a key of [x_a, x] or [x_a, y] in h failing (a, x, y).
 standard_quaternionic is the general construction of a compatible j: the
 definite C = Omega^t, or j from any Lagrangian split (E_+, E_-) through the
 omega-dual basis of E_-, the reference for the written-down default j
@@ -1311,4 +1315,35 @@ def verify_jacobi_reference(model):
                 acc[k] = acc.get(k, ZERO) + f * x
         if any(acc.values()):
             return False, tuple(model.basis_labels[i] for i in (a, b, c))
+    return True, None
+
+
+def verify_metric_reference(model):
+    """The metric on m checked symmetric, nondegenerate and h-invariant over
+    every (a, x, y) in h x m x m, in lexicographic order; returns (ok,
+    message) with the first failing (a, x, y)."""
+    g = model.metric_on_m
+    if g.nrows != model.dim_m or g.ncols != model.dim_m:
+        return False, "metric size"
+    if g != g.transpose():
+        return False, "metric not symmetric"
+    rank, _, _ = rank_kernel(g)
+    if rank != model.dim_m:
+        return False, "metric degenerate"
+    dh = model.dim_h
+    for a in range(dh):
+        for x in range(model.dim_m):
+            ax = model.brackets[a][dh + x]
+            for y in range(model.dim_m):
+                ay = model.brackets[a][dh + y]
+                escapes = any(k < dh for k in ax) or any(k < dh for k in ay)
+                s = ZERO
+                for k, c in ax.items():
+                    if k >= dh:
+                        s = s + c * g.entry(k - dh, y)
+                for k, c in ay.items():
+                    if k >= dh:
+                        s = s + c * g.entry(x, k - dh)
+                if escapes or s:
+                    return False, "metric not h-invariant at (%d, %d, %d)" % (a, x, y)
     return True, None

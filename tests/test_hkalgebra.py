@@ -55,6 +55,7 @@ from hksym.hkalgebra import (
     verify_grading,
     verify_jacobi,
     verify_metric,
+    verify_model,
 )
 from hksym.generators import (
     make_generator,
@@ -64,7 +65,7 @@ from hksym.generators import (
     random_symplectic,
     standard_split_j,
 )
-from hksym.realform import check_reality, real_holonomy
+from hksym.realform import build_real_algebra, check_reality, real_holonomy
 
 from oracles import (
     aut_basis_by_embedding,
@@ -80,6 +81,7 @@ from oracles import (
     ricci_by_adjoint_matrices,
     unflatten,
     verify_jacobi_reference,
+    verify_metric_reference,
 )
 
 
@@ -600,6 +602,98 @@ class TestJacobiSkip:
         # one changed bracket of the abelian petrov:O model is still a Lie
         # algebra; on every other model some change breaks Jacobi
         assert failures or not model.dim_h
+
+
+def with_metric(model, rows):
+    """model with its metric on m replaced by the matrix of rows, the
+    brackets shared."""
+    return LieAlgebraModel(model.basis_labels, model.dim_h, model.dim_m, model.brackets,
+                           Matrix(rows))
+
+
+def metric_changes(model, rng):
+    """Models with one symmetric pair of metric entries G[x][y] = G[y][x]
+    changed by a random nonzero amount, three of them."""
+    dm = model.dim_m
+    for _ in range(3):
+        x, y = rng.randrange(dm), rng.randrange(dm)
+        rows = model.metric_on_m.rows_list()
+        rows[x][y] = rows[y][x] = rows[x][y] + (random_gaussrat(rng) or ONE)
+        yield with_metric(model, rows)
+
+
+def real_model(kind):
+    """The real form of kind's quartic (seed 7) under the default j."""
+    s = make_generator(kind, 7)
+    q = certify_invariance(s)
+    rep = check_reality(s, standard_split_j(s.space), q.table)
+    return build_real_algebra(q, complex_model(s), rep, real_holonomy(q, rep))
+
+
+class TestMetricOverNonzeros:
+    """verify_metric reads ad_a^t G + G ad_a over the model's nonzeros; it
+    must agree with the sum over every (a, x, y), witness included."""
+
+    @pytest.mark.parametrize("kind", JACOBI_KINDS + ["scrambled:2", "real form real-random:1"])
+    def test_same_verdict_as_every_triple(self, kind):
+        if kind == "scrambled:2":
+            model = complex_model(scrambled_lagrangian(2, 0))
+        elif kind.startswith("real form "):
+            model = real_model(kind.split()[-1])
+        else:
+            model = complex_model(make_generator(kind, 7))
+        assert verify_metric(model) == verify_metric_reference(model) == (True, None)
+        rng = random.Random("metric-nonzeros " + kind)
+        failures = 0
+        for bad in list(perturbations(model, rng)) + list(metric_changes(model, rng)):
+            found = verify_metric(bad)
+            assert found == verify_metric_reference(bad)
+            failures += not found[0]
+        # with h = 0 (petrov:O) every symmetric nondegenerate metric is
+        # h-invariant; on every other model some change breaks it
+        assert failures or not model.dim_h
+
+    def test_bracket_into_h_is_a_witness(self, p4):
+        # [k1, h1*p1] given a component on k1 itself: ad_a leaves m, which
+        # fails (0, 0) first, not a read of G at a negative index
+        model = complex_model(p4)
+        bad = perturbed(model, 0, model.dim_h, {0: ONE})
+        expected = (False, "metric not h-invariant at (0, 0, 0)")
+        assert verify_metric(bad) == verify_metric_reference(bad) == expected
+
+
+class TestMetricRefusals:
+    """Each refusal of verify_metric on a tampered metric, with its exact
+    message, and the TheoremViolationError verify_model raises for one."""
+
+    def test_size(self, p4):
+        model = complex_model(p4)
+        rows = [row[:-1] for row in model.metric_on_m.rows_list()[:-1]]
+        assert verify_metric(with_metric(model, rows)) == (False, "metric size")
+
+    def test_not_symmetric(self, p4):
+        model = complex_model(p4)
+        rows = model.metric_on_m.rows_list()
+        rows[0][1] = rows[0][1] + ONE
+        assert verify_metric(with_metric(model, rows)) == (False, "metric not symmetric")
+
+    def test_degenerate(self, p4):
+        model = complex_model(p4)
+        rows = model.metric_on_m.rows_list()
+        rows[0] = [ZERO] * model.dim_m
+        for row in rows:
+            row[0] = ZERO
+        assert verify_metric(with_metric(model, rows)) == (False, "metric degenerate")
+
+    def test_verify_model_names_the_metric_witness(self, p4):
+        # p4 = p^4: h = span{k1}, and [k1, m] moves only h1*q1 and h2*q1
+        model = complex_model(p4)
+        assert verify_model(model)
+        rows = model.metric_on_m.rows_list()
+        rows[0][0] = ONE
+        with pytest.raises(TheoremViolationError) as err:
+            verify_model(with_metric(model, rows))
+        assert str(err.value) == "metric failed: metric not h-invariant at (0, 0, 1)"
 
 
 class TestRicci:

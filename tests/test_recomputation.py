@@ -601,6 +601,19 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert len(parsers) == 0
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--real"], ["verify", "--reality"],
+                                  ["classify8", "--real"]])
+def test_default_j_is_built_once_per_process(monkeypatch, capsys, argv):
+    # the default j of an n is built by the first real-mode call and shared
+    path = str(GOLDEN / "real_1.json")
+    assert main([argv[0], path, *argv[1:]]) == 0
+    structures = count_calls(monkeypatch, symplectic.QuaternionicStructure, "__init__")
+    assert main([argv[0], path, *argv[1:]]) == 0
+    assert main(["analyze", path, "--real", "--json"]) == 0
+    capsys.readouterr()
+    assert len(structures) == 0
+
+
 def span_calls(monkeypatch, capsys, argv):
     """symplectic.span calls during one main call on golden real_1."""
     calls = count_calls(monkeypatch, symplectic, "span")
