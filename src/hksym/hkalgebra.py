@@ -331,6 +331,7 @@ def verify_metric(model):
         for x, ax in enumerate(model.brackets[a][dh:]):
             for k, c in ax.items():
                 if k < dh:
+                    # the least of the (x, y) and (y, x) this key fails
                     failing.append((0, x))
                     continue
                 for y, gy in g_rows[k - dh]:
